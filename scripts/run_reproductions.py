@@ -9,8 +9,7 @@ import argparse
 import sys
 import time
 
-from ndcsim import presets
-from ndcsim.reproduce import reproduce
+from ndcsim.reproduce import TARGETS, reproduce
 
 
 def main() -> int:
@@ -18,7 +17,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=1.0,
                         help="acquisition-time multiplier (1.0 = 5 s per run)")
-    parser.add_argument("--targets", nargs="*", default=sorted(presets.PRESET_NAMES))
+    parser.add_argument("--targets", nargs="*", default=sorted(TARGETS))
     args = parser.parse_args()
 
     all_ok = True

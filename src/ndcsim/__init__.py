@@ -13,16 +13,11 @@ from .analyze import (
 from .config import ExperimentConfig, RunSpec, parse_config
 from .correlate import Histogram, coarse_offset, fine_histogram, g2_normalize
 from .model import (
-    AnalyticPrediction,
     DispersionLeg,
     SourceParams,
     WasakInputs,
-    classical_bound_rhs,
-    farfield_fwhm,
     fwhm_from_sigma,
     g2_sigma,
-    observed_variance,
-    sigma_from_fwhm,
     wasak_w,
     wasak_w_uncertainty,
 )

@@ -16,7 +16,7 @@ from .config import parse_config
 from .correlate import read_histogram_csv, write_histogram_csv
 from .errors import ConfigError, FitError, NoPeakError, ParameterError, TransportError
 from .pipeline import measure_peak, run_simulation
-from .reproduce import reproduce
+from .reproduce import TARGETS, reproduce
 
 EXIT_CONFIG = 2
 EXIT_NO_PEAK = 3
@@ -46,11 +46,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _measure_files(args):
-    a = tagio.read_tags(args.stream_a)
-    b = tagio.read_tags(args.stream_b)
+def _measure_files(args, path_a, path_b):
+    """Measure the peak of two tag files with every binning flag applied."""
     return measure_peak(
-        a, b,
+        tagio.read_tags(path_a),
+        tagio.read_tags(path_b),
         bin_width_ps=args.bin_ps,
         window_ps=args.window_ps,
         coarse_bin_ns=args.coarse_bin_ns,
@@ -59,7 +59,7 @@ def _measure_files(args):
 
 
 def cmd_correlate(args) -> int:
-    meas = _measure_files(args)
+    meas = _measure_files(args, args.stream_a, args.stream_b)
     print(f"recovered_offset_fs = {meas.offset_fs}")
     print(fit_report_text(meas.fit))
     if args.out:
@@ -75,12 +75,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_wasak(args) -> int:
-    before_a = tagio.read_tags(args.before_a)
-    before_b = tagio.read_tags(args.before_b)
-    after_a = tagio.read_tags(args.after_a)
-    after_b = tagio.read_tags(args.after_b)
-    before = measure_peak(before_a, before_b, args.bin_ps, args.window_ps)
-    after = measure_peak(after_a, after_b, args.bin_ps, args.window_ps)
+    before = _measure_files(args, args.before_a, args.before_b)
+    after = _measure_files(args, args.after_a, args.after_b)
     result = evaluate_wasak(before.fit, after.fit, args.two_beta_l)
     print(wasak_report_text(result))
     return 0
@@ -154,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_wasak)
 
     p = sub.add_parser("reproduce", help="run a headline-result preset end to end")
-    p.add_argument("target", choices=sorted(presets.PRESET_NAMES))
+    p.add_argument("target", choices=sorted(TARGETS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=1.0, help="acquisition-time multiplier")
     p.set_defaults(func=cmd_reproduce)

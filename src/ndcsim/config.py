@@ -1,9 +1,10 @@
 """Experiment configuration: dataclass bundle plus the key=value file format.
 
-File format is line-oriented ``key = value`` under the sections [source]
-[smf] [dcf] [detector_a] [detector_b] [timer_a] [timer_b] [run].  Lengths are
-in km, k2 in s^2/m, rates in Hz; everything is converted to internal units
-(fs, ps^2) at parse time.
+File format is line-oriented ``key = value`` under one section per field of
+``ExperimentConfig``; the keys are the field names of that section's
+dataclass, and a missing optional key takes the dataclass default.  Lengths
+are in km, k2 in s^2/m, rates in Hz; everything is converted to internal
+units (fs, ps^2) at parse time.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import typing
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -43,84 +45,39 @@ class ExperimentConfig:
 
     def manifest(self) -> dict:
         """JSON-ready dictionary of every resolved parameter."""
-        return {
-            "source": dataclasses.asdict(self.source),
-            "smf": dataclasses.asdict(self.smf),
-            "dcf": dataclasses.asdict(self.dcf),
-            "detector_a": dataclasses.asdict(self.detector_a),
-            "detector_b": dataclasses.asdict(self.detector_b),
-            "timer_a": dataclasses.asdict(self.timer_a),
-            "timer_b": dataclasses.asdict(self.timer_b),
-            "run": dataclasses.asdict(self.run),
-        }
+        return dataclasses.asdict(self)
 
 
-_SECTIONS = (
-    "source", "smf", "dcf", "detector_a", "detector_b", "timer_a", "timer_b", "run",
+# Keys a file must give; every other key falls back to its dataclass default.
+_REQUIRED_KEYS = frozenset(
+    {"pair_rate_hz", "length_km", "efficiency", "jitter_fwhm_ps", "site_id", "duration_s"}
 )
+# Field name -> file key, where the two differ.
+_FILE_KEYS = {"sigma_omega": "sigma_omega_rad_per_ps"}
 
 
-class _Section:
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        if not parser.has_section(name):
-            raise ConfigError(f"missing section [{name}]")
-        self._name = name
-        self._sec = parser[name]
-
-    def _raw(self, key: str, default=None):
-        if key in self._sec:
-            return self._sec[key]
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required key '{key}' in section [{self._name}]")
-
-    def get_float(self, key: str, default=None) -> float:
-        raw = self._raw(key, default)
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key '{key}' in [{self._name}]: not a number: {raw!r}") from exc
-
-    def get_int(self, key: str, default=None) -> int:
-        raw = self._raw(key, default)
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key '{key}' in [{self._name}]: not an integer: {raw!r}") from exc
-
-    def get_str(self, key: str, default=None) -> str:
-        return str(self._raw(key, default)).strip()
-
-    def get_optional_float(self, key: str) -> float | None:
-        if key not in self._sec:
-            return None
-        return self.get_float(key)
+def _convert(section: str, key: str, kind, raw: str):
+    if kind is str:
+        return raw
+    number, what = (int, "an integer") if kind is int else (float, "a number")
+    try:
+        return number(raw)
+    except ValueError as exc:
+        raise ConfigError(f"key '{key}' in [{section}]: not {what}: {raw!r}") from exc
 
 
-def _leg(sec: _Section) -> DispersionLeg:
-    return DispersionLeg(
-        k2_s2_per_m=sec.get_float("k2_s2_per_m", "0"),
-        length_km=sec.get_float("length_km"),
-        attenuation_db_per_km=sec.get_float("attenuation_db_per_km", "0.2"),
-        group_index=sec.get_float("group_index", "1.468"),
-    )
-
-
-def _detector(sec: _Section) -> DetectorSpec:
-    return DetectorSpec(
-        efficiency=sec.get_float("efficiency"),
-        jitter_fwhm_ps=sec.get_float("jitter_fwhm_ps"),
-        dark_rate_hz=sec.get_float("dark_rate_hz", "100"),
-        dead_time_ns=sec.get_float("dead_time_ns", "40"),
-    )
-
-
-def _timer(sec: _Section) -> TimerSpec:
-    return TimerSpec(
-        resolution_fs=sec.get_int("resolution_fs", "1000"),
-        clock_offset_fs=sec.get_int("clock_offset_fs", "0"),
-        site_id=sec.get_int("site_id"),
-    )
+def _parse_section(parser: configparser.ConfigParser, name: str, cls):
+    if not parser.has_section(name):
+        raise ConfigError(f"missing section [{name}]")
+    sec = parser[name]
+    values = {}
+    for field, kind in typing.get_type_hints(cls).items():
+        key = _FILE_KEYS.get(field, field)
+        if key in sec:
+            values[field] = _convert(name, key, kind, sec[key])
+        elif field in _REQUIRED_KEYS:
+            raise ConfigError(f"missing required key '{key}' in section [{name}]")
+    return cls(**values)
 
 
 def parse_config(text_or_path, from_string: bool = False) -> ExperimentConfig:
@@ -137,67 +94,22 @@ def parse_config(text_or_path, from_string: bool = False) -> ExperimentConfig:
     except configparser.Error as exc:
         # configparser messages carry the offending line numbers.
         raise ConfigError(f"config parse error: {exc}") from exc
-
-    src_sec = _Section(parser, "source")
-    source = SourceParams(
-        crystal_length_cm=src_sec.get_float("crystal_length_cm", "1.0"),
-        inverse_gvd_ps_per_cm=src_sec.get_float("inverse_gvd_ps_per_cm", "2.96"),
-        gamma=src_sec.get_float("gamma", "0.04822"),
-        pair_rate_hz=src_sec.get_float("pair_rate_hz"),
-        sigma_omega=src_sec.get_optional_float("sigma_omega_rad_per_ps"),
-    )
-    run_sec = _Section(parser, "run")
-    run = RunSpec(
-        duration_s=run_sec.get_float("duration_s"),
-        mode=run_sec.get_str("mode", "anti"),
-    )
-    return ExperimentConfig(
-        source=source,
-        smf=_leg(_Section(parser, "smf")),
-        dcf=_leg(_Section(parser, "dcf")),
-        detector_a=_detector(_Section(parser, "detector_a")),
-        detector_b=_detector(_Section(parser, "detector_b")),
-        timer_a=_timer(_Section(parser, "timer_a")),
-        timer_b=_timer(_Section(parser, "timer_b")),
-        run=run,
-    )
+    return ExperimentConfig(**{
+        name: _parse_section(parser, name, cls)
+        for name, cls in typing.get_type_hints(ExperimentConfig).items()
+    })
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
     """Render a config back to the key = value file format."""
     parser = configparser.ConfigParser()
-    parser["source"] = {
-        "crystal_length_cm": repr(cfg.source.crystal_length_cm),
-        "inverse_gvd_ps_per_cm": repr(cfg.source.inverse_gvd_ps_per_cm),
-        "gamma": repr(cfg.source.gamma),
-        "pair_rate_hz": repr(cfg.source.pair_rate_hz),
-    }
-    if cfg.source.sigma_omega is not None:
-        parser["source"]["sigma_omega_rad_per_ps"] = repr(cfg.source.sigma_omega)
-    for name, leg in (("smf", cfg.smf), ("dcf", cfg.dcf)):
-        parser[name] = {
-            "k2_s2_per_m": repr(leg.k2_s2_per_m),
-            "length_km": repr(leg.length_km),
-            "attenuation_db_per_km": repr(leg.attenuation_db_per_km),
-            "group_index": repr(leg.group_index),
+    for section in dataclasses.fields(cfg):
+        obj = getattr(cfg, section.name)
+        parser[section.name] = {
+            _FILE_KEYS.get(f.name, f.name): value if isinstance(value, str) else repr(value)
+            for f in dataclasses.fields(obj)
+            if (value := getattr(obj, f.name)) is not None
         }
-    for name, det in (("detector_a", cfg.detector_a), ("detector_b", cfg.detector_b)):
-        parser[name] = {
-            "efficiency": repr(det.efficiency),
-            "jitter_fwhm_ps": repr(det.jitter_fwhm_ps),
-            "dark_rate_hz": repr(det.dark_rate_hz),
-            "dead_time_ns": repr(det.dead_time_ns),
-        }
-    for name, timer in (("timer_a", cfg.timer_a), ("timer_b", cfg.timer_b)):
-        parser[name] = {
-            "resolution_fs": repr(timer.resolution_fs),
-            "clock_offset_fs": repr(timer.clock_offset_fs),
-            "site_id": repr(timer.site_id),
-        }
-    parser["run"] = {
-        "duration_s": repr(cfg.run.duration_s),
-        "mode": cfg.run.mode,
-    }
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

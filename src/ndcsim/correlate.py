@@ -51,7 +51,8 @@ class Histogram:
         return self.origin_ps + (np.arange(self.counts.size) + 0.5) * self.bin_width_ps
 
 
-def _check_sorted(stream: TagStream, name: str) -> np.ndarray:
+def _nonempty(stream: TagStream, name: str) -> np.ndarray:
+    """Tags of a non-empty stream; TagStream already keeps them sorted."""
     tags = stream.tags
     if tags.size == 0:
         raise ParameterError(f"stream {name} is empty")
@@ -98,8 +99,8 @@ def fine_histogram(
     Half-open bins [left, right) starting at -window; a difference exactly on
     the +window boundary falls into the last bin.
     """
-    tags_a = _check_sorted(a, "a")
-    tags_b = _check_sorted(b, "b")
+    tags_a = _nonempty(a, "a")
+    tags_b = _nonempty(b, "b")
     if bin_width_ps <= 0:
         raise ParameterError("bin_width must be > 0")
     if window_ps < bin_width_ps:
@@ -135,8 +136,8 @@ def coarse_offset(
     refines the estimate down to the coarse bin.  Raises NoPeakError when the
     correlogram maximum is below mean + 5*std.
     """
-    tags_a = _check_sorted(a, "a")
-    tags_b = _check_sorted(b, "b")
+    tags_a = _nonempty(a, "a")
+    tags_b = _nonempty(b, "b")
     if coarse_bin_ns <= 0 or search_span_ms <= 0:
         raise ParameterError("coarse_bin and search_span must be > 0")
     coarse_bin_fs = int(round(coarse_bin_ns * FS_PER_NS))

@@ -8,7 +8,6 @@ SI units happens at configuration-parse time, never here.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -17,10 +16,6 @@ from .errors import ParameterError
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
-
-# Ratio |k2l| / (gamma*D^2*L^2) below which the far-field approximation of the
-# single-arm width is dubious; we warn rather than fail.
-FARFIELD_WARN_RATIO = 10.0
 
 
 @dataclass(frozen=True)
@@ -105,17 +100,6 @@ class DispersionLeg:
 
 
 @dataclass(frozen=True)
-class AnalyticPrediction:
-    """Predicted pair-correlation peak for a given dispersion configuration."""
-
-    sigma_ps: float
-    fwhm_ps: float
-    center_offset_ps: float
-    dispersion_sum_ps2: float
-    dispersion_magnitude_2bl_ps2: float
-
-
-@dataclass(frozen=True)
 class WasakInputs:
     """Observed variances entering the Bell-like witness.
 
@@ -156,37 +140,9 @@ def fwhm_from_sigma(sigma_ps: float) -> float:
     return FWHM_PER_SIGMA * sigma_ps
 
 
-def sigma_from_fwhm(fwhm_ps: float) -> float:
-    if fwhm_ps <= 0:
-        raise ParameterError("fwhm must be > 0")
-    return fwhm_ps / FWHM_PER_SIGMA
-
-
 def farfield_eta(src: SourceParams) -> float:
     """Slope factor eta = sqrt(2 ln2 / gamma) / (D*L), in 1/ps."""
     return math.sqrt(2.0 * math.log(2.0) / src.gamma) / src.dl_ps
-
-
-def farfield_fwhm(src: SourceParams, k2l_ps2: float) -> float:
-    """Single-arm far-field FWHM eta*|k''l| (ps).
-
-    Valid when the accumulated dispersion dominates the intrinsic width;
-    warns when |k2l| < 10 * gamma*D^2*L^2.
-    """
-    if abs(k2l_ps2) < FARFIELD_WARN_RATIO * src.base_variance_ps2:
-        warnings.warn(
-            "far-field approximation dubious: |k2l| = %.4g ps^2 is not >> "
-            "%.4g ps^2" % (abs(k2l_ps2), src.base_variance_ps2),
-            stacklevel=2,
-        )
-    return farfield_eta(src) * abs(k2l_ps2)
-
-
-def observed_variance(source_var_ps2: float, jitter_var_ps2: float) -> float:
-    """Quadrature sum of independent source and detection-jitter variances."""
-    if source_var_ps2 < 0 or jitter_var_ps2 < 0:
-        raise ParameterError("variances must be >= 0")
-    return source_var_ps2 + jitter_var_ps2
 
 
 def wasak_w(inputs: WasakInputs) -> float:
@@ -212,29 +168,6 @@ def wasak_w_uncertainty(inputs: WasakInputs) -> float:
     return math.hypot(dw_da * inputs.var_before_err_ps2, dw_db * inputs.var_after_err_ps2)
 
 
-def classical_bound_rhs(var_before_ps2: float, two_beta_l_ps2: float) -> float:
-    """Minimum post-dispersion variance allowed for classical light (ps**2)."""
-    if var_before_ps2 <= 0:
-        raise ParameterError("var_before must be > 0")
-    return var_before_ps2 + two_beta_l_ps2**2 / var_before_ps2
-
-
 def dispersion_magnitude_2bl(disp_s_ps2: float, disp_i_ps2: float) -> float:
     """Average magnitude of the two applied dispersions (ps**2)."""
     return 0.5 * (abs(disp_s_ps2) + abs(disp_i_ps2))
-
-
-def predict(src: SourceParams, disp_s_ps2: float, disp_i_ps2: float) -> AnalyticPrediction:
-    """Full analytic prediction for a two-arm dispersion configuration.
-
-    The peak center is a free parameter recovered by offset alignment, so
-    ``center_offset_ps`` is reported as 0 here.
-    """
-    sigma = g2_sigma(src, disp_s_ps2, disp_i_ps2)
-    return AnalyticPrediction(
-        sigma_ps=sigma,
-        fwhm_ps=fwhm_from_sigma(sigma),
-        center_offset_ps=0.0,
-        dispersion_sum_ps2=disp_s_ps2 + disp_i_ps2,
-        dispersion_magnitude_2bl_ps2=dispersion_magnitude_2bl(disp_s_ps2, disp_i_ps2),
-    )

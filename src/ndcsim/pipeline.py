@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyze import GaussianFit, WasakResult, evaluate_wasak, fit_gaussian
+from .analyze import GaussianFit, fit_gaussian
 from .config import ExperimentConfig
 from .correlate import Histogram, coarse_offset, fine_histogram, g2_normalize
 from .simulate import generate_pairs, simulate_arm
@@ -38,39 +38,29 @@ def measure_peak(
     window_ps: float = 2000.0,
     coarse_bin_ns: float = 1.0,
     search_span_ms: float = 1.0,
-    refine: bool = True,
 ) -> PeakMeasurement:
     """Recover the stream offset, histogram the coincidences and fit the peak.
 
-    With ``refine`` the histogram is recomputed once with the bin width set to
-    about a tenth of the fitted FWHM and the window recentred on the peak.
+    The histogram is then recomputed once with the bin width set to about a
+    tenth of the fitted FWHM and the window recentred on the peak.
     """
     offset = coarse_offset(a, b, coarse_bin_ns, search_span_ms)
-    hist = fine_histogram(a, b, offset, bin_width_ps, window_ps)
+    fit = fit_gaussian(fine_histogram(a, b, offset, bin_width_ps, window_ps))
+    fwhm = fit.fwhm_ps
+    bin_ps = max(fwhm / 10.0, a.resolution_fs / 1e3)
+    offset += int(round(fit.center_ps * 1e3))
+    hist = fine_histogram(a, b, offset, bin_ps, max(4.0 * fwhm, 10.0 * bin_ps))
     fit = fit_gaussian(hist)
-    if refine:
-        fwhm = fit.fwhm_ps
-        new_bin = max(fwhm / 10.0, a.resolution_fs / 1e3)
-        new_window = max(4.0 * fwhm, 10.0 * new_bin)
-        new_offset = offset + int(round(fit.center_ps * 1e3))
-        hist = fine_histogram(a, b, new_offset, new_bin, new_window)
-        fit = fit_gaussian(hist)
-        offset = new_offset
     duration = max(a.duration_s, b.duration_s)
     g2 = g2_normalize(hist, max(a.rate_hz(), 1e-12), max(b.rate_hz(), 1e-12), duration)
     return PeakMeasurement(offset_fs=offset, histogram=hist, fit=fit, g2=g2)
 
 
-def measure_config_peak(cfg: ExperimentConfig, seed: int, refine: bool = True) -> PeakMeasurement:
+def measure_config_peak(cfg: ExperimentConfig, seed: int) -> PeakMeasurement:
     """Simulate a configuration and measure its coincidence peak."""
     from .presets import suggested_binning
 
     a, b = run_simulation(cfg, seed)
     bin_ps, window_ps = suggested_binning(cfg)
-    return measure_peak(a, b, bin_ps, window_ps, refine=refine)
+    return measure_peak(a, b, bin_ps, window_ps)
 
-
-def wasak_from_measurements(
-    before: PeakMeasurement, after: PeakMeasurement, two_beta_l_ps2: float
-) -> WasakResult:
-    return evaluate_wasak(before.fit, after.fit, two_beta_l_ps2)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .config import ExperimentConfig, RunSpec
-from .model import DispersionLeg, SourceParams, dispersion_magnitude_2bl, g2_sigma
+from .model import DispersionLeg, SourceParams, dispersion_magnitude_2bl
 from .simulate import DetectorSpec, TimerSpec
 from . import model
 
@@ -42,8 +42,6 @@ DETECTOR_JITTER_FWHM_PS = 37.6 / math.sqrt(2.0)
 DARK_RATE_HZ = 100.0
 DEAD_TIME_NS = 40.0
 TIMER_RESOLUTION_FS = 1000
-
-PRESET_NAMES = ("fig2a", "fig2d", "fig3", "wasak", "classical")
 
 
 def _smf(length_km: float, k2: float = SMF_K2_S2_PER_M) -> DispersionLeg:
@@ -151,7 +149,3 @@ def suggested_binning(cfg: ExperimentConfig) -> tuple[float, float]:
     window_ps = max(4.0 * fwhm, 2000.0)
     return bin_ps, window_ps
 
-
-def predicted_sigma_ps(cfg: ExperimentConfig) -> float:
-    """Eq-level prediction of the anti-mode peak width without jitter."""
-    return g2_sigma(cfg.source, cfg.smf.k2l_ps2, cfg.dcf.k2l_ps2)

@@ -6,10 +6,10 @@ import math
 from dataclasses import dataclass, field
 
 from . import model, presets
-from .analyze import dispersion_from_slope, fit_linear, wasak_from_inputs
+from .analyze import dispersion_from_slope, evaluate_wasak, fit_linear
 from .errors import ParameterError
-from .model import SourceParams, WasakInputs
-from .pipeline import measure_config_peak, wasak_from_measurements
+from .model import SourceParams
+from .pipeline import measure_config_peak
 
 # Seed decorrelation between the before/after sub-runs of one reproduction.
 _SEED_STRIDE = 1_000_003
@@ -87,7 +87,7 @@ def reproduce_wasak(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
     after_cfg = presets.fig2d_config(duration_s=duration)
     after = measure_config_peak(after_cfg, seed + _SEED_STRIDE)
     two_beta_l = presets.wasak_two_beta_l_ps2(after_cfg)
-    result = wasak_from_measurements(before, after, two_beta_l)
+    result = evaluate_wasak(before.fit, after.fit, two_beta_l)
     lo, hi = WASAK_W_RANGE
     ok = result.violated and lo <= result.w <= hi and result.violation_sigmas >= WASAK_MIN_SIGMAS
     i = result.inputs
@@ -107,22 +107,18 @@ def reproduce_classical(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
     """Classical analogs at the violating geometry must satisfy W >= 1."""
     duration = _scaled_duration(scale)
     before = measure_config_peak(presets.fig2a_config(duration_s=duration), seed)
-    var_b, var_b_err = before.fit.sigma_ps**2, 2 * before.fit.sigma_ps * before.fit.sigma_err_ps
     lines = []
     results = {}
     ok = True
     for k, mode in enumerate(("positive", "none")):
         cfg = presets.fig2d_config(mode=mode, duration_s=duration)
         after = measure_config_peak(cfg, seed + (k + 1) * _SEED_STRIDE)
-        var_a, var_a_err = after.fit.sigma_ps**2, 2 * after.fit.sigma_ps * after.fit.sigma_err_ps
-        inputs = WasakInputs(var_b, var_b_err, var_a, var_a_err,
-                             presets.wasak_two_beta_l_ps2(cfg))
-        result = wasak_from_inputs(inputs)
+        result = evaluate_wasak(before.fit, after.fit, presets.wasak_two_beta_l_ps2(cfg))
         results[mode] = result
         ok = ok and result.w >= 1.0
         lines.append(
             f"mode={mode}: W = {result.w:.2f} +- {result.w_err:.2f}, "
-            f"var_after = {var_a:.0f} ps^2 (require W >= 1)"
+            f"var_after = {result.inputs.var_after_ps2:.0f} ps^2 (require W >= 1)"
         )
     return ReproduceReport(target="classical", passed=ok, lines=lines, result=results)
 
@@ -144,8 +140,10 @@ def reproduce_fig3(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
     results = {}
 
     for fiber, lengths, nominal_range, ref_slope, ref_k2 in (
-        ("smf", presets.FIG3_SMF_KM, FIG3_SMF_SLOPE_RANGE, REFERENCE_SMF_SLOPE, 2.37e-26),
-        ("dcf", presets.FIG3_DCF_KM, FIG3_DCF_SLOPE_RANGE, REFERENCE_DCF_SLOPE, 1.99e-25),
+        ("smf", presets.FIG3_SMF_KM, FIG3_SMF_SLOPE_RANGE, REFERENCE_SMF_SLOPE,
+         presets.SMF_K2_FITTED_S2_PER_M),
+        ("dcf", presets.FIG3_DCF_KM, FIG3_DCF_SLOPE_RANGE, REFERENCE_DCF_SLOPE,
+         presets.DCF_K2_FITTED_S2_PER_M),
     ):
         fit_nom, _ = _sweep_slope(fiber, lengths, False, seed, scale)
         in_range = nominal_range[0] <= fit_nom.slope <= nominal_range[1]
@@ -175,7 +173,7 @@ def reproduce_fig3(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
     return ReproduceReport(target="fig3", passed=ok, lines=lines, result=results)
 
 
-_TARGETS = {
+TARGETS = {
     "fig2a": reproduce_fig2a,
     "fig2d": reproduce_fig2d,
     "fig3": reproduce_fig3,
@@ -185,6 +183,6 @@ _TARGETS = {
 
 
 def reproduce(target: str, seed: int = 0, scale: float = 1.0) -> ReproduceReport:
-    if target not in _TARGETS:
-        raise ParameterError(f"unknown target {target!r}; choose from {sorted(_TARGETS)}")
-    return _TARGETS[target](seed=seed, scale=scale)
+    if target not in TARGETS:
+        raise ParameterError(f"unknown target {target!r}; choose from {sorted(TARGETS)}")
+    return TARGETS[target](seed=seed, scale=scale)

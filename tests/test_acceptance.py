@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from ndcsim import model, presets, tagio
-from ndcsim.analyze import dispersion_from_slope, variance_from_fit
+from ndcsim.analyze import dispersion_from_slope, evaluate_wasak, variance_from_fit
 from ndcsim.correlate import coarse_offset, fine_histogram
 from ndcsim.model import DispersionLeg, SourceParams, WasakInputs
-from ndcsim.pipeline import measure_config_peak, measure_peak, run_simulation, wasak_from_measurements
+from ndcsim.pipeline import measure_config_peak, measure_peak, run_simulation
 from ndcsim.reproduce import (
     FIG2A_FWHM_RANGE,
     FIG2D_FWHM_RANGE,
@@ -218,8 +218,8 @@ def test_11_networked_equivalence(fig2a_meas, fig2d_meas):
                  and networked.offset_fs == offline.offset_fs)
 
     two_bl = presets.wasak_two_beta_l_ps2()
-    w_offline = wasak_from_measurements(offline, fig2d_meas, two_bl)
-    w_networked = wasak_from_measurements(networked, fig2d_meas, two_bl)
+    w_offline = evaluate_wasak(offline.fit, fig2d_meas.fit, two_bl)
+    w_networked = evaluate_wasak(networked.fit, fig2d_meas.fit, two_bl)
     verdict(same_hist and w_networked == w_offline, "11 networked pipeline equivalence",
             f"identical histogram, W = {w_networked.w:.4f} both paths")
 

@@ -164,10 +164,14 @@ class TestDispersionFromSlope:
         k2 = dispersion_from_slope(42.96, SRC, sign=-1)
         assert abs(k2) == pytest.approx(2.37e-26, rel=0.01)
         assert k2 < 0
+        # far-field slope at the nominal k2
+        assert dispersion_from_slope(40.94, SRC) == pytest.approx(2.26e-26, rel=5e-4)
 
     def test_dcf(self):
         k2 = dispersion_from_slope(359.63, SRC)
         assert k2 == pytest.approx(1.99e-25, rel=0.01)
+        # far-field slope at the nominal k2
+        assert dispersion_from_slope(353.2, SRC) == pytest.approx(1.95e-25, rel=5e-4)
 
     def test_round_trip_with_farfield(self):
         for k2 in (2.26e-26, 1.95e-25, 5.0e-26):

@@ -79,21 +79,30 @@ class TestCorrelateAnalyze:
 
 
 class TestWasak:
-    def test_verdict_printed(self, sim_dir, tmp_path, capsys):
-        cfg_path = tmp_path / "disp.cfg"
+    @pytest.fixture(scope="class")
+    def tag_files(self, sim_dir):
+        """Jitter-floor (before) and 62 km / 7.47 km (after) tag file paths."""
+        cfg_path = sim_dir / "disp.cfg"
         cfg_path.write_text(dump_config(presets.fig2d_config(duration_s=2.0)))
-        rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "disp"),
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(sim_dir / "disp"),
                    "--seed", "7"])
         assert rc == 0
+        return [str(sim_dir / name) for name in ("run_a.tags", "run_b.tags",
+                                                 "disp_a.tags", "disp_b.tags")]
+
+    def test_verdict_printed(self, tag_files, capsys):
         capsys.readouterr()
-        rc = main(["wasak",
-                   str(sim_dir / "run_a.tags"), str(sim_dir / "run_b.tags"),
-                   str(tmp_path / "disp_a.tags"), str(tmp_path / "disp_b.tags"),
-                   "--window-ps", "4000"])
+        rc = main(["wasak", *tag_files, "--window-ps", "4000"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "W = " in out
         assert "violated = true" in out
+
+    def test_search_span_applied(self, tag_files, capsys):
+        # The dispersed pair's offset is -266 us, outside a 0.1 ms search span.
+        rc = main(["wasak", *tag_files, "--window-ps", "4000", "--search-span-ms", "0.1"])
+        assert rc == 3
+        assert "no peak" in capsys.readouterr().err
 
 
 class TestReproduce:

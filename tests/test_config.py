@@ -1,9 +1,12 @@
 """Configuration parsing tests."""
 
+import dataclasses
+
 import pytest
 
 from ndcsim.config import dump_config, parse_config
 from ndcsim.errors import ConfigError
+from ndcsim.model import SourceParams
 from ndcsim import presets
 
 SAMPLE = """
@@ -86,6 +89,11 @@ class TestParse:
             parse_config(broken, from_string=True)
         assert "duration_s" in str(err.value)
         assert "five" in str(err.value)
+        broken = SAMPLE.replace("site_id = 0", "site_id = 1.5")
+        with pytest.raises(ConfigError) as err:
+            parse_config(broken, from_string=True)
+        assert "site_id" in str(err.value)
+        assert "not an integer" in str(err.value)
 
     def test_bad_mode(self):
         broken = SAMPLE.replace("mode = anti", "mode = diagonal")
@@ -110,13 +118,25 @@ class TestRoundTrip:
             presets.fig2a_config(),
             presets.fig2d_config(),
             presets.fig2d_config(mode="positive"),
+            presets.fig2d_config(mode="none"),
+            presets.fig3_config("smf", 20.0),
             presets.fig3_config("dcf", 2.49, fitted_k2=True),
+            dataclasses.replace(presets.fig2d_config(),
+                                source=SourceParams(pair_rate_hz=5e5, sigma_omega=0.3)),
         ],
-        ids=["fig2a", "fig2d", "fig2d-positive", "fig3-dcf"],
+        ids=["fig2a", "fig2d", "fig2d-positive", "fig2d-none", "fig3-smf", "fig3-dcf",
+             "sigma-omega"],
     )
     def test_presets_survive_dump_parse(self, cfg):
         again = parse_config(dump_config(cfg), from_string=True)
         assert again == cfg
+
+    def test_sigma_omega_file_key(self):
+        text = SAMPLE.replace("[smf]", "sigma_omega_rad_per_ps = 0.3\n\n[smf]")
+        cfg = parse_config(text, from_string=True)
+        assert cfg.source.sigma_omega == 0.3
+        assert "sigma_omega_rad_per_ps = 0.3" in dump_config(cfg)
+        assert cfg.manifest()["source"]["sigma_omega"] == 0.3
 
     def test_manifest_is_json_ready(self):
         import json
