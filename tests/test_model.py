@@ -178,6 +178,20 @@ class TestClassicalBound:
         assert wasak_w(WasakInputs(a, 0.0, bound, 0.0, c)) == pytest.approx(1.0, rel=1e-12)
         assert wasak_w(WasakInputs(a, 0.0, 2086.0, 0.0, c)) < 1.0
 
+    def test_no_dispersion(self):
+        # With c = 0 the bound is var_after = var_before.
+        assert wasak_w(WasakInputs(42.0, 0.0, 42.0, 0.0, 0.0)) == pytest.approx(1.0, rel=1e-12)
+        assert wasak_w(WasakInputs(42.0, 0.0, 41.9, 0.0, 0.0)) < 1.0
+
+    def test_equal_terms(self):
+        # a = c = 7 gives the bound a + c^2/a = 14.
+        assert wasak_w(WasakInputs(7.0, 0.0, 14.0, 0.0, 7.0)) == pytest.approx(1.0, rel=1e-12)
+        assert wasak_w(WasakInputs(7.0, 0.0, 13.9, 0.0, 7.0)) < 1.0
+
+    def test_zero_variance_rejected(self):
+        with pytest.raises(ParameterError):
+            WasakInputs(0.0, 0.0, 1.0, 0.0, 1.0)
+
 
 class TestDispersionLeg:
     def test_accumulated_dispersion(self):
