@@ -17,7 +17,7 @@ from .model import (
     SourceParams,
     WasakInputs,
     fwhm_from_sigma,
-    g2_sigma,
+    source_variance_ps2,
     wasak_w,
     wasak_w_uncertainty,
 )

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration error, 3 no coincidence peak,
+Exit codes: 0 success, 2 configuration or input error, 3 no coincidence peak,
 4 fit failure, 5 transport error.
 """
 
@@ -14,7 +14,7 @@ from . import presets, tagio
 from .analyze import evaluate_wasak, fit_gaussian, fit_report_text, wasak_report_text
 from .config import parse_config
 from .correlate import read_histogram_csv, write_histogram_csv
-from .errors import ConfigError, FitError, NoPeakError, ParameterError, TransportError
+from .errors import ConfigError, FitError, NoPeakError, ParameterError, TagFormatError, TransportError
 from .pipeline import measure_peak, run_simulation
 from .reproduce import TARGETS, reproduce
 
@@ -91,7 +91,7 @@ def cmd_reproduce(args) -> int:
 def cmd_site(args) -> int:
     host, _, port = args.terminal.rpartition(":")
     stream = tagio.read_tags(args.tags)
-    tagio.send_to_terminal(stream, (host or "127.0.0.1", int(port)), batch=args.batch)
+    tagio.send_to_terminal(stream, (host or "127.0.0.1", int(port)))
     print(f"sent {len(stream)} tags from site {stream.site_id}")
     return 0
 
@@ -158,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("site", help="send one tag file to a terminal")
     p.add_argument("--terminal", required=True, help="host:port")
     p.add_argument("--tags", required=True)
-    p.add_argument("--batch", type=int, default=tagio.DEFAULT_BATCH)
     p.set_defaults(func=cmd_site)
 
     p = sub.add_parser("terminal", help="receive two site streams and correlate them")
@@ -189,6 +188,9 @@ def main(argv=None) -> int:
         return EXIT_TRANSPORT
     except ParameterError as exc:
         print(f"invalid parameter: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except TagFormatError as exc:
+        print(f"bad tag data: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

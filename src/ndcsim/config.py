@@ -2,9 +2,9 @@
 
 File format is line-oriented ``key = value`` under one section per field of
 ``ExperimentConfig``; the keys are the field names of that section's
-dataclass, and a missing optional key takes the dataclass default.  Lengths
-are in km, k2 in s^2/m, rates in Hz; everything is converted to internal
-units (fs, ps^2) at parse time.
+dataclass, a missing optional key takes the dataclass default, and any other
+key or section is an error.  Lengths are in km, k2 in s^2/m, rates in Hz;
+everything is converted to internal units (fs, ps^2) at parse time.
 """
 
 from __future__ import annotations
@@ -70,13 +70,16 @@ def _parse_section(parser: configparser.ConfigParser, name: str, cls):
     if not parser.has_section(name):
         raise ConfigError(f"missing section [{name}]")
     sec = parser[name]
+    kinds = {_FILE_KEYS.get(f, f): (f, kind) for f, kind in typing.get_type_hints(cls).items()}
     values = {}
-    for field, kind in typing.get_type_hints(cls).items():
-        key = _FILE_KEYS.get(field, field)
+    for key, (field, kind) in kinds.items():
         if key in sec:
             values[field] = _convert(name, key, kind, sec[key])
         elif field in _REQUIRED_KEYS:
             raise ConfigError(f"missing required key '{key}' in section [{name}]")
+    for key in sec:
+        if key not in kinds:
+            raise ConfigError(f"unknown key '{key}' in section [{name}]")
     return cls(**values)
 
 
@@ -94,10 +97,12 @@ def parse_config(text_or_path, from_string: bool = False) -> ExperimentConfig:
     except configparser.Error as exc:
         # configparser messages carry the offending line numbers.
         raise ConfigError(f"config parse error: {exc}") from exc
-    return ExperimentConfig(**{
-        name: _parse_section(parser, name, cls)
-        for name, cls in typing.get_type_hints(ExperimentConfig).items()
-    })
+    sections = typing.get_type_hints(ExperimentConfig)
+    values = {name: _parse_section(parser, name, cls) for name, cls in sections.items()}
+    for name in parser.sections():
+        if name not in sections:
+            raise ConfigError(f"unknown section [{name}]")
+    return ExperimentConfig(**values)
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

@@ -168,21 +168,15 @@ def coarse_offset(
     if bin1_fs <= coarse_bin_fs:
         return est_fs
 
-    # Refine to the requested coarse bin with a bounded two-pointer histogram.
-    # Bins are centred on multiples of the coarse bin so that a constructed
-    # shift (or identical streams) is recovered exactly.
-    refine_window_fs = 2.0 * bin1_fs
-    half = max(1, int(math.ceil(refine_window_fs / coarse_bin_fs)))
-    nref = 2 * half + 1
-    counts = np.zeros(nref, dtype=np.int64)
-    for diffs in window_diffs(tags_a, tags_b, est_fs, refine_window_fs):
-        idx = (diffs + coarse_bin_fs // 2) // coarse_bin_fs + half
-        idx = np.clip(idx, 0, nref - 1).astype(np.int64)
-        counts += np.bincount(idx, minlength=nref)
-    if counts.sum() == 0:
+    # Refine to the requested coarse bin with a fine histogram over about two
+    # FFT bins either side.  Bins are centred on multiples of the coarse bin so
+    # that a constructed shift (or identical streams) is recovered exactly.
+    half = max(1, int(math.ceil(2.0 * bin1_fs / coarse_bin_fs)))
+    coarse_bin_ps = coarse_bin_fs / FS_PER_PS
+    refine = fine_histogram(a, b, est_fs, coarse_bin_ps, (half + 0.5) * coarse_bin_ps)
+    if refine.total_pairs == 0:
         raise NoPeakError("no tag pairs near the coarse correlation peak")
-    best = int(np.argmax(counts))
-    return est_fs + (best - half) * coarse_bin_fs
+    return est_fs + (int(np.argmax(refine.counts)) - half) * coarse_bin_fs
 
 
 def g2_normalize(

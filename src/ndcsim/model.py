@@ -123,15 +123,23 @@ class WasakInputs:
             raise ParameterError("two_beta_l must be >= 0")
 
 
-def g2_sigma(src: SourceParams, disp_s_ps2: float, disp_i_ps2: float) -> float:
-    """Gaussian std (ps) of the pair time-difference distribution.
+def source_variance_ps2(src: SourceParams, s: float, i: float, mode: str = "anti") -> float:
+    """Pair time-difference variance (ps**2) after dispersion, before jitter.
 
-    sigma = sqrt(g + ((k_s''l_1 + k_i''l_2)/2)^2 / g) with g = gamma*D^2*L^2.
-    Minimal exactly when the two accumulated dispersions cancel.
+    g + {(s+i)^2, (s-i)^2, s^2+i^2} * sigma_omega^2 for the anti, positive and
+    uncorrelated frequency modes, with g = gamma*D^2*L^2 and s, i the signal
+    and idler accumulated dispersions k''l in ps**2.  In the anti mode it is
+    minimal exactly when the two dispersions cancel.
     """
     g = src.base_variance_ps2
-    half_sum = 0.5 * (disp_s_ps2 + disp_i_ps2)
-    return math.sqrt(g + half_sum**2 / g)
+    sw = src.effective_sigma_omega
+    if mode == "anti":
+        return g + (s + i) ** 2 * sw**2
+    if mode == "positive":
+        return g + (s - i) ** 2 * sw**2
+    if mode == "none":
+        return g + (s**2 + i**2) * sw**2
+    raise ParameterError(f"unknown correlation mode {mode!r}")
 
 
 def fwhm_from_sigma(sigma_ps: float) -> float:

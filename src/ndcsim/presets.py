@@ -126,18 +126,9 @@ def predicted_pair_variance_ps2(cfg: ExperimentConfig) -> float:
     Covers all three correlation modes and includes the detector jitter of
     both arms in quadrature.
     """
-    src = cfg.source
-    g = src.base_variance_ps2
-    s = cfg.smf.k2l_ps2
-    i = cfg.dcf.k2l_ps2
-    sw = src.effective_sigma_omega
-    mode = cfg.run.mode
-    if mode == "anti":
-        var_source = g + (s + i) ** 2 * sw**2
-    elif mode == "positive":
-        var_source = g + (s - i) ** 2 * sw**2
-    else:
-        var_source = g + (s**2 + i**2) * sw**2
+    var_source = model.source_variance_ps2(
+        cfg.source, cfg.smf.k2l_ps2, cfg.dcf.k2l_ps2, cfg.run.mode
+    )
     jitter = (cfg.detector_a.jitter_sigma_fs**2 + cfg.detector_b.jitter_sigma_fs**2) / 1e6
     return var_source + jitter
 

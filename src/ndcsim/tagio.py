@@ -1,9 +1,9 @@
 """Bit-exact persistence and network transport for tag streams.
 
-File layout: a fixed 38-byte little-endian header followed by the tags as
-signed 64-bit femtosecond values.  Wire layout: the same header once per
-connection, then length-prefixed frames of consecutive tags, terminated by a
-zero-length sentinel frame.
+Layout: a fixed 38-byte little-endian header followed by ``tag_count`` tags
+as signed 64-bit femtosecond values.  A file holds exactly these bytes, and a
+site sends exactly these bytes over its connection, half-closes it, and reads
+a one-byte verdict (``A`` accepted, ``R`` rejected) from the terminal.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
-    ParameterError,
     TagFormatError,
     TransportError,
     TruncatedFileError,
-    UnsortedTagsError,
     VersionMismatchError,
 )
 from .streams import TagStream
@@ -31,7 +29,8 @@ VERSION = 1
 _HEADER = struct.Struct("<8sHIQQQ")
 HEADER_SIZE = _HEADER.size  # 8 + 2 + 4 + 8 + 8 + 8 = 38 bytes
 
-_FRAME_LEN = struct.Struct("<I")
+# Tags per receive call: bounds each read, so a header claiming more tags than
+# arrive costs no more memory than the bytes actually received.
 DEFAULT_BATCH = 4096
 
 
@@ -86,6 +85,16 @@ def write_tags(stream: TagStream, destination) -> int:
     return len(raw)
 
 
+def _decode(header: TagFileHeader, payload) -> TagStream:
+    """Build the stream from a payload of exactly ``header.tag_count`` tags."""
+    return TagStream(
+        tags=np.frombuffer(payload, dtype="<i8").astype(np.int64),
+        resolution_fs=header.resolution_fs,
+        site_id=header.site_id,
+        acquisition_span_fs=header.acquisition_span_fs,
+    )
+
+
 def read_tags(source) -> TagStream:
     """Parse and validate a serialized stream; rejects rather than repairs."""
     if hasattr(source, "read"):
@@ -101,24 +110,18 @@ def read_tags(source) -> TagStream:
             f"payload truncated: expected {header.tag_count} tags "
             f"({expected} bytes), got {len(payload) // 8} ({len(payload)} bytes)"
         )
-    tags = np.frombuffer(payload, dtype="<i8").astype(np.int64)
-    return TagStream(
-        tags=tags,
-        resolution_fs=header.resolution_fs,
-        site_id=header.site_id,
-        acquisition_span_fs=header.acquisition_span_fs,
-    )
+    return _decode(header, payload)
 
 
 # ---------------------------------------------------------------------------
 # Wire transport
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
     buf = bytearray()
     while len(buf) < n:
         try:
-            chunk = sock.recv(n - len(buf))
+            chunk = sock.recv(min(n - len(buf), 8 * DEFAULT_BATCH))
         except OSError as exc:
             raise TransportError(f"connection error: {exc}") from exc
         if not chunk:
@@ -126,63 +129,37 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
                 f"connection closed mid-message: expected {n} bytes, got {len(buf)}"
             )
         buf.extend(chunk)
-    return bytes(buf)
+    return buf
 
 
-def site_send(stream: TagStream, connection: socket.socket, batch: int = DEFAULT_BATCH) -> None:
-    """Send one stream: header, <= batch tags per frame, zero-length sentinel."""
-    if batch <= 0:
-        raise ParameterError("batch must be > 0")
+def site_send(stream: TagStream, connection: socket.socket) -> None:
+    """Send the stream's tag-file bytes, then half-close the connection."""
     try:
         connection.sendall(_header_for(stream).pack())
-        tags = stream.tags.astype("<i8")
-        for start in range(0, tags.size, batch):
-            chunk = tags[start : start + batch].tobytes()
-            connection.sendall(_FRAME_LEN.pack(len(chunk)) + chunk)
-        connection.sendall(_FRAME_LEN.pack(0))
+        connection.sendall(stream.tags.astype("<i8", copy=False).data)
+        connection.shutdown(socket.SHUT_WR)
     except OSError as exc:
         raise TransportError(f"send failed: {exc}") from exc
 
 
 def receive_stream(connection: socket.socket) -> TagStream:
-    """Receive one stream; validates framing and per-frame monotonicity."""
+    """Receive one stream: the header, exactly its tags, then end of stream."""
     header = TagFileHeader.unpack(_recv_exact(connection, HEADER_SIZE))
-    chunks: list[np.ndarray] = []
-    last = None
-    total = 0
-    while True:
-        (length,) = _FRAME_LEN.unpack(_recv_exact(connection, _FRAME_LEN.size))
-        if length == 0:
-            break
-        if length % 8 != 0:
-            raise TransportError(f"frame length {length} not a multiple of 8")
-        frame = np.frombuffer(_recv_exact(connection, length), dtype="<i8").astype(np.int64)
-        if frame.size > 1 and np.any(np.diff(frame) < 0):
-            raise TransportError("frame payload not nondecreasing")
-        if last is not None and frame.size and frame[0] < last:
-            raise TransportError("tags decrease across frame boundary")
-        if frame.size:
-            last = int(frame[-1])
-        total += frame.size
-        chunks.append(frame)
-    if total != header.tag_count:
-        raise TagFormatError(
-            f"tag count mismatch: header says {header.tag_count}, received {total}"
-        )
-    tags = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return TagStream(
-        tags=tags,
-        resolution_fs=header.resolution_fs,
-        site_id=header.site_id,
-        acquisition_span_fs=header.acquisition_span_fs,
-    )
+    payload = _recv_exact(connection, header.tag_count * 8)
+    try:
+        extra = connection.recv(1)
+    except OSError as exc:
+        raise TransportError(f"connection error: {exc}") from exc
+    if extra:
+        raise TagFormatError(f"data past the header's {header.tag_count} tags")
+    return _decode(header, payload)
 
 
-def send_to_terminal(stream: TagStream, address: tuple[str, int], batch: int = DEFAULT_BATCH) -> None:
+def send_to_terminal(stream: TagStream, address: tuple[str, int]) -> None:
     """Connect to a terminal and send one stream."""
     try:
         with socket.create_connection(address, timeout=30.0) as sock:
-            site_send(stream, sock, batch)
+            site_send(stream, sock)
             # Wait for the terminal to acknowledge or reject the stream.
             verdict = _recv_exact(sock, 1)
     except OSError as exc:

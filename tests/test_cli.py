@@ -68,6 +68,13 @@ class TestCorrelateAnalyze:
         assert rc == 0
         assert "sigma_ps" in capsys.readouterr().out
 
+    def test_bad_tag_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tags"
+        bad.write_bytes(tagio.MAGIC + bytes(14))
+        rc = main(["correlate", str(bad), str(bad)])
+        assert rc == 2
+        assert "bad tag data" in capsys.readouterr().err
+
     def test_independent_streams_exit_3(self, sim_dir, tmp_path, capsys):
         rc = main(["simulate", "--config", str(sim_dir / "run.cfg"),
                    "--out", str(tmp_path / "other"), "--seed", "8"])
@@ -146,6 +153,31 @@ class TestTransport:
         assert (tmp_path / "term_hist.csv").exists()
         back = tagio.read_tags(tmp_path / "term_a.tags")
         assert back == tagio.read_tags(sim_dir / "run_a.tags")
+
+    def test_malformed_stream_exit_2(self, tmp_path, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        result = {}
+
+        def run_terminal():
+            result["rc"] = main(["terminal", "--port", str(port),
+                                 "--out", str(tmp_path / "term")])
+
+        t = threading.Thread(target=run_terminal)
+        t.start()
+        for _ in range(50):
+            try:
+                sock = socket.create_connection(("127.0.0.1", port))
+                break
+            except OSError:
+                time.sleep(0.1)
+        with sock:
+            sock.sendall(tagio.TagFileHeader(0, 1000, 1, 0).pack() + bytes(9))
+            sock.shutdown(socket.SHUT_WR)
+        t.join(timeout=60)
+        assert result["rc"] == 2
+        assert "past the header's 1 tags" in capsys.readouterr().err
 
     def test_no_terminal_exit_5(self, sim_dir, capsys):
         with socket.socket() as probe:

@@ -95,6 +95,19 @@ class TestParse:
         assert "site_id" in str(err.value)
         assert "not an integer" in str(err.value)
 
+    def test_unknown_key_named(self):
+        broken = SAMPLE.replace("[detector_a]\n", "[detector_a]\ndark_rate = 0.0\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(broken, from_string=True)
+        assert "dark_rate" in str(err.value)
+        assert "detector_a" in str(err.value)
+
+    def test_unknown_section_named(self):
+        broken = SAMPLE + "\n[detectr_b]\nefficiency = 0.5\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(broken, from_string=True)
+        assert "detectr_b" in str(err.value)
+
     def test_bad_mode(self):
         broken = SAMPLE.replace("mode = anti", "mode = diagonal")
         with pytest.raises(ConfigError):

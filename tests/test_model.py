@@ -13,7 +13,7 @@ from ndcsim.model import (
     SourceParams,
     WasakInputs,
     fwhm_from_sigma,
-    g2_sigma,
+    source_variance_ps2,
     wasak_w,
     wasak_w_uncertainty,
 )
@@ -33,29 +33,48 @@ REFERENCE_INPUTS = WasakInputs(
 finite_pos = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 
 
+def g2_sigma(s, i):
+    """Std (ps) of the anti-mode pair time difference at the default source."""
+    return math.sqrt(source_variance_ps2(SRC, s, i))
+
+
 class TestG2Sigma:
     def test_no_dispersion(self):
         # sqrt(0.04822) * 2.96 ps
-        assert g2_sigma(SRC, 0.0, 0.0) == pytest.approx(0.6500, abs=5e-5)
+        assert g2_sigma(0.0, 0.0) == pytest.approx(0.6500, abs=5e-5)
 
     def test_violating_configuration(self):
         # 62 km SMF / 7.47 km DCF, residual sum 55.45 ps^2
-        assert g2_sigma(SRC, -1401.20, 1456.65) == pytest.approx(42.66, abs=0.01)
+        assert g2_sigma(-1401.20, 1456.65) == pytest.approx(42.66, abs=0.01)
 
     @given(a=st.floats(-2e3, 2e3), b=st.floats(-2e3, 2e3))
     def test_symmetric_in_leg_order(self, a, b):
-        assert g2_sigma(SRC, a, b) == g2_sigma(SRC, b, a)
+        assert g2_sigma(a, b) == g2_sigma(b, a)
 
     @given(s=st.floats(-2e3, 2e3), split=st.floats(0.0, 1.0))
     def test_depends_only_on_sum(self, s, split):
-        assert g2_sigma(SRC, s * split, s * (1 - split)) == pytest.approx(
-            g2_sigma(SRC, s, 0.0), rel=1e-12
+        assert g2_sigma(s * split, s * (1 - split)) == pytest.approx(
+            g2_sigma(s, 0.0), rel=1e-12
         )
 
     @given(s=st.floats(1e-6, 2e3))
     def test_minimum_at_zero_sum(self, s):
-        assert g2_sigma(SRC, s, 0.0) > g2_sigma(SRC, 0.0, 0.0)
-        assert g2_sigma(SRC, s, -s) == pytest.approx(SRC.base_sigma_ps)
+        assert g2_sigma(s, 0.0) > g2_sigma(0.0, 0.0)
+        assert g2_sigma(s, -s) == pytest.approx(SRC.base_sigma_ps)
+
+    @given(s=st.floats(-2e3, 2e3), i=st.floats(-2e3, 2e3))
+    def test_correlation_modes(self, s, i):
+        anti = source_variance_ps2(SRC, s, i, "anti")
+        positive = source_variance_ps2(SRC, s, i, "positive")
+        assert positive == source_variance_ps2(SRC, s, -i)
+        # Uncorrelated frequencies average the two correlated cases.
+        assert source_variance_ps2(SRC, s, i, "none") == pytest.approx(
+            0.5 * (anti + positive), rel=1e-12
+        )
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ParameterError):
+            source_variance_ps2(SRC, 0.0, 0.0, "sideways")
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ParameterError):
@@ -96,7 +115,7 @@ class TestFarField:
     @given(ratio=st.floats(20.0, 1e5))
     def test_matches_exact_width_in_far_field(self, ratio):
         k2l = ratio * SRC.base_variance_ps2
-        exact = fwhm_from_sigma(g2_sigma(SRC, k2l, 0.0))
+        exact = fwhm_from_sigma(g2_sigma(k2l, 0.0))
         assert model.farfield_eta(SRC) * k2l == pytest.approx(exact, rel=0.01)
 
 

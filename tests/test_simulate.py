@@ -44,7 +44,7 @@ class TestGeneratePairs:
         pairs = generate_pairs(src, "anti", 1.0, seed=7)
         assert len(pairs) > 990_000
         var_ps2 = np.var(pairs.delta_t_fs / 1e3)
-        assert var_ps2 == pytest.approx(model.g2_sigma(src, 0, 0) ** 2, rel=5e-3)
+        assert var_ps2 == pytest.approx(model.source_variance_ps2(src, 0, 0), rel=5e-3)
 
     def test_mode_correlations(self):
         anti = generate_pairs(SRC, "anti", 0.5, seed=5)
@@ -100,7 +100,7 @@ class TestPropagate:
         arr_s, _ = propagate(pairs, leg_s, "signal", seed=17)
         arr_i, _ = propagate(pairs, leg_i, "idler", seed=17)
         var_ps2 = np.var((arr_s - arr_i) / 1e3)
-        expected = model.g2_sigma(src, leg_s.k2l_ps2, leg_i.k2l_ps2) ** 2
+        expected = model.source_variance_ps2(src, leg_s.k2l_ps2, leg_i.k2l_ps2)
         assert var_ps2 == pytest.approx(expected, rel=5 * math.sqrt(2.0 / len(pairs)))
 
     def test_survival_probability(self):

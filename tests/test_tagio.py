@@ -1,4 +1,4 @@
-"""Serialization and transport tests: byte-exact round trips, framing, errors."""
+"""Serialization and transport tests: byte-exact round trips, wire layout, errors."""
 
 import io
 import socket
@@ -116,8 +116,30 @@ class TestFileFormat:
         assert "1" in str(err.value)
 
 
+def _send_raw(raw):
+    """Socket end that reads ``raw`` followed by end of stream."""
+    a, b = socket.socketpair()
+    with a:
+        a.sendall(raw)
+    return b
+
+
+@st.composite
+def wire_bytes(draw):
+    """Arbitrary bytes, or a well-formed stream that may be unsorted, cut or extended."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=128))
+    tags = draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=6))
+    if draw(st.booleans()):
+        tags.sort()
+    raw = TagFileHeader(3, 1000, len(tags), draw(st.integers(0, 2**64 - 1))).pack()
+    raw += np.array(tags, dtype="<i8").tobytes()
+    cut = draw(st.none() | st.integers(0, len(raw)))
+    return raw[:cut] + draw(st.just(b"") | st.binary(max_size=9))
+
+
 class TestWireTransport:
-    def _loopback(self, stream, batch=4096):
+    def _loopback(self, stream):
         a, b = socket.socketpair()
         received = {}
 
@@ -128,58 +150,71 @@ class TestWireTransport:
         t = threading.Thread(target=rx)
         t.start()
         with a:
-            site_send(stream, a, batch=batch)
+            site_send(stream, a)
         t.join(timeout=10)
         return received["stream"]
 
     def test_loopback_round_trip(self):
         s = stream_of(np.cumsum(np.arange(10_000, dtype=np.int64)), site_id=2)
-        assert self._loopback(s, batch=1024) == s
+        assert self._loopback(s) == s
 
-    def test_zero_tags_sentinel_only(self):
+    def test_zero_tags_header_only(self):
         s = stream_of([], site_id=4, span=5 * 10**15)
         back = self._loopback(s)
         assert len(back) == 0
         assert back.acquisition_span_fs == 5 * 10**15
 
-    def test_bad_frame_length(self):
+    def test_wire_bytes_are_file_bytes(self):
+        s = stream_of(np.arange(9000) * 777, site_id=5, span=10**10)
         a, b = socket.socketpair()
+        t = threading.Thread(target=site_send, args=(s, a))
+        t.start()
+        wire = bytearray()
+        with a, b:
+            while chunk := b.recv(65536):
+                wire.extend(chunk)
+            t.join(timeout=10)
+        buf = io.BytesIO()
+        write_tags(s, buf)
+        assert bytes(wire) == buf.getvalue()
+
+    def test_trailing_data(self):
         header = TagFileHeader(0, 1000, 1, 100).pack()
-        with a:
-            a.sendall(header + struct.pack("<I", 7) + b"1234567")
-        with b, pytest.raises(TransportError):
+        with _send_raw(header + bytes(8) + b"\x00") as b, pytest.raises(TagFormatError) as err:
             receive_stream(b)
+        assert "past the header's 1 tags" in str(err.value)
 
     def test_count_mismatch(self):
-        a, b = socket.socketpair()
         header = TagFileHeader(0, 1000, 5, 100).pack()
-        frame = np.array([1, 2], dtype="<i8").tobytes()
-        with a:
-            a.sendall(header + struct.pack("<I", len(frame)) + frame
-                      + struct.pack("<I", 0))
-        with b, pytest.raises(TagFormatError):
+        payload = np.array([1, 2], dtype="<i8").tobytes()
+        with _send_raw(header + payload) as b, pytest.raises(TransportError):
             receive_stream(b)
 
-    def test_decreasing_across_frames(self):
-        a, b = socket.socketpair()
-        header = TagFileHeader(0, 1000, 2, 100).pack()
-        f1 = np.array([50], dtype="<i8").tobytes()
-        f2 = np.array([10], dtype="<i8").tobytes()
-        with a:
-            a.sendall(header
-                      + struct.pack("<I", 8) + f1
-                      + struct.pack("<I", 8) + f2
-                      + struct.pack("<I", 0))
-        with b, pytest.raises(TransportError):
+    def test_huge_count_is_short_payload(self):
+        header = TagFileHeader(0, 1000, 2**61, 100).pack()
+        with _send_raw(header + bytes(800)) as b, pytest.raises(TransportError):
             receive_stream(b)
+
+    def test_unsorted_payload_names_index(self):
+        header = TagFileHeader(0, 1000, 3, 100).pack()
+        payload = np.array([50, 60, 10], dtype="<i8").tobytes()
+        with _send_raw(header + payload) as b, pytest.raises(UnsortedTagsError) as err:
+            receive_stream(b)
+        assert "index 2" in str(err.value)
 
     def test_connection_closed_mid_message(self):
-        a, b = socket.socketpair()
-        with a:
-            a.sendall(TagFileHeader(0, 1000, 3, 100).pack()
-                      + struct.pack("<I", 24) + b"\x00" * 8)
-        with b, pytest.raises(TransportError):
+        with _send_raw(MAGIC + b"\x01") as b, pytest.raises(TransportError):
             receive_stream(b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=wire_bytes())
+    def test_any_bytes_decode_as_the_file_would(self, raw):
+        with _send_raw(raw) as b:
+            try:
+                got = receive_stream(b)
+            except (TagFormatError, TransportError):
+                return
+        assert got == read_tags(io.BytesIO(raw))
 
 
 class TestTerminal:
