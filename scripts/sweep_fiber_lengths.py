@@ -3,16 +3,18 @@
 
 Simulates the single-arm presets over a list of lengths, fits each
 coincidence peak, and prints the weighted linear fit of FWHM against length
-together with the dispersion coefficient recovered from the slope.
+together with the dispersion coefficient recovered from the slope.  The
+sweep is the one ``ndcsim reproduce fig3`` runs, with the same per-length
+seeds, so ``smf --seed 0`` prints fig3's seed-0 nominal-k2 SMF slope.
 """
 
 import argparse
 import sys
 
 from ndcsim import presets
-from ndcsim.analyze import dispersion_from_slope, fit_linear
+from ndcsim.analyze import dispersion_from_slope
 from ndcsim.model import SourceParams
-from ndcsim.pipeline import measure_config_peak
+from ndcsim.reproduce import sweep_slope
 
 
 def main() -> int:
@@ -30,16 +32,11 @@ def main() -> int:
     if lengths is None:
         lengths = presets.FIG3_SMF_KM if args.fiber == "smf" else presets.FIG3_DCF_KM
 
-    points = []
+    fit, points = sweep_slope(args.fiber, lengths, args.fitted_k2, args.seed, args.duration_s)
     print(f"{'length_km':>10} {'fwhm_ps':>10} {'err_ps':>8}")
-    for k, length in enumerate(lengths):
-        cfg = presets.fig3_config(args.fiber, length, fitted_k2=args.fitted_k2,
-                                  duration_s=args.duration_s)
-        meas = measure_config_peak(cfg, args.seed + k)
-        points.append((length, meas.fit.fwhm_ps, meas.fit.fwhm_err_ps))
-        print(f"{length:10.3f} {meas.fit.fwhm_ps:10.2f} {meas.fit.fwhm_err_ps:8.2f}")
+    for length, fwhm, err in points:
+        print(f"{length:10.3f} {fwhm:10.2f} {err:8.2f}")
 
-    fit = fit_linear(points)
     sign = -1 if args.fiber == "smf" else 1
     k2 = dispersion_from_slope(fit.slope, SourceParams(), sign=sign)
     print(f"\nslope = {fit.slope:.2f} +- {fit.slope_err:.2f} ps/km")

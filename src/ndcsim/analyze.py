@@ -154,8 +154,6 @@ def evaluate_wasak(
     fit_before: GaussianFit, fit_after: GaussianFit, two_beta_l_ps2: float
 ) -> WasakResult:
     """Witness verdict from the fitted before/after correlation peaks."""
-    if two_beta_l_ps2 < 0:
-        raise ParameterError("two_beta_l must be >= 0")
     var_b, var_b_err = variance_from_fit(fit_before)
     var_a, var_a_err = variance_from_fit(fit_after)
     inputs = WasakInputs(

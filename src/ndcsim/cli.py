@@ -58,19 +58,22 @@ def _measure_files(args, path_a, path_b):
     )
 
 
-def cmd_correlate(args) -> int:
-    meas = _measure_files(args, args.stream_a, args.stream_b)
+def _report_peak(meas, csv_path) -> int:
+    """Print the offset and fit; write the histogram CSV when a path is given."""
     print(f"recovered_offset_fs = {meas.offset_fs}")
     print(fit_report_text(meas.fit))
-    if args.out:
-        write_histogram_csv(meas.histogram, args.out, meas.g2)
-        print(f"histogram -> {args.out}")
+    if csv_path:
+        write_histogram_csv(meas.histogram, csv_path, meas.g2)
+        print(f"histogram -> {csv_path}")
     return 0
 
 
+def cmd_correlate(args) -> int:
+    return _report_peak(_measure_files(args, args.stream_a, args.stream_b), args.out)
+
+
 def cmd_analyze(args) -> int:
-    hist, _g2 = read_histogram_csv(args.histogram)
-    print(fit_report_text(fit_gaussian(hist)))
+    print(fit_report_text(fit_gaussian(read_histogram_csv(args.histogram))))
     return 0
 
 
@@ -104,12 +107,7 @@ def cmd_terminal(args) -> int:
     a, b = streams[ids[0]], streams[ids[1]]
     for suffix, stream in (("a", a), ("b", b)):
         tagio.write_tags(stream, f"{args.out}_{suffix}.tags")
-    meas = measure_peak(a, b, args.bin_ps, args.window_ps)
-    print(f"recovered_offset_fs = {meas.offset_fs}")
-    print(fit_report_text(meas.fit))
-    write_histogram_csv(meas.histogram, f"{args.out}_hist.csv", meas.g2)
-    print(f"histogram -> {args.out}_hist.csv")
-    return 0
+    return _report_peak(measure_peak(a, b, args.bin_ps, args.window_ps), f"{args.out}_hist.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,16 +35,18 @@ class Histogram:
     bin_width_ps: float
     origin_ps: float
     counts: np.ndarray = field(repr=False)
-    total_pairs: int
-    offset_applied_fs: int
 
     def __post_init__(self):
         if self.bin_width_ps <= 0:
             raise ParameterError("bin_width must be > 0")
         counts = np.ascontiguousarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
-        if np.any(counts < 0) or int(counts.sum()) != self.total_pairs:
-            raise ParameterError("counts must be >= 0 and sum to total_pairs")
+        if np.any(counts < 0):
+            raise ParameterError("counts must be >= 0")
+
+    @property
+    def total_pairs(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def bin_centers_ps(self) -> np.ndarray:
@@ -60,17 +62,18 @@ def _nonempty(stream: TagStream, name: str) -> np.ndarray:
 
 
 def window_diffs(
-    a: np.ndarray, b: np.ndarray, offset_fs: int, window_fs: float, chunk: int = _DIFF_CHUNK
+    a: np.ndarray, b: np.ndarray, offset_fs: int, window_fs: float
 ) -> Iterator[np.ndarray]:
     """Yield all differences b - a - offset with |diff| <= window, chunked.
 
     Two-pointer over the sorted arrays via searchsorted; cost is
     O(|a| log |b| + pairs_in_window) and memory is bounded by the chunk size.
+    Differences are integers, so |diff| <= window is |diff| <= floor(window).
     """
-    lo_edge = np.int64(offset_fs - math.ceil(window_fs))
-    hi_edge = np.int64(offset_fs + math.ceil(window_fs))
-    for start in range(0, a.size, chunk):
-        a_chunk = a[start : start + chunk]
+    lo_edge = np.int64(offset_fs - math.floor(window_fs))
+    hi_edge = np.int64(offset_fs + math.floor(window_fs))
+    for start in range(0, a.size, _DIFF_CHUNK):
+        a_chunk = a[start : start + _DIFF_CHUNK]
         lo = np.searchsorted(b, a_chunk + lo_edge, side="left")
         hi = np.searchsorted(b, a_chunk + hi_edge, side="right")
         counts = hi - lo
@@ -81,10 +84,7 @@ def window_diffs(
         starts = np.zeros(a_chunk.size, dtype=np.int64)
         np.cumsum(counts[:-1], out=starts[1:])
         flat = np.arange(total, dtype=np.int64) - np.repeat(starts, counts) + np.repeat(lo, counts)
-        diffs = b[flat] - np.repeat(a_chunk, counts) - np.int64(offset_fs)
-        # The integer edges above may over-include by < 1 fs for fractional windows.
-        d = diffs.astype(np.float64)
-        yield diffs[(d >= -window_fs) & (d <= window_fs)]
+        yield b[flat] - np.repeat(a_chunk, counts) - np.int64(offset_fs)
 
 
 def fine_histogram(
@@ -114,13 +114,7 @@ def fine_histogram(
         idx = np.floor((diffs - origin_fs) * inv_bw_fs).astype(np.int64)
         np.clip(idx, 0, nbins - 1, out=idx)
         counts += np.bincount(idx, minlength=nbins)
-    return Histogram(
-        bin_width_ps=bin_width_ps,
-        origin_ps=-window_ps,
-        counts=counts,
-        total_pairs=int(counts.sum()),
-        offset_applied_fs=int(offset_fs),
-    )
+    return Histogram(bin_width_ps=bin_width_ps, origin_ps=-window_ps, counts=counts)
 
 
 def coarse_offset(
@@ -189,30 +183,20 @@ def g2_normalize(
     return h.counts.astype(np.float64) / accidental
 
 
-def write_histogram_csv(h: Histogram, path, g2: np.ndarray | None = None) -> None:
+def write_histogram_csv(h: Histogram, path, g2: np.ndarray) -> None:
     """CSV with columns bin_center_ps, counts, g2_normalized."""
-    centers = h.bin_centers_ps
-    g2_col = g2 if g2 is not None else np.zeros_like(centers)
     with open(path, "w") as f:
         f.write("bin_center_ps,counts,g2_normalized\n")
-        for c, n, g in zip(centers, h.counts, g2_col):
+        for c, n, g in zip(h.bin_centers_ps, h.counts, g2):
             f.write(f"{c:.6f},{int(n)},{g:.8g}\n")
 
 
-def read_histogram_csv(path, offset_fs: int = 0) -> tuple[Histogram, np.ndarray]:
-    """Inverse of write_histogram_csv (bin geometry inferred from centers)."""
+def read_histogram_csv(path) -> Histogram:
+    """Histogram of a write_histogram_csv file (bin geometry inferred from centers)."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     centers = data[:, 0]
-    counts = data[:, 1].astype(np.int64)
     if centers.size < 2:
         raise ParameterError("histogram CSV needs at least two bins")
     bw = float(np.median(np.diff(centers)))
-    origin = float(centers[0] - 0.5 * bw)
-    h = Histogram(
-        bin_width_ps=bw,
-        origin_ps=origin,
-        counts=counts,
-        total_pairs=int(counts.sum()),
-        offset_applied_fs=offset_fs,
-    )
-    return h, data[:, 2]
+    return Histogram(bin_width_ps=bw, origin_ps=float(centers[0] - 0.5 * bw),
+                     counts=data[:, 1].astype(np.int64))

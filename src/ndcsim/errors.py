@@ -21,7 +21,7 @@ class FitError(NdcError):
     """Peak fit failed (no significant peak, or no convergence)."""
 
 
-class TimestampRangeError(NdcError, OverflowError):
+class TimestampRangeError(ParameterError, OverflowError):
     """A timestamp would fall outside the signed 64-bit femtosecond range."""
 
 

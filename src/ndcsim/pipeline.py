@@ -9,6 +9,7 @@ import numpy as np
 from .analyze import GaussianFit, fit_gaussian
 from .config import ExperimentConfig
 from .correlate import Histogram, coarse_offset, fine_histogram, g2_normalize
+from .presets import suggested_binning
 from .simulate import generate_pairs, simulate_arm
 from .streams import TagStream
 
@@ -58,8 +59,6 @@ def measure_peak(
 
 def measure_config_peak(cfg: ExperimentConfig, seed: int) -> PeakMeasurement:
     """Simulate a configuration and measure its coincidence peak."""
-    from .presets import suggested_binning
-
     a, b = run_simulation(cfg, seed)
     bin_ps, window_ps = suggested_binning(cfg)
     return measure_peak(a, b, bin_ps, window_ps)

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import model, presets
-from .analyze import dispersion_from_slope, evaluate_wasak, fit_linear
+from .analyze import WasakResult, dispersion_from_slope, evaluate_wasak, fit_linear
 from .errors import ParameterError
 from .model import SourceParams
 from .pipeline import measure_config_peak
@@ -43,51 +43,54 @@ def _scaled_duration(scale: float) -> float:
     return presets.ACQUISITION_S * scale
 
 
-def reproduce_fig2a(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
-    cfg = presets.fig2a_config(duration_s=_scaled_duration(scale))
+def _width_report(target: str, cfg, seed: int, fwhm_range, *notes: str) -> ReproduceReport:
+    """Measure the peak of ``cfg`` and check its FWHM against ``fwhm_range``."""
     meas = measure_config_peak(cfg, seed)
-    lo, hi = FIG2A_FWHM_RANGE
-    fwhm = meas.fit.fwhm_ps
-    report = ReproduceReport(
-        target="fig2a",
-        passed=lo <= fwhm <= hi,
+    fit = meas.fit
+    lo, hi = fwhm_range
+    return ReproduceReport(
+        target=target,
+        passed=lo <= fit.fwhm_ps <= hi,
+        lines=[
+            f"fitted FWHM = {fit.fwhm_ps:.2f} +- {fit.fwhm_err_ps:.2f} ps (target {lo:g}..{hi:g})",
+            *notes,
+            f"recovered offset = {meas.offset_fs} fs",
+            f"coincidences = {meas.histogram.total_pairs}",
+        ],
         result=meas,
     )
-    report.lines = [
-        f"fitted FWHM = {fwhm:.2f} +- {meas.fit.fwhm_err_ps:.2f} ps (target {lo:.1f}..{hi:.1f})",
-        f"recovered offset = {meas.offset_fs} fs",
-        f"coincidences = {meas.histogram.total_pairs}",
-    ]
-    return report
+
+
+def reproduce_fig2a(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
+    cfg = presets.fig2a_config(duration_s=_scaled_duration(scale))
+    return _width_report("fig2a", cfg, seed, FIG2A_FWHM_RANGE)
 
 
 def reproduce_fig2d(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
     cfg = presets.fig2d_config(duration_s=_scaled_duration(scale))
-    meas = measure_config_peak(cfg, seed)
-    lo, hi = FIG2D_FWHM_RANGE
-    fwhm = meas.fit.fwhm_ps
     predicted = model.FWHM_PER_SIGMA * math.sqrt(presets.predicted_pair_variance_ps2(cfg))
-    report = ReproduceReport(
-        target="fig2d",
-        passed=lo <= fwhm <= hi,
-        result=meas,
-    )
-    report.lines = [
-        f"fitted FWHM = {fwhm:.2f} +- {meas.fit.fwhm_err_ps:.2f} ps (target {lo:.0f}..{hi:.0f})",
-        f"analytic prediction = {predicted:.1f} ps",
-        f"recovered offset = {meas.offset_fs} fs",
-        f"coincidences = {meas.histogram.total_pairs}",
-    ]
-    return report
+    return _width_report("fig2d", cfg, seed, FIG2D_FWHM_RANGE,
+                         f"analytic prediction = {predicted:.1f} ps")
+
+
+def _witness(modes, seed: int, scale: float) -> dict[str, WasakResult]:
+    """W for each fig2d correlation mode against one fig2a "before" peak.
+
+    The before peak is measured at ``seed``, the k-th mode's after peak
+    (k = 1, 2, ...) at ``seed + k * _SEED_STRIDE``.
+    """
+    duration = _scaled_duration(scale)
+    before = measure_config_peak(presets.fig2a_config(duration_s=duration), seed)
+    results = {}
+    for k, mode in enumerate(modes, start=1):
+        cfg = presets.fig2d_config(mode=mode, duration_s=duration)
+        after = measure_config_peak(cfg, seed + k * _SEED_STRIDE)
+        results[mode] = evaluate_wasak(before.fit, after.fit, presets.wasak_two_beta_l_ps2(cfg))
+    return results
 
 
 def reproduce_wasak(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
-    duration = _scaled_duration(scale)
-    before = measure_config_peak(presets.fig2a_config(duration_s=duration), seed)
-    after_cfg = presets.fig2d_config(duration_s=duration)
-    after = measure_config_peak(after_cfg, seed + _SEED_STRIDE)
-    two_beta_l = presets.wasak_two_beta_l_ps2(after_cfg)
-    result = evaluate_wasak(before.fit, after.fit, two_beta_l)
+    result = _witness(("anti",), seed, scale)["anti"]
     lo, hi = WASAK_W_RANGE
     ok = result.violated and lo <= result.w <= hi and result.violation_sigmas >= WASAK_MIN_SIGMAS
     i = result.inputs
@@ -105,29 +108,24 @@ def reproduce_wasak(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
 
 def reproduce_classical(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
     """Classical analogs at the violating geometry must satisfy W >= 1."""
-    duration = _scaled_duration(scale)
-    before = measure_config_peak(presets.fig2a_config(duration_s=duration), seed)
-    lines = []
-    results = {}
-    ok = True
-    for k, mode in enumerate(("positive", "none")):
-        cfg = presets.fig2d_config(mode=mode, duration_s=duration)
-        after = measure_config_peak(cfg, seed + (k + 1) * _SEED_STRIDE)
-        result = evaluate_wasak(before.fit, after.fit, presets.wasak_two_beta_l_ps2(cfg))
-        results[mode] = result
-        ok = ok and result.w >= 1.0
-        lines.append(
-            f"mode={mode}: W = {result.w:.2f} +- {result.w_err:.2f}, "
-            f"var_after = {result.inputs.var_after_ps2:.0f} ps^2 (require W >= 1)"
-        )
+    results = _witness(("positive", "none"), seed, scale)
+    lines = [
+        f"mode={mode}: W = {r.w:.2f} +- {r.w_err:.2f}, "
+        f"var_after = {r.inputs.var_after_ps2:.0f} ps^2 (require W >= 1)"
+        for mode, r in results.items()
+    ]
+    ok = all(r.w >= 1.0 for r in results.values())
     return ReproduceReport(target="classical", passed=ok, lines=lines, result=results)
 
 
-def _sweep_slope(fiber: str, lengths, fitted_k2: bool, seed: int, scale: float):
+def sweep_slope(fiber: str, lengths, fitted_k2: bool, seed: int, duration_s: float):
+    """Fit FWHM against fiber length; returns the linear fit and the points.
+
+    The peak at the k-th length is measured at ``seed + k * _SEED_STRIDE``.
+    """
     points = []
     for k, length in enumerate(lengths):
-        cfg = presets.fig3_config(fiber, length, fitted_k2=fitted_k2,
-                                  duration_s=_scaled_duration(scale))
+        cfg = presets.fig3_config(fiber, length, fitted_k2=fitted_k2, duration_s=duration_s)
         meas = measure_config_peak(cfg, seed + k * _SEED_STRIDE)
         points.append((length, meas.fit.fwhm_ps, meas.fit.fwhm_err_ps))
     return fit_linear(points), points
@@ -135,6 +133,7 @@ def _sweep_slope(fiber: str, lengths, fitted_k2: bool, seed: int, scale: float):
 
 def reproduce_fig3(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
     src = SourceParams()
+    duration = _scaled_duration(scale)
     lines = []
     ok = True
     results = {}
@@ -145,7 +144,7 @@ def reproduce_fig3(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
         ("dcf", presets.FIG3_DCF_KM, FIG3_DCF_SLOPE_RANGE, REFERENCE_DCF_SLOPE,
          presets.DCF_K2_FITTED_S2_PER_M),
     ):
-        fit_nom, _ = _sweep_slope(fiber, lengths, False, seed, scale)
+        fit_nom, _ = sweep_slope(fiber, lengths, False, seed, duration)
         in_range = nominal_range[0] <= fit_nom.slope <= nominal_range[1]
         ok = ok and in_range
         lines.append(
@@ -153,7 +152,7 @@ def reproduce_fig3(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
             f"(target {nominal_range[0]:.1f}..{nominal_range[1]:.1f})"
         )
 
-        fit_fit, _ = _sweep_slope(fiber, lengths, True, seed + 7 * _SEED_STRIDE, scale)
+        fit_fit, _ = sweep_slope(fiber, lengths, True, seed + 7 * _SEED_STRIDE, duration)
         rel = abs(fit_fit.slope - ref_slope) / ref_slope
         ok = ok and rel <= 0.03
         lines.append(

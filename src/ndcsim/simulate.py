@@ -78,14 +78,13 @@ class PairEvents:
 
     ``delta_t_fs`` is the intra-pair signal-minus-idler offset at the source;
     ``omega_signal`` / ``omega_idler`` are the spectral detunings (rad/ps)
-    already correlated according to ``mode``.
+    already correlated according to the correlation mode.
     """
 
     emission_fs: np.ndarray
     delta_t_fs: np.ndarray
     omega_signal: np.ndarray
     omega_idler: np.ndarray
-    mode: str
 
     def __len__(self) -> int:
         return int(self.emission_fs.size)
@@ -119,7 +118,7 @@ def generate_pairs(
         omega_i = omega_s.copy()
     else:
         omega_i = rng.normal(0.0, src.effective_sigma_omega, n)
-    return PairEvents(emission, delta_t, omega_s, omega_i, mode)
+    return PairEvents(emission, delta_t, omega_s, omega_i)
 
 
 def propagate(

@@ -29,6 +29,10 @@ VERSION = 1
 _HEADER = struct.Struct("<8sHIQQQ")
 HEADER_SIZE = _HEADER.size  # 8 + 2 + 4 + 8 + 8 + 8 = 38 bytes
 
+# Seconds the terminal waits for a site to connect, and then for each read
+# from a connected site.
+TIMEOUT_S = 60.0
+
 # Tags per receive call: bounds each read, so a header claiming more tags than
 # arrive costs no more memory than the bytes actually received.
 DEFAULT_BATCH = 4096
@@ -105,7 +109,9 @@ def read_tags(source) -> TagStream:
     header = TagFileHeader.unpack(raw)
     payload = raw[HEADER_SIZE:]
     expected = header.tag_count * 8
-    if len(payload) != expected:
+    if len(payload) > expected:
+        raise TagFormatError(f"data past the header's {header.tag_count} tags")
+    if len(payload) < expected:
         raise TruncatedFileError(
             f"payload truncated: expected {header.tag_count} tags "
             f"({expected} bytes), got {len(payload) // 8} ({len(payload)} bytes)"
@@ -176,7 +182,7 @@ class Terminal:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._server = socket.create_server((host, port))
-        self._server.settimeout(60.0)
+        self._server.settimeout(TIMEOUT_S)
         self.streams: dict[int, TagStream] = {}
 
     @property
@@ -189,6 +195,7 @@ class Terminal:
             while len(self.streams) < n_sites:
                 conn, _addr = self._server.accept()
                 with conn:
+                    conn.settimeout(TIMEOUT_S)
                     stream = receive_stream(conn)
                     if stream.site_id in self.streams:
                         conn.sendall(b"R")

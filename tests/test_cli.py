@@ -47,6 +47,13 @@ class TestSimulate:
         assert rc == 2
         assert "pair_rate_hz" in capsys.readouterr().err
 
+    def test_duration_out_of_range_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(dump_config(presets.fig2a_config(duration_s=1e5)))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "invalid parameter: duration exceeds" in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "absent.cfg"),
                    "--out", str(tmp_path / "x")])

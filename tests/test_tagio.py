@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ndcsim import tagio
 from ndcsim.errors import (
     BadMagicError,
     TagFormatError,
@@ -106,6 +107,12 @@ class TestFileFormat:
             read_tags(io.BytesIO(raw))
         assert "5" in str(err.value)
         assert "3" in str(err.value)
+
+    def test_trailing_data(self):
+        raw = TagFileHeader(0, 1000, 1, 0).pack() + bytes(16)
+        with pytest.raises(TagFormatError, match="data past the header's 1 tags") as err:
+            read_tags(io.BytesIO(raw))
+        assert not isinstance(err.value, TruncatedFileError)
 
     def test_unsorted_payload_names_index(self):
         header = TagFileHeader(site_id=0, resolution_fs=1000, tag_count=3,
@@ -256,6 +263,25 @@ class TestTerminal:
         t.join(timeout=30)
         assert set(result["streams"]) == {0, 1}
         assert result["streams"][0] == sa
+
+    def test_stalled_site_times_out(self, monkeypatch):
+        monkeypatch.setattr(tagio, "TIMEOUT_S", 0.5)
+        terminal = Terminal()
+        result = {}
+
+        def collect():
+            try:
+                terminal.collect(n_sites=2)
+            except TransportError as exc:
+                result["error"] = exc
+
+        t = threading.Thread(target=collect, daemon=True)
+        t.start()
+        with socket.create_connection(("127.0.0.1", terminal.port)) as sock:
+            sock.sendall(TagFileHeader(0, 1000, 1, 0).pack()[:HEADER_SIZE // 2])
+            t.join(timeout=10)
+        assert not t.is_alive()
+        assert "connection error" in str(result["error"])
 
     def test_unreachable_terminal(self):
         s = stream_of([1000])
