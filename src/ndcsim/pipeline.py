@@ -24,7 +24,9 @@ class PeakMeasurement:
 
 def run_simulation(cfg: ExperimentConfig, seed: int) -> tuple[TagStream, TagStream]:
     """Simulate both tag streams for one acquisition."""
-    pairs = generate_pairs(cfg.source, cfg.run.mode, cfg.run.duration_s, seed)
+    pairs = generate_pairs(cfg.source, cfg.run.mode, cfg.run.duration_s, seed,
+                           cfg.smf.survival_probability * cfg.detector_a.efficiency,
+                           cfg.dcf.survival_probability * cfg.detector_b.efficiency)
     a = simulate_arm(pairs, cfg.smf, "signal", cfg.detector_a, cfg.timer_a,
                      cfg.run.duration_s, seed)
     b = simulate_arm(pairs, cfg.dcf, "idler", cfg.detector_b, cfg.timer_b,

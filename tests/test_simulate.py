@@ -4,14 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndcsim import model, presets
+from ndcsim.analyze import fit_gaussian
+from ndcsim.correlate import fine_histogram, g2_normalize
 from ndcsim.errors import ParameterError, TimestampRangeError
 from ndcsim.model import DispersionLeg, SourceParams
 from ndcsim.pipeline import run_simulation
 from ndcsim.simulate import (
+    BOTH,
+    IDLER,
+    SIGNAL,
     DetectorSpec,
     TimerSpec,
+    _prune_dead_time,
     detect,
     digitize,
     generate_pairs,
@@ -22,6 +30,49 @@ SRC = SourceParams(pair_rate_hz=24000.0)
 NO_FIBER = DispersionLeg(length_km=0.0)
 
 
+def greedy_dead_time(times, dead_fs):
+    """Reference dead-time filter: one sequential pass over every event."""
+    if times.size == 0:
+        return times
+    keep = np.ones(times.size, dtype=bool)
+    last = times[0]
+    for i in range(1, times.size):
+        if times[i] - last < dead_fs:
+            keep[i] = False
+        else:
+            last = times[i]
+    return times[keep]
+
+
+def per_pair_oracle(cfg, seed):
+    """Both tag streams of ``cfg`` from the per-photon thinning sampler.
+
+    Every pair of the source is emitted, and each photon then survives its
+    fiber and its detector's efficiency by independent Bernoulli draws.
+    Jitter, dark counts, dead time and digitization are the package's.
+    """
+    assert cfg.run.mode == "anti"
+    duration = cfg.run.duration_s
+    src = cfg.source
+    rng = np.random.default_rng(seed)
+    n = int(rng.poisson(src.pair_rate_hz * duration))
+    emission = np.sort(rng.uniform(0.0, duration * 1e15, n)).astype(np.int64)
+    delta_t = rng.normal(0.0, src.base_sigma_ps * 1e3, n)
+    omega_s = rng.normal(0.0, src.effective_sigma_omega, n)
+    legs = (
+        (+0.5, omega_s, cfg.smf, cfg.detector_a, cfg.timer_a),
+        (-0.5, -omega_s, cfg.dcf, cfg.detector_b, cfg.timer_b),
+    )
+    streams = []
+    for stage, (half, omega, leg, det, timer) in enumerate(legs, start=3):
+        arrival = emission + half * delta_t + leg.group_delay_fs + leg.k2l_ps2 * omega * 1e3
+        survive = rng.random(n) < leg.survival_probability
+        detected = survive & (rng.random(n) < det.efficiency)
+        times = detect(arrival[detected], det, seed, stage, duration)
+        streams.append(digitize(times, timer, int(math.ceil(duration * 1e15))))
+    return streams
+
+
 class TestGeneratePairs:
     def test_deterministic(self):
         p1 = generate_pairs(SRC, "anti", 1.0, seed=42)
@@ -29,6 +80,7 @@ class TestGeneratePairs:
         assert np.array_equal(p1.emission_fs, p2.emission_fs)
         assert np.array_equal(p1.delta_t_fs, p2.delta_t_fs)
         assert np.array_equal(p1.omega_signal, p2.omega_signal)
+        assert np.array_equal(p1.arms, p2.arms)
 
     def test_zero_duration_empty(self):
         assert len(generate_pairs(SRC, "anti", 0.0, seed=1)) == 0
@@ -63,18 +115,23 @@ class TestGeneratePairs:
         with pytest.raises(TimestampRangeError):
             generate_pairs(SRC, "anti", 1e5, seed=0)
 
+    def test_detection_probability_out_of_range_rejected(self):
+        with pytest.raises(ParameterError):
+            generate_pairs(SRC, "anti", 1.0, seed=0, p_signal=1.5)
+        with pytest.raises(ParameterError):
+            generate_pairs(SRC, "anti", 1.0, seed=0, p_idler=-0.1)
+
 
 class TestPropagate:
     def test_zero_length_identity(self):
         pairs = generate_pairs(SRC, "anti", 0.5, seed=11)
-        arrival, survive = propagate(pairs, NO_FIBER, "signal", seed=11)
+        arrival = propagate(pairs, NO_FIBER, "signal")
         expected = pairs.emission_fs + 0.5 * pairs.delta_t_fs
         assert np.allclose(arrival, expected)
-        assert survive.all()
 
     def test_idler_sign(self):
         pairs = generate_pairs(SRC, "anti", 0.5, seed=11)
-        arrival, _ = propagate(pairs, NO_FIBER, "idler", seed=11)
+        arrival = propagate(pairs, NO_FIBER, "idler")
         assert np.allclose(arrival, pairs.emission_fs - 0.5 * pairs.delta_t_fs)
 
     def test_ideal_cancellation_restores_variance(self):
@@ -85,8 +142,8 @@ class TestPropagate:
         leg_i = DispersionLeg(
             k2_s2_per_m=2.26e-26 * 62.0 / 7.47, length_km=7.47, attenuation_db_per_km=0.0
         )
-        arr_s, _ = propagate(pairs, leg_s, "signal", seed=13)
-        arr_i, _ = propagate(pairs, leg_i, "idler", seed=13)
+        arr_s = propagate(pairs, leg_s, "signal")
+        arr_i = propagate(pairs, leg_i, "idler")
         var_ps2 = np.var((arr_s - arr_i) / 1e3)
         base = src.base_variance_ps2
         n = len(pairs)
@@ -97,25 +154,16 @@ class TestPropagate:
         pairs = generate_pairs(src, "anti", 1.0, seed=17)
         leg_s = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.0)
         leg_i = DispersionLeg(k2_s2_per_m=1.95e-25, length_km=7.47, attenuation_db_per_km=0.0)
-        arr_s, _ = propagate(pairs, leg_s, "signal", seed=17)
-        arr_i, _ = propagate(pairs, leg_i, "idler", seed=17)
+        arr_s = propagate(pairs, leg_s, "signal")
+        arr_i = propagate(pairs, leg_i, "idler")
         var_ps2 = np.var((arr_s - arr_i) / 1e3)
         expected = model.source_variance_ps2(src, leg_s.k2l_ps2, leg_i.k2l_ps2)
         assert var_ps2 == pytest.approx(expected, rel=5 * math.sqrt(2.0 / len(pairs)))
 
-    def test_survival_probability(self):
-        src = SourceParams(pair_rate_hz=2e5)
-        pairs = generate_pairs(src, "anti", 1.0, seed=19)
-        leg = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.2)
-        _, survive = propagate(pairs, leg, "signal", seed=19)
-        p = 10 ** (-1.24)
-        n = len(pairs)
-        assert survive.mean() == pytest.approx(p, abs=5 * math.sqrt(p / n))
-
     def test_group_delay(self):
         pairs = generate_pairs(SRC, "anti", 0.1, seed=23)
         leg = DispersionLeg(length_km=62.0, attenuation_db_per_km=0.0, group_index=1.468)
-        arrival, _ = propagate(pairs, leg, "signal", seed=23)
+        arrival = propagate(pairs, leg, "signal")
         delay_fs = 62e3 * 1.468 / model.SPEED_OF_LIGHT_M_PER_S * 1e15
         shift = arrival - (pairs.emission_fs + 0.5 * pairs.delta_t_fs)
         assert np.allclose(shift, delay_fs)
@@ -129,14 +177,6 @@ class TestDetect:
         out = detect(times, self.IDEAL, seed=0, stage=3)
         assert np.array_equal(out, np.sort(times))
 
-    def test_efficiency_thinning(self):
-        times = np.arange(100_000, dtype=float) * 1e6
-        det = DetectorSpec(efficiency=0.5, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
-        out1 = detect(times, det, seed=5, stage=3)
-        out2 = detect(times, det, seed=5, stage=3)
-        assert np.array_equal(out1, out2)
-        assert abs(out1.size - 50_000) < 5 * math.sqrt(25_000)
-
     def test_jitter_variance(self):
         times = np.zeros(200_000)
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=26.587, dark_rate_hz=0.0, dead_time_ns=0.0)
@@ -147,9 +187,16 @@ class TestDetect:
     def test_dark_counts_added(self):
         times = np.linspace(0, 1e15, 1000)  # 1 s span
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=5000.0, dead_time_ns=0.0)
-        out = detect(times, det, seed=9, stage=3)
+        out = detect(times, det, seed=9, stage=3, duration_s=1.0)
         extra = out.size - times.size
         assert abs(extra - 5000) < 5 * math.sqrt(5000)
+
+    @pytest.mark.parametrize("times", [np.empty(0), np.array([0.5e15])], ids=["empty", "one"])
+    def test_dark_counts_over_acquisition_window(self, times):
+        det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=5000.0, dead_time_ns=0.0)
+        out = detect(times, det, seed=9, stage=3, duration_s=1.0)
+        assert abs(out.size - times.size - 5000) < 5 * math.sqrt(5000)
+        assert out[0] >= 0.0 and out[-1] < 1e15
 
     def test_dead_time_pruning(self):
         # bursts closer than the dead time collapse to their first event
@@ -157,6 +204,78 @@ class TestDetect:
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=40.0)
         out = detect(times, det, seed=0, stage=3)
         assert np.array_equal(out, np.array([0.0, 100.0, 300.0]) * 1e6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e4)), max_size=200
+        ),
+        start=st.floats(-1e9, 1e9),
+        fraction=st.floats(0.0, 1.0),
+    )
+    def test_dead_time_filter_matches_greedy_loop(self, gaps, start, fraction):
+        # zero gaps are ties, runs of short gaps are dense bursts
+        times = start + np.cumsum(np.asarray(gaps, dtype=np.float64))
+        dead_fs = fraction * (float(times[-1] - times[0]) if times.size else 0.0)
+        assert np.array_equal(_prune_dead_time(times, dead_fs), greedy_dead_time(times, dead_fs))
+
+
+class TestMarking:
+    """Pair classes of the marked sampler at the fig2d geometry."""
+
+    CFG = presets.fig2d_config(duration_s=1.0)
+    SEEDS = range(20)
+
+    def test_class_counts(self):
+        cfg = self.CFG
+        p_a = cfg.smf.survival_probability * cfg.detector_a.efficiency
+        p_b = cfg.dcf.survival_probability * cfg.detector_b.efficiency
+        # 62 km at 0.2 dB/km and a 0.5 efficiency detector in the signal arm
+        assert p_a == pytest.approx(10 ** (-1.24) * 0.5, rel=1e-12)
+        emitted = cfg.source.pair_rate_hz * cfg.run.duration_s * len(self.SEEDS)
+        drawn = []
+        # the fig2d arms are balanced, so an unbalanced pair of arms as well
+        for p_s, p_i in ((p_a, p_b), (0.5, 0.2)):
+            counts = np.zeros(4, dtype=np.int64)
+            for seed in self.SEEDS:
+                pairs = generate_pairs(cfg.source, "anti", cfg.run.duration_s, seed, p_s, p_i)
+                counts += np.bincount(pairs.arms, minlength=4)
+                signal = propagate(pairs, cfg.smf, "signal")
+                assert signal.size == np.count_nonzero(pairs.arms & SIGNAL)
+                idler = propagate(pairs, cfg.dcf, "idler")
+                assert idler.size == np.count_nonzero(pairs.arms & IDLER)
+            assert counts[0] == 0
+            drawn.append(counts.sum())
+            checks = {
+                "both": (counts[BOTH], p_s * p_i),
+                "signal only": (counts[SIGNAL], p_s * (1 - p_i)),
+                "idler only": (counts[IDLER], (1 - p_s) * p_i),
+                "signal arm": (counts[SIGNAL] + counts[BOTH], p_s),
+                "idler arm": (counts[IDLER] + counts[BOTH], p_i),
+            }
+            for name, (n, p) in checks.items():
+                assert abs(n - emitted * p) < 5 * math.sqrt(emitted * p), name
+        # no pair lost in both arms is drawn: ~5.7 % of the fig2d pairs
+        assert drawn[0] / emitted == pytest.approx(0.057, abs=0.001)
+
+    def test_matches_per_pair_oracle(self):
+        cfg = self.CFG
+        offset = int(round(cfg.dcf.group_delay_fs - cfg.smf.group_delay_fs))
+        bin_ps, window_ps = presets.suggested_binning(cfg)
+        totals = {"marked": np.zeros(3), "oracle": np.zeros(3)}
+        fwhm = {"marked": [], "oracle": []}
+        for seed in self.SEEDS:
+            runs = {"marked": run_simulation(cfg, seed),
+                    "oracle": per_pair_oracle(cfg, seed + 1000)}
+            for name, (a, b) in runs.items():
+                hist = fine_histogram(a, b, offset, bin_ps, window_ps)
+                totals[name] += (len(a), len(b), hist.total_pairs)
+                fwhm[name].append(fit_gaussian(hist).fwhm_ps)
+        for marked, oracle in zip(totals["marked"], totals["oracle"]):
+            assert abs(marked - oracle) < 5 * math.sqrt(marked + oracle)
+        mean = {name: np.mean(v) for name, v in fwhm.items()}
+        sem2 = sum(np.var(v, ddof=1) / len(v) for v in fwhm.values())
+        assert abs(mean["marked"] - mean["oracle"]) < 3 * math.sqrt(sem2)
 
 
 class TestDigitize:
@@ -201,3 +320,15 @@ class TestEndToEnd:
         # both arms balanced to ~12 kHz over 5 s => ~60000 tags
         assert abs(len(a) - 60_000) < 2_000
         assert abs(len(b) - 60_000) < 2_000
+
+    def test_accidental_baseline_unity(self):
+        # uncorrelated detunings still pair in time; away from the peak and
+        # the dead-time dip only accidental coincidences remain
+        a, b = run_simulation(presets.fig2d_config(mode="none"), seed=0)
+        cfg = presets.fig2d_config()
+        offset = int(round(cfg.dcf.group_delay_fs - cfg.smf.group_delay_fs))
+        h = fine_histogram(a, b, offset, bin_width_ps=10_000.0, window_ps=50e6)
+        g2 = g2_normalize(h, a.rate_hz(), b.rate_hz(), max(a.duration_s, b.duration_s))
+        wings = np.abs(h.bin_centers_ps) > 1e5
+        n = h.counts[wings].sum()
+        assert g2[wings].mean() == pytest.approx(1.0, abs=5 / math.sqrt(n))
