@@ -25,7 +25,7 @@ FS_PER_MS = 1e12
 # Cap on the coarse binned-array length; keeps the FFT stage at ~4M bins.
 _MAX_COARSE_BINS = 1 << 22
 # Chunk of source tags processed per two-pointer step (bounds peak memory).
-_DIFF_CHUNK = 1 << 20
+_DIFF_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,25 @@ def window_diffs(
     hi_edge = np.int64(offset_fs + math.floor(window_fs))
     for start in range(0, a.size, _DIFF_CHUNK):
         a_chunk = a[start : start + _DIFF_CHUNK]
-        lo = np.searchsorted(b, a_chunk + lo_edge, side="left")
-        hi = np.searchsorted(b, a_chunk + hi_edge, side="right")
+        # Search only the slice of b the chunk can reach; it stays in cache.
+        first = int(np.searchsorted(b, a_chunk[0] + lo_edge, side="left"))
+        last = int(np.searchsorted(b, a_chunk[-1] + hi_edge, side="right"))
+        reach = b[first:last]
+        lo = np.searchsorted(reach, a_chunk + lo_edge, side="left") + first
+        hi = np.searchsorted(reach, a_chunk + hi_edge, side="right") + first
         counts = hi - lo
         total = int(counts.sum())
         if total == 0:
             continue
-        # Flat indices into b for every (a_i, b_j) pair in the window.
+        # Flat indices into b for every (a_i, b_j) pair in the window: pair k
+        # of a_i sits at position starts_i + k of the output and lo_i + k in b.
         starts = np.zeros(a_chunk.size, dtype=np.int64)
         np.cumsum(counts[:-1], out=starts[1:])
-        flat = np.arange(total, dtype=np.int64) - np.repeat(starts, counts) + np.repeat(lo, counts)
-        yield b[flat] - np.repeat(a_chunk, counts) - np.int64(offset_fs)
+        flat = np.repeat(lo - starts, counts)
+        flat += np.arange(total, dtype=np.int64)
+        diffs = b[flat]
+        diffs -= np.repeat(a_chunk + np.int64(offset_fs), counts)
+        yield diffs
 
 
 def fine_histogram(
@@ -162,10 +170,12 @@ def coarse_offset(
     if bin1_fs <= coarse_bin_fs:
         return est_fs
 
-    # Refine to the requested coarse bin with a fine histogram over about two
-    # FFT bins either side.  Bins are centred on multiples of the coarse bin so
-    # that a constructed shift (or identical streams) is recovered exactly.
-    half = max(1, int(math.ceil(2.0 * bin1_fs / coarse_bin_fs)))
+    # Refine to the requested coarse bin with a fine histogram over one FFT
+    # bin either side: a pair counted at lag k has |diff - k*bin1| < bin1, so
+    # the window holds every pair behind the FFT peak.  Bins are centred on
+    # multiples of the coarse bin so that a constructed shift (or identical
+    # streams) is recovered exactly.
+    half = int(math.ceil(bin1_fs / coarse_bin_fs)) + 1
     coarse_bin_ps = coarse_bin_fs / FS_PER_PS
     refine = fine_histogram(a, b, est_fs, coarse_bin_ps, (half + 0.5) * coarse_bin_ps)
     if refine.total_pairs == 0:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ndcsim import correlate
 from ndcsim.correlate import (
     Histogram,
     coarse_offset,
@@ -91,6 +92,19 @@ class TestFineHistogram:
         oracle = brute_force_histogram(sa.tags, sb.tags, offset, bin_ps, window)
         assert np.array_equal(h.counts, oracle)
 
+    def test_matches_brute_force_across_chunks(self, monkeypatch):
+        # chunks of 7 source tags: some reach no tag of b, some share its tags
+        monkeypatch.setattr(correlate, "_DIFF_CHUNK", 7)
+        rng = np.random.default_rng(1)
+        for trial in range(20):
+            a = np.concatenate([rng.integers(0, 10**8, 100), rng.integers(0, 10**5, 100)])
+            b = rng.integers(0, 10**8, 150)
+            offset = int(rng.integers(-10**6, 10**6))
+            sa, sb = make_stream(a), make_stream(b)
+            h = fine_histogram(sa, sb, offset, bin_width_ps=50.0, window_ps=5000.0)
+            oracle = brute_force_histogram(sa.tags, sb.tags, offset, 50.0, 5000.0)
+            assert np.array_equal(h.counts, oracle)
+
     def test_boundary_difference_included(self):
         a = make_stream([0])
         b = make_stream([100_000])  # exactly +window for window 100 ps
@@ -143,6 +157,15 @@ class TestCoarseOffset:
         b = make_stream(a.tags + offset_fs, span=a.acquisition_span_fs + abs(offset_fs))
         recovered = coarse_offset(a, b, coarse_bin_ns=1.0, search_span_ms=1.0)
         assert abs(recovered - offset_fs) <= 10**6  # +- one 1 ns coarse bin
+
+    def test_shift_anywhere_in_fft_bin_recovered(self):
+        # 5 s spans make the FFT bin about 1.19 us, so the offset is refined
+        # from a lag that may sit up to one FFT bin either side of it
+        rng = np.random.default_rng(8)
+        a = poisson_stream(rng, 12000, 5.0)
+        for offset_fs in rng.integers(-5 * 10**9, 5 * 10**9, 12).tolist():
+            b = make_stream(a.tags + offset_fs, span=a.acquisition_span_fs + abs(offset_fs))
+            assert abs(coarse_offset(a, b) - offset_fs) <= 10**6
 
     def test_independent_streams_no_peak(self):
         rng = np.random.default_rng(5)

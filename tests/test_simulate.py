@@ -160,6 +160,17 @@ class TestPropagate:
         expected = model.source_variance_ps2(src, leg_s.k2l_ps2, leg_i.k2l_ps2)
         assert var_ps2 == pytest.approx(expected, rel=5 * math.sqrt(2.0 / len(pairs)))
 
+    def test_survival_probability(self):
+        # fiber loss is drawn with the pair marking: with a lossless idler arm
+        # every pair is kept and the signal arm holds the survivors
+        src = SourceParams(pair_rate_hz=2e5)
+        leg = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.2)
+        pairs = generate_pairs(src, "anti", 1.0, 19, leg.survival_probability, 1.0)
+        survivors = propagate(pairs, leg, "signal")
+        p = 10 ** (-1.24)
+        n = len(pairs)
+        assert survivors.size / n == pytest.approx(p, abs=5 * math.sqrt(p / n))
+
     def test_group_delay(self):
         pairs = generate_pairs(SRC, "anti", 0.1, seed=23)
         leg = DispersionLeg(length_km=62.0, attenuation_db_per_km=0.0, group_index=1.468)
@@ -176,6 +187,20 @@ class TestDetect:
         times = np.array([5.0, 1.0, 3.0]) * 1e6
         out = detect(times, self.IDEAL, seed=0, stage=3)
         assert np.array_equal(out, np.sort(times))
+
+    def test_efficiency_thinning(self):
+        # efficiency is drawn with the pair marking, so detect keeps every
+        # arrival it is given; the arm's share of the pairs is the efficiency
+        src = SourceParams(pair_rate_hz=1e5)
+        det = DetectorSpec(efficiency=0.5, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
+        pairs = generate_pairs(src, "anti", 1.0, 5, det.efficiency, 1.0)
+        arrivals = propagate(pairs, NO_FIBER, "signal")
+        out1 = detect(arrivals, det, seed=5, stage=3)
+        out2 = detect(arrivals, det, seed=5, stage=3)
+        assert np.array_equal(out1, out2)
+        assert np.array_equal(out1, np.sort(arrivals))
+        n = len(pairs)
+        assert abs(out1.size - n / 2) < 5 * math.sqrt(n / 4)
 
     def test_jitter_variance(self):
         times = np.zeros(200_000)
