@@ -46,16 +46,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _measure(args, a, b):
+    """Measure the peak of two streams with every binning flag applied."""
+    return measure_peak(a, b, args.bin_ps, args.window_ps, args.coarse_bin_ns,
+                        args.search_span_ms)
+
+
 def _measure_files(args, path_a, path_b):
-    """Measure the peak of two tag files with every binning flag applied."""
-    return measure_peak(
-        tagio.read_tags(path_a),
-        tagio.read_tags(path_b),
-        bin_width_ps=args.bin_ps,
-        window_ps=args.window_ps,
-        coarse_bin_ns=args.coarse_bin_ns,
-        search_span_ms=args.search_span_ms,
-    )
+    return _measure(args, tagio.read_tags(path_a), tagio.read_tags(path_b))
 
 
 def _report_peak(meas, csv_path) -> int:
@@ -107,7 +105,7 @@ def cmd_terminal(args) -> int:
     a, b = streams[ids[0]], streams[ids[1]]
     for suffix, stream in (("a", a), ("b", b)):
         tagio.write_tags(stream, f"{args.out}_{suffix}.tags")
-    return _report_peak(measure_peak(a, b, args.bin_ps, args.window_ps), f"{args.out}_hist.csv")
+    return _report_peak(_measure(args, a, b), f"{args.out}_hist.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,8 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("terminal", help="receive two site streams and correlate them")
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--out", required=True, help="output file prefix")
-    p.add_argument("--bin-ps", type=float, default=8.0)
-    p.add_argument("--window-ps", type=float, default=2000.0)
+    add_binning(p)
     p.set_defaults(func=cmd_terminal)
 
     return parser

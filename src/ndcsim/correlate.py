@@ -1,19 +1,22 @@
 """Nonlocal coincidence detection over two independent tag streams.
 
-Two stages: a coarse FFT cross-correlation recovers the unknown relative
-offset (group delays displace the peak by hundreds of microseconds), then a
-two-pointer sweep builds the fine coincidence histogram around that offset.
-Both stages are O(n log n) or better; nothing here is ever O(|a|*|b|).
+One two-pointer kernel histograms the pair differences within a window: first
+over +/- the search span at a coarse bin, to recover the unknown relative
+offset (group delays displace the peak by hundreds of microseconds), then at
+picosecond bins around it.  The cost is O(|a| log |b|) plus the pairs in the
+window, never O(|a|*|b|); the coarse pass strides a's tags to bound the pairs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
+# No FFT runs here; the perfbench tracer looks these two names up.
+from scipy.fft import rfft, irfft  # noqa: F401
+from scipy.special import pdtrc
 
 from .errors import NoPeakError, ParameterError
 from .streams import TagStream
@@ -22,8 +25,9 @@ FS_PER_PS = 1e3
 FS_PER_NS = 1e6
 FS_PER_MS = 1e12
 
-# Cap on the coarse binned-array length; keeps the FFT stage at ~4M bins.
-_MAX_COARSE_BINS = 1 << 22
+_PAIR_BUDGET = 1 << 22  # expected pairs per coarse pass; denser streams are strided
+_MAX_BINS = 1 << 22  # bins per coarse pass; a wider search span widens the bin
+_FALSE_PEAK_P = 2.87e-7  # a one-sided 5 sigma excess, trials factor included
 # Chunk of source tags processed per two-pointer step (bounds peak memory).
 _DIFF_CHUNK = 1 << 16
 
@@ -125,6 +129,19 @@ def fine_histogram(
     return Histogram(bin_width_ps=bin_width_ps, origin_ps=-window_ps, counts=counts)
 
 
+def _strided_counts(a: TagStream, b: TagStream, center_fs: int, bin_fs: int, span_bins: int):
+    """Counts of t_b - t_a - center in 2*span_bins + 1 bins centred on multiples
+    of bin_fs, from every stride-th tag of a, and the stride.  The stride keeps
+    the expected pairs, |a| * rate_b * window / stride, within _PAIR_BUDGET."""
+    window_fs = (2 * span_bins + 1) * bin_fs
+    rate_b = len(b) / max(int(b.tags[-1] - b.tags[0]), 1)
+    stride = max(1, math.ceil(len(a) * min(len(b), rate_b * window_fs) / _PAIR_BUDGET))
+    bin_ps = bin_fs / FS_PER_PS
+    h = fine_histogram(replace(a, tags=a.tags[::stride]), b, center_fs, bin_ps,
+                       (span_bins + 0.5) * bin_ps)
+    return h.counts, stride
+
+
 def coarse_offset(
     a: TagStream,
     b: TagStream,
@@ -133,54 +150,39 @@ def coarse_offset(
 ) -> int:
     """Recover the relative offset t_b - t_a of the coincidence peak (fs).
 
-    Bins both streams onto a common grid, FFT cross-correlates, and takes the
-    most significant lag within +/- search_span; a second two-pointer pass
-    refines the estimate down to the coarse bin.  Raises NoPeakError when the
-    correlogram maximum is below mean + 5*std.
+    Histograms the pair differences within +/- search_span at the coarse bin
+    (see _strided_counts) and returns the centre of the fullest bin, at a cost
+    that tracks the pairs in the span, not the acquisition length.  A span of
+    more than _MAX_BINS bins is searched at a widened bin, then refined at the
+    coarse bin over one wide bin either side.  Raises NoPeakError unless the
+    fullest bin is a 5 sigma Poisson excess over the mean of the others, the
+    number of bins being the trials factor.
     """
-    tags_a = _nonempty(a, "a")
-    tags_b = _nonempty(b, "b")
+    _nonempty(a, "a")
+    _nonempty(b, "b")
     if coarse_bin_ns <= 0 or search_span_ms <= 0:
         raise ParameterError("coarse_bin and search_span must be > 0")
-    coarse_bin_fs = int(round(coarse_bin_ns * FS_PER_NS))
+    coarse_bin_fs = max(1, int(round(coarse_bin_ns * FS_PER_NS)))
     span_fs = search_span_ms * FS_PER_MS
+    widen = -(-(2 * math.ceil(span_fs / coarse_bin_fs) + 1) // _MAX_BINS)
+    span_bins = max(1, math.ceil(span_fs / (widen * coarse_bin_fs)))
+    counts, stride = _strided_counts(a, b, 0, widen * coarse_bin_fs, span_bins)
 
-    t0 = int(min(tags_a[0], tags_b[0]))
-    t1 = int(max(tags_a[-1], tags_b[-1]))
-    duration_fs = max(t1 - t0, 1)
-
-    bin1_fs = max(coarse_bin_fs, -(-duration_fs // _MAX_COARSE_BINS))
-    nbins = duration_fs // bin1_fs + 1
-    span_bins = max(1, int(math.ceil(span_fs / bin1_fs)))
-
-    ha = np.bincount((tags_a - t0) // bin1_fs, minlength=nbins).astype(np.float64)
-    hb = np.bincount((tags_b - t0) // bin1_fs, minlength=nbins).astype(np.float64)
-    n_fft = next_fast_len(int(nbins + span_bins + 1))
-    corr = irfft(np.conj(rfft(ha, n_fft)) * rfft(hb, n_fft), n_fft)
-
-    lags = np.arange(-span_bins, span_bins + 1)
-    vals = corr[np.mod(lags, n_fft)]
-    peak = float(vals.max())
-    if peak < float(vals.mean()) + 5.0 * float(vals.std()):
+    top = int(np.argmax(counts))
+    peak = int(counts[top])
+    mean = (counts.sum() - peak) / (counts.size - 1)
+    p = min(1.0, counts.size * float(pdtrc(peak - 1, mean))) if peak else 1.0
+    if p > _FALSE_PEAK_P:
         raise NoPeakError(
-            "no significant coincidence peak within +/- %.3f ms" % search_span_ms
+            f"no significant coincidence peak within +/- {search_span_ms:.3f} ms: "
+            f"fullest bin {peak} pairs against a mean of {mean:.3g} over "
+            f"{counts.size} bins (stride {stride}), trials-corrected p = {p:.3g}"
         )
-    est_fs = int(lags[int(np.argmax(vals))]) * bin1_fs
-
-    if bin1_fs <= coarse_bin_fs:
+    est_fs = (top - span_bins) * widen * coarse_bin_fs
+    if widen == 1:
         return est_fs
-
-    # Refine to the requested coarse bin with a fine histogram over one FFT
-    # bin either side: a pair counted at lag k has |diff - k*bin1| < bin1, so
-    # the window holds every pair behind the FFT peak.  Bins are centred on
-    # multiples of the coarse bin so that a constructed shift (or identical
-    # streams) is recovered exactly.
-    half = int(math.ceil(bin1_fs / coarse_bin_fs)) + 1
-    coarse_bin_ps = coarse_bin_fs / FS_PER_PS
-    refine = fine_histogram(a, b, est_fs, coarse_bin_ps, (half + 0.5) * coarse_bin_ps)
-    if refine.total_pairs == 0:
-        raise NoPeakError("no tag pairs near the coarse correlation peak")
-    return est_fs + (int(np.argmax(refine.counts)) - half) * coarse_bin_fs
+    counts, _ = _strided_counts(a, b, est_fs, coarse_bin_fs, widen)
+    return est_fs + (int(np.argmax(counts)) - widen) * coarse_bin_fs
 
 
 def g2_normalize(

@@ -92,18 +92,46 @@ class TestCorrelateAnalyze:
         assert "no peak" in capsys.readouterr().err
 
 
-class TestWasak:
-    @pytest.fixture(scope="class")
-    def tag_files(self, sim_dir):
-        """Jitter-floor (before) and 62 km / 7.47 km (after) tag file paths."""
-        cfg_path = sim_dir / "disp.cfg"
-        cfg_path.write_text(dump_config(presets.fig2d_config(duration_s=2.0)))
-        rc = main(["simulate", "--config", str(cfg_path), "--out", str(sim_dir / "disp"),
-                   "--seed", "7"])
-        assert rc == 0
-        return [str(sim_dir / name) for name in ("run_a.tags", "run_b.tags",
-                                                 "disp_a.tags", "disp_b.tags")]
+@pytest.fixture(scope="module")
+def tag_files(sim_dir):
+    """Jitter-floor (before) and 62 km / 7.47 km (after) tag file paths."""
+    cfg_path = sim_dir / "disp.cfg"
+    cfg_path.write_text(dump_config(presets.fig2d_config(duration_s=2.0)))
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(sim_dir / "disp"),
+               "--seed", "7"])
+    assert rc == 0
+    return [str(sim_dir / name) for name in ("run_a.tags", "run_b.tags",
+                                             "disp_a.tags", "disp_b.tags")]
 
+
+def _loopback(tag_paths, out, *flags):
+    """Run a terminal with the given flags on a free port and send it each
+    tag file from a site; return the sites' and the terminal's exit codes."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    result = {}
+
+    def run_terminal():
+        result["rc"] = main(["terminal", "--port", str(port), "--out", str(out), *flags])
+
+    t = threading.Thread(target=run_terminal)
+    t.start()
+    sites = []
+    for path in tag_paths:
+        # retry the first send until the terminal socket is listening
+        for _ in range(50 if not sites else 1):
+            rc = main(["site", "--terminal", f"127.0.0.1:{port}", "--tags", str(path)])
+            if rc == 0:
+                break
+            time.sleep(0.1)
+        sites.append(rc)
+    t.join(timeout=60)
+    assert not t.is_alive()
+    return sites, result["rc"]
+
+
+class TestWasak:
     def test_verdict_printed(self, tag_files, capsys):
         capsys.readouterr()
         rc = main(["wasak", *tag_files, "--window-ps", "4000"])
@@ -133,33 +161,20 @@ class TestReproduce:
 
 class TestTransport:
     def test_site_terminal_loopback(self, sim_dir, tmp_path):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        result = {}
-
-        def run_terminal():
-            result["rc"] = main(["terminal", "--port", str(port),
-                                 "--out", str(tmp_path / "term")])
-
-        t = threading.Thread(target=run_terminal)
-        t.start()
-        # retry the first send until the terminal socket is listening
-        rc = 5
-        for _ in range(50):
-            rc = main(["site", "--terminal", f"127.0.0.1:{port}",
-                       "--tags", str(sim_dir / "run_a.tags")])
-            if rc == 0:
-                break
-            time.sleep(0.1)
+        sites, rc = _loopback([sim_dir / "run_a.tags", sim_dir / "run_b.tags"],
+                              tmp_path / "term")
+        assert sites == [0, 0]
         assert rc == 0
-        assert main(["site", "--terminal", f"127.0.0.1:{port}",
-                     "--tags", str(sim_dir / "run_b.tags")]) == 0
-        t.join(timeout=60)
-        assert result["rc"] == 0
         assert (tmp_path / "term_hist.csv").exists()
         back = tagio.read_tags(tmp_path / "term_a.tags")
         assert back == tagio.read_tags(sim_dir / "run_a.tags")
+
+    def test_terminal_search_span_applied(self, tag_files, tmp_path, capsys):
+        # The dispersed pair's offset is -266 us, outside a 0.1 ms search span.
+        sites, rc = _loopback(tag_files[2:], tmp_path / "term", "--search-span-ms", "0.1")
+        assert sites == [0, 0]
+        assert rc == 3
+        assert "no peak" in capsys.readouterr().err
 
     def test_malformed_stream_exit_2(self, tmp_path, capsys):
         with socket.socket() as probe:

@@ -1,6 +1,7 @@
 """Correlator tests against an all-pairs brute-force oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,18 +160,85 @@ class TestCoarseOffset:
         assert abs(recovered - offset_fs) <= 10**6  # +- one 1 ns coarse bin
 
     def test_shift_anywhere_in_fft_bin_recovered(self):
-        # 5 s spans make the FFT bin about 1.19 us, so the offset is refined
-        # from a lag that may sit up to one FFT bin either side of it
+        # Offsets off the 1 ns grid, within +/- 5 us: the coarse bins are
+        # centred on multiples of 1 ns, so each comes back within half a bin.
+        # (The name recalls the FFT bin of about 1.19 us this once spanned.)
         rng = np.random.default_rng(8)
         a = poisson_stream(rng, 12000, 5.0)
         for offset_fs in rng.integers(-5 * 10**9, 5 * 10**9, 12).tolist():
             b = make_stream(a.tags + offset_fs, span=a.acquisition_span_fs + abs(offset_fs))
             assert abs(coarse_offset(a, b) - offset_fs) <= 10**6
 
+    @settings(max_examples=25, deadline=None)
+    @given(offset_fs=st.integers(-(10**12), 10**12))
+    def test_strided_matches_full_enumeration(self, offset_fs):
+        rng = np.random.default_rng(9)
+        a = poisson_stream(rng, 12000, 1.0)
+        noise = poisson_stream(rng, 12000, 1.0).tags
+        b = make_stream(np.concatenate([a.tags + offset_fs, noise]),
+                        span=a.acquisition_span_fs + abs(offset_fs))
+        full = coarse_offset(a, b)
+        sources = []
+        histogram = correlate.fine_histogram
+
+        def spy(a, *args):
+            sources.append(len(a))
+            return histogram(a, *args)
+
+        # about 5.8e5 expected pairs against a budget of 2^14: stride 36
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlate, "_PAIR_BUDGET", 1 << 14)
+            mp.setattr(correlate, "fine_histogram", spy)
+            assert coarse_offset(a, b) == full
+        assert sources[0] < len(a) // 30
+        assert abs(full - offset_fs) <= 5 * 10**5
+
     def test_independent_streams_no_peak(self):
+        # 1 ns bins over +/- 1 ms hold about 0.7 accidentals each: the
+        # fullest of 2e6 such bins is far above mean + 5 std, yet no peak.
+        for seed in (5, 15, 25, 35, 45):
+            rng = np.random.default_rng(seed)
+            a = poisson_stream(rng, 12000, 5.0, site_id=0)
+            b = poisson_stream(rng, 12000, 5.0, site_id=1)
+            with pytest.raises(NoPeakError):
+                coarse_offset(a, b)
+
+    def test_no_peak_message_explains(self):
         rng = np.random.default_rng(5)
         a = poisson_stream(rng, 12000, 5.0, site_id=0)
         b = poisson_stream(rng, 12000, 5.0, site_id=1)
+        with pytest.raises(NoPeakError) as info:
+            coarse_offset(a, b)
+        message = str(info.value)
+        assert "+/- 1.000 ms" in message
+        assert "over 2000001 bins (stride 1)" in message
+        m = re.search(r"fullest bin (\d+) pairs against a mean of ([\d.]+) .*"
+                      r"trials-corrected p = ([\d.e+-]+)", message)
+        assert m is not None, message
+        peak, mean, p = int(m.group(1)), float(m.group(2)), float(m.group(3))
+        assert mean == pytest.approx(len(a) * len(b) * 1e-9 / 5.0, rel=0.02)
+        assert peak > mean + 5 * math.sqrt(mean)
+        assert 2.87e-7 < p <= 1.0
+
+    def test_weak_signal_recovered(self):
+        # 0.5 % of b's tags are copies of a's at the offset; the rest are
+        # an independent stream of the same rate.
+        rng = np.random.default_rng(10)
+        a = poisson_stream(rng, 12000, 5.0)
+        offset_fs = 123_456_789_012
+        shared = rng.choice(a.tags, 300, replace=False) + offset_fs
+        noise = poisson_stream(rng, 12000, 5.0).tags
+        b = make_stream(np.concatenate([noise, shared]), span=a.acquisition_span_fs)
+        assert abs(coarse_offset(a, b) - offset_fs) <= 10**6
+
+    def test_large_span_refined_to_coarse_bin(self):
+        # +/- 10 ms at 1 ns needs 2e7 bins: searched at a 5 ns bin, then
+        # refined at 1 ns around the peak.
+        rng = np.random.default_rng(11)
+        a = poisson_stream(rng, 12000, 5.0)
+        offset_fs = 5 * 10**12 + 2_345_678
+        b = make_stream(a.tags + offset_fs, span=a.acquisition_span_fs + offset_fs)
+        assert abs(coarse_offset(a, b, search_span_ms=10.0) - offset_fs) <= 10**6
         with pytest.raises(NoPeakError):
             coarse_offset(a, b)
 
