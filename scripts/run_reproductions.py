@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Run every headline-result preset and print the pass/fail reports.
+"""Run every headline-result preset on each seed and print pass/fail.
 
-Exits nonzero if any reproduction misses its target, so this doubles as a
-quick end-to-end check after changing the simulation or analysis code.
+Prints one PASS/FAIL line per target and seed, the full report of each
+failure, and the number of failures; exits nonzero if any reproduction misses
+its target, so this doubles as an end-to-end check after changing the
+simulation or analysis code (e.g. ``--seed 0 1 2 3 4 5 6 7 8 9``).
 """
 
 import argparse
@@ -14,21 +16,26 @@ from ndcsim.reproduce import TARGETS, reproduce
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, nargs="+", default=[0])
     parser.add_argument("--scale", type=float, default=1.0,
                         help="acquisition-time multiplier (1.0 = 5 s per run)")
     parser.add_argument("--targets", nargs="*", default=sorted(TARGETS))
     args = parser.parse_args()
 
-    all_ok = True
+    failures = 0
     for target in args.targets:
-        t0 = time.perf_counter()
-        report = reproduce(target, seed=args.seed, scale=args.scale)
-        elapsed = time.perf_counter() - t0
-        print(f"{report.text()}\n  ({elapsed:.1f} s)\n")
-        all_ok = all_ok and report.passed
-    print("all reproductions passed" if all_ok else "SOME REPRODUCTIONS FAILED")
-    return 0 if all_ok else 1
+        for seed in args.seed:
+            t0 = time.perf_counter()
+            report = reproduce(target, seed=seed, scale=args.scale)
+            elapsed = time.perf_counter() - t0
+            print(f"{'PASS' if report.passed else 'FAIL'} {target} seed {seed} ({elapsed:.1f} s)",
+                  flush=True)
+            if not report.passed:
+                failures += 1
+                print(report.text())
+    runs = len(args.targets) * len(args.seed)
+    print(f"{failures} of {runs} reproductions failed")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -46,14 +46,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _read(reader, path):
+    """reader(path); a missing, unreadable or non-numeric file is exit 2."""
+    try:
+        return reader(path)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read {path}: {exc}") from exc
+
+
 def _measure(args, a, b):
-    """Measure the peak of two streams with every binning flag applied."""
-    return measure_peak(a, b, args.bin_ps, args.window_ps, args.coarse_bin_ns,
-                        args.search_span_ms)
+    """Measure the peak of two streams with every search flag applied."""
+    return measure_peak(a, b, args.coarse_bin_ns, args.search_span_ms)
 
 
 def _measure_files(args, path_a, path_b):
-    return _measure(args, tagio.read_tags(path_a), tagio.read_tags(path_b))
+    return _measure(args, _read(tagio.read_tags, path_a), _read(tagio.read_tags, path_b))
 
 
 def _report_peak(meas, csv_path) -> int:
@@ -71,7 +78,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    print(fit_report_text(fit_gaussian(read_histogram_csv(args.histogram))))
+    print(fit_report_text(fit_gaussian(_read(read_histogram_csv, args.histogram))))
     return 0
 
 
@@ -91,7 +98,9 @@ def cmd_reproduce(args) -> int:
 
 def cmd_site(args) -> int:
     host, _, port = args.terminal.rpartition(":")
-    stream = tagio.read_tags(args.tags)
+    if not port.isdigit() or int(port) > 65535:
+        raise ParameterError(f"--terminal must be host:port, got {args.terminal!r}")
+    stream = _read(tagio.read_tags, args.tags)
     tagio.send_to_terminal(stream, (host or "127.0.0.1", int(port)))
     print(f"sent {len(stream)} tags from site {stream.site_id}")
     return 0
@@ -113,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_binning(p):
-        p.add_argument("--bin-ps", type=float, default=8.0, help="fine histogram bin width")
-        p.add_argument("--window-ps", type=float, default=2000.0, help="half-width of the histogram window")
         p.add_argument("--coarse-bin-ns", type=float, default=1.0)
         p.add_argument("--search-span-ms", type=float, default=1.0)
 

@@ -2,9 +2,9 @@
 
 One two-pointer kernel histograms the pair differences within a window: first
 over +/- the search span at a coarse bin, to recover the unknown relative
-offset (group delays displace the peak by hundreds of microseconds), then at
-picosecond bins around it.  The cost is O(|a| log |b|) plus the pairs in the
-window, never O(|a|*|b|); the coarse pass strides a's tags to bound the pairs.
+offset (group delays displace the peak by hundreds of microseconds) and its
+width, then at picosecond bins around it.  The cost is O(|a| log |b|) plus the
+pairs in the window, never O(|a|*|b|); all but the reported pass stride a.
 """
 
 from __future__ import annotations
@@ -129,13 +129,14 @@ def fine_histogram(
     return Histogram(bin_width_ps=bin_width_ps, origin_ps=-window_ps, counts=counts)
 
 
-def _strided_counts(a: TagStream, b: TagStream, center_fs: int, bin_fs: int, span_bins: int):
+def strided_counts(a: TagStream, b: TagStream, center_fs: int, bin_fs: int, span_bins: int):
     """Counts of t_b - t_a - center in 2*span_bins + 1 bins centred on multiples
     of bin_fs, from every stride-th tag of a, and the stride.  The stride keeps
-    the expected pairs, |a| * rate_b * window / stride, within _PAIR_BUDGET."""
+    the expected pairs, accidentals plus one true partner per tag of a, within
+    _PAIR_BUDGET."""
     window_fs = (2 * span_bins + 1) * bin_fs
     rate_b = len(b) / max(int(b.tags[-1] - b.tags[0]), 1)
-    stride = max(1, math.ceil(len(a) * min(len(b), rate_b * window_fs) / _PAIR_BUDGET))
+    stride = max(1, math.ceil(len(a) * (min(len(b), rate_b * window_fs) + 1) / _PAIR_BUDGET))
     bin_ps = bin_fs / FS_PER_PS
     h = fine_histogram(replace(a, tags=a.tags[::stride]), b, center_fs, bin_ps,
                        (span_bins + 0.5) * bin_ps)
@@ -147,12 +148,13 @@ def coarse_offset(
     b: TagStream,
     coarse_bin_ns: float = 1.0,
     search_span_ms: float = 1.0,
-) -> int:
-    """Recover the relative offset t_b - t_a of the coincidence peak (fs).
+) -> tuple[int, int]:
+    """Recover the offset t_b - t_a of the coincidence peak and its width (fs).
 
     Histograms the pair differences within +/- search_span at the coarse bin
-    (see _strided_counts) and returns the centre of the fullest bin, at a cost
-    that tracks the pairs in the span, not the acquisition length.  A span of
+    (see strided_counts), at a cost that tracks the pairs in the span, not the
+    acquisition length: the offset is the centre of the fullest bin, the width
+    the run of bins around it holding at least (peak + mean) / 2.  A span of
     more than _MAX_BINS bins is searched at a widened bin, then refined at the
     coarse bin over one wide bin either side.  Raises NoPeakError unless the
     fullest bin is a 5 sigma Poisson excess over the mean of the others, the
@@ -166,7 +168,7 @@ def coarse_offset(
     span_fs = search_span_ms * FS_PER_MS
     widen = -(-(2 * math.ceil(span_fs / coarse_bin_fs) + 1) // _MAX_BINS)
     span_bins = max(1, math.ceil(span_fs / (widen * coarse_bin_fs)))
-    counts, stride = _strided_counts(a, b, 0, widen * coarse_bin_fs, span_bins)
+    counts, stride = strided_counts(a, b, 0, widen * coarse_bin_fs, span_bins)
 
     top = int(np.argmax(counts))
     peak = int(counts[top])
@@ -179,10 +181,17 @@ def coarse_offset(
             f"{counts.size} bins (stride {stride}), trials-corrected p = {p:.3g}"
         )
     est_fs = (top - span_bins) * widen * coarse_bin_fs
-    if widen == 1:
-        return est_fs
-    counts, _ = _strided_counts(a, b, est_fs, coarse_bin_fs, widen)
-    return est_fs + (int(np.argmax(counts)) - widen) * coarse_bin_fs
+    if widen > 1:
+        counts, fine_stride = strided_counts(a, b, est_fs, coarse_bin_fs, widen)
+        mean *= stride / (fine_stride * widen)  # per coarse bin at the new stride
+        top = int(np.argmax(counts))
+        est_fs += (top - widen) * coarse_bin_fs
+    lo, hi, half = top, top + 1, (counts[top] + mean) / 2
+    while lo > 0 and counts[lo - 1] >= half:
+        lo -= 1
+    while hi < counts.size and counts[hi] >= half:
+        hi += 1
+    return est_fs, (hi - lo) * coarse_bin_fs
 
 
 def g2_normalize(

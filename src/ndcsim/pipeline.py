@@ -8,10 +8,11 @@ import numpy as np
 
 from .analyze import GaussianFit, fit_gaussian
 from .config import ExperimentConfig
-from .correlate import Histogram, coarse_offset, fine_histogram, g2_normalize
-from .presets import suggested_binning
+from .correlate import Histogram, coarse_offset, fine_histogram, g2_normalize, strided_counts
 from .simulate import generate_pairs, simulate_arm
 from .streams import TagStream
+
+_SEED_BINS = 250  # seed-pass bins either side of the coarse offset
 
 
 @dataclass(frozen=True)
@@ -37,18 +38,19 @@ def run_simulation(cfg: ExperimentConfig, seed: int) -> tuple[TagStream, TagStre
 def measure_peak(
     a: TagStream,
     b: TagStream,
-    bin_width_ps: float = 8.0,
-    window_ps: float = 2000.0,
     coarse_bin_ns: float = 1.0,
     search_span_ms: float = 1.0,
 ) -> PeakMeasurement:
     """Recover the stream offset, histogram the coincidences and fit the peak.
 
-    The histogram is then recomputed once with the bin width set to about a
-    tenth of the fitted FWHM and the window recentred on the peak.
+    A strided seed pass over +/- (2 * coarse width + coarse bin) fits the peak;
+    only the reported histogram, a tenth of that FWHM per bin, takes every pair.
     """
-    offset = coarse_offset(a, b, coarse_bin_ns, search_span_ms)
-    fit = fit_gaussian(fine_histogram(a, b, offset, bin_width_ps, window_ps))
+    offset, width_fs = coarse_offset(a, b, coarse_bin_ns, search_span_ms)
+    half_fs = 2 * width_fs + coarse_bin_ns * 1e6
+    seed_bin_fs = max(int(half_fs / _SEED_BINS), a.resolution_fs)
+    counts, _ = strided_counts(a, b, offset, seed_bin_fs, _SEED_BINS)
+    fit = fit_gaussian(Histogram(seed_bin_fs / 1e3, -(_SEED_BINS + 0.5) * seed_bin_fs / 1e3, counts))
     fwhm = fit.fwhm_ps
     bin_ps = max(fwhm / 10.0, a.resolution_fs / 1e3)
     offset += int(round(fit.center_ps * 1e3))
@@ -61,7 +63,4 @@ def measure_peak(
 
 def measure_config_peak(cfg: ExperimentConfig, seed: int) -> PeakMeasurement:
     """Simulate a configuration and measure its coincidence peak."""
-    a, b = run_simulation(cfg, seed)
-    bin_ps, window_ps = suggested_binning(cfg)
-    return measure_peak(a, b, bin_ps, window_ps)
-
+    return measure_peak(*run_simulation(cfg, seed))

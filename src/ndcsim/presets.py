@@ -132,11 +132,3 @@ def predicted_pair_variance_ps2(cfg: ExperimentConfig) -> float:
     jitter = (cfg.detector_a.jitter_sigma_fs**2 + cfg.detector_b.jitter_sigma_fs**2) / 1e6
     return var_source + jitter
 
-
-def suggested_binning(cfg: ExperimentConfig) -> tuple[float, float]:
-    """(bin_width_ps, window_ps) sized from the predicted peak width."""
-    fwhm = model.FWHM_PER_SIGMA * math.sqrt(predicted_pair_variance_ps2(cfg))
-    bin_ps = max(fwhm / 10.0, 1.0)
-    window_ps = max(4.0 * fwhm, 2000.0)
-    return bin_ps, window_ps
-

@@ -165,7 +165,7 @@ def test_09_offset_recovery():
         sa = TagStream(base, 1000, 0, 5 * 10**15)
         for off in offsets:
             sb = TagStream(base + off, 1000, 1, 5 * 10**15 + abs(off))
-            err = abs(coarse_offset(sa, sb) - off)
+            err = abs(coarse_offset(sa, sb)[0] - off)
             worst = max(worst, err)
     verdict(worst <= 10**6, "9 offset recovery",
             f"worst error {worst} fs over 3 seeds x 5 offsets (allow 1 ns)")
@@ -180,7 +180,7 @@ def test_10_performance():
     sa = TagStream(base, 1000, 0, span)
     sb = TagStream(np.sort(base + jitter + 10**9), 1000, 1, span + 2 * 10**9)
     t0 = time.perf_counter()
-    offset = coarse_offset(sa, sb)
+    offset, _ = coarse_offset(sa, sb)
     fine_histogram(sa, sb, offset, bin_width_ps=8.0, window_ps=2000.0)
     correlate_s = time.perf_counter() - t0
 
@@ -196,7 +196,7 @@ def test_10_performance():
 
 def test_11_networked_equivalence(fig2a_meas, fig2d_meas):
     before_a, before_b = run_simulation(presets.fig2a_config(), seed=0)
-    offline = measure_peak(before_a, before_b, 4.0, 2000.0)
+    offline = measure_peak(before_a, before_b)
 
     terminal = tagio.Terminal()
     port = terminal.port
@@ -213,7 +213,7 @@ def test_11_networked_equivalence(fig2a_meas, fig2d_meas):
 
     rx_a, rx_b = collected[0], collected[1]
     assert rx_a == before_a and rx_b == before_b
-    networked = measure_peak(rx_a, rx_b, 4.0, 2000.0)
+    networked = measure_peak(rx_a, rx_b)
     same_hist = (np.array_equal(networked.histogram.counts, offline.histogram.counts)
                  and networked.offset_fs == offline.offset_fs)
 

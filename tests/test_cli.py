@@ -82,6 +82,32 @@ class TestCorrelateAnalyze:
         assert rc == 2
         assert "bad tag data" in capsys.readouterr().err
 
+    def test_positive_mode_exit_0(self, tmp_path, capsys):
+        # A classical peak of about 5 ns: the histogram is sized from it.
+        cfg_path = tmp_path / "positive.cfg"
+        cfg_path.write_text(dump_config(presets.fig2d_config(mode="positive", duration_s=2.0)))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "pos")]) == 0
+        rc = main(["correlate", str(tmp_path / "pos_a.tags"), str(tmp_path / "pos_b.tags")])
+        assert rc == 0
+        assert "fwhm_ps" in capsys.readouterr().out
+
+    def test_missing_tag_file_exit_2(self, sim_dir, tmp_path, capsys):
+        rc = main(["correlate", str(sim_dir / "run_a.tags"), str(tmp_path / "absent.tags")])
+        assert rc == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_analyze_missing_csv_exit_2(self, tmp_path, capsys):
+        rc = main(["analyze", str(tmp_path / "absent.csv")])
+        assert rc == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_analyze_non_numeric_csv_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("bin_center_ps,counts,g2_normalized\n1.0,x,1\n2.0,3,1\n")
+        rc = main(["analyze", str(bad)])
+        assert rc == 2
+        assert "cannot read" in capsys.readouterr().err
+
     def test_independent_streams_exit_3(self, sim_dir, tmp_path, capsys):
         rc = main(["simulate", "--config", str(sim_dir / "run.cfg"),
                    "--out", str(tmp_path / "other"), "--seed", "8"])
@@ -134,15 +160,20 @@ def _loopback(tag_paths, out, *flags):
 class TestWasak:
     def test_verdict_printed(self, tag_files, capsys):
         capsys.readouterr()
-        rc = main(["wasak", *tag_files, "--window-ps", "4000"])
+        rc = main(["wasak", *tag_files])
         assert rc == 0
         out = capsys.readouterr().out
         assert "W = " in out
         assert "violated = true" in out
 
+    def test_missing_tag_file_exit_2(self, tag_files, tmp_path, capsys):
+        rc = main(["wasak", *tag_files[:3], str(tmp_path / "absent.tags")])
+        assert rc == 2
+        assert "cannot read" in capsys.readouterr().err
+
     def test_search_span_applied(self, tag_files, capsys):
         # The dispersed pair's offset is -266 us, outside a 0.1 ms search span.
-        rc = main(["wasak", *tag_files, "--window-ps", "4000", "--search-span-ms", "0.1"])
+        rc = main(["wasak", *tag_files, "--search-span-ms", "0.1"])
         assert rc == 3
         assert "no peak" in capsys.readouterr().err
 
@@ -200,6 +231,16 @@ class TestTransport:
         t.join(timeout=60)
         assert result["rc"] == 2
         assert "past the header's 1 tags" in capsys.readouterr().err
+
+    def test_site_missing_tag_file_exit_2(self, tmp_path, capsys):
+        rc = main(["site", "--terminal", "127.0.0.1:1", "--tags", str(tmp_path / "absent.tags")])
+        assert rc == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_site_without_port_exit_2(self, sim_dir, capsys):
+        rc = main(["site", "--terminal", "localhost", "--tags", str(sim_dir / "run_a.tags")])
+        assert rc == 2
+        assert "invalid parameter: --terminal must be host:port" in capsys.readouterr().err
 
     def test_no_terminal_exit_5(self, sim_dir, capsys):
         with socket.socket() as probe:

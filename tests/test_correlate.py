@@ -149,15 +149,16 @@ class TestCoarseOffset:
     def test_identical_streams_zero(self):
         rng = np.random.default_rng(3)
         a = poisson_stream(rng, 12000, 5.0)
-        assert coarse_offset(a, a) == 0
+        assert coarse_offset(a, a)[0] == 0
 
     @pytest.mark.parametrize("offset_fs", [0, 10**9, -(10**9), 267 * 10**9, -267 * 10**9])
     def test_constructed_shift_recovered(self, offset_fs):
         rng = np.random.default_rng(4)
         a = poisson_stream(rng, 12000, 5.0)
         b = make_stream(a.tags + offset_fs, span=a.acquisition_span_fs + abs(offset_fs))
-        recovered = coarse_offset(a, b, coarse_bin_ns=1.0, search_span_ms=1.0)
+        recovered, width = coarse_offset(a, b, coarse_bin_ns=1.0, search_span_ms=1.0)
         assert abs(recovered - offset_fs) <= 10**6  # +- one 1 ns coarse bin
+        assert width == 10**6  # every pair lies in the one bin of the shift
 
     def test_shift_anywhere_in_fft_bin_recovered(self):
         # Offsets off the 1 ns grid, within +/- 5 us: the coarse bins are
@@ -167,7 +168,7 @@ class TestCoarseOffset:
         a = poisson_stream(rng, 12000, 5.0)
         for offset_fs in rng.integers(-5 * 10**9, 5 * 10**9, 12).tolist():
             b = make_stream(a.tags + offset_fs, span=a.acquisition_span_fs + abs(offset_fs))
-            assert abs(coarse_offset(a, b) - offset_fs) <= 10**6
+            assert abs(coarse_offset(a, b)[0] - offset_fs) <= 10**6
 
     @settings(max_examples=25, deadline=None)
     @given(offset_fs=st.integers(-(10**12), 10**12))
@@ -177,7 +178,7 @@ class TestCoarseOffset:
         noise = poisson_stream(rng, 12000, 1.0).tags
         b = make_stream(np.concatenate([a.tags + offset_fs, noise]),
                         span=a.acquisition_span_fs + abs(offset_fs))
-        full = coarse_offset(a, b)
+        full, _ = coarse_offset(a, b)
         sources = []
         histogram = correlate.fine_histogram
 
@@ -189,9 +190,19 @@ class TestCoarseOffset:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(correlate, "_PAIR_BUDGET", 1 << 14)
             mp.setattr(correlate, "fine_histogram", spy)
-            assert coarse_offset(a, b) == full
+            assert coarse_offset(a, b)[0] == full
         assert sources[0] < len(a) // 30
         assert abs(full - offset_fs) <= 5 * 10**5
+
+    def test_stride_counts_true_partners(self, monkeypatch):
+        # A 21 ps window holds almost no accidentals, but every tag of a has
+        # its true partner in it: 12000 expected pairs against a budget of 1000.
+        rng = np.random.default_rng(12)
+        a = poisson_stream(rng, 12000, 1.0)
+        monkeypatch.setattr(correlate, "_PAIR_BUDGET", 1000)
+        counts, stride = correlate.strided_counts(a, a, 0, 1000, 10)
+        assert stride == -(-len(a) // 1000)  # without the partner term: 1
+        assert counts[10] == counts.sum() == len(a.tags[::stride])
 
     def test_independent_streams_no_peak(self):
         # 1 ns bins over +/- 1 ms hold about 0.7 accidentals each: the
@@ -229,7 +240,7 @@ class TestCoarseOffset:
         shared = rng.choice(a.tags, 300, replace=False) + offset_fs
         noise = poisson_stream(rng, 12000, 5.0).tags
         b = make_stream(np.concatenate([noise, shared]), span=a.acquisition_span_fs)
-        assert abs(coarse_offset(a, b) - offset_fs) <= 10**6
+        assert abs(coarse_offset(a, b)[0] - offset_fs) <= 10**6
 
     def test_large_span_refined_to_coarse_bin(self):
         # +/- 10 ms at 1 ns needs 2e7 bins: searched at a 5 ns bin, then
@@ -238,7 +249,9 @@ class TestCoarseOffset:
         a = poisson_stream(rng, 12000, 5.0)
         offset_fs = 5 * 10**12 + 2_345_678
         b = make_stream(a.tags + offset_fs, span=a.acquisition_span_fs + offset_fs)
-        assert abs(coarse_offset(a, b, search_span_ms=10.0) - offset_fs) <= 10**6
+        recovered, width = coarse_offset(a, b, search_span_ms=10.0)
+        assert abs(recovered - offset_fs) <= 10**6
+        assert width == 10**6  # measured at the coarse bin, not the widened one
         with pytest.raises(NoPeakError):
             coarse_offset(a, b)
 

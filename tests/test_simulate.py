@@ -286,7 +286,8 @@ class TestMarking:
     def test_matches_per_pair_oracle(self):
         cfg = self.CFG
         offset = int(round(cfg.dcf.group_delay_fs - cfg.smf.group_delay_fs))
-        bin_ps, window_ps = presets.suggested_binning(cfg)
+        fwhm = model.FWHM_PER_SIGMA * math.sqrt(presets.predicted_pair_variance_ps2(cfg))
+        bin_ps, window_ps = max(fwhm / 10.0, 1.0), max(4.0 * fwhm, 2000.0)
         totals = {"marked": np.zeros(3), "oracle": np.zeros(3)}
         fwhm = {"marked": [], "oracle": []}
         for seed in self.SEEDS:
