@@ -187,22 +187,13 @@ def fit_linear(points: Sequence[tuple[float, float, float]]) -> LinearFit:
     x, y, yerr = pts[:, 0], pts[:, 1], pts[:, 2]
     if np.unique(x).size < 2:
         raise ParameterError("need >= 2 distinct abscissae")
-    w = np.where(yerr > 0, 1.0 / np.maximum(yerr, 1e-300) ** 2, 1.0)
-    sw = w.sum()
-    sx = (w * x).sum()
-    sy = (w * y).sum()
-    sxx = (w * x * x).sum()
-    sxy = (w * x * y).sum()
-    delta = sw * sxx - sx * sx
-    slope = (sw * sxy - sx * sy) / delta
-    intercept = (sxx * sy - sx * sxy) / delta
-    slope_err = math.sqrt(sw / delta)
-    intercept_err = math.sqrt(sxx / delta)
+    w = np.divide(1.0, yerr, out=np.ones_like(yerr), where=yerr > 0)
+    (slope, intercept), cov = np.polyfit(x, y, 1, w=w, cov="unscaled")
     return LinearFit(
         slope=float(slope),
-        slope_err=float(slope_err),
+        slope_err=math.sqrt(cov[0, 0]),
         intercept=float(intercept),
-        intercept_err=float(intercept_err),
+        intercept_err=math.sqrt(cov[1, 1]),
         dof=int(x.size - 2),
     )
 

@@ -24,8 +24,7 @@ EXIT_FIT_FAILED = 4
 EXIT_TRANSPORT = 5
 
 
-def _write_manifest(path, cfg, seed, extra):
-    manifest = {"seed": seed, "config": cfg.manifest(), **extra}
+def _write_manifest(manifest, path):
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -36,12 +35,11 @@ def cmd_simulate(args) -> int:
     a, b = run_simulation(cfg, args.seed)
     path_a = f"{args.out}_a.tags"
     path_b = f"{args.out}_b.tags"
-    tagio.write_tags(a, path_a)
-    tagio.write_tags(b, path_b)
-    _write_manifest(
-        f"{args.out}_manifest.json", cfg, args.seed,
-        {"files": {"a": path_a, "b": path_b}, "tags": {"a": len(a), "b": len(b)}},
-    )
+    _write(tagio.write_tags, a, path_a)
+    _write(tagio.write_tags, b, path_b)
+    manifest = {"seed": args.seed, "config": cfg.manifest(),
+                "files": {"a": path_a, "b": path_b}, "tags": {"a": len(a), "b": len(b)}}
+    _write(_write_manifest, manifest, f"{args.out}_manifest.json")
     print(f"wrote {path_a} ({len(a)} tags), {path_b} ({len(b)} tags)")
     return 0
 
@@ -54,9 +52,17 @@ def _read(reader, path):
         raise ParameterError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(writer, data, path, *rest):
+    """writer(data, path, *rest); a path that cannot be written is exit 2."""
+    try:
+        writer(data, path, *rest)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
+
+
 def _measure(args, a, b):
-    """Measure the peak of two streams with every search flag applied."""
-    return measure_peak(a, b, args.coarse_bin_ns, args.search_span_ms)
+    """Measure the peak of two streams with the search span applied."""
+    return measure_peak(a, b, args.search_span_ms)
 
 
 def _measure_files(args, path_a, path_b):
@@ -68,7 +74,7 @@ def _report_peak(meas, csv_path) -> int:
     print(f"recovered_offset_fs = {meas.offset_fs}")
     print(fit_report_text(meas.fit))
     if csv_path:
-        write_histogram_csv(meas.histogram, csv_path, meas.g2)
+        _write(write_histogram_csv, meas.histogram, csv_path, meas.g2)
         print(f"histogram -> {csv_path}")
     return 0
 
@@ -113,7 +119,7 @@ def cmd_terminal(args) -> int:
     ids = sorted(streams)
     a, b = streams[ids[0]], streams[ids[1]]
     for suffix, stream in (("a", a), ("b", b)):
-        tagio.write_tags(stream, f"{args.out}_{suffix}.tags")
+        _write(tagio.write_tags, stream, f"{args.out}_{suffix}.tags")
     return _report_peak(_measure(args, a, b), f"{args.out}_hist.csv")
 
 
@@ -121,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ndcsim")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_binning(p):
-        p.add_argument("--coarse-bin-ns", type=float, default=1.0)
+    def add_search_span(p):
         p.add_argument("--search-span-ms", type=float, default=1.0)
 
     p = sub.add_parser("simulate", help="simulate two tag streams from a config file")
@@ -134,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="correlate two tag files and fit the peak")
     p.add_argument("stream_a")
     p.add_argument("stream_b")
-    add_binning(p)
+    add_search_span(p)
     p.add_argument("--out", default=None, help="histogram CSV path")
     p.set_defaults(func=cmd_correlate)
 
@@ -149,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("after_b")
     p.add_argument("--two-beta-l", type=float, default=presets.wasak_two_beta_l_ps2(),
                    help="dispersion magnitude 2*beta*l in ps^2")
-    add_binning(p)
+    add_search_span(p)
     p.set_defaults(func=cmd_wasak)
 
     p = sub.add_parser("reproduce", help="run a headline-result preset end to end")
@@ -166,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("terminal", help="receive two site streams and correlate them")
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--out", required=True, help="output file prefix")
-    add_binning(p)
+    add_search_span(p)
     p.set_defaults(func=cmd_terminal)
 
     return parser

@@ -83,14 +83,14 @@ def _parse_section(parser: configparser.ConfigParser, name: str, cls):
     return cls(**values)
 
 
-def parse_config(text_or_path, from_string: bool = False) -> ExperimentConfig:
-    """Parse a configuration file (path) or literal text (from_string=True)."""
+def parse_config(source) -> ExperimentConfig:
+    """Parse a configuration; ``source`` is a path or a text file object."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        if from_string:
-            parser.read_string(text_or_path)
+        if hasattr(source, "read"):
+            parser.read_file(source)
         else:
-            with open(text_or_path) as f:
+            with open(source) as f:
                 parser.read_file(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc

@@ -1,10 +1,12 @@
 """Nonlocal coincidence detection over two independent tag streams.
 
 One two-pointer kernel histograms the pair differences within a window: first
-over +/- the search span at a coarse bin, to recover the unknown relative
+over +/- the search span at a fixed 1 ns bin, to recover the unknown relative
 offset (group delays displace the peak by hundreds of microseconds) and its
-width, then at picosecond bins around it.  The cost is O(|a| log |b|) plus the
-pairs in the window, never O(|a|*|b|); all but the reported pass stride a.
+width, then at picosecond bins sized from that width.  The one bin serves every
+peak: 27 times the 37.6 ps jitter floor, about a fifth of a 5 ns classical one.
+The cost is O(|a| log |b|) plus the pairs in the window, never O(|a|*|b|); all
+but the reported pass stride a.
 """
 
 from __future__ import annotations
@@ -19,12 +21,9 @@ from scipy.fft import rfft, irfft  # noqa: F401
 from scipy.special import pdtrc
 
 from .errors import NoPeakError, ParameterError
-from .streams import TagStream
+from .streams import FS_PER_MS, FS_PER_PS, TagStream
 
-FS_PER_PS = 1e3
-FS_PER_NS = 1e6
-FS_PER_MS = 1e12
-
+COARSE_BIN_FS = 10**6  # the offset search bin, 1 ns
 _PAIR_BUDGET = 1 << 22  # expected pairs per coarse pass; denser streams are strided
 _MAX_BINS = 1 << 22  # bins per coarse pass; a wider search span widens the bin
 _FALSE_PEAK_P = 2.87e-7  # a one-sided 5 sigma excess, trials factor included
@@ -130,45 +129,40 @@ def fine_histogram(
 
 
 def strided_counts(a: TagStream, b: TagStream, center_fs: int, bin_fs: int, span_bins: int):
-    """Counts of t_b - t_a - center in 2*span_bins + 1 bins centred on multiples
-    of bin_fs, from every stride-th tag of a, and the stride.  The stride keeps
-    the expected pairs, accidentals plus one true partner per tag of a, within
-    _PAIR_BUDGET."""
+    """Histogram of t_b - t_a - center in 2*span_bins + 1 bins centred on
+    multiples of bin_fs, from every stride-th tag of a, and the stride.  The
+    stride keeps the expected pairs, accidentals plus one true partner per tag
+    of a, within _PAIR_BUDGET."""
     window_fs = (2 * span_bins + 1) * bin_fs
     rate_b = len(b) / max(int(b.tags[-1] - b.tags[0]), 1)
     stride = max(1, math.ceil(len(a) * (min(len(b), rate_b * window_fs) + 1) / _PAIR_BUDGET))
     bin_ps = bin_fs / FS_PER_PS
     h = fine_histogram(replace(a, tags=a.tags[::stride]), b, center_fs, bin_ps,
                        (span_bins + 0.5) * bin_ps)
-    return h.counts, stride
+    return h, stride
 
 
-def coarse_offset(
-    a: TagStream,
-    b: TagStream,
-    coarse_bin_ns: float = 1.0,
-    search_span_ms: float = 1.0,
-) -> tuple[int, int]:
+def coarse_offset(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> tuple[int, int]:
     """Recover the offset t_b - t_a of the coincidence peak and its width (fs).
 
-    Histograms the pair differences within +/- search_span at the coarse bin
+    Histograms the pair differences within +/- search_span at COARSE_BIN_FS
     (see strided_counts), at a cost that tracks the pairs in the span, not the
     acquisition length: the offset is the centre of the fullest bin, the width
     the run of bins around it holding at least (peak + mean) / 2.  A span of
-    more than _MAX_BINS bins is searched at a widened bin, then refined at the
-    coarse bin over one wide bin either side.  Raises NoPeakError unless the
-    fullest bin is a 5 sigma Poisson excess over the mean of the others, the
-    number of bins being the trials factor.
+    more than _MAX_BINS bins is searched at a widened bin, then refined at
+    COARSE_BIN_FS over one wide bin either side.  Raises NoPeakError unless
+    the fullest bin is a 5 sigma Poisson excess over the mean of the others,
+    the number of bins being the trials factor.
     """
     _nonempty(a, "a")
     _nonempty(b, "b")
-    if coarse_bin_ns <= 0 or search_span_ms <= 0:
-        raise ParameterError("coarse_bin and search_span must be > 0")
-    coarse_bin_fs = max(1, int(round(coarse_bin_ns * FS_PER_NS)))
+    if search_span_ms <= 0:
+        raise ParameterError("search_span must be > 0")
     span_fs = search_span_ms * FS_PER_MS
-    widen = -(-(2 * math.ceil(span_fs / coarse_bin_fs) + 1) // _MAX_BINS)
-    span_bins = max(1, math.ceil(span_fs / (widen * coarse_bin_fs)))
-    counts, stride = strided_counts(a, b, 0, widen * coarse_bin_fs, span_bins)
+    widen = -(-(2 * math.ceil(span_fs / COARSE_BIN_FS) + 1) // _MAX_BINS)
+    span_bins = max(1, math.ceil(span_fs / (widen * COARSE_BIN_FS)))
+    h, stride = strided_counts(a, b, 0, widen * COARSE_BIN_FS, span_bins)
+    counts = h.counts
 
     top = int(np.argmax(counts))
     peak = int(counts[top])
@@ -180,18 +174,19 @@ def coarse_offset(
             f"fullest bin {peak} pairs against a mean of {mean:.3g} over "
             f"{counts.size} bins (stride {stride}), trials-corrected p = {p:.3g}"
         )
-    est_fs = (top - span_bins) * widen * coarse_bin_fs
+    est_fs = (top - span_bins) * widen * COARSE_BIN_FS
     if widen > 1:
-        counts, fine_stride = strided_counts(a, b, est_fs, coarse_bin_fs, widen)
+        h, fine_stride = strided_counts(a, b, est_fs, COARSE_BIN_FS, widen)
+        counts = h.counts
         mean *= stride / (fine_stride * widen)  # per coarse bin at the new stride
         top = int(np.argmax(counts))
-        est_fs += (top - widen) * coarse_bin_fs
+        est_fs += (top - widen) * COARSE_BIN_FS
     lo, hi, half = top, top + 1, (counts[top] + mean) / 2
     while lo > 0 and counts[lo - 1] >= half:
         lo -= 1
     while hi < counts.size and counts[hi] >= half:
         hi += 1
-    return est_fs, (hi - lo) * coarse_bin_fs
+    return est_fs, (hi - lo) * COARSE_BIN_FS
 
 
 def g2_normalize(
@@ -206,10 +201,9 @@ def g2_normalize(
 
 def write_histogram_csv(h: Histogram, path, g2: np.ndarray) -> None:
     """CSV with columns bin_center_ps, counts, g2_normalized."""
-    with open(path, "w") as f:
-        f.write("bin_center_ps,counts,g2_normalized\n")
-        for c, n, g in zip(h.bin_centers_ps, h.counts, g2):
-            f.write(f"{c:.6f},{int(n)},{g:.8g}\n")
+    np.savetxt(path, np.column_stack([h.bin_centers_ps, h.counts, g2]),
+               fmt=["%.6f", "%d", "%.8g"], delimiter=",",
+               header="bin_center_ps,counts,g2_normalized", comments="")
 
 
 def read_histogram_csv(path) -> Histogram:

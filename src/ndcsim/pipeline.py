@@ -8,9 +8,10 @@ import numpy as np
 
 from .analyze import GaussianFit, fit_gaussian
 from .config import ExperimentConfig
-from .correlate import Histogram, coarse_offset, fine_histogram, g2_normalize, strided_counts
+from .correlate import (COARSE_BIN_FS, Histogram, coarse_offset, fine_histogram, g2_normalize,
+                        strided_counts)
 from .simulate import generate_pairs, simulate_arm
-from .streams import TagStream
+from .streams import FS_PER_PS, TagStream
 
 _SEED_BINS = 250  # seed-pass bins either side of the coarse offset
 
@@ -35,25 +36,19 @@ def run_simulation(cfg: ExperimentConfig, seed: int) -> tuple[TagStream, TagStre
     return a, b
 
 
-def measure_peak(
-    a: TagStream,
-    b: TagStream,
-    coarse_bin_ns: float = 1.0,
-    search_span_ms: float = 1.0,
-) -> PeakMeasurement:
+def measure_peak(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> PeakMeasurement:
     """Recover the stream offset, histogram the coincidences and fit the peak.
 
-    A strided seed pass over +/- (2 * coarse width + coarse bin) fits the peak;
-    only the reported histogram, a tenth of that FWHM per bin, takes every pair.
+    A strided seed pass over +/- (2 * coarse width + COARSE_BIN_FS) fits the
+    peak; only the reported histogram, a tenth of that FWHM per bin, takes
+    every pair.
     """
-    offset, width_fs = coarse_offset(a, b, coarse_bin_ns, search_span_ms)
-    half_fs = 2 * width_fs + coarse_bin_ns * 1e6
-    seed_bin_fs = max(int(half_fs / _SEED_BINS), a.resolution_fs)
-    counts, _ = strided_counts(a, b, offset, seed_bin_fs, _SEED_BINS)
-    fit = fit_gaussian(Histogram(seed_bin_fs / 1e3, -(_SEED_BINS + 0.5) * seed_bin_fs / 1e3, counts))
+    offset, width_fs = coarse_offset(a, b, search_span_ms)
+    seed_bin_fs = max((2 * width_fs + COARSE_BIN_FS) // _SEED_BINS, a.resolution_fs)
+    fit = fit_gaussian(strided_counts(a, b, offset, seed_bin_fs, _SEED_BINS)[0])
     fwhm = fit.fwhm_ps
-    bin_ps = max(fwhm / 10.0, a.resolution_fs / 1e3)
-    offset += int(round(fit.center_ps * 1e3))
+    bin_ps = max(fwhm / 10.0, a.resolution_fs / FS_PER_PS)
+    offset += int(round(fit.center_ps * FS_PER_PS))
     hist = fine_histogram(a, b, offset, bin_ps, max(4.0 * fwhm, 10.0 * bin_ps))
     fit = fit_gaussian(hist)
     duration = max(a.duration_s, b.duration_s)

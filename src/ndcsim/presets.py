@@ -67,13 +67,12 @@ def preset_config(
     dcf: DispersionLeg,
     mode: str = "anti",
     duration_s: float = ACQUISITION_S,
-    target_rate_hz: float = TARGET_TAG_RATE_HZ,
 ) -> ExperimentConfig:
     """Build a configuration with both arms balanced to the target tag rate."""
     p_a = DETECTOR_EFFICIENCY * smf.survival_probability
     p_b = DETECTOR_EFFICIENCY * dcf.survival_probability
     p_min = min(p_a, p_b)
-    pair_rate = target_rate_hz / p_min
+    pair_rate = TARGET_TAG_RATE_HZ / p_min
     eff_a = DETECTOR_EFFICIENCY * p_min / p_a
     eff_b = DETECTOR_EFFICIENCY * p_min / p_b
     source = SourceParams(pair_rate_hz=pair_rate)

@@ -24,10 +24,8 @@ import numpy as np
 
 from .errors import ParameterError, TimestampRangeError
 from .model import FWHM_PER_SIGMA, DispersionLeg, SourceParams
-from .streams import TagStream
+from .streams import FS_PER_PS, FS_PER_S, TagStream
 
-FS_PER_PS = 1e3
-FS_PER_S = 1e15
 INT64_MAX = np.iinfo(np.int64).max
 
 CORRELATION_MODES = ("anti", "positive", "none")

@@ -8,6 +8,11 @@ import numpy as np
 
 from .errors import UnsortedTagsError
 
+# Tags are integer femtoseconds; these convert other units to that one.
+FS_PER_PS = 1e3
+FS_PER_MS = 1e12
+FS_PER_S = 1e15
+
 
 @dataclass(frozen=True)
 class TagStream:
@@ -43,7 +48,7 @@ class TagStream:
 
     @property
     def duration_s(self) -> float:
-        return self.acquisition_span_fs * 1e-15
+        return self.acquisition_span_fs / FS_PER_S
 
     def rate_hz(self) -> float:
         """Mean tag rate over the acquisition span."""

@@ -1,6 +1,7 @@
 """Fitting and witness-evaluation tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,15 @@ class TestFitLinear:
         pts = [(0.0, 0.0, 0.1), (1.0, 1.0, 0.1), (2.0, 2.0, 0.1), (3.0, 100.0, 1e6)]
         fit = fit_linear(pts)
         assert fit.slope == pytest.approx(1.0, abs=1e-3)
+
+    def test_zero_error_weighs_one(self):
+        # A zero error takes weight 1, as the errors of the other points do.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_linear([(0.0, 0.0, 0.0), (1.0, 2.0, 1.0), (2.0, 2.0, 1.0)])
+        assert fit.slope == pytest.approx(1.0)
+        assert fit.intercept == pytest.approx(1.0 / 3.0)
+        assert fit.slope_err == pytest.approx(math.sqrt(0.5))
 
 
 class TestDispersionFromSlope:

@@ -59,6 +59,12 @@ class TestSimulate:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_unwritable_out_exit_2(self, sim_dir, tmp_path, capsys):
+        rc = main(["simulate", "--config", str(sim_dir / "run.cfg"),
+                   "--out", str(tmp_path / "absent" / "x")])
+        assert rc == 2
+        assert "invalid parameter: cannot write" in capsys.readouterr().err
+
 
 class TestCorrelateAnalyze:
     def test_correlate_writes_histogram(self, sim_dir, capsys):
@@ -69,6 +75,12 @@ class TestCorrelateAnalyze:
         assert "recovered_offset_fs" in out
         assert "fwhm_ps" in out
         assert (sim_dir / "hist.csv").exists()
+
+    def test_unwritable_out_exit_2(self, sim_dir, tmp_path, capsys):
+        rc = main(["correlate", str(sim_dir / "run_a.tags"), str(sim_dir / "run_b.tags"),
+                   "--out", str(tmp_path / "absent" / "hist.csv")])
+        assert rc == 2
+        assert "invalid parameter: cannot write" in capsys.readouterr().err
 
     def test_analyze_histogram_csv(self, sim_dir, capsys):
         rc = main(["analyze", str(sim_dir / "hist.csv")])
@@ -206,6 +218,13 @@ class TestTransport:
         assert sites == [0, 0]
         assert rc == 3
         assert "no peak" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_2(self, sim_dir, tmp_path, capsys):
+        sites, rc = _loopback([sim_dir / "run_a.tags", sim_dir / "run_b.tags"],
+                              tmp_path / "absent" / "term")
+        assert sites == [0, 0]
+        assert rc == 2
+        assert "invalid parameter: cannot write" in capsys.readouterr().err
 
     def test_malformed_stream_exit_2(self, tmp_path, capsys):
         with socket.socket() as probe:

@@ -1,6 +1,7 @@
 """Configuration parsing tests."""
 
 import dataclasses
+import io
 
 import pytest
 
@@ -50,7 +51,7 @@ mode = anti
 
 class TestParse:
     def test_sample(self):
-        cfg = parse_config(SAMPLE, from_string=True)
+        cfg = parse_config(io.StringIO(SAMPLE))
         assert cfg.source.pair_rate_hz == 24000
         assert cfg.smf.length_km == 62.0
         assert cfg.dcf.k2_s2_per_m == 1.95e-25
@@ -59,7 +60,7 @@ class TestParse:
         assert cfg.run.mode == "anti"
 
     def test_defaults_applied(self):
-        cfg = parse_config(SAMPLE, from_string=True)
+        cfg = parse_config(io.StringIO(SAMPLE))
         assert cfg.source.crystal_length_cm == 1.0
         assert cfg.detector_a.dark_rate_hz == 100.0
         assert cfg.detector_a.dead_time_ns == 40.0
@@ -73,50 +74,50 @@ class TestParse:
         broken = SAMPLE.replace("efficiency = 0.5\njitter_fwhm_ps = 26.587\n\n[detector_b]",
                                 "efficiency = 0.5\n\n[detector_b]", 1)
         with pytest.raises(ConfigError) as err:
-            parse_config(broken, from_string=True)
+            parse_config(io.StringIO(broken))
         assert "jitter_fwhm_ps" in str(err.value)
         assert "detector_a" in str(err.value)
 
     def test_missing_section_named(self):
         broken = SAMPLE.replace("[run]", "[walk]")
         with pytest.raises(ConfigError) as err:
-            parse_config(broken, from_string=True)
+            parse_config(io.StringIO(broken))
         assert "run" in str(err.value)
 
     def test_bad_number_named(self):
         broken = SAMPLE.replace("duration_s = 5.0", "duration_s = five")
         with pytest.raises(ConfigError) as err:
-            parse_config(broken, from_string=True)
+            parse_config(io.StringIO(broken))
         assert "duration_s" in str(err.value)
         assert "five" in str(err.value)
         broken = SAMPLE.replace("site_id = 0", "site_id = 1.5")
         with pytest.raises(ConfigError) as err:
-            parse_config(broken, from_string=True)
+            parse_config(io.StringIO(broken))
         assert "site_id" in str(err.value)
         assert "not an integer" in str(err.value)
 
     def test_unknown_key_named(self):
         broken = SAMPLE.replace("[detector_a]\n", "[detector_a]\ndark_rate = 0.0\n")
         with pytest.raises(ConfigError) as err:
-            parse_config(broken, from_string=True)
+            parse_config(io.StringIO(broken))
         assert "dark_rate" in str(err.value)
         assert "detector_a" in str(err.value)
 
     def test_unknown_section_named(self):
         broken = SAMPLE + "\n[detectr_b]\nefficiency = 0.5\n"
         with pytest.raises(ConfigError) as err:
-            parse_config(broken, from_string=True)
+            parse_config(io.StringIO(broken))
         assert "detectr_b" in str(err.value)
 
     def test_bad_mode(self):
         broken = SAMPLE.replace("mode = anti", "mode = diagonal")
         with pytest.raises(ConfigError):
-            parse_config(broken, from_string=True)
+            parse_config(io.StringIO(broken))
 
     def test_parse_error_carries_line_number(self):
         broken = SAMPLE.replace("duration_s = 5.0", "duration_s")
         with pytest.raises(ConfigError) as err:
-            parse_config(broken, from_string=True)
+            parse_config(io.StringIO(broken))
         assert "line" in str(err.value)
 
     def test_missing_file(self, tmp_path):
@@ -141,12 +142,12 @@ class TestRoundTrip:
              "sigma-omega"],
     )
     def test_presets_survive_dump_parse(self, cfg):
-        again = parse_config(dump_config(cfg), from_string=True)
+        again = parse_config(io.StringIO(dump_config(cfg)))
         assert again == cfg
 
     def test_sigma_omega_file_key(self):
         text = SAMPLE.replace("[smf]", "sigma_omega_rad_per_ps = 0.3\n\n[smf]")
-        cfg = parse_config(text, from_string=True)
+        cfg = parse_config(io.StringIO(text))
         assert cfg.source.sigma_omega == 0.3
         assert "sigma_omega_rad_per_ps = 0.3" in dump_config(cfg)
         assert cfg.manifest()["source"]["sigma_omega"] == 0.3
@@ -154,7 +155,7 @@ class TestRoundTrip:
     def test_manifest_is_json_ready(self):
         import json
 
-        cfg = parse_config(SAMPLE, from_string=True)
+        cfg = parse_config(io.StringIO(SAMPLE))
         blob = json.dumps(cfg.manifest(), sort_keys=True)
         assert "pair_rate_hz" in blob
         assert json.loads(blob)["smf"]["length_km"] == 62.0

@@ -156,7 +156,7 @@ class TestCoarseOffset:
         rng = np.random.default_rng(4)
         a = poisson_stream(rng, 12000, 5.0)
         b = make_stream(a.tags + offset_fs, span=a.acquisition_span_fs + abs(offset_fs))
-        recovered, width = coarse_offset(a, b, coarse_bin_ns=1.0, search_span_ms=1.0)
+        recovered, width = coarse_offset(a, b, search_span_ms=1.0)
         assert abs(recovered - offset_fs) <= 10**6  # +- one 1 ns coarse bin
         assert width == 10**6  # every pair lies in the one bin of the shift
 
@@ -200,9 +200,9 @@ class TestCoarseOffset:
         rng = np.random.default_rng(12)
         a = poisson_stream(rng, 12000, 1.0)
         monkeypatch.setattr(correlate, "_PAIR_BUDGET", 1000)
-        counts, stride = correlate.strided_counts(a, a, 0, 1000, 10)
+        h, stride = correlate.strided_counts(a, a, 0, 1000, 10)
         assert stride == -(-len(a) // 1000)  # without the partner term: 1
-        assert counts[10] == counts.sum() == len(a.tags[::stride])
+        assert h.counts[10] == h.counts.sum() == len(a.tags[::stride])
 
     def test_independent_streams_no_peak(self):
         # 1 ns bins over +/- 1 ms hold about 0.7 accidentals each: the
