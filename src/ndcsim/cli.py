@@ -70,11 +70,13 @@ def _measure_files(args, path_a, path_b):
 
 
 def _report_peak(meas, csv_path) -> int:
-    """Print the offset and fit; write the histogram CSV when a path is given."""
+    """Write the histogram CSV when a path is given, then print the offset and
+    fit; a CSV that cannot be written leaves stdout without a fit."""
+    if csv_path:
+        _write(write_histogram_csv, meas.histogram, csv_path, meas.g2)
     print(f"recovered_offset_fs = {meas.offset_fs}")
     print(fit_report_text(meas.fit))
     if csv_path:
-        _write(write_histogram_csv, meas.histogram, csv_path, meas.g2)
         print(f"histogram -> {csv_path}")
     return 0
 

@@ -6,7 +6,9 @@ offset (group delays displace the peak by hundreds of microseconds) and its
 width, then at picosecond bins sized from that width.  The one bin serves every
 peak: 27 times the 37.6 ps jitter floor, about a fifth of a 5 ns classical one.
 The cost is O(|a| log |b|) plus the pairs in the window, never O(|a|*|b|); all
-but the reported pass stride a.
+but the reported pass stride a.  The kernel walks a in chunks sized to hold
+about _DIFF_CHUNK expected pairs each, so its temporaries stay small whatever
+the density of the streams.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ COARSE_BIN_FS = 10**6  # the offset search bin, 1 ns
 _PAIR_BUDGET = 1 << 22  # expected pairs per coarse pass; denser streams are strided
 _MAX_BINS = 1 << 22  # bins per coarse pass; a wider search span widens the bin
 _FALSE_PEAK_P = 2.87e-7  # a one-sided 5 sigma excess, trials factor included
-# Chunk of source tags processed per two-pointer step (bounds peak memory).
-_DIFF_CHUNK = 1 << 16
+# Expected pairs per two-pointer step: bounds the kernel's temporaries, which
+# then stay in cache and below the allocator's mmap threshold.
+_DIFF_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -64,19 +67,30 @@ def _nonempty(stream: TagStream, name: str) -> np.ndarray:
     return tags
 
 
+def _pairs_per_tag(b: np.ndarray, width_fs: float) -> float:
+    """Expected pairs of one source tag within a window width_fs wide: the
+    accidentals at b's mean rate plus one true partner."""
+    rate_b = b.size / max(int(b[-1] - b[0]), 1)
+    return min(b.size, rate_b * width_fs) + 1
+
+
 def window_diffs(
     a: np.ndarray, b: np.ndarray, offset_fs: int, window_fs: float
 ) -> Iterator[np.ndarray]:
     """Yield all differences b - a - offset with |diff| <= window, chunked.
 
     Two-pointer over the sorted arrays via searchsorted; cost is
-    O(|a| log |b| + pairs_in_window) and memory is bounded by the chunk size.
-    Differences are integers, so |diff| <= window is |diff| <= floor(window).
+    O(|a| log |b| + pairs_in_window).  Each chunk takes as many tags of a as
+    are expected to yield _DIFF_CHUNK pairs; the estimate sets only the chunk
+    size, never which pairs are yielded.  Differences are integers, so
+    |diff| <= window is |diff| <= floor(window).
     """
-    lo_edge = np.int64(offset_fs - math.floor(window_fs))
-    hi_edge = np.int64(offset_fs + math.floor(window_fs))
-    for start in range(0, a.size, _DIFF_CHUNK):
-        a_chunk = a[start : start + _DIFF_CHUNK]
+    half = math.floor(window_fs)
+    lo_edge = np.int64(offset_fs - half)
+    hi_edge = np.int64(offset_fs + half)
+    chunk = max(1, int(_DIFF_CHUNK / _pairs_per_tag(b, 2 * half + 1)))
+    for start in range(0, a.size, chunk):
+        a_chunk = a[start : start + chunk]
         # Search only the slice of b the chunk can reach; it stays in cache.
         first = int(np.searchsorted(b, a_chunk[0] + lo_edge, side="left"))
         last = int(np.searchsorted(b, a_chunk[-1] + hi_edge, side="right"))
@@ -122,9 +136,10 @@ def fine_histogram(
     inv_bw_fs = 1.0 / (bin_width_ps * FS_PER_PS)
     origin_fs = -window_ps * FS_PER_PS
     for diffs in window_diffs(tags_a, tags_b, offset_fs, window_ps * FS_PER_PS):
-        idx = np.floor((diffs - origin_fs) * inv_bw_fs).astype(np.int64)
+        # diffs - origin >= window - floor(window) >= 0, so truncation is floor.
+        idx = ((diffs - origin_fs) * inv_bw_fs).astype(np.int64)
         np.clip(idx, 0, nbins - 1, out=idx)
-        counts += np.bincount(idx, minlength=nbins)
+        np.add.at(counts, idx, 1)  # touches only the bins the chunk hits
     return Histogram(bin_width_ps=bin_width_ps, origin_ps=-window_ps, counts=counts)
 
 
@@ -134,8 +149,7 @@ def strided_counts(a: TagStream, b: TagStream, center_fs: int, bin_fs: int, span
     stride keeps the expected pairs, accidentals plus one true partner per tag
     of a, within _PAIR_BUDGET."""
     window_fs = (2 * span_bins + 1) * bin_fs
-    rate_b = len(b) / max(int(b.tags[-1] - b.tags[0]), 1)
-    stride = max(1, math.ceil(len(a) * (min(len(b), rate_b * window_fs) + 1) / _PAIR_BUDGET))
+    stride = max(1, math.ceil(len(a) * _pairs_per_tag(b.tags, window_fs) / _PAIR_BUDGET))
     bin_ps = bin_fs / FS_PER_PS
     h = fine_histogram(replace(a, tags=a.tags[::stride]), b, center_fs, bin_ps,
                        (span_bins + 0.5) * bin_ps)

@@ -26,12 +26,12 @@ class TagStream:
     def __post_init__(self):
         tags = np.ascontiguousarray(self.tags, dtype=np.int64)
         object.__setattr__(self, "tags", tags)
-        if tags.size > 1:
-            bad = np.nonzero(np.diff(tags) < 0)[0]
-            if bad.size:
-                raise UnsortedTagsError(
-                    f"tags not sorted: first offending index {int(bad[0]) + 1}"
-                )
+        # Compared, not subtracted: no int64 temporary and no overflow.
+        bad = np.flatnonzero(tags[1:] < tags[:-1])
+        if bad.size:
+            raise UnsortedTagsError(
+                f"tags not sorted: first offending index {int(bad[0]) + 1}"
+            )
 
     def __len__(self) -> int:
         return int(self.tags.size)

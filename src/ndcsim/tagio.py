@@ -90,9 +90,13 @@ def write_tags(stream: TagStream, destination) -> int:
 
 
 def _decode(header: TagFileHeader, payload) -> TagStream:
-    """Build the stream from a payload of exactly ``header.tag_count`` tags."""
+    """Build the stream from a payload of exactly ``header.tag_count`` tags.
+
+    The tags are a view of the payload, copied only on a big-endian host; a
+    view of ``bytes`` is read-only.
+    """
     return TagStream(
-        tags=np.frombuffer(payload, dtype="<i8").astype(np.int64),
+        tags=np.frombuffer(payload, dtype="<i8"),
         resolution_fs=header.resolution_fs,
         site_id=header.site_id,
         acquisition_span_fs=header.acquisition_span_fs,
@@ -107,7 +111,7 @@ def read_tags(source) -> TagStream:
         with open(source, "rb") as f:
             raw = f.read()
     header = TagFileHeader.unpack(raw)
-    payload = raw[HEADER_SIZE:]
+    payload = memoryview(raw)[HEADER_SIZE:]
     expected = header.tag_count * 8
     if len(payload) > expected:
         raise TagFormatError(f"data past the header's {header.tag_count} tags")

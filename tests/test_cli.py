@@ -80,7 +80,9 @@ class TestCorrelateAnalyze:
         rc = main(["correlate", str(sim_dir / "run_a.tags"), str(sim_dir / "run_b.tags"),
                    "--out", str(tmp_path / "absent" / "hist.csv")])
         assert rc == 2
-        assert "invalid parameter: cannot write" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "invalid parameter: cannot write" in captured.err
+        assert "recovered_offset_fs" not in captured.out
 
     def test_analyze_histogram_csv(self, sim_dir, capsys):
         rc = main(["analyze", str(sim_dir / "hist.csv")])
@@ -220,11 +222,15 @@ class TestTransport:
         assert "no peak" in capsys.readouterr().err
 
     def test_unwritable_out_exit_2(self, sim_dir, tmp_path, capsys):
-        sites, rc = _loopback([sim_dir / "run_a.tags", sim_dir / "run_b.tags"],
-                              tmp_path / "absent" / "term")
-        assert sites == [0, 0]
-        assert rc == 2
-        assert "invalid parameter: cannot write" in capsys.readouterr().err
+        # First no output can be written, then only the histogram CSV cannot.
+        (tmp_path / "dir_hist.csv").mkdir()
+        for prefix in (tmp_path / "absent" / "term", tmp_path / "dir"):
+            sites, rc = _loopback([sim_dir / "run_a.tags", sim_dir / "run_b.tags"], prefix)
+            assert sites == [0, 0]
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert "invalid parameter: cannot write" in captured.err
+            assert "recovered_offset_fs" not in captured.out
 
     def test_malformed_stream_exit_2(self, tmp_path, capsys):
         with socket.socket() as probe:

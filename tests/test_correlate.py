@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndcsim import correlate
+from ndcsim import correlate, presets
 from ndcsim.correlate import (
     Histogram,
     coarse_offset,
@@ -16,6 +16,7 @@ from ndcsim.correlate import (
     g2_normalize,
 )
 from ndcsim.errors import NoPeakError, ParameterError
+from ndcsim.pipeline import run_simulation
 from ndcsim.streams import TagStream
 
 FS_PER_PS = 1e3
@@ -94,7 +95,8 @@ class TestFineHistogram:
         assert np.array_equal(h.counts, oracle)
 
     def test_matches_brute_force_across_chunks(self, monkeypatch):
-        # chunks of 7 source tags: some reach no tag of b, some share its tags
+        # 7 expected pairs per chunk against about 16 per tag: one-tag chunks,
+        # some reaching no tag of b
         monkeypatch.setattr(correlate, "_DIFF_CHUNK", 7)
         rng = np.random.default_rng(1)
         for trial in range(20):
@@ -105,6 +107,25 @@ class TestFineHistogram:
             h = fine_histogram(sa, sb, offset, bin_width_ps=50.0, window_ps=5000.0)
             oracle = brute_force_histogram(sa.tags, sb.tags, offset, 50.0, 5000.0)
             assert np.array_equal(h.counts, oracle)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        a=st.lists(st.integers(0, 10**7), min_size=1, max_size=60),
+        b=st.lists(st.integers(0, 10**7), min_size=1, max_size=60),
+        offset=st.integers(-10**6, 10**6),
+        bin_ps=st.sampled_from([1.0, 7.77777, 13.0]),
+        budget=st.sampled_from([1, 7, 64]),
+    )
+    def test_matches_brute_force_any_chunk(self, a, b, offset, bin_ps, budget):
+        # The first tag of a has 71 partners in b, more than any budget here.
+        b = b + [a[0] + offset + 250 * k for k in range(-35, 36)]
+        sa, sb = make_stream(a), make_stream(b)
+        window = 20.0 * bin_ps
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlate, "_DIFF_CHUNK", budget)
+            h = fine_histogram(sa, sb, offset, bin_ps, window)
+        oracle = brute_force_histogram(sa.tags, sb.tags, offset, bin_ps, window)
+        assert np.array_equal(h.counts, oracle)
 
     def test_boundary_difference_included(self):
         a = make_stream([0])
@@ -143,6 +164,43 @@ class TestFineHistogram:
         empty = TagStream(np.empty(0, dtype=np.int64), 1000, 0, 0)
         with pytest.raises(ParameterError):
             fine_histogram(empty, a, 0, 8.0, 2000.0)
+
+
+def _record_yields(monkeypatch) -> list[int]:
+    """Sizes of the arrays window_diffs yields from now on."""
+    sizes = []
+    window_diffs = correlate.window_diffs
+
+    def recording(*args):
+        for diffs in window_diffs(*args):
+            sizes.append(diffs.size)
+            yield diffs
+
+    monkeypatch.setattr(correlate, "window_diffs", recording)
+    return sizes
+
+
+class TestChunkBound:
+    def test_coarse_pass_fig2a(self, monkeypatch):
+        # About 24 pairs per tag of a over +/- 1 ms.
+        a, b = run_simulation(presets.fig2a_config(), seed=0)
+        sizes = _record_yields(monkeypatch)
+        coarse_offset(a, b)
+        assert sum(sizes) > 10**6
+        assert max(sizes) < 2 * correlate._DIFF_CHUNK
+
+    def test_fine_pass_dense(self, monkeypatch):
+        # test_10's streams at a tenth of the tags and span: one pair per tag.
+        rng = np.random.default_rng(99)
+        n, span = 10**6, 5 * 10**14
+        base = np.sort(rng.integers(0, span, n))
+        jitter = rng.normal(0.0, 10_000.0, n).astype(np.int64)
+        a = TagStream(base, 1000, 0, span)
+        b = TagStream(np.sort(base + jitter + 10**9), 1000, 1, span + 2 * 10**9)
+        sizes = _record_yields(monkeypatch)
+        h = fine_histogram(a, b, 10**9, bin_width_ps=8.0, window_ps=2000.0)
+        assert h.total_pairs == sum(sizes) > n
+        assert max(sizes) < 2 * correlate._DIFF_CHUNK
 
 
 class TestCoarseOffset:

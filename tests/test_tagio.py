@@ -224,6 +224,36 @@ class TestWireTransport:
         assert got == read_tags(io.BytesIO(raw))
 
 
+def _read_file(raw, tmp_path):
+    path = tmp_path / "s.tags"
+    path.write_bytes(raw)
+    return read_tags(path)
+
+
+def _read_socket(raw, _tmp_path):
+    with _send_raw(raw) as b:
+        return receive_stream(b)
+
+
+@pytest.mark.parametrize("read", [_read_file, _read_socket], ids=["file", "socket"])
+class TestDecodedStream:
+    def test_view_of_received_bytes_equals_written(self, read, tmp_path):
+        # The extremes of int64 are sorted, though their difference overflows.
+        s = stream_of([-2**63, -5, 0, 0, 2**63 - 1], site_id=4, span=10**9)
+        buf = io.BytesIO()
+        write_tags(s, buf)
+        back = read(buf.getvalue(), tmp_path)
+        assert back == s
+        assert not back.tags.flags.owndata
+
+    def test_unsorted_names_first_index(self, read, tmp_path):
+        # Subtracting neighbours would wrap here and blame index 2.
+        raw = TagFileHeader(0, 1000, 3, 100).pack()
+        raw += np.array([2**63 - 1, -2**63, 5], dtype="<i8").tobytes()
+        with pytest.raises(UnsortedTagsError, match="first offending index 1$"):
+            read(raw, tmp_path)
+
+
 class TestTerminal:
     def test_two_sites_collected(self):
         terminal = Terminal()
