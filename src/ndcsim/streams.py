@@ -24,7 +24,9 @@ class TagStream:
     acquisition_span_fs: int
 
     def __post_init__(self):
-        tags = np.ascontiguousarray(self.tags, dtype=np.int64)
+        # Aligned as well as contiguous: numpy copies an unaligned haystack on
+        # every searchsorted, so a misaligned buffer is copied once, here.
+        tags = np.require(self.tags, np.int64, "CA")
         object.__setattr__(self, "tags", tags)
         # Compared, not subtracted: no int64 temporary and no overflow.
         bad = np.flatnonzero(tags[1:] < tags[:-1])

@@ -111,7 +111,7 @@ def read_tags(source) -> TagStream:
         with open(source, "rb") as f:
             raw = f.read()
     header = TagFileHeader.unpack(raw)
-    payload = memoryview(raw)[HEADER_SIZE:]
+    payload = raw[HEADER_SIZE:]
     expected = header.tag_count * 8
     if len(payload) > expected:
         raise TagFormatError(f"data past the header's {header.tag_count} tags")

@@ -95,37 +95,21 @@ class TestFineHistogram:
         assert np.array_equal(h.counts, oracle)
 
     def test_matches_brute_force_across_chunks(self, monkeypatch):
-        # 7 expected pairs per chunk against about 16 per tag: one-tag chunks,
-        # some reaching no tag of b
-        monkeypatch.setattr(correlate, "_DIFF_CHUNK", 7)
+        # Budgets of 1, 7 and 64 expected pairs against about 23 per tag, and
+        # one source tag with 71 partners: one-tag chunks, chunks reaching no
+        # tag of b, and a chunk yielding more pairs than its budget.
         rng = np.random.default_rng(1)
-        for trial in range(20):
-            a = np.concatenate([rng.integers(0, 10**8, 100), rng.integers(0, 10**5, 100)])
-            b = rng.integers(0, 10**8, 150)
-            offset = int(rng.integers(-10**6, 10**6))
-            sa, sb = make_stream(a), make_stream(b)
-            h = fine_histogram(sa, sb, offset, bin_width_ps=50.0, window_ps=5000.0)
-            oracle = brute_force_histogram(sa.tags, sb.tags, offset, 50.0, 5000.0)
-            assert np.array_equal(h.counts, oracle)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        a=st.lists(st.integers(0, 10**7), min_size=1, max_size=60),
-        b=st.lists(st.integers(0, 10**7), min_size=1, max_size=60),
-        offset=st.integers(-10**6, 10**6),
-        bin_ps=st.sampled_from([1.0, 7.77777, 13.0]),
-        budget=st.sampled_from([1, 7, 64]),
-    )
-    def test_matches_brute_force_any_chunk(self, a, b, offset, bin_ps, budget):
-        # The first tag of a has 71 partners in b, more than any budget here.
-        b = b + [a[0] + offset + 250 * k for k in range(-35, 36)]
-        sa, sb = make_stream(a), make_stream(b)
-        window = 20.0 * bin_ps
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(correlate, "_DIFF_CHUNK", budget)
-            h = fine_histogram(sa, sb, offset, bin_ps, window)
-        oracle = brute_force_histogram(sa.tags, sb.tags, offset, bin_ps, window)
-        assert np.array_equal(h.counts, oracle)
+        for budget in (1, 7, 64):
+            monkeypatch.setattr(correlate, "_DIFF_CHUNK", budget)
+            for trial in range(20):
+                a = np.concatenate([rng.integers(0, 10**8, 100), rng.integers(0, 10**5, 100)])
+                offset = int(rng.integers(-10**6, 10**6))
+                crowd = a[0] + offset + 100_000 * np.arange(-35, 36)
+                b = np.concatenate([rng.integers(0, 10**8, 150), crowd])
+                sa, sb = make_stream(a), make_stream(b)
+                h = fine_histogram(sa, sb, offset, bin_width_ps=50.0, window_ps=5000.0)
+                oracle = brute_force_histogram(sa.tags, sb.tags, offset, 50.0, 5000.0)
+                assert np.array_equal(h.counts, oracle)
 
     def test_boundary_difference_included(self):
         a = make_stream([0])

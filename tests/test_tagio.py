@@ -245,6 +245,7 @@ class TestDecodedStream:
         back = read(buf.getvalue(), tmp_path)
         assert back == s
         assert not back.tags.flags.owndata
+        assert back.tags.flags.aligned
 
     def test_unsorted_names_first_index(self, read, tmp_path):
         # Subtracting neighbours would wrap here and blame index 2.
@@ -252,6 +253,16 @@ class TestDecodedStream:
         raw += np.array([2**63 - 1, -2**63, 5], dtype="<i8").tobytes()
         with pytest.raises(UnsortedTagsError, match="first offending index 1$"):
             read(raw, tmp_path)
+
+
+def test_unaligned_tags_copied_aligned():
+    # Tags 38 bytes into a buffer, as they stand in a tag file.
+    raw = bytes(HEADER_SIZE) + np.arange(5, dtype="<i8").tobytes()
+    tags = np.frombuffer(raw, dtype="<i8", offset=HEADER_SIZE)
+    assert not tags.flags.aligned
+    s = TagStream(tags, 1000, 0, 10)
+    assert s.tags.flags.aligned
+    assert np.array_equal(s.tags, np.arange(5))
 
 
 class TestTerminal:
