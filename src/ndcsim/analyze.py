@@ -1,6 +1,6 @@
 """Physics extraction from coincidence histograms.
 
-Gaussian peak fits with Poisson weights, variance conversion, weighted
+Poisson maximum-likelihood Gaussian peak fits, variance conversion, weighted
 linear fits for the width-versus-length sweeps, and the Bell-like witness
 verdict assembled from two fitted peaks.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.special import xlogy
 
 from . import model
 from .correlate import Histogram
@@ -21,7 +21,8 @@ from .model import SourceParams, WasakInputs
 
 _MIN_OCCUPIED_BINS = 8
 _PEAK_SIGNIFICANCE = 5.0
-_MAX_FEV = 200 * 6  # iteration cap (per-parameter function evaluations)
+_MAX_STEPS = 100  # cap on the scoring steps, and on the halvings of each
+_TOL = 1e-6  # twice the NLL decrease, predicted by a step, that ends the fit
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class GaussianFit:
     sigma_err_ps: float
     baseline: float
     baseline_err: float
-    reduced_chi2: float
+    deviance_per_dof: float
 
     @property
     def fwhm_ps(self) -> float:
@@ -63,16 +64,23 @@ class LinearFit:
     dof: int
 
 
-def _gauss(x, amplitude, center, sigma, baseline):
-    return amplitude * np.exp(-0.5 * ((x - center) / sigma) ** 2) + baseline
+def _poisson(x, y, p):
+    """At p = (A, mu, sigma, B): the Poisson NLL sum(lambda - n ln lambda),
+    infinite for a negative rate or a count at rate 0, the rates, their gradient."""
+    amp, mu, sig, base = p
+    z = (x - mu) / sig
+    g = np.exp(-0.5 * z * z)
+    lam = amp * g + base
+    nll = float(lam.sum() - xlogy(y, lam).sum()) if lam.min() >= 0 else math.inf
+    return nll, lam, np.array([g, amp * g * z / sig, amp * g * z * z / sig, np.ones_like(x)])
 
 
 def fit_gaussian(h: Histogram) -> GaussianFit:
-    """Weighted nonlinear least-squares Gaussian-plus-baseline fit.
+    """Poisson maximum-likelihood Gaussian-plus-baseline fit (Cash 1979).
 
-    Poisson weights with floor 1 on empty bins; parameter covariance scaled
-    by the reduced chi-square.  Raises FitError when there is no significant
-    peak or the optimizer fails to converge.
+    Fisher scoring with step halving; the baseline is held at 0 while its score
+    is <= 0.  Errors from the inverse Fisher information, 0 for a held baseline.
+    Raises FitError when there is no significant peak or no convergence.
     """
     x = h.bin_centers_ps
     y = h.counts.astype(np.float64)
@@ -93,55 +101,50 @@ def fit_gaussian(h: Histogram) -> GaussianFit:
         s0 = max((x[idx[-1]] - x[idx[0]]) / model.FWHM_PER_SIGMA, h.bin_width_ps / 2)
     else:
         s0 = h.bin_width_ps
-    b0 = float(y.min())
-
-    # First pass with observed-count weights, then reweight from the fitted
-    # model; expected-count weights remove the low-count bias of weighting by
-    # the noisy observations themselves.
-    weights = np.sqrt(np.maximum(y, 1.0))
-    popt = (amp0, mu0, s0, b0)
-    try:
-        for _ in range(3):
-            popt, pcov = curve_fit(
-                _gauss,
-                x,
-                y,
-                p0=popt,
-                sigma=weights,
-                absolute_sigma=False,
-                maxfev=_MAX_FEV,
-                xtol=1e-12,
-            )
-            new_weights = np.sqrt(np.maximum(_gauss(x, *popt), 1.0))
-            if np.allclose(new_weights, weights, rtol=1e-10):
+    # At 0, an accidental where the initial Gaussian underflows is impossible.
+    p = np.array([amp0, mu0, s0, max(float(y.min()), 1.0 / y.size)])
+    nll, lam, grad = _poisson(x, y, p)
+    for _ in range(_MAX_STEPS):
+        # Where the rate underflows, weight 0 keeps 1/lambda finite.
+        w = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > np.finfo(float).tiny)
+        score = grad @ (y * w - 1.0)
+        free = 3 if p[3] == 0 and score[3] <= 0 else 4
+        try:
+            cov = np.linalg.inv((grad[:free] * w) @ grad[:free].T)
+        except np.linalg.LinAlgError as exc:
+            raise FitError(f"singular covariance in Gaussian fit: {exc}") from exc
+        step = np.append(cov @ score[:free], np.zeros(4 - free))
+        if score @ step <= _TOL:
+            break
+        for _ in range(_MAX_STEPS):
+            trial = np.maximum(p + step, (-np.inf, -np.inf, -np.inf, 0.0))  # baseline >= 0
+            evaluation = _poisson(x, y, trial)
+            if evaluation[0] < nll:
                 break
-            weights = new_weights
-    except RuntimeError as exc:
-        raise FitError(f"Gaussian fit did not converge: {exc}") from exc
+            step /= 2
+        else:
+            break  # no step along the scoring direction lowers the NLL
+        p, (nll, lam, grad) = trial, evaluation
+    else:
+        raise FitError(f"Gaussian fit did not converge in {_MAX_STEPS} steps")
 
-    amp, mu, sig, base = popt
-    if not np.all(np.isfinite(pcov)):
+    amp, mu, sig, base = p
+    if not np.all(np.isfinite(cov)):
         raise FitError("singular covariance in Gaussian fit")
-    sig = abs(float(sig))
-    if sig <= 0 or amp <= 0:
-        raise FitError(f"degenerate fit: amplitude={amp:.3g}, sigma={sig:.3g}")
-    dof = max(x.size - 4, 1)
-    resid = (y - _gauss(x, *popt)) / weights
-    red_chi2 = float(resid @ resid) / dof
-    # curve_fit already scaled pcov by red_chi2; undo that below 1, where the
-    # scaling would deflate the errors under the Poisson floor (near-empty
-    # baseline bins pull red_chi2 down without carrying information).
-    errs = np.sqrt(np.diag(pcov) / min(red_chi2, 1.0))
+    if sig == 0 or amp <= 0:
+        raise FitError(f"degenerate fit: amplitude={amp:.3g}, sigma={abs(sig):.3g}")
+    errs = np.append(np.sqrt(np.diag(cov)), np.zeros(4 - free))
+    # The Baker-Cousins deviance is twice the NLL above the saturated model's.
     return GaussianFit(
         amplitude=float(amp),
         amplitude_err=float(errs[0]),
         center_ps=float(mu),
         center_err_ps=float(errs[1]),
-        sigma_ps=sig,
+        sigma_ps=abs(float(sig)),
         sigma_err_ps=float(errs[2]),
         baseline=float(base),
         baseline_err=float(errs[3]),
-        reduced_chi2=red_chi2,
+        deviance_per_dof=2.0 * float(nll - y.sum() + xlogy(y, y).sum()) / max(x.size - 4, 1),
     )
 
 
@@ -219,7 +222,7 @@ def fit_report_text(fit: GaussianFit) -> str:
         f"sigma_ps = {fit.sigma_ps:.6g} +- {fit.sigma_err_ps:.3g}",
         f"fwhm_ps = {fit.fwhm_ps:.6g} +- {fit.fwhm_err_ps:.3g}",
         f"baseline = {fit.baseline:.6g} +- {fit.baseline_err:.3g}",
-        f"reduced_chi2 = {fit.reduced_chi2:.4g}",
+        f"deviance_per_dof = {fit.deviance_per_dof:.4g}",
     ]
     return "\n".join(lines)
 

@@ -133,11 +133,10 @@ def fine_histogram(
 
     nbins = int(math.ceil(2.0 * window_ps / bin_width_ps))
     counts = np.zeros(nbins, dtype=np.int64)
-    inv_bw_fs = 1.0 / (bin_width_ps * FS_PER_PS)
     origin_fs = -window_ps * FS_PER_PS
     for diffs in window_diffs(tags_a, tags_b, offset_fs, window_ps * FS_PER_PS):
         # diffs - origin >= window - floor(window) >= 0, so truncation is floor.
-        idx = ((diffs - origin_fs) * inv_bw_fs).astype(np.int64)
+        idx = ((diffs - origin_fs) / (bin_width_ps * FS_PER_PS)).astype(np.int64)
         np.clip(idx, 0, nbins - 1, out=idx)
         np.add.at(counts, idx, 1)  # touches only the bins the chunk hits
     return Histogram(bin_width_ps=bin_width_ps, origin_ps=-window_ps, counts=counts)

@@ -41,15 +41,15 @@ def measure_peak(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> Pea
 
     A strided seed pass over +/- (2 * coarse width + COARSE_BIN_FS) fits the
     peak; only the reported histogram, a tenth of that FWHM per bin, takes
-    every pair.
+    every pair.  Bins span whole timer ticks, so each holds as many differences.
     """
     offset, width_fs = coarse_offset(a, b, search_span_ms)
-    seed_bin_fs = max((2 * width_fs + COARSE_BIN_FS) // _SEED_BINS, a.resolution_fs)
+    tick = int(np.gcd(a.resolution_fs, b.resolution_fs)) or 1
+    seed_bin_fs = max((2 * width_fs + COARSE_BIN_FS) // (_SEED_BINS * tick), 1) * tick
     fit = fit_gaussian(strided_counts(a, b, offset, seed_bin_fs, _SEED_BINS)[0])
-    fwhm = fit.fwhm_ps
-    bin_ps = max(fwhm / 10.0, a.resolution_fs / FS_PER_PS)
+    bin_ps = max(round(fit.fwhm_ps * FS_PER_PS / (10 * tick)), 1) * tick / FS_PER_PS
     offset += int(round(fit.center_ps * FS_PER_PS))
-    hist = fine_histogram(a, b, offset, bin_ps, max(4.0 * fwhm, 10.0 * bin_ps))
+    hist = fine_histogram(a, b, offset, bin_ps, max(4.0 * fit.fwhm_ps, 10.0 * bin_ps))
     fit = fit_gaussian(hist)
     duration = max(a.duration_s, b.duration_s)
     g2 = g2_normalize(hist, max(a.rate_hz(), 1e-12), max(b.rate_hz(), 1e-12), duration)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import socket
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +80,10 @@ def write_tags(stream: TagStream, destination) -> int:
 
     ``destination`` is a path or a writable binary file object.
     """
-    payload = stream.tags.astype("<i8").tobytes()
-    raw = _header_for(stream).pack() + payload
-    if hasattr(destination, "write"):
-        destination.write(raw)
-    else:
-        with open(destination, "wb") as f:
-            f.write(raw)
-    return len(raw)
+    with nullcontext(destination) if hasattr(destination, "write") else open(destination, "wb") as f:
+        f.write(_header_for(stream).pack())
+        f.write(stream.tags.astype("<i8", copy=False).data)
+    return HEADER_SIZE + 8 * len(stream)
 
 
 def _decode(header: TagFileHeader, payload) -> TagStream:

@@ -87,7 +87,9 @@ class TestCorrelateAnalyze:
     def test_analyze_histogram_csv(self, sim_dir, capsys):
         rc = main(["analyze", str(sim_dir / "hist.csv")])
         assert rc == 0
-        assert "sigma_ps" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "sigma_ps" in out
+        assert "deviance_per_dof = " in out
 
     def test_bad_tag_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.tags"

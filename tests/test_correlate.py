@@ -60,6 +60,14 @@ class TestFineHistogram:
         left = h.origin_ps + k * h.bin_width_ps
         assert left == pytest.approx(40.0)
 
+    def test_difference_on_left_edge_lands_in_that_bin(self):
+        # Half-open bins [left, right): a difference exactly on a bin's left
+        # edge belongs to that bin, for every one of the 20 bins.
+        a = np.arange(20, dtype=np.int64) * 10**9
+        b = a + np.arange(-10, 10) * 11_000
+        h = fine_histogram(make_stream(a), make_stream(b), 0, bin_width_ps=11.0, window_ps=110.0)
+        assert h.counts.tolist() == [1] * 20
+
     def test_self_correlation_zero_bin(self):
         tags = np.arange(100, dtype=np.int64) * 10_000_000
         a = make_stream(tags)
@@ -202,10 +210,9 @@ class TestCoarseOffset:
         assert abs(recovered - offset_fs) <= 10**6  # +- one 1 ns coarse bin
         assert width == 10**6  # every pair lies in the one bin of the shift
 
-    def test_shift_anywhere_in_fft_bin_recovered(self):
+    def test_shift_off_the_coarse_grid_recovered(self):
         # Offsets off the 1 ns grid, within +/- 5 us: the coarse bins are
         # centred on multiples of 1 ns, so each comes back within half a bin.
-        # (The name recalls the FFT bin of about 1.19 us this once spanned.)
         rng = np.random.default_rng(8)
         a = poisson_stream(rng, 12000, 5.0)
         for offset_fs in rng.integers(-5 * 10**9, 5 * 10**9, 12).tolist():

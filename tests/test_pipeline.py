@@ -1,5 +1,6 @@
 """measure_peak sizes its histograms from the coarse peak alone."""
 
+import numpy as np
 import pytest
 
 from ndcsim import presets
@@ -21,10 +22,12 @@ CONFIGS = {
 @pytest.mark.parametrize("name", CONFIGS)
 def test_default_arguments_match_prediction(name):
     cfg = CONFIGS[name]
-    meas = measure_peak(*run_simulation(cfg, seed=3))
+    a, b = run_simulation(cfg, seed=3)
+    meas = measure_peak(a, b)
     var, var_err = variance_from_fit(meas.fit)
     assert abs(var - presets.predicted_pair_variance_ps2(cfg)) < 4 * var_err
     assert meas.histogram.bin_width_ps == pytest.approx(max(meas.fit.fwhm_ps / 10, 1.0), rel=0.2)
+    assert meas.histogram.bin_width_ps * 1000 % a.resolution_fs == 0  # whole timer ticks
 
 
 def test_widened_search_span_fig2a():
@@ -34,3 +37,17 @@ def test_widened_search_span_fig2a():
     fwhm = measure_peak(a, b, search_span_ms=10.0).fit.fwhm_ps
     lo, hi = FIG2A_FWHM_RANGE
     assert lo <= fwhm <= hi
+
+
+@pytest.mark.parametrize("cfg, search_span_ms", [
+    (presets.fig2a_config(), 0.01),
+    (presets.fig2d_config(duration_s=0.2 * presets.ACQUISITION_S), 1.0),
+], ids=["fig2a", "fig2d-scale-0.2"])
+def test_fwhm_error_matches_scatter(cfg, search_span_ms):
+    # The reported FWHM error is the seed-to-seed scatter of the FWHM: over 60
+    # seeds their ratio is 1 within about 3 times its own 9 % uncertainty.
+    fits = [measure_peak(*run_simulation(cfg, seed), search_span_ms).fit
+            for seed in range(9000, 9060)]
+    fwhm = np.array([f.fwhm_ps for f in fits])
+    pull = fwhm.std(ddof=1) / np.mean([f.fwhm_err_ps for f in fits])
+    assert 0.75 <= pull <= 1.33

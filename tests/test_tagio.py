@@ -4,6 +4,7 @@ import io
 import socket
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,17 @@ class TestFileFormat:
         write_tags(s, p)
         assert p.stat().st_size == 38 + 8 * 1000
         assert read_tags(p) == s
+
+    def test_write_copies_no_payload(self, tmp_path):
+        s = stream_of(np.arange(10**6) * 1000)  # 8 MB of tags
+        tracemalloc.start()
+        try:
+            write_tags(s, tmp_path / "a.tags")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        assert read_tags(tmp_path / "a.tags") == s
 
     @settings(max_examples=50, deadline=None)
     @given(
