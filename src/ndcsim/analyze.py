@@ -23,6 +23,7 @@ _MIN_OCCUPIED_BINS = 8
 _PEAK_SIGNIFICANCE = 5.0
 _MAX_STEPS = 100  # cap on the scoring steps, and on the halvings of each
 _TOL = 1e-6  # twice the NLL decrease, predicted by a step, that ends the fit
+_MIN_SIGMA_BINS = 0.25  # a narrower sigma, in bins, is not resolved by the histogram
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,9 @@ def fit_gaussian(h: Histogram) -> GaussianFit:
 
     Fisher scoring with step halving; the baseline is held at 0 while its score
     is <= 0.  Errors from the inverse Fisher information, 0 for a held baseline.
-    Raises FitError when there is no significant peak or no convergence.
+    Raises FitError when there is no significant peak, when a step takes sigma
+    below a quarter of the bin (a peak the histogram does not resolve) or when
+    the fit does not converge.
     """
     x = h.bin_centers_ps
     y = h.counts.astype(np.float64)
@@ -125,6 +128,9 @@ def fit_gaussian(h: Histogram) -> GaussianFit:
         else:
             break  # no step along the scoring direction lowers the NLL
         p, (nll, lam, grad) = trial, evaluation
+        if abs(p[2]) < _MIN_SIGMA_BINS * h.bin_width_ps:
+            raise FitError(f"peak unresolved: sigma {abs(p[2]):.3g} ps is below a quarter "
+                           f"of the {h.bin_width_ps:.6g} ps bin")
     else:
         raise FitError(f"Gaussian fit did not converge in {_MAX_STEPS} steps")
 

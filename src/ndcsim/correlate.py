@@ -1,14 +1,17 @@
 """Nonlocal coincidence detection over two independent tag streams.
 
-One two-pointer kernel histograms the pair differences within a window: first
-over +/- the search span at a fixed 1 ns bin, to recover the unknown relative
-offset (group delays displace the peak by hundreds of microseconds) and its
-width, then at picosecond bins sized from that width.  The one bin serves every
-peak: 27 times the 37.6 ps jitter floor, about a fifth of a 5 ns classical one.
-The cost is O(|a| log |b|) plus the pairs in the window, never O(|a|*|b|); all
-but the reported pass stride a.  The kernel walks a in chunks sized to hold
-about _DIFF_CHUNK expected pairs each, so its temporaries stay small whatever
-the density of the streams.
+One two-pointer kernel yields the pair differences within a window.  The
+offset search bins them over +/- the search span at a fixed 1 ns, to recover
+the unknown relative offset (group delays displace the peak by hundreds of
+microseconds) and its width; later passes histogram them at picosecond bins
+sized from that width.  The one coarse bin serves every peak: 27 times the
+37.6 ps jitter floor, about a fifth of a 5 ns classical one.  The search
+locates the fullest bin in sparse samples of a, counting only the bins their
+pairs hit, and confirms it on a narrow window of the densest sample; no array
+spans the search.  The cost is O(|a| log |b|) plus the pairs in the window,
+never O(|a|*|b|); all but the reported pass stride a.  The kernel walks a in
+chunks sized to hold about _DIFF_CHUNK expected pairs each, so its
+temporaries stay small whatever the density of the streams.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from .errors import NoPeakError, ParameterError
 from .streams import FS_PER_MS, FS_PER_PS, TagStream
 
 COARSE_BIN_FS = 10**6  # the offset search bin, 1 ns
-_PAIR_BUDGET = 1 << 22  # expected pairs per coarse pass; denser streams are strided
-_MAX_BINS = 1 << 22  # bins per coarse pass; a wider search span widens the bin
+_PAIR_BUDGET = 1 << 22  # expected pairs per test pass; denser streams are strided
+_LOOK_PAIRS = 1 << 16  # expected pairs of the first look, at least
+_CONFIRM_BINS = 64  # bins either side of a located bin counted at the test stride
 _FALSE_PEAK_P = 2.87e-7  # a one-sided 5 sigma excess, trials factor included
 # Expected pairs per two-pointer step: bounds the kernel's temporaries, which
 # then stay in cache and below the allocator's mmap threshold.
@@ -72,6 +76,12 @@ def _pairs_per_tag(b: np.ndarray, width_fs: float) -> float:
     accidentals at b's mean rate plus one true partner."""
     rate_b = b.size / max(int(b[-1] - b[0]), 1)
     return min(b.size, rate_b * width_fs) + 1
+
+
+def _pairs_within(a: np.ndarray, b: np.ndarray, half_fs: int) -> int:
+    """Number of pairs with |b_j - a_i| <= half_fs, from two binary searches."""
+    return int((np.searchsorted(b, a + half_fs, side="right")
+                - np.searchsorted(b, a - half_fs, side="left")).sum())
 
 
 def window_diffs(
@@ -158,48 +168,76 @@ def strided_counts(a: TagStream, b: TagStream, center_fs: int, bin_fs: int, span
 def coarse_offset(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> tuple[int, int]:
     """Recover the offset t_b - t_a of the coincidence peak and its width (fs).
 
-    Histograms the pair differences within +/- search_span at COARSE_BIN_FS
-    (see strided_counts), at a cost that tracks the pairs in the span, not the
-    acquisition length: the offset is the centre of the fullest bin, the width
-    the run of bins around it holding at least (peak + mean) / 2.  A span of
-    more than _MAX_BINS bins is searched at a widened bin, then refined at
-    COARSE_BIN_FS over one wide bin either side.  Raises NoPeakError unless
-    the fullest bin is a 5 sigma Poisson excess over the mean of the others,
-    the number of bins being the trials factor.
+    The pair differences within +/- search_span fall into bins of
+    COARSE_BIN_FS centred on its multiples, +span into the last bin.  At the
+    stride of strided_counts, the fullest bin must be a one-sided 5 sigma
+    Poisson excess over the mean of the others, the number of bins being the
+    trials factor, or NoPeakError is raised.
+
+    Looks find that bin without an array of every bin.  A look locates the
+    fullest bin among the pairs of every look-th tag of a, counting only the
+    bins they hit; then it counts the _CONFIRM_BINS bins either side at the
+    stride and tests the fullest of them against the mean of the span.  The
+    first look strides by stride * 4^k, the sparsest to expect _LOOK_PAIRS
+    pairs; each failed look is four times denser, down to the stride, where
+    the located bin is the fullest of all.  A look's peak is at most that
+    one's and its mean at least the span's, so no look passes a peak the last
+    would reject.  The width is the run of bins around the peak holding at
+    least (peak + mean) / 2, within the confirm window.
     """
-    _nonempty(a, "a")
-    _nonempty(b, "b")
+    tags_a = _nonempty(a, "a")
+    tags_b = _nonempty(b, "b")
     if search_span_ms <= 0:
         raise ParameterError("search_span must be > 0")
-    span_fs = search_span_ms * FS_PER_MS
-    widen = -(-(2 * math.ceil(span_fs / COARSE_BIN_FS) + 1) // _MAX_BINS)
-    span_bins = max(1, math.ceil(span_fs / (widen * COARSE_BIN_FS)))
-    h, stride = strided_counts(a, b, 0, widen * COARSE_BIN_FS, span_bins)
-    counts = h.counts
-
-    top = int(np.argmax(counts))
-    peak = int(counts[top])
-    mean = (counts.sum() - peak) / (counts.size - 1)
-    p = min(1.0, counts.size * float(pdtrc(peak - 1, mean))) if peak else 1.0
-    if p > _FALSE_PEAK_P:
-        raise NoPeakError(
-            f"no significant coincidence peak within +/- {search_span_ms:.3f} ms: "
-            f"fullest bin {peak} pairs against a mean of {mean:.3g} over "
-            f"{counts.size} bins (stride {stride}), trials-corrected p = {p:.3g}"
-        )
-    est_fs = (top - span_bins) * widen * COARSE_BIN_FS
-    if widen > 1:
-        h, fine_stride = strided_counts(a, b, est_fs, COARSE_BIN_FS, widen)
-        counts = h.counts
-        mean *= stride / (fine_stride * widen)  # per coarse bin at the new stride
-        top = int(np.argmax(counts))
-        est_fs += (top - widen) * COARSE_BIN_FS
-    lo, hi, half = top, top + 1, (counts[top] + mean) / 2
-    while lo > 0 and counts[lo - 1] >= half:
-        lo -= 1
-    while hi < counts.size and counts[hi] >= half:
-        hi += 1
-    return est_fs, (hi - lo) * COARSE_BIN_FS
+    span_bins = max(1, math.ceil(search_span_ms * FS_PER_MS / COARSE_BIN_FS))
+    nbins = 2 * span_bins + 1
+    half_fs = nbins * COARSE_BIN_FS // 2
+    expected = len(tags_a) * _pairs_per_tag(tags_b, nbins * COARSE_BIN_FS)
+    stride = look = max(1, math.ceil(expected / _PAIR_BUDGET))
+    while expected / (4 * look) >= _LOOK_PAIRS:
+        look *= 4
+    sample = tags_a[::stride]
+    total = _pairs_within(sample, tags_b, half_fs)
+    while True:
+        # One buffer for the look's bin indices: a list of chunk-sized arrays
+        # would leave that much of the heap resident after the search.
+        looked = tags_a[::look]
+        idx = np.empty(_pairs_within(looked, tags_b, half_fs), dtype=np.int64)
+        pos = 0
+        for diffs in window_diffs(looked, tags_b, 0, half_fs):
+            idx[pos : pos + diffs.size] = (diffs + half_fs) // COARSE_BIN_FS
+            pos += diffs.size
+        np.minimum(idx, nbins - 1, out=idx)
+        located, hits = np.unique(idx, return_counts=True)
+        top = int(located[np.argmax(hits)]) if located.size else span_bins
+        # Bins lo..hi at the test stride, plus one spare on the right, which
+        # takes the differences on the window's closed right edge.
+        lo, hi = max(top - _CONFIRM_BINS, 0), min(top + _CONFIRM_BINS + 1, nbins - 1)
+        counts = fine_histogram(replace(a, tags=sample), b,
+                                (lo + hi + 1) * COARSE_BIN_FS // 2 - half_fs,
+                                COARSE_BIN_FS / FS_PER_PS,
+                                (hi - lo + 1) * COARSE_BIN_FS / (2 * FS_PER_PS)).counts
+        if hi < nbins - 1:
+            counts = counts[:-1]
+        i = int(np.argmax(counts))
+        peak = int(counts[i])
+        mean = (total - peak) / (nbins - 1)
+        p = min(1.0, nbins * float(pdtrc(peak - 1, mean))) if peak else 1.0
+        if p <= _FALSE_PEAK_P:
+            break
+        if look == stride:
+            raise NoPeakError(
+                f"no significant coincidence peak within +/- {search_span_ms:.3f} ms: "
+                f"fullest bin {peak} pairs against a mean of {mean:.3g} over "
+                f"{nbins} bins (stride {stride}), trials-corrected p = {p:.3g}"
+            )
+        look //= 4
+    first, last, half = i, i + 1, (peak + mean) / 2
+    while first > 0 and counts[first - 1] >= half:
+        first -= 1
+    while last < counts.size and counts[last] >= half:
+        last += 1
+    return (lo + i - span_bins) * COARSE_BIN_FS, (last - first) * COARSE_BIN_FS
 
 
 def g2_normalize(

@@ -69,6 +69,15 @@ class TestFitGaussian:
         with pytest.raises(FitError):
             fit_gaussian(h)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_unresolved_peak_fails_at_once(self, seed):
+        # A 0.3 ps peak centred in one 3 ps bin: without the check, seed 0
+        # shrank sigma for all 100 steps and seed 1 returned sigma 0.46 +- 2e5 ps.
+        rng = np.random.default_rng(seed)
+        h = gaussian_histogram(200.0, 1.5, 0.3, 5.0, 3.0, 300.0, noisy=rng)
+        with pytest.raises(FitError, match=r"peak unresolved: sigma [\d.]+ ps .* 3 ps bin"):
+            fit_gaussian(h)
+
     def test_poisson_recovery_with_baseline(self):
         rng = np.random.default_rng(1)
         h = gaussian_histogram(2000.0, 40.0, 16.0, 25.0, 3.0, 200.0, noisy=rng)

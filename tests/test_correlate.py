@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,18 @@ def poisson_stream(rng, rate_hz, duration_s, resolution_fs=1000, site_id=0):
     tags = np.sort(rng.integers(0, int(duration_s * 1e15), n))
     tags = (tags // resolution_fs) * resolution_fs
     return make_stream(np.sort(tags), resolution_fs, site_id, span=int(duration_s * 1e15))
+
+
+def weak_signal_streams():
+    """Streams whose b holds copies of 0.5 % of a's tags at an offset, the
+    rest being an independent stream of the same rate; and the offset."""
+    rng = np.random.default_rng(10)
+    a = poisson_stream(rng, 12000, 5.0)
+    offset_fs = 123_456_789_012
+    shared = rng.choice(a.tags, 300, replace=False) + offset_fs
+    noise = poisson_stream(rng, 12000, 5.0).tags
+    b = make_stream(np.concatenate([noise, shared]), span=a.acquisition_span_fs)
+    return a, b, offset_fs
 
 
 class TestFineHistogram:
@@ -174,11 +187,11 @@ def _record_yields(monkeypatch) -> list[int]:
 
 class TestChunkBound:
     def test_coarse_pass_fig2a(self, monkeypatch):
-        # About 24 pairs per tag of a over +/- 1 ms.
+        # fig2a's +/- 1 ms at 1 ns from every tag of a: about 24 pairs per tag.
         a, b = run_simulation(presets.fig2a_config(), seed=0)
         sizes = _record_yields(monkeypatch)
-        coarse_offset(a, b)
-        assert sum(sizes) > 10**6
+        h = fine_histogram(a, b, 0, bin_width_ps=1000.0, window_ps=1e9 + 500.0)
+        assert h.total_pairs == sum(sizes) > 10**6
         assert max(sizes) < 2 * correlate._DIFF_CHUNK
 
     def test_fine_pass_dense(self, monkeypatch):
@@ -281,28 +294,34 @@ class TestCoarseOffset:
         assert 2.87e-7 < p <= 1.0
 
     def test_weak_signal_recovered(self):
-        # 0.5 % of b's tags are copies of a's at the offset; the rest are
-        # an independent stream of the same rate.
-        rng = np.random.default_rng(10)
-        a = poisson_stream(rng, 12000, 5.0)
-        offset_fs = 123_456_789_012
-        shared = rng.choice(a.tags, 300, replace=False) + offset_fs
-        noise = poisson_stream(rng, 12000, 5.0).tags
-        b = make_stream(np.concatenate([noise, shared]), span=a.acquisition_span_fs)
+        a, b, offset_fs = weak_signal_streams()
         assert abs(coarse_offset(a, b)[0] - offset_fs) <= 10**6
 
     def test_large_span_refined_to_coarse_bin(self):
-        # +/- 10 ms at 1 ns needs 2e7 bins: searched at a 5 ns bin, then
-        # refined at 1 ns around the peak.
+        # +/- 10 ms at 1 ns: 2e7 bins.
         rng = np.random.default_rng(11)
         a = poisson_stream(rng, 12000, 5.0)
         offset_fs = 5 * 10**12 + 2_345_678
         b = make_stream(a.tags + offset_fs, span=a.acquisition_span_fs + offset_fs)
         recovered, width = coarse_offset(a, b, search_span_ms=10.0)
         assert abs(recovered - offset_fs) <= 10**6
-        assert width == 10**6  # measured at the coarse bin, not the widened one
+        assert width == 10**6  # every pair lies in the one bin of the shift
         with pytest.raises(NoPeakError):
             coarse_offset(a, b)
+
+    def test_width_measured_within_confirm_window(self):
+        # Ten partners per tag of a, spread with a 300 ns rms: at the test
+        # stride of 4, a peak of about 200 pairs per bin, above half of that
+        # over the whole 129-bin confirm window.
+        rng = np.random.default_rng(13)
+        a = poisson_stream(rng, 12000, 5.0)
+        offset_fs = 10**11
+        spread = [a.tags + offset_fs + rng.normal(0, 3e8, a.tags.size).astype(np.int64)
+                  for _ in range(10)]
+        b = make_stream(np.concatenate(spread), span=a.acquisition_span_fs + 2 * offset_fs)
+        recovered, width = coarse_offset(a, b)
+        assert abs(recovered - offset_fs) < 10**9
+        assert width == (2 * correlate._CONFIRM_BINS + 1) * 10**6
 
     def test_empty_stream_rejected(self):
         empty = TagStream(np.empty(0, dtype=np.int64), 1000, 0, 0)
@@ -310,6 +329,66 @@ class TestCoarseOffset:
         a = poisson_stream(rng, 1000, 1.0)
         with pytest.raises(ParameterError):
             coarse_offset(empty, a)
+
+
+def _record_confirms(monkeypatch) -> list[int]:
+    """Offsets of the fine_histogram calls from now on: coarse_offset makes one
+    per look, centred within 65 ns of the bin the look located."""
+    offsets = []
+    histogram = correlate.fine_histogram
+
+    def recording(a, b, offset_fs, *args):
+        offsets.append(offset_fs)
+        return histogram(a, b, offset_fs, *args)
+
+    monkeypatch.setattr(correlate, "fine_histogram", recording)
+    return offsets
+
+
+class TestLooks:
+    def test_fig2a_found_in_a_sparse_look(self, monkeypatch):
+        # One dense pass over the whole span takes 1.51e6 pairs and 18.0e6 bytes.
+        a, b = run_simulation(presets.fig2a_config(), seed=0)
+        tracemalloc.start()
+        try:
+            coarse_offset(a, b)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < 8 * 10**6
+        sizes = _record_yields(monkeypatch)
+        centres = _record_confirms(monkeypatch)
+        coarse_offset(a, b)
+        assert sum(sizes) < 2 * 10**5
+        assert len(centres) == 1
+
+    @pytest.mark.parametrize("cfg", [
+        presets.fig2a_config(),
+        presets.fig2d_config(),
+        presets.fig2d_config("positive"),
+        presets.fig2d_config("none"),
+    ], ids=["fig2a", "fig2d", "positive", "none"])
+    def test_single_look_agrees(self, cfg, monkeypatch):
+        # With a first look as dense as the test, the one look locates the
+        # fullest bin of the whole span at the test stride.
+        a, b = run_simulation(cfg, seed=0)
+        sizes = _record_yields(monkeypatch)
+        default = coarse_offset(a, b)
+        sparse_pairs = sum(sizes)
+        monkeypatch.setattr(correlate, "_LOOK_PAIRS", correlate._PAIR_BUDGET)
+        assert coarse_offset(a, b) == default
+        assert sum(sizes) - sparse_pairs > 4 * sparse_pairs
+
+    def test_later_look_recovers_missed_peak(self, monkeypatch):
+        # A first look of about 370 pairs holds none of the 300 shared tags.
+        a, b, offset_fs = weak_signal_streams()
+        default = coarse_offset(a, b)
+        monkeypatch.setattr(correlate, "_LOOK_PAIRS", 1 << 8)
+        centres = _record_confirms(monkeypatch)
+        assert coarse_offset(a, b) == default
+        assert len(centres) > 1
+        assert abs(centres[0] - offset_fs) > 65 * 10**6
+        assert abs(centres[-1] - offset_fs) <= 65 * 10**6
 
 
 class TestG2Normalize:

@@ -31,8 +31,7 @@ def test_default_arguments_match_prediction(name):
 
 
 def test_widened_search_span_fig2a():
-    # +/- 10 ms is searched at a 5 ns bin and refined at 1 ns; the seed pass
-    # must still resolve the 37.6 ps peak.
+    # Over +/- 10 ms, the seed pass must still resolve the 37.6 ps peak.
     a, b = run_simulation(presets.fig2a_config(), seed=0)
     fwhm = measure_peak(a, b, search_span_ms=10.0).fit.fwhm_ps
     lo, hi = FIG2A_FWHM_RANGE
