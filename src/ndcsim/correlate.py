@@ -257,12 +257,26 @@ def write_histogram_csv(h: Histogram, path, g2: np.ndarray) -> None:
                header="bin_center_ps,counts,g2_normalized", comments="")
 
 
+_CSV_SPACING_PS = 2e-6  # twice the 1e-6 ps rounding of the written centres
+
+
 def read_histogram_csv(path) -> Histogram:
-    """Histogram of a write_histogram_csv file (bin geometry inferred from centers)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    centers = data[:, 0]
+    """Histogram of a write_histogram_csv file; broken bin geometry is rejected.
+
+    The centres must be finite and evenly spaced to within ``_CSV_SPACING_PS``,
+    and the counts finite whole numbers.
+    """
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(0, 1))
+    centers, counts = data[:, 0], data[:, 1]
     if centers.size < 2:
         raise ParameterError("histogram CSV needs at least two bins")
-    bw = float(np.median(np.diff(centers)))
+    if not np.isfinite(data).all():
+        raise ParameterError("bin centres and counts must be finite")
+    steps = np.diff(centers)
+    bw = float(np.median(steps))
+    if np.abs(steps - bw).max() > _CSV_SPACING_PS:
+        raise ParameterError(f"bin centres not evenly spaced to within {_CSV_SPACING_PS:g} ps")
+    if (counts != np.round(counts)).any():
+        raise ParameterError("counts must be whole numbers")
     return Histogram(bin_width_ps=bw, origin_ps=float(centers[0] - 0.5 * bw),
-                     counts=data[:, 1].astype(np.int64))
+                     counts=counts.astype(np.int64))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import socket
 import struct
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,40 +38,32 @@ TIMEOUT_S = 60.0
 DEFAULT_BATCH = 4096
 
 
-@dataclass(frozen=True)
-class TagFileHeader:
-    site_id: int
-    resolution_fs: int
-    tag_count: int
-    acquisition_span_fs: int
+def pack_header(site_id: int, resolution_fs: int, tag_count: int,
+                acquisition_span_fs: int) -> bytes:
+    """The header of a stream of ``tag_count`` tags."""
+    return _HEADER.pack(MAGIC, VERSION, site_id, resolution_fs, tag_count, acquisition_span_fs)
 
-    def pack(self) -> bytes:
-        return _HEADER.pack(
-            MAGIC, VERSION, self.site_id, self.resolution_fs,
-            self.tag_count, self.acquisition_span_fs,
+
+def _unpack_header(raw) -> tuple[int, dict]:
+    """``(tag_count, fields)`` of a header, ``fields`` being TagStream keywords."""
+    if len(raw) < HEADER_SIZE:
+        raise TruncatedFileError(
+            f"header truncated: expected {HEADER_SIZE} bytes, got {len(raw)}"
         )
-
-    @classmethod
-    def unpack(cls, raw: bytes) -> "TagFileHeader":
-        if len(raw) < HEADER_SIZE:
-            raise TruncatedFileError(
-                f"header truncated: expected {HEADER_SIZE} bytes, got {len(raw)}"
-            )
-        magic, version, site_id, resolution, count, span = _HEADER.unpack(raw[:HEADER_SIZE])
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        if version != VERSION:
-            raise VersionMismatchError(f"unsupported version {version}, expected {VERSION}")
-        return cls(site_id, resolution, count, span)
+    magic, version, site_id, resolution_fs, tag_count, span = _HEADER.unpack(raw)
+    if magic != MAGIC:
+        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if version != VERSION:
+        raise VersionMismatchError(f"unsupported version {version}, expected {VERSION}")
+    return tag_count, dict(site_id=site_id, resolution_fs=resolution_fs,
+                           acquisition_span_fs=span)
 
 
-def _header_for(stream: TagStream) -> TagFileHeader:
-    return TagFileHeader(
-        site_id=stream.site_id,
-        resolution_fs=stream.resolution_fs,
-        tag_count=len(stream),
-        acquisition_span_fs=stream.acquisition_span_fs,
-    )
+def _encode(stream: TagStream) -> tuple[bytes, memoryview]:
+    """The header bytes and a view of the payload, written or sent in turn."""
+    header = pack_header(stream.site_id, stream.resolution_fs, len(stream),
+                         stream.acquisition_span_fs)
+    return header, stream.tags.astype("<i8", copy=False).data
 
 
 def write_tags(stream: TagStream, destination) -> int:
@@ -81,43 +72,31 @@ def write_tags(stream: TagStream, destination) -> int:
     ``destination`` is a path or a writable binary file object.
     """
     with nullcontext(destination) if hasattr(destination, "write") else open(destination, "wb") as f:
-        f.write(_header_for(stream).pack())
-        f.write(stream.tags.astype("<i8", copy=False).data)
+        for part in _encode(stream):
+            f.write(part)
     return HEADER_SIZE + 8 * len(stream)
 
 
-def _decode(header: TagFileHeader, payload) -> TagStream:
-    """Build the stream from a payload of exactly ``header.tag_count`` tags.
-
-    The tags are a view of the payload, copied only on a big-endian host; a
-    view of ``bytes`` is read-only.
-    """
-    return TagStream(
-        tags=np.frombuffer(payload, dtype="<i8"),
-        resolution_fs=header.resolution_fs,
-        site_id=header.site_id,
-        acquisition_span_fs=header.acquisition_span_fs,
-    )
-
-
 def read_tags(source) -> TagStream:
-    """Parse and validate a serialized stream; rejects rather than repairs."""
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        with open(source, "rb") as f:
-            raw = f.read()
-    header = TagFileHeader.unpack(raw)
-    payload = raw[HEADER_SIZE:]
-    expected = header.tag_count * 8
+    """Parse and validate a serialized stream; rejects rather than repairs.
+
+    ``source`` is a path, read unbuffered, or a binary file object.  The header
+    is read first, then the rest as the payload, which must be exactly its tags.
+    The tags are a view of the payload, copied only on a big-endian host; a view
+    of ``bytes`` is read-only.
+    """
+    with nullcontext(source) if hasattr(source, "read") else open(source, "rb", buffering=0) as f:
+        tag_count, fields = _unpack_header(f.read(HEADER_SIZE))
+        payload = f.read()
+    expected = tag_count * 8
     if len(payload) > expected:
-        raise TagFormatError(f"data past the header's {header.tag_count} tags")
+        raise TagFormatError(f"data past the header's {tag_count} tags")
     if len(payload) < expected:
         raise TruncatedFileError(
-            f"payload truncated: expected {header.tag_count} tags "
+            f"payload truncated: expected {tag_count} tags "
             f"({expected} bytes), got {len(payload) // 8} ({len(payload)} bytes)"
         )
-    return _decode(header, payload)
+    return TagStream(tags=np.frombuffer(payload, dtype="<i8"), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +121,8 @@ def _recv_exact(sock: socket.socket, n: int) -> bytearray:
 def site_send(stream: TagStream, connection: socket.socket) -> None:
     """Send the stream's tag-file bytes, then half-close the connection."""
     try:
-        connection.sendall(_header_for(stream).pack())
-        connection.sendall(stream.tags.astype("<i8", copy=False).data)
+        for part in _encode(stream):
+            connection.sendall(part)
         connection.shutdown(socket.SHUT_WR)
     except OSError as exc:
         raise TransportError(f"send failed: {exc}") from exc
@@ -151,15 +130,15 @@ def site_send(stream: TagStream, connection: socket.socket) -> None:
 
 def receive_stream(connection: socket.socket) -> TagStream:
     """Receive one stream: the header, exactly its tags, then end of stream."""
-    header = TagFileHeader.unpack(_recv_exact(connection, HEADER_SIZE))
-    payload = _recv_exact(connection, header.tag_count * 8)
+    tag_count, fields = _unpack_header(_recv_exact(connection, HEADER_SIZE))
+    payload = _recv_exact(connection, tag_count * 8)
     try:
         extra = connection.recv(1)
     except OSError as exc:
         raise TransportError(f"connection error: {exc}") from exc
     if extra:
-        raise TagFormatError(f"data past the header's {header.tag_count} tags")
-    return _decode(header, payload)
+        raise TagFormatError(f"data past the header's {tag_count} tags")
+    return TagStream(tags=np.frombuffer(payload, dtype="<i8"), **fields)
 
 
 def send_to_terminal(stream: TagStream, address: tuple[str, int]) -> None:

@@ -5,11 +5,13 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from ndcsim import presets, tagio
 from ndcsim.cli import main
 from ndcsim.config import dump_config
+from ndcsim.reproduce import reproduce
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +126,38 @@ class TestCorrelateAnalyze:
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", [None, "rounded", "jump", "nan_center",
+                                        "fractional_count", "one_column"])
+    def test_analyze_csv_geometry(self, tmp_path, capsys, defect):
+        # A 4 ps-bin Gaussian peak, as built, rebinned and rounded as
+        # write_histogram_csv rounds, or with one defect that is bad input.
+        centers = 4.0 * np.arange(80)
+        counts = np.round(5 + 200 * np.exp(-0.5 * ((centers - 160) / 10) ** 2))
+        columns = [centers, counts, counts / 5]
+        if defect == "rounded":  # 13/3 ps bins written to 1e-6 ps, as correlate does
+            centers[:] = np.round(centers * 13 / 12, 6)
+        elif defect == "jump":
+            centers[40:] += 100
+        elif defect == "nan_center":
+            centers[10] = np.nan
+        elif defect == "fractional_count":
+            counts[30] = 3.7
+        elif defect == "one_column":
+            del columns[1:]
+        rc = main(["analyze", str(_write_csv(tmp_path / "h.csv", *columns))])
+        err = capsys.readouterr().err
+        if defect in (None, "rounded"):
+            assert rc == 0
+        else:
+            assert rc == 2
+            assert err.startswith(f"invalid parameter: cannot read {tmp_path / 'h.csv'}")
+
+    def test_analyze_flat_csv_exit_4(self, tmp_path, capsys):
+        csv = _write_csv(tmp_path / "flat.csv", 4.0 * np.arange(20), np.full(20, 5), np.ones(20))
+        rc = main(["analyze", str(csv)])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("fit failed: no significant peak")
+
     def test_independent_streams_exit_3(self, sim_dir, tmp_path, capsys):
         rc = main(["simulate", "--config", str(sim_dir / "run.cfg"),
                    "--out", str(tmp_path / "other"), "--seed", "8"])
@@ -132,6 +166,13 @@ class TestCorrelateAnalyze:
                    str(tmp_path / "other_b.tags")])
         assert rc == 3
         assert "no peak" in capsys.readouterr().err
+
+
+def _write_csv(path, *columns):
+    rows = zip(*(c.tolist() for c in columns))
+    path.write_text("bin_center_ps,counts,g2_normalized\n"
+                    + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +242,11 @@ class TestReproduce:
         out = capsys.readouterr().out
         assert "PASS" in out
 
+    def test_fig2d_passes_with_prediction(self):
+        report = reproduce("fig2d", seed=0)
+        assert report.passed
+        assert "analytic prediction = 107.3 ps" in report.lines
+
     def test_unknown_target_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["reproduce", "fig9"])
@@ -253,7 +299,7 @@ class TestTransport:
             except OSError:
                 time.sleep(0.1)
         with sock:
-            sock.sendall(tagio.TagFileHeader(0, 1000, 1, 0).pack() + bytes(9))
+            sock.sendall(tagio.pack_header(0, 1000, 1, 0) + bytes(9))
             sock.shutdown(socket.SHUT_WR)
         t.join(timeout=60)
         assert result["rc"] == 2

@@ -25,7 +25,7 @@ from ndcsim.tagio import (
     HEADER_SIZE,
     MAGIC,
     Terminal,
-    TagFileHeader,
+    pack_header,
     read_tags,
     receive_stream,
     send_to_terminal,
@@ -83,6 +83,20 @@ class TestFileFormat:
         assert peak < 10**6
         assert read_tags(tmp_path / "a.tags") == s
 
+    def test_read_holds_one_copy_of_payload(self, tmp_path):
+        # The header is read first, then the payload unbuffered: no second
+        # copy from slicing a whole-file read or joining a read buffer.
+        s = stream_of(np.arange(10**6) * 1000)  # 8 MB of tags
+        write_tags(s, tmp_path / "a.tags")
+        tracemalloc.start()
+        try:
+            back = read_tags(tmp_path / "a.tags")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**7
+        assert back == s
+
     @settings(max_examples=50, deadline=None)
     @given(
         tags=st.lists(st.integers(0, 2**62), max_size=200),
@@ -121,17 +135,17 @@ class TestFileFormat:
         assert "3" in str(err.value)
 
     def test_trailing_data(self):
-        raw = TagFileHeader(0, 1000, 1, 0).pack() + bytes(16)
+        raw = pack_header(0, 1000, 1, 0) + bytes(16)
         with pytest.raises(TagFormatError, match="data past the header's 1 tags") as err:
             read_tags(io.BytesIO(raw))
         assert not isinstance(err.value, TruncatedFileError)
 
     def test_unsorted_payload_names_index(self):
-        header = TagFileHeader(site_id=0, resolution_fs=1000, tag_count=3,
-                               acquisition_span_fs=100)
+        header = pack_header(site_id=0, resolution_fs=1000, tag_count=3,
+                             acquisition_span_fs=100)
         payload = np.array([10, 5, 20], dtype="<i8").tobytes()
         with pytest.raises(UnsortedTagsError) as err:
-            read_tags(io.BytesIO(header.pack() + payload))
+            read_tags(io.BytesIO(header + payload))
         assert "1" in str(err.value)
 
 
@@ -151,7 +165,7 @@ def wire_bytes(draw):
     tags = draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=6))
     if draw(st.booleans()):
         tags.sort()
-    raw = TagFileHeader(3, 1000, len(tags), draw(st.integers(0, 2**64 - 1))).pack()
+    raw = pack_header(3, 1000, len(tags), draw(st.integers(0, 2**64 - 1)))
     raw += np.array(tags, dtype="<i8").tobytes()
     cut = draw(st.none() | st.integers(0, len(raw)))
     return raw[:cut] + draw(st.just(b"") | st.binary(max_size=9))
@@ -198,24 +212,24 @@ class TestWireTransport:
         assert bytes(wire) == buf.getvalue()
 
     def test_trailing_data(self):
-        header = TagFileHeader(0, 1000, 1, 100).pack()
+        header = pack_header(0, 1000, 1, 100)
         with _send_raw(header + bytes(8) + b"\x00") as b, pytest.raises(TagFormatError) as err:
             receive_stream(b)
         assert "past the header's 1 tags" in str(err.value)
 
     def test_count_mismatch(self):
-        header = TagFileHeader(0, 1000, 5, 100).pack()
+        header = pack_header(0, 1000, 5, 100)
         payload = np.array([1, 2], dtype="<i8").tobytes()
         with _send_raw(header + payload) as b, pytest.raises(TransportError):
             receive_stream(b)
 
     def test_huge_count_is_short_payload(self):
-        header = TagFileHeader(0, 1000, 2**61, 100).pack()
+        header = pack_header(0, 1000, 2**61, 100)
         with _send_raw(header + bytes(800)) as b, pytest.raises(TransportError):
             receive_stream(b)
 
     def test_unsorted_payload_names_index(self):
-        header = TagFileHeader(0, 1000, 3, 100).pack()
+        header = pack_header(0, 1000, 3, 100)
         payload = np.array([50, 60, 10], dtype="<i8").tobytes()
         with _send_raw(header + payload) as b, pytest.raises(UnsortedTagsError) as err:
             receive_stream(b)
@@ -261,7 +275,7 @@ class TestDecodedStream:
 
     def test_unsorted_names_first_index(self, read, tmp_path):
         # Subtracting neighbours would wrap here and blame index 2.
-        raw = TagFileHeader(0, 1000, 3, 100).pack()
+        raw = pack_header(0, 1000, 3, 100)
         raw += np.array([2**63 - 1, -2**63, 5], dtype="<i8").tobytes()
         with pytest.raises(UnsortedTagsError, match="first offending index 1$"):
             read(raw, tmp_path)
@@ -331,7 +345,7 @@ class TestTerminal:
         t = threading.Thread(target=collect, daemon=True)
         t.start()
         with socket.create_connection(("127.0.0.1", terminal.port)) as sock:
-            sock.sendall(TagFileHeader(0, 1000, 1, 0).pack()[:HEADER_SIZE // 2])
+            sock.sendall(pack_header(0, 1000, 1, 0)[:HEADER_SIZE // 2])
             t.join(timeout=10)
         assert not t.is_alive()
         assert "connection error" in str(result["error"])
