@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import model
 from .correlate import Histogram
@@ -65,6 +64,13 @@ class LinearFit:
     dof: int
 
 
+def _xlogy(n, lam):
+    """n ln(lam) for counts n >= 0 and rates lam >= 0: 0 where n is 0, whatever
+    lam, and -inf, without a warning, where only lam is."""
+    with np.errstate(divide="ignore"):
+        return n * np.log(lam, out=np.zeros(lam.shape), where=n > 0)
+
+
 def _poisson(x, y, p):
     """At p = (A, mu, sigma, B): the Poisson NLL sum(lambda - n ln lambda),
     infinite for a negative rate or a count at rate 0, the rates, their gradient."""
@@ -72,7 +78,7 @@ def _poisson(x, y, p):
     z = (x - mu) / sig
     g = np.exp(-0.5 * z * z)
     lam = amp * g + base
-    nll = float(lam.sum() - xlogy(y, lam).sum()) if lam.min() >= 0 else math.inf
+    nll = float(lam.sum() - _xlogy(y, lam).sum()) if lam.min() >= 0 else math.inf
     return nll, lam, np.array([g, amp * g * z / sig, amp * g * z * z / sig, np.ones_like(x)])
 
 
@@ -150,7 +156,7 @@ def fit_gaussian(h: Histogram) -> GaussianFit:
         sigma_err_ps=float(errs[2]),
         baseline=float(base),
         baseline_err=float(errs[3]),
-        deviance_per_dof=2.0 * float(nll - y.sum() + xlogy(y, y).sum()) / max(x.size - 4, 1),
+        deviance_per_dof=2.0 * float(nll - y.sum() + _xlogy(y, y).sum()) / max(x.size - 4, 1),
     )
 
 

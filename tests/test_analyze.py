@@ -9,6 +9,7 @@ import pytest
 from ndcsim import model
 from ndcsim.analyze import (
     GaussianFit,
+    _poisson,
     dispersion_from_slope,
     evaluate_wasak,
     fit_gaussian,
@@ -97,6 +98,43 @@ class TestFitGaussian:
             if abs(fit.sigma_ps - 45.55) <= 3 * fit.sigma_err_ps:
                 hits += 1
         assert hits / trials >= 0.99
+
+
+class TestPoissonNLL:
+    """The NLL sum(lambda - n ln lambda) of _poisson, with n ln lambda taken as 0
+    where n is 0, as scipy.special.xlogy does."""
+
+    X = np.linspace(-500.0, 500.0, 201)
+    P = np.array([100.0, 0.0, 5.0, 0.0])  # rates underflow to 0 beyond ~195 ps
+
+    def test_count_at_rate_zero_infinite_without_warning(self):
+        y = np.zeros_like(self.X)
+        y[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nll, lam, _ = _poisson(self.X, y, self.P)
+        assert lam[0] == 0.0
+        assert nll == math.inf
+
+    def test_zero_count_at_rate_zero_adds_nothing(self):
+        y = np.round(100.0 * np.exp(-0.5 * (self.X / 5.0) ** 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nll, lam, _ = _poisson(self.X, y, self.P)
+        assert (lam == 0).sum() > 100
+        live = lam > 0
+        expected = math.fsum(lam[live] - y[live] * np.log(lam[live]))
+        assert nll == pytest.approx(expected, rel=1e-14)
+
+    def test_matches_scipy_xlogy(self):
+        xlogy = pytest.importorskip("scipy.special").xlogy
+        rng = np.random.default_rng(3)
+        x = np.linspace(-200.0, 200.0, 501)
+        for p in ([300.0, 10.0, 20.0, 2.0], [50.0, -30.0, 40.0, 0.05], [1e4, 0.0, 5.0, 0.0]):
+            p = np.array(p)
+            y = rng.poisson(_poisson(x, np.zeros_like(x), p)[1]).astype(np.float64)
+            nll, lam, _ = _poisson(x, y, p)
+            assert nll == pytest.approx(float(lam.sum() - xlogy(y, lam).sum()), rel=1e-15)
 
 
 class TestVarianceFromFit:

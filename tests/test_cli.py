@@ -1,9 +1,13 @@
 """Command-line interface tests: exit codes, artifacts, loopback transport."""
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,41 @@ class TestReproduce:
     def test_unknown_target_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["reproduce", "fig9"])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# A finder that refuses scipy, as an environment without it would.
+_REFUSE_SCIPY = """
+import importlib.abc, sys
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestRunTimeDependencies:
+    def test_import_loads_no_scipy(self):
+        run = _python("import sys, ndcsim, ndcsim.cli, ndcsim.reproduce\n"
+                      "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"
+
+    def test_reproduce_runs_without_scipy(self, capsys):
+        assert main(["reproduce", "fig2a", "--seed", "0"]) == 0
+        expected = capsys.readouterr().out
+        run = _python(_REFUSE_SCIPY + "from ndcsim.cli import main\n"
+                      "sys.exit(main(['reproduce', 'fig2a', '--seed', '0']))\n")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == expected
 
 
 class TestTransport:

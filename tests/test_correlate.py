@@ -391,6 +391,57 @@ class TestLooks:
         assert abs(centres[-1] - offset_fs) <= 65 * 10**6
 
 
+def _tail_points(means, z_max):
+    """(k, mean) pairs with k from 0 to mean + z_max (sqrt(mean) + 1): both
+    ends, the mode, and spots through the bulk and the upper tail."""
+    for m in means:
+        hi = int(m + z_max * (math.sqrt(m) + 1))
+        ks = {0, 1, int(m), int(m) + 1, hi}
+        ks |= {int(v) for v in np.linspace(0, hi, 7)}
+        ks |= {int(m + z * math.sqrt(m)) for z in (-5, -2, -1, 0.5, 2, 5, 10, 20, 30)}
+        for k in sorted(v for v in ks if 0 <= v <= hi):
+            yield k, m
+
+
+class TestPoissonTail:
+    """correlate._poisson_sf(k, mean) = P(X > k) for X ~ Poisson(mean), the
+    regularized lower incomplete gamma P(k + 1, mean): the coarse peak's p."""
+
+    MEANS = (1e-3, 0.1, 0.7, 1.0, 3.5, 10.0, 31.6, 100.0, 1e3, 1e4, 1e5, 1e6, 2e6)
+
+    def test_matches_mpmath(self):
+        # Within 3e-12 here.  At a mean of 2e6, ln(mean^k e^-mean / k!) from
+        # math.lgamma is off by 4e-9, and the deviance without log1p by 2e-10.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for k, m in _tail_points(self.MEANS, 40):
+                try:
+                    ref = float(mpmath.gammainc(k + 1, 0, m, regularized=True))
+                except mpmath.libmp.NoConvergence:
+                    # mpmath's series gives up near k = mean at large means,
+                    # where P is about 1/2 and its complement keeps 40 digits.
+                    ref = float(1 - mpmath.gammainc(k + 1, m, mpmath.inf, regularized=True))
+                got = correlate._poisson_sf(k, m)
+                if ref < 1e-300:  # near or below the smallest normal double
+                    assert got < 1e-300, (k, m, got)
+                else:
+                    assert got == pytest.approx(ref, rel=1e-10), (k, m)
+
+    def test_matches_scipy(self):
+        # scipy's pdtrc drifts from mpmath beyond about 20 sigma (P < 1e-80),
+        # by up to 6e-12 at these means, and by more at large means: 4.6e-6 at
+        # k = 1005000, mean = 1e6.
+        pdtrc = pytest.importorskip("scipy.special").pdtrc
+        for k, m in _tail_points([m for m in self.MEANS if m <= 1e4], 20):
+            assert correlate._poisson_sf(k, m) == pytest.approx(float(pdtrc(k, m)), rel=1e-12), (k, m)
+
+    def test_zero_mean_and_zero_count(self):
+        for k in (0, 1, 5, 10**6):
+            assert correlate._poisson_sf(k, 0.0) == 0.0
+        for m in (1e-3, 1.0, 15.0, 1e3):
+            assert correlate._poisson_sf(0, m) == pytest.approx(-math.expm1(-m), rel=1e-14)
+
+
 class TestG2Normalize:
     def test_independent_streams_baseline_unity(self):
         rng = np.random.default_rng(7)
