@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Run every headline-result preset on each seed and print pass/fail.
+"""Run every headline-result preset on each seed and print every report.
 
-Prints one PASS/FAIL line per target and seed, the full report of each
-failure, and the number of failures; exits nonzero if any reproduction misses
-its target, so this doubles as an end-to-end check after changing the
+Prints each target and seed's full report on stdout, then the number of
+failures, and each run's wall time on stderr, so the stdout of two commits
+diffs to exactly the values that moved.  Exits nonzero if any reproduction
+misses its target, so this doubles as an end-to-end check after changing the
 simulation or analysis code (e.g. ``--seed 0 1 2 3 4 5 6 7 8 9``).
 """
 
@@ -28,11 +29,9 @@ def main() -> int:
             t0 = time.perf_counter()
             report = reproduce(target, seed=seed, scale=args.scale)
             elapsed = time.perf_counter() - t0
-            print(f"{'PASS' if report.passed else 'FAIL'} {target} seed {seed} ({elapsed:.1f} s)",
-                  flush=True)
-            if not report.passed:
-                failures += 1
-                print(report.text())
+            print(f"{target} seed {seed}: {elapsed:.1f} s", file=sys.stderr, flush=True)
+            print(f"seed {seed} {report.text()}", flush=True)
+            failures += not report.passed
     runs = len(args.targets) * len(args.seed)
     print(f"{failures} of {runs} reproductions failed")
     return 1 if failures else 0

@@ -60,13 +60,9 @@ def _write(writer, data, path, *rest):
         raise ParameterError(f"cannot write {path}: {exc}") from exc
 
 
-def _measure(args, a, b):
-    """Measure the peak of two streams with the search span applied."""
-    return measure_peak(a, b, args.search_span_ms)
-
-
 def _measure_files(args, path_a, path_b):
-    return _measure(args, _read(tagio.read_tags, path_a), _read(tagio.read_tags, path_b))
+    return measure_peak(_read(tagio.read_tags, path_a), _read(tagio.read_tags, path_b),
+                        args.search_span_ms)
 
 
 def _report_peak(meas, csv_path) -> int:
@@ -122,7 +118,7 @@ def cmd_terminal(args) -> int:
     a, b = streams[ids[0]], streams[ids[1]]
     for suffix, stream in (("a", a), ("b", b)):
         _write(tagio.write_tags, stream, f"{args.out}_{suffix}.tags")
-    return _report_peak(_measure(args, a, b), f"{args.out}_hist.csv")
+    return _report_peak(measure_peak(a, b, args.search_span_ms), f"{args.out}_hist.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,8 +3,9 @@
 One two-pointer kernel yields the pair differences within a window.  The
 offset search bins them over +/- the search span at a fixed 1 ns, to recover
 the unknown relative offset (group delays displace the peak by hundreds of
-microseconds) and its width; later passes histogram them at picosecond bins
-sized from that width.  The one coarse bin serves every peak: 27 times the
+microseconds) and its width; later passes histogram them in bins sized from
+that width.  Every histogram lies on one grid: whole, half-open bins of whole
+femtoseconds.  The one coarse bin serves every peak: 27 times the
 37.6 ps jitter floor, about a fifth of a 5 ns classical one.  The search
 locates the fullest bin in sparse samples of a, counting only the bins their
 pairs hit, and confirms it on a narrow window of the densest sample; no array
@@ -77,10 +78,17 @@ def _pairs_per_tag(b: np.ndarray, width_fs: float) -> float:
     return min(b.size, rate_b * width_fs) + 1
 
 
-def _pairs_within(a: np.ndarray, b: np.ndarray, half_fs: int) -> int:
-    """Number of pairs with |b_j - a_i| <= half_fs, from two binary searches."""
-    return int((np.searchsorted(b, a + half_fs, side="right")
-                - np.searchsorted(b, a - half_fs, side="left")).sum())
+def _pairs_within(a: np.ndarray, b: np.ndarray, lo_fs: int, hi_fs: int) -> int:
+    """Number of pairs with lo_fs <= b_j - a_i < hi_fs, from two binary searches."""
+    return int((np.searchsorted(b, a + hi_fs, side="left")
+                - np.searchsorted(b, a + lo_fs, side="left")).sum())
+
+
+def _budget_stride(a: np.ndarray, b: np.ndarray, width_fs: int) -> int:
+    """The stride over a that keeps the expected pairs within a window
+    width_fs wide, accidentals plus one true partner per tag, within
+    _PAIR_BUDGET."""
+    return max(1, math.ceil(a.size * _pairs_per_tag(b, width_fs) / _PAIR_BUDGET))
 
 
 def _log_poisson_pmf(n: int, mean: float) -> float:
@@ -98,37 +106,21 @@ def _log_poisson_pmf(n: int, mean: float) -> float:
 
 
 def _poisson_sf(k: int, mean: float) -> float:
-    """P(X > k) for X ~ Poisson(mean): the regularized lower incomplete gamma
-    P(k + 1, mean).  Below mean = k + 1 its series; otherwise one minus the
-    upper one, Q, by the modified Lentz continued fraction (Numerical Recipes,
-    gser and gcf).  Either way the result is at least 0.5 or a series of
-    positive terms, so it keeps its relative precision."""
+    """P(X > k) for X ~ Poisson(mean) with mean < k + 1: the regularized lower
+    incomplete gamma P(k + 1, mean) by its series (Numerical Recipes, gser), a
+    sum of positive terms, so it keeps its relative precision.  At or above
+    k + 1 the tail is at least 0.5; coarse_offset needs no value there."""
     if mean == 0:
         return 0.0
     a = k + 1
-    if mean < a:
-        # P = pmf(a) * (1 + mean/(a+1) + mean^2/((a+1)(a+2)) + ...)
-        term = total = 1.0
-        n = a
-        while term > total * 1e-17:
-            n += 1
-            term *= mean / n
-            total += term
-        return math.exp(_log_poisson_pmf(a, mean)) * total
-    # Q = a pmf(a) / (b_0 + a_1 / (b_1 + a_2 / ...)), a_i = i (a - i) and
-    # b_i = mean + 1 - a + 2i: all positive up to a_a = 0, which ends it.
-    b = mean + 1 - a
-    c, d = math.inf, 1 / b
-    h, i, delta = d, 0, 0.0
-    while abs(delta - 1) > 1e-15:
-        i += 1
-        an = i * (a - i)
-        b += 2
-        d = 1 / (an * d + b)
-        c = b + an / c
-        delta = d * c
-        h *= delta
-    return 1 - a * math.exp(_log_poisson_pmf(a, mean)) * h
+    # P = pmf(a) * (1 + mean/(a+1) + mean^2/((a+1)(a+2)) + ...)
+    term = total = 1.0
+    n = a
+    while term > total * 1e-17:
+        n += 1
+        term *= mean / n
+        total += term
+    return math.exp(_log_poisson_pmf(a, mean)) * total
 
 
 def window_diffs(
@@ -170,106 +162,94 @@ def window_diffs(
 
 
 def fine_histogram(
-    a: TagStream,
-    b: TagStream,
-    offset_fs: int,
-    bin_width_ps: float,
-    window_ps: float,
+    a: TagStream, b: TagStream, offset_fs: int, origin_fs: int, bin_fs: int, nbins: int
 ) -> Histogram:
-    """Histogram of pair differences t_b - t_a - offset within +/- window.
-
-    Half-open bins [left, right) starting at -window; a difference exactly on
-    the +window boundary falls into the last bin.
-    """
+    """Histogram of pair differences d = t_b - t_a - offset in nbins whole,
+    half-open bins [origin + k*bin, origin + (k+1)*bin), all in fs."""
     tags_a = _nonempty(a, "a")
     tags_b = _nonempty(b, "b")
-    if bin_width_ps <= 0:
-        raise ParameterError("bin_width must be > 0")
-    if window_ps < bin_width_ps:
-        raise ParameterError("window must be >= bin_width")
-
-    nbins = int(math.ceil(2.0 * window_ps / bin_width_ps))
-    counts = np.zeros(nbins, dtype=np.int64)
-    origin_fs = -window_ps * FS_PER_PS
-    for diffs in window_diffs(tags_a, tags_b, offset_fs, window_ps * FS_PER_PS):
-        # diffs - origin >= window - floor(window) >= 0, so truncation is floor.
-        idx = ((diffs - origin_fs) / (bin_width_ps * FS_PER_PS)).astype(np.int64)
-        np.clip(idx, 0, nbins - 1, out=idx)
-        np.add.at(counts, idx, 1)  # touches only the bins the chunk hits
-    return Histogram(bin_width_ps=bin_width_ps, origin_ps=-window_ps, counts=counts)
+    if bin_fs <= 0 or nbins <= 0:
+        raise ParameterError("bin_fs and nbins must be > 0")
+    # The kernel's closed window, centred on the grid, spans it; its right
+    # edge may fall on origin + nbins*bin, the spare bin, which is dropped.
+    half = nbins * bin_fs // 2
+    counts = np.zeros(nbins + 1, dtype=np.int64)
+    for diffs in window_diffs(tags_a, tags_b, offset_fs + origin_fs + half, half):
+        diffs += half
+        diffs //= bin_fs
+        np.add.at(counts, diffs, 1)  # touches only the bins the chunk hits
+    return Histogram(bin_width_ps=bin_fs / FS_PER_PS, origin_ps=origin_fs / FS_PER_PS,
+                     counts=counts[:nbins])
 
 
-def strided_counts(a: TagStream, b: TagStream, center_fs: int, bin_fs: int, span_bins: int):
+def strided_counts(a: TagStream, b: TagStream, center_fs: int, bin_fs: int,
+                   span_bins: int) -> Histogram:
     """Histogram of t_b - t_a - center in 2*span_bins + 1 bins centred on
-    multiples of bin_fs, from every stride-th tag of a, and the stride.  The
-    stride keeps the expected pairs, accidentals plus one true partner per tag
-    of a, within _PAIR_BUDGET."""
-    window_fs = (2 * span_bins + 1) * bin_fs
-    stride = max(1, math.ceil(len(a) * _pairs_per_tag(b.tags, window_fs) / _PAIR_BUDGET))
-    bin_ps = bin_fs / FS_PER_PS
-    h = fine_histogram(replace(a, tags=a.tags[::stride]), b, center_fs, bin_ps,
-                       (span_bins + 0.5) * bin_ps)
-    return h, stride
+    multiples of bin_fs, from every _budget_stride-th tag of a."""
+    nbins = 2 * span_bins + 1
+    stride = _budget_stride(a.tags, b.tags, nbins * bin_fs)
+    return fine_histogram(replace(a, tags=a.tags[::stride]), b, center_fs,
+                          -(nbins * bin_fs // 2), bin_fs, nbins)
 
 
 def coarse_offset(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> tuple[int, int]:
     """Recover the offset t_b - t_a of the coincidence peak and its width (fs).
 
-    The pair differences within +/- search_span fall into bins of
-    COARSE_BIN_FS centred on its multiples, +span into the last bin.  At the
-    stride of strided_counts, the fullest bin must be a one-sided 5 sigma
-    Poisson excess over the mean of the others, the number of bins being the
-    trials factor, or NoPeakError is raised.
+    The pair differences within +/- search_span fall into half-open bins of
+    COARSE_BIN_FS centred on its multiples.  At the _budget_stride of the
+    span, the fullest bin must be a one-sided 5 sigma Poisson excess over the
+    mean of the others, the number of bins being the trials factor, or
+    NoPeakError is raised.
 
     Looks find that bin without an array of every bin.  A look locates the
     fullest bin among the pairs of every look-th tag of a, counting only the
     bins they hit; then it counts the _CONFIRM_BINS bins either side at the
-    stride and tests the fullest of them against the mean of the span.  The
-    first look strides by stride * 4^k, the sparsest to expect _LOOK_PAIRS
-    pairs; each failed look is four times denser, down to the stride, where
-    the located bin is the fullest of all.  A look's peak is at most that
-    one's and its mean at least the span's, so no look passes a peak the last
-    would reject.  The width is the run of bins around the peak holding at
-    least (peak + mean) / 2, within the confirm window.
+    stride, shifted to stay inside the span, and tests the fullest of them
+    against the mean of the span.  The first look strides by stride * 4^k,
+    the sparsest to expect _LOOK_PAIRS pairs; each failed look is four times
+    denser, down to the stride, where the located bin is the fullest of all.
+    A look's peak is at most that one's and its mean at least the span's, so
+    no look passes a peak the last would reject.  The width is the run of bins
+    around the peak holding at least (peak + mean) / 2, within the confirm
+    window.
     """
     tags_a = _nonempty(a, "a")
     tags_b = _nonempty(b, "b")
-    if search_span_ms <= 0:
-        raise ParameterError("search_span must be > 0")
+    if not (math.isfinite(search_span_ms) and search_span_ms > 0):
+        raise ParameterError("search_span must be finite and > 0")
     span_bins = max(1, math.ceil(search_span_ms * FS_PER_MS / COARSE_BIN_FS))
     nbins = 2 * span_bins + 1
+    # COARSE_BIN_FS is even, so the span [-half, half) is whole bins.
     half_fs = nbins * COARSE_BIN_FS // 2
+    stride = look = _budget_stride(tags_a, tags_b, nbins * COARSE_BIN_FS)
     expected = len(tags_a) * _pairs_per_tag(tags_b, nbins * COARSE_BIN_FS)
-    stride = look = max(1, math.ceil(expected / _PAIR_BUDGET))
     while expected / (4 * look) >= _LOOK_PAIRS:
         look *= 4
-    sample = tags_a[::stride]
-    total = _pairs_within(sample, tags_b, half_fs)
+    sample = replace(a, tags=tags_a[::stride])
+    total = _pairs_within(sample.tags, tags_b, -half_fs, half_fs)
+    side = min(_CONFIRM_BINS, span_bins)
+    window = 2 * side + 1
     while True:
         # One buffer for the look's bin indices: a list of chunk-sized arrays
-        # would leave that much of the heap resident after the search.
+        # would leave that much of the heap resident after the search.  The
+        # kernel's window is closed, so bin nbins holds its right edge.
         looked = tags_a[::look]
-        idx = np.empty(_pairs_within(looked, tags_b, half_fs), dtype=np.int64)
+        idx = np.empty(_pairs_within(looked, tags_b, -half_fs, half_fs + 1), dtype=np.int64)
         pos = 0
         for diffs in window_diffs(looked, tags_b, 0, half_fs):
             idx[pos : pos + diffs.size] = (diffs + half_fs) // COARSE_BIN_FS
             pos += diffs.size
-        np.minimum(idx, nbins - 1, out=idx)
         located, hits = np.unique(idx, return_counts=True)
+        hits[located == nbins] = 0
         top = int(located[np.argmax(hits)]) if located.size else span_bins
-        # Bins lo..hi at the test stride, plus one spare on the right, which
-        # takes the differences on the window's closed right edge.
-        lo, hi = max(top - _CONFIRM_BINS, 0), min(top + _CONFIRM_BINS + 1, nbins - 1)
-        counts = fine_histogram(replace(a, tags=sample), b,
-                                (lo + hi + 1) * COARSE_BIN_FS // 2 - half_fs,
-                                COARSE_BIN_FS / FS_PER_PS,
-                                (hi - lo + 1) * COARSE_BIN_FS / (2 * FS_PER_PS)).counts
-        if hi < nbins - 1:
-            counts = counts[:-1]
+        centre = min(max(top, side), nbins - 1 - side) - span_bins
+        counts = fine_histogram(sample, b, centre * COARSE_BIN_FS,
+                                -(window * COARSE_BIN_FS // 2), COARSE_BIN_FS, window).counts
         i = int(np.argmax(counts))
         peak = int(counts[i])
         mean = (total - peak) / (nbins - 1)
-        p = min(1.0, nbins * _poisson_sf(peak - 1, mean)) if peak else 1.0
+        # At peak <= mean the tail is at least 0.5, so p is 1 for any nbins >= 3.
+        p = min(1.0, nbins * _poisson_sf(peak - 1, mean)) if peak > mean else 1.0
         if p <= _FALSE_PEAK_P:
             break
         if look == stride:
@@ -284,7 +264,7 @@ def coarse_offset(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> tu
         first -= 1
     while last < counts.size and counts[last] >= half:
         last += 1
-    return (lo + i - span_bins) * COARSE_BIN_FS, (last - first) * COARSE_BIN_FS
+    return (centre - side + i) * COARSE_BIN_FS, (last - first) * COARSE_BIN_FS
 
 
 def g2_normalize(

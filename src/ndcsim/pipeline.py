@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +41,19 @@ def measure_peak(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> Pea
     """Recover the stream offset, histogram the coincidences and fit the peak.
 
     A strided seed pass over +/- (2 * coarse width + COARSE_BIN_FS) fits the
-    peak; only the reported histogram, a tenth of that FWHM per bin, takes
-    every pair.  Bins span whole timer ticks, so each holds as many differences.
+    peak; only the reported histogram, a tenth of that FWHM per bin from
+    -max(4 FWHM, 10 bins), takes every pair.  Bins span whole timer ticks, so
+    each holds as many differences.
     """
     offset, width_fs = coarse_offset(a, b, search_span_ms)
     tick = int(np.gcd(a.resolution_fs, b.resolution_fs)) or 1
     seed_bin_fs = max((2 * width_fs + COARSE_BIN_FS) // (_SEED_BINS * tick), 1) * tick
-    fit = fit_gaussian(strided_counts(a, b, offset, seed_bin_fs, _SEED_BINS)[0])
-    bin_ps = max(round(fit.fwhm_ps * FS_PER_PS / (10 * tick)), 1) * tick / FS_PER_PS
+    fit = fit_gaussian(strided_counts(a, b, offset, seed_bin_fs, _SEED_BINS))
+    bin_fs = max(round(fit.fwhm_ps * FS_PER_PS / (10 * tick)), 1) * tick
     offset += int(round(fit.center_ps * FS_PER_PS))
-    hist = fine_histogram(a, b, offset, bin_ps, max(4.0 * fit.fwhm_ps, 10.0 * bin_ps))
+    window_fs = max(4.0 * fit.fwhm_ps * FS_PER_PS, 10.0 * bin_fs)
+    hist = fine_histogram(a, b, offset, -math.floor(window_fs), bin_fs,
+                          math.ceil(2 * window_fs / bin_fs))
     fit = fit_gaussian(hist)
     duration = max(a.duration_s, b.duration_s)
     g2 = g2_normalize(hist, max(a.rate_hz(), 1e-12), max(b.rate_hz(), 1e-12), duration)

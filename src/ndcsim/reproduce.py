@@ -38,7 +38,7 @@ class ReproduceReport:
 
 
 def _scaled_duration(scale: float) -> float:
-    if scale <= 0:
+    if not scale > 0:
         raise ParameterError("scale must be > 0")
     return presets.ACQUISITION_S * scale
 

@@ -113,7 +113,7 @@ def generate_pairs(
     intra-pair time offset is Gaussian with std sqrt(gamma)*D*L and the
     signal detuning Gaussian with std ``src.effective_sigma_omega``.
     """
-    if duration_s < 0:
+    if not duration_s >= 0:
         raise ParameterError("duration must be >= 0")
     if mode not in CORRELATION_MODES:
         raise ParameterError(f"unknown correlation mode {mode!r}")

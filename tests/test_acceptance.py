@@ -5,7 +5,6 @@ simulation products are shared through module-scope fixtures so the whole
 gate runs in minutes.
 """
 
-import math
 import threading
 import time
 
@@ -139,16 +138,13 @@ def test_08_correlator_brute_force_oracle():
         a = np.sort(rng.integers(0, 10**11, na)).astype(np.int64)
         b = np.sort(rng.integers(0, 10**11, nb)).astype(np.int64)
         offset = int(rng.integers(-10**8, 10**8))
-        bin_ps, window_ps = 25.0, 2000.0
+        origin_fs, bin_fs, nbins = -2_000_000, 25_000, 160
         sa = TagStream(a, 1000, 0, int(a[-1]))
         sb = TagStream(b, 1000, 1, int(b[-1]))
-        h = fine_histogram(sa, sb, offset, bin_ps, window_ps)
-        diffs = (b[None, :].astype(float) - a[:, None].astype(float) - offset).ravel()
-        wfs = window_ps * 1e3
-        diffs = diffs[(diffs >= -wfs) & (diffs <= wfs)]
-        nbins = int(math.ceil(2 * window_ps / bin_ps))
-        idx = np.clip(np.floor((diffs + wfs) / (bin_ps * 1e3)).astype(int), 0, nbins - 1)
-        oracle = np.bincount(idx, minlength=nbins)
+        h = fine_histogram(sa, sb, offset, origin_fs, bin_fs, nbins)
+        diffs = (b[None, :] - a[:, None] - offset).ravel()
+        diffs = diffs[(diffs >= origin_fs) & (diffs < origin_fs + nbins * bin_fs)]
+        oracle = np.bincount((diffs - origin_fs) // bin_fs, minlength=nbins)
         if not np.array_equal(h.counts, oracle):
             bad += 1
     verdict(bad == 0, "8 histogram matches brute force",
@@ -181,7 +177,7 @@ def test_10_performance():
     sb = TagStream(np.sort(base + jitter + 10**9), 1000, 1, span + 2 * 10**9)
     t0 = time.perf_counter()
     offset, _ = coarse_offset(sa, sb)
-    fine_histogram(sa, sb, offset, bin_width_ps=8.0, window_ps=2000.0)
+    fine_histogram(sa, sb, offset, -2_000_000, 8000, 500)
     correlate_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -60,6 +60,13 @@ class TestSimulate:
         assert rc == 2
         assert "invalid parameter: duration exceeds" in capsys.readouterr().err
 
+    def test_nan_duration_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(dump_config(presets.fig2a_config(duration_s=float("nan"))))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "invalid parameter: duration must be >= 0" in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "absent.cfg"),
                    "--out", str(tmp_path / "x")])
@@ -112,6 +119,13 @@ class TestCorrelateAnalyze:
         rc = main(["correlate", str(tmp_path / "pos_a.tags"), str(tmp_path / "pos_b.tags")])
         assert rc == 0
         assert "fwhm_ps" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("span", ["nan", "inf", "0"])
+    def test_search_span_not_finite_and_positive_exit_2(self, sim_dir, span, capsys):
+        rc = main(["correlate", str(sim_dir / "run_a.tags"), str(sim_dir / "run_b.tags"),
+                   "--search-span-ms", span])
+        assert rc == 2
+        assert "search_span must be finite and > 0" in capsys.readouterr().err
 
     def test_missing_tag_file_exit_2(self, sim_dir, tmp_path, capsys):
         rc = main(["correlate", str(sim_dir / "run_a.tags"), str(tmp_path / "absent.tags")])
@@ -250,6 +264,10 @@ class TestReproduce:
         report = reproduce("fig2d", seed=0)
         assert report.passed
         assert "analytic prediction = 107.3 ps" in report.lines
+
+    def test_nan_scale_exit_2(self, capsys):
+        assert main(["reproduce", "fig2a", "--scale", "nan"]) == 2
+        assert "scale must be > 0" in capsys.readouterr().err
 
     def test_unknown_target_rejected(self, capsys):
         with pytest.raises(SystemExit):

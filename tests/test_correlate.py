@@ -20,8 +20,6 @@ from ndcsim.errors import NoPeakError, ParameterError
 from ndcsim.pipeline import run_simulation
 from ndcsim.streams import TagStream
 
-FS_PER_PS = 1e3
-
 
 def make_stream(tags, resolution_fs=1000, site_id=0, span=None):
     tags = np.sort(np.asarray(tags, dtype=np.int64))
@@ -31,15 +29,13 @@ def make_stream(tags, resolution_fs=1000, site_id=0, span=None):
                      acquisition_span_fs=span)
 
 
-def brute_force_histogram(a, b, offset_fs, bin_width_ps, window_ps):
-    """O(N*M) oracle: every pair difference, same binning convention."""
-    diffs = (b[None, :].astype(float) - a[:, None].astype(float) - offset_fs).ravel()
-    window_fs = window_ps * FS_PER_PS
-    diffs = diffs[(diffs >= -window_fs) & (diffs <= window_fs)]
-    nbins = int(math.ceil(2 * window_ps / bin_width_ps))
-    idx = np.floor((diffs + window_fs) / (bin_width_ps * FS_PER_PS)).astype(int)
-    idx = np.clip(idx, 0, nbins - 1)
-    return np.bincount(idx, minlength=nbins)
+def brute_force_histogram(a, b, offset_fs, origin_fs, bin_fs, nbins):
+    """O(N*M) oracle: every pair difference d, counted in bin k when
+    origin + k*bin <= d < origin + (k+1)*bin."""
+    diffs = (b[None, :] - a[:, None] - offset_fs).ravel()
+    edges = origin_fs + bin_fs * np.arange(nbins + 1)
+    k = np.searchsorted(edges, diffs, side="right") - 1
+    return np.bincount(k[(k >= 0) & (k < nbins)], minlength=nbins)
 
 
 def poisson_stream(rng, rate_hz, duration_s, resolution_fs=1000, site_id=0):
@@ -65,7 +61,7 @@ class TestFineHistogram:
     def test_three_pair_example(self):
         a = make_stream(np.array([1000, 5000, 9000]) * 1000)  # ps -> fs
         b = make_stream(np.array([1040, 5040, 9040]) * 1000)
-        h = fine_histogram(a, b, 0, bin_width_ps=10.0, window_ps=100.0)
+        h = fine_histogram(a, b, 0, origin_fs=-100_000, bin_fs=10_000, nbins=20)
         occupied = np.nonzero(h.counts)[0]
         assert occupied.size == 1
         k = occupied[0]
@@ -78,13 +74,13 @@ class TestFineHistogram:
         # edge belongs to that bin, for every one of the 20 bins.
         a = np.arange(20, dtype=np.int64) * 10**9
         b = a + np.arange(-10, 10) * 11_000
-        h = fine_histogram(make_stream(a), make_stream(b), 0, bin_width_ps=11.0, window_ps=110.0)
+        h = fine_histogram(make_stream(a), make_stream(b), 0, -110_000, 11_000, 20)
         assert h.counts.tolist() == [1] * 20
 
     def test_self_correlation_zero_bin(self):
         tags = np.arange(100, dtype=np.int64) * 10_000_000
         a = make_stream(tags)
-        h = fine_histogram(a, a, 0, bin_width_ps=8.0, window_ps=2000.0)
+        h = fine_histogram(a, a, 0, -2_000_000, 8000, 500)
         zero_bin = int(np.floor((0 - h.origin_ps) / h.bin_width_ps))
         assert h.counts[zero_bin] >= len(a)
 
@@ -96,8 +92,8 @@ class TestFineHistogram:
             b = rng.integers(0, 10**12, nb)
             offset = int(rng.integers(-10**9, 10**9))
             sa, sb = make_stream(a), make_stream(b)
-            h = fine_histogram(sa, sb, offset, bin_width_ps=50.0, window_ps=5000.0)
-            oracle = brute_force_histogram(sa.tags, sb.tags, offset, 50.0, 5000.0)
+            h = fine_histogram(sa, sb, offset, -5_000_000, 50_000, 200)
+            oracle = brute_force_histogram(sa.tags, sb.tags, offset, -5_000_000, 50_000, 200)
             assert np.array_equal(h.counts, oracle)
             assert h.total_pairs == oracle.sum()
 
@@ -106,13 +102,16 @@ class TestFineHistogram:
         a=st.lists(st.integers(0, 10**7), min_size=1, max_size=60),
         b=st.lists(st.integers(0, 10**7), min_size=1, max_size=60),
         offset=st.integers(-10**6, 10**6),
-        bin_ps=st.sampled_from([1.0, 7.77777, 8.0, 13.0]),
+        bin_fs=st.sampled_from([1000, 7777, 8000, 13_001]),
+        nbins=st.integers(1, 41),
     )
-    def test_matches_brute_force_hypothesis(self, a, b, offset, bin_ps):
+    def test_matches_brute_force_hypothesis(self, a, b, offset, bin_fs, nbins):
+        # Odd and even nbins*bin: the closed edge of the kernel's window falls
+        # on the grid's end, or one fs inside it.
         sa, sb = make_stream(a), make_stream(b)
-        window = 20.0 * bin_ps
-        h = fine_histogram(sa, sb, offset, bin_ps, window)
-        oracle = brute_force_histogram(sa.tags, sb.tags, offset, bin_ps, window)
+        origin = -(nbins // 2) * bin_fs
+        h = fine_histogram(sa, sb, offset, origin, bin_fs, nbins)
+        oracle = brute_force_histogram(sa.tags, sb.tags, offset, origin, bin_fs, nbins)
         assert np.array_equal(h.counts, oracle)
 
     def test_matches_brute_force_across_chunks(self, monkeypatch):
@@ -128,29 +127,29 @@ class TestFineHistogram:
                 crowd = a[0] + offset + 100_000 * np.arange(-35, 36)
                 b = np.concatenate([rng.integers(0, 10**8, 150), crowd])
                 sa, sb = make_stream(a), make_stream(b)
-                h = fine_histogram(sa, sb, offset, bin_width_ps=50.0, window_ps=5000.0)
-                oracle = brute_force_histogram(sa.tags, sb.tags, offset, 50.0, 5000.0)
+                h = fine_histogram(sa, sb, offset, -5_000_000, 50_000, 200)
+                oracle = brute_force_histogram(sa.tags, sb.tags, offset, -5_000_000, 50_000, 200)
                 assert np.array_equal(h.counts, oracle)
 
-    def test_boundary_difference_included(self):
+    def test_half_open_edges(self):
+        # [origin, origin + nbins*bin): a difference on origin lands in bin 0,
+        # one a fs short of the end in the last bin, and one on the end in
+        # none, whether nbins*bin is even or odd.
         a = make_stream([0])
-        b = make_stream([100_000])  # exactly +window for window 100 ps
-        h = fine_histogram(a, b, 0, bin_width_ps=10.0, window_ps=100.0)
-        assert h.total_pairs == 1
-        assert h.counts[-1] == 1
-        # A fractional window keeps every difference within it, and no more.
-        h = fine_histogram(a, b, 0, bin_width_ps=10.0, window_ps=100.0005)
-        assert h.total_pairs == 1
-        h = fine_histogram(a, make_stream([100_001]), 0, bin_width_ps=10.0, window_ps=100.0005)
-        assert h.total_pairs == 0
+        for origin, bin_fs, nbins in ((-100_000, 10_000, 20), (-104_999, 11_001, 19)):
+            end = origin + nbins * bin_fs
+            for d, hit in ((origin - 1, []), (origin, [0]), (end - 1, [nbins - 1]), (end, [])):
+                h = fine_histogram(a, a, -d, origin, bin_fs, nbins)
+                assert h.counts.size == nbins
+                assert np.flatnonzero(h.counts).tolist() == hit, (origin, d)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         a = make_stream(rng.integers(0, 10**12, 500))
         b_tags = np.sort(rng.integers(0, 10**12, 500))
         delta = 123_456_789
-        h1 = fine_histogram(a, make_stream(b_tags), 777, 8.0, 2000.0)
-        h2 = fine_histogram(a, make_stream(b_tags + delta), 777 + delta, 8.0, 2000.0)
+        h1 = fine_histogram(a, make_stream(b_tags), 777, -2_000_000, 8000, 500)
+        h2 = fine_histogram(a, make_stream(b_tags + delta), 777 + delta, -2_000_000, 8000, 500)
         assert np.array_equal(h1.counts, h2.counts)
 
     def test_mirror_symmetry(self):
@@ -158,17 +157,18 @@ class TestFineHistogram:
         # odd tags with even bin edges keep differences off the bin boundaries
         a = make_stream(rng.integers(0, 10**10, 400) * 2 + 1)
         b = make_stream(rng.integers(0, 10**10, 400) * 2)
-        h_fwd = fine_histogram(a, b, 0, 8.0, 2000.0)
-        h_rev = fine_histogram(b, a, 0, 8.0, 2000.0)
+        h_fwd = fine_histogram(a, b, 0, -2_000_000, 8000, 500)
+        h_rev = fine_histogram(b, a, 0, -2_000_000, 8000, 500)
         assert np.array_equal(h_rev.counts, h_fwd.counts[::-1])
 
     def test_invalid_inputs(self):
         a = make_stream([1000])
-        with pytest.raises(ParameterError):
-            fine_histogram(a, a, 0, 8.0, 4.0)  # window < bin
+        for bin_fs, nbins in ((0, 500), (8000, 0)):
+            with pytest.raises(ParameterError):
+                fine_histogram(a, a, 0, -2_000_000, bin_fs, nbins)
         empty = TagStream(np.empty(0, dtype=np.int64), 1000, 0, 0)
         with pytest.raises(ParameterError):
-            fine_histogram(empty, a, 0, 8.0, 2000.0)
+            fine_histogram(empty, a, 0, -2_000_000, 8000, 500)
 
 
 def _record_yields(monkeypatch) -> list[int]:
@@ -190,7 +190,7 @@ class TestChunkBound:
         # fig2a's +/- 1 ms at 1 ns from every tag of a: about 24 pairs per tag.
         a, b = run_simulation(presets.fig2a_config(), seed=0)
         sizes = _record_yields(monkeypatch)
-        h = fine_histogram(a, b, 0, bin_width_ps=1000.0, window_ps=1e9 + 500.0)
+        h = fine_histogram(a, b, 0, -(10**12 + 500_000), 10**6, 2 * 10**6 + 1)
         assert h.total_pairs == sum(sizes) > 10**6
         assert max(sizes) < 2 * correlate._DIFF_CHUNK
 
@@ -203,7 +203,7 @@ class TestChunkBound:
         a = TagStream(base, 1000, 0, span)
         b = TagStream(np.sort(base + jitter + 10**9), 1000, 1, span + 2 * 10**9)
         sizes = _record_yields(monkeypatch)
-        h = fine_histogram(a, b, 10**9, bin_width_ps=8.0, window_ps=2000.0)
+        h = fine_histogram(a, b, 10**9, -2_000_000, 8000, 500)
         assert h.total_pairs == sum(sizes) > n
         assert max(sizes) < 2 * correlate._DIFF_CHUNK
 
@@ -262,8 +262,9 @@ class TestCoarseOffset:
         rng = np.random.default_rng(12)
         a = poisson_stream(rng, 12000, 1.0)
         monkeypatch.setattr(correlate, "_PAIR_BUDGET", 1000)
-        h, stride = correlate.strided_counts(a, a, 0, 1000, 10)
-        assert stride == -(-len(a) // 1000)  # without the partner term: 1
+        stride = -(-len(a) // 1000)  # without the partner term: 1
+        assert correlate._budget_stride(a.tags, a.tags, 21 * 1000) == stride
+        h = correlate.strided_counts(a, a, 0, 1000, 10)
         assert h.counts[10] == h.counts.sum() == len(a.tags[::stride])
 
     def test_independent_streams_no_peak(self):
@@ -292,6 +293,16 @@ class TestCoarseOffset:
         assert mean == pytest.approx(len(a) * len(b) * 1e-9 / 5.0, rel=0.02)
         assert peak > mean + 5 * math.sqrt(mean)
         assert 2.87e-7 < p <= 1.0
+
+    def test_pairs_on_the_closed_edge_ignored(self):
+        # The span is half-open, [-half, half): ten times more pairs exactly
+        # on +half than in the true peak neither count nor draw the look.
+        rng = np.random.default_rng(14)
+        a = poisson_stream(rng, 12000, 1.0)
+        half_fs, offset_fs = (2 * 10**6 + 1) * 10**6 // 2, 5 * 10**9
+        b = make_stream(np.concatenate([a.tags + half_fs, a.tags[::10] + offset_fs]),
+                        span=a.acquisition_span_fs + half_fs)
+        assert coarse_offset(a, b)[0] == offset_fs
 
     def test_weak_signal_recovered(self):
         a, b, offset_fs = weak_signal_streams()
@@ -392,20 +403,20 @@ class TestLooks:
 
 
 def _tail_points(means, z_max):
-    """(k, mean) pairs with k from 0 to mean + z_max (sqrt(mean) + 1): both
-    ends, the mode, and spots through the bulk and the upper tail."""
+    """(k, mean) pairs with k + 1 > mean, up to mean + z_max (sqrt(mean) + 1):
+    both ends, the mode, and spots through the upper tail."""
     for m in means:
-        hi = int(m + z_max * (math.sqrt(m) + 1))
-        ks = {0, 1, int(m), int(m) + 1, hi}
-        ks |= {int(v) for v in np.linspace(0, hi, 7)}
-        ks |= {int(m + z * math.sqrt(m)) for z in (-5, -2, -1, 0.5, 2, 5, 10, 20, 30)}
-        for k in sorted(v for v in ks if 0 <= v <= hi):
+        lo, hi = math.floor(m), int(m + z_max * (math.sqrt(m) + 1))
+        ks = {lo, lo + 1, hi} | {int(v) for v in np.linspace(lo, hi, 7)}
+        ks |= {int(m + z * math.sqrt(m)) for z in (0.5, 2, 5, 10, 20, 30)}
+        for k in sorted(v for v in ks if v <= hi):
             yield k, m
 
 
 class TestPoissonTail:
-    """correlate._poisson_sf(k, mean) = P(X > k) for X ~ Poisson(mean), the
-    regularized lower incomplete gamma P(k + 1, mean): the coarse peak's p."""
+    """correlate._poisson_sf(k, mean) = P(X > k) for X ~ Poisson(mean) with
+    mean < k + 1, the regularized lower incomplete gamma P(k + 1, mean): the
+    coarse peak's p.  coarse_offset takes p = 1 at or below the mean."""
 
     MEANS = (1e-3, 0.1, 0.7, 1.0, 3.5, 10.0, 31.6, 100.0, 1e3, 1e4, 1e5, 1e6, 2e6)
 
@@ -438,7 +449,7 @@ class TestPoissonTail:
     def test_zero_mean_and_zero_count(self):
         for k in (0, 1, 5, 10**6):
             assert correlate._poisson_sf(k, 0.0) == 0.0
-        for m in (1e-3, 1.0, 15.0, 1e3):
+        for m in (1e-3, 0.5):
             assert correlate._poisson_sf(0, m) == pytest.approx(-math.expm1(-m), rel=1e-14)
 
 
@@ -447,7 +458,7 @@ class TestG2Normalize:
         rng = np.random.default_rng(7)
         a = poisson_stream(rng, 12000, 5.0)
         b = poisson_stream(rng, 12000, 5.0)
-        h = fine_histogram(a, b, 0, bin_width_ps=1000.0, window_ps=500_000.0)
+        h = fine_histogram(a, b, 0, -5 * 10**8, 10**6, 1000)
         g2 = g2_normalize(h, a.rate_hz(), b.rate_hz(), 5.0)
         assert g2.mean() == pytest.approx(1.0, abs=0.05)
 

@@ -30,6 +30,20 @@ def test_default_arguments_match_prediction(name):
     assert meas.histogram.bin_width_ps * 1000 % a.resolution_fs == 0  # whole timer ticks
 
 
+def test_histogram_counts_every_pair_within_its_edges():
+    # Each bin, the last one too, holds every pair between its edges
+    # origin + k*bin.  At this seed the one pair of the last 510 ps bin lies
+    # beyond +floor(4 FWHM), where a window cut there would lose it.
+    a, b = run_simulation(presets.fig2d_config(mode="positive"), seed=1_000_003)
+    meas = measure_peak(a, b)
+    h = meas.histogram
+    origin_fs, bin_fs = round(h.origin_ps * 1000), round(h.bin_width_ps * 1000)
+    edges = meas.offset_fs + origin_fs + bin_fs * np.arange(h.counts.size + 1)
+    below = [np.searchsorted(b.tags, a.tags + edge, side="left").sum() for edge in edges]
+    assert h.counts.tolist() == np.diff(below).tolist()
+    assert h.counts[-1] == 1
+
+
 def test_widened_search_span_fig2a():
     # Over +/- 10 ms, the seed pass must still resolve the 37.6 ps peak.
     a, b = run_simulation(presets.fig2a_config(), seed=0)

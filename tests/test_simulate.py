@@ -287,14 +287,16 @@ class TestMarking:
         cfg = self.CFG
         offset = int(round(cfg.dcf.group_delay_fs - cfg.smf.group_delay_fs))
         fwhm = model.FWHM_PER_SIGMA * math.sqrt(presets.predicted_pair_variance_ps2(cfg))
-        bin_ps, window_ps = max(fwhm / 10.0, 1.0), max(4.0 * fwhm, 2000.0)
+        bin_fs = max(round(fwhm * 100), 1000)
+        half_fs = max(round(4000 * fwhm), 2_000_000)
         totals = {"marked": np.zeros(3), "oracle": np.zeros(3)}
         fwhm = {"marked": [], "oracle": []}
         for seed in self.SEEDS:
             runs = {"marked": run_simulation(cfg, seed),
                     "oracle": per_pair_oracle(cfg, seed + 1000)}
             for name, (a, b) in runs.items():
-                hist = fine_histogram(a, b, offset, bin_ps, window_ps)
+                hist = fine_histogram(a, b, offset, -half_fs, bin_fs,
+                                      math.ceil(2 * half_fs / bin_fs))
                 totals[name] += (len(a), len(b), hist.total_pairs)
                 fwhm[name].append(fit_gaussian(hist).fwhm_ps)
         for marked, oracle in zip(totals["marked"], totals["oracle"]):
@@ -353,7 +355,7 @@ class TestEndToEnd:
         a, b = run_simulation(presets.fig2d_config(mode="none"), seed=0)
         cfg = presets.fig2d_config()
         offset = int(round(cfg.dcf.group_delay_fs - cfg.smf.group_delay_fs))
-        h = fine_histogram(a, b, offset, bin_width_ps=10_000.0, window_ps=50e6)
+        h = fine_histogram(a, b, offset, -5 * 10**10, 10**7, 10**4)
         g2 = g2_normalize(h, a.rate_hz(), b.rate_hz(), max(a.duration_s, b.duration_s))
         wings = np.abs(h.bin_centers_ps) > 1e5
         n = h.counts[wings].sum()
