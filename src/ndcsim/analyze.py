@@ -88,8 +88,10 @@ def fit_gaussian(h: Histogram) -> GaussianFit:
     Fisher scoring with step halving; the baseline is held at 0 while its score
     is <= 0.  Errors from the inverse Fisher information, 0 for a held baseline.
     Raises FitError when there is no significant peak, when a step takes sigma
-    below a quarter of the bin (a peak the histogram does not resolve) or when
-    the fit does not converge.
+    below a quarter of the bin (a peak the histogram does not resolve), when
+    the fit does not converge, or when it ends without a positive, finite
+    variance for every free parameter, with its centre outside the histogram
+    or with a FWHM wider than the histogram.
     """
     x = h.bin_centers_ps
     y = h.counts.astype(np.float64)
@@ -141,11 +143,19 @@ def fit_gaussian(h: Histogram) -> GaussianFit:
         raise FitError(f"Gaussian fit did not converge in {_MAX_STEPS} steps")
 
     amp, mu, sig, base = p
-    if not np.all(np.isfinite(cov)):
-        raise FitError("singular covariance in Gaussian fit")
+    variances = np.diag(cov)
+    if not (np.all(np.isfinite(cov)) and np.all(variances > 0)):
+        raise FitError("singular covariance in Gaussian fit: "
+                       "a variance is not positive and finite")
     if sig == 0 or amp <= 0:
         raise FitError(f"degenerate fit: amplitude={amp:.3g}, sigma={abs(sig):.3g}")
-    errs = np.append(np.sqrt(np.diag(cov)), np.zeros(4 - free))
+    span, fwhm = h.counts.size * h.bin_width_ps, model.fwhm_from_sigma(abs(sig))
+    if not h.origin_ps <= mu < h.origin_ps + span:
+        raise FitError(f"fitted centre {mu:.6g} ps outside the histogram "
+                       f"[{h.origin_ps:.6g}, {h.origin_ps + span:.6g}) ps")
+    if fwhm > span:
+        raise FitError(f"fitted FWHM {fwhm:.6g} ps exceeds the {span:.6g} ps histogram")
+    errs = np.append(np.sqrt(variances), np.zeros(4 - free))
     # The Baker-Cousins deviance is twice the NLL above the saturated model's.
     return GaussianFit(
         amplitude=float(amp),

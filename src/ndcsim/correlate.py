@@ -1,7 +1,10 @@
 """Nonlocal coincidence detection over two independent tag streams.
 
-One two-pointer kernel yields the pair differences within a window.  The
-offset search bins them over +/- the search span at a fixed 1 ns, to recover
+One two-pointer kernel yields the pair differences within a window.  A
+window expecting 2 pairs per tag or more is cut at both edges by binary
+search and the pairs between them expanded; a narrower one is walked through
+b partner by partner from each tag's first candidate.  The offset search
+bins the differences over +/- the search span at a fixed 1 ns, to recover
 the unknown relative offset (group delays displace the peak by hundreds of
 microseconds) and its width; later passes histogram them in bins sized from
 that width.  Every histogram lies on one grid: whole, half-open bins of whole
@@ -10,9 +13,10 @@ femtoseconds.  The one coarse bin serves every peak: 27 times the
 locates the fullest bin in sparse samples of a, counting only the bins their
 pairs hit, and confirms it on a narrow window of the densest sample; no array
 spans the search.  The cost is O(|a| log |b|) plus the pairs in the window,
-never O(|a|*|b|); all but the reported pass stride a.  The kernel walks a in
-chunks sized to hold about _DIFF_CHUNK expected pairs each, so its
-temporaries stay small whatever the density of the streams.
+never O(|a|*|b|); all but the reported pass stride a, the seed pass to
+_SEED_PAIRS expected pairs.  The kernel walks a in chunks sized to hold
+about _DIFF_CHUNK expected pairs each, so its temporaries stay small
+whatever the density of the streams.
 """
 
 from __future__ import annotations
@@ -30,12 +34,16 @@ from .streams import FS_PER_MS, FS_PER_PS, TagStream
 
 COARSE_BIN_FS = 10**6  # the offset search bin, 1 ns
 _PAIR_BUDGET = 1 << 22  # expected pairs per test pass; denser streams are strided
+_SEED_PAIRS = 1 << 18  # expected pairs of the seed pass that sizes the reported one
 _LOOK_PAIRS = 1 << 16  # expected pairs of the first look, at least
 _CONFIRM_BINS = 64  # bins either side of a located bin counted at the test stride
 _FALSE_PEAK_P = 2.87e-7  # a one-sided 5 sigma excess, trials factor included
 # Expected pairs per two-pointer step: bounds the kernel's temporaries, which
 # then stay in cache and below the allocator's mmap threshold.
 _DIFF_CHUNK = 1 << 12
+# Below this many expected pairs per tag, window_diffs walks b partner by
+# partner instead of searching both window edges.
+_WALK_PAIRS = 2
 
 
 @dataclass(frozen=True)
@@ -84,11 +92,10 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, lo_fs: int, hi_fs: int) -> int:
                 - np.searchsorted(b, a + lo_fs, side="left")).sum())
 
 
-def _budget_stride(a: np.ndarray, b: np.ndarray, width_fs: int) -> int:
+def _budget_stride(a: np.ndarray, b: np.ndarray, width_fs: int, budget: int) -> int:
     """The stride over a that keeps the expected pairs within a window
-    width_fs wide, accidentals plus one true partner per tag, within
-    _PAIR_BUDGET."""
-    return max(1, math.ceil(a.size * _pairs_per_tag(b, width_fs) / _PAIR_BUDGET))
+    width_fs wide, accidentals plus one true partner per tag, within budget."""
+    return max(1, math.ceil(a.size * _pairs_per_tag(b, width_fs) / budget))
 
 
 def _log_poisson_pmf(n: int, mean: float) -> float:
@@ -128,37 +135,59 @@ def window_diffs(
 ) -> Iterator[np.ndarray]:
     """Yield all differences b - a - offset with |diff| <= window, chunked.
 
-    Two-pointer over the sorted arrays via searchsorted; cost is
-    O(|a| log |b| + pairs_in_window).  Each chunk takes as many tags of a as
-    are expected to yield _DIFF_CHUNK pairs; the estimate sets only the chunk
-    size, never which pairs are yielded.  Differences are integers, so
-    |diff| <= window is |diff| <= floor(window).
+    Two-pointer over the sorted arrays; cost is O(|a| log |b| +
+    pairs_in_window).  Each chunk takes as many tags of a as are expected to
+    yield _DIFF_CHUNK pairs; the estimate sets only the chunk size and the
+    way pairs are found, never which pairs are yielded.  Differences are
+    integers, so |diff| <= window is |diff| <= floor(window).
+
+    A window expecting fewer than _WALK_PAIRS pairs per tag is walked: one
+    search finds each tag's first candidate in b, then b steps forward, one
+    partner at a time, over the tags whose last candidate was in the window.
+    A wider one, and a chunk whose windows reach the end of b, searches both
+    edges and expands the counts between them.
     """
     half = math.floor(window_fs)
     lo_edge = np.int64(offset_fs - half)
     hi_edge = np.int64(offset_fs + half)
-    chunk = max(1, int(_DIFF_CHUNK / _pairs_per_tag(b, 2 * half + 1)))
+    per_tag = _pairs_per_tag(b, 2 * half + 1)
+    chunk = max(1, int(_DIFF_CHUNK / per_tag))
+    walk = per_tag < _WALK_PAIRS
     for start in range(0, a.size, chunk):
         a_chunk = a[start : start + chunk]
         # Search only the slice of b the chunk can reach; it stays in cache.
         first = int(np.searchsorted(b, a_chunk[0] + lo_edge, side="left"))
         last = int(np.searchsorted(b, a_chunk[-1] + hi_edge, side="right"))
-        reach = b[first:last]
-        lo = np.searchsorted(reach, a_chunk + lo_edge, side="left") + first
-        hi = np.searchsorted(reach, a_chunk + hi_edge, side="right") + first
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        # Flat indices into b for every (a_i, b_j) pair in the window: pair k
-        # of a_i sits at position starts_i + k of the output and lo_i + k in b.
-        starts = np.zeros(a_chunk.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        flat = np.repeat(lo - starts, counts)
-        flat += np.arange(total, dtype=np.int64)
-        diffs = b[flat]
-        diffs -= np.repeat(a_chunk + np.int64(offset_fs), counts)
-        yield diffs
+        base = a_chunk + np.int64(offset_fs)
+        if walk and last < b.size:
+            # b[last] lies beyond every window of the chunk, so each walk
+            # stops there at the latest.
+            reach = b[first : last + 1]
+            j = np.searchsorted(reach, base - half, side="left")
+            steps = []
+            while j.size:
+                diffs = reach[j] - base
+                inside = diffs <= half
+                steps.append(diffs[inside])
+                j = j[inside] + 1
+                base = base[inside]
+            diffs = np.concatenate(steps)
+        else:
+            reach = b[first:last]
+            lo = np.searchsorted(reach, base - half, side="left") + first
+            hi = np.searchsorted(reach, base + half, side="right") + first
+            counts = hi - lo
+            # Flat indices into b for every (a_i, b_j) pair in the window: pair
+            # k of a_i sits at position starts_i + k of the output and lo_i + k
+            # in b.
+            starts = np.zeros(a_chunk.size, dtype=np.int64)
+            np.cumsum(counts[:-1], out=starts[1:])
+            flat = np.repeat(lo - starts, counts)
+            flat += np.arange(flat.size, dtype=np.int64)
+            diffs = b[flat]
+            diffs -= np.repeat(base, counts)
+        if diffs.size:
+            yield diffs
 
 
 def fine_histogram(
@@ -185,9 +214,10 @@ def fine_histogram(
 def strided_counts(a: TagStream, b: TagStream, center_fs: int, bin_fs: int,
                    span_bins: int) -> Histogram:
     """Histogram of t_b - t_a - center in 2*span_bins + 1 bins centred on
-    multiples of bin_fs, from every _budget_stride-th tag of a."""
+    multiples of bin_fs, from as many tags of a, evenly strided, as are
+    expected to yield _SEED_PAIRS pairs."""
     nbins = 2 * span_bins + 1
-    stride = _budget_stride(a.tags, b.tags, nbins * bin_fs)
+    stride = _budget_stride(a.tags, b.tags, nbins * bin_fs, _SEED_PAIRS)
     return fine_histogram(replace(a, tags=a.tags[::stride]), b, center_fs,
                           -(nbins * bin_fs // 2), bin_fs, nbins)
 
@@ -221,7 +251,7 @@ def coarse_offset(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> tu
     nbins = 2 * span_bins + 1
     # COARSE_BIN_FS is even, so the span [-half, half) is whole bins.
     half_fs = nbins * COARSE_BIN_FS // 2
-    stride = look = _budget_stride(tags_a, tags_b, nbins * COARSE_BIN_FS)
+    stride = look = _budget_stride(tags_a, tags_b, nbins * COARSE_BIN_FS, _PAIR_BUDGET)
     expected = len(tags_a) * _pairs_per_tag(tags_b, nbins * COARSE_BIN_FS)
     while expected / (4 * look) >= _LOOK_PAIRS:
         look *= 4

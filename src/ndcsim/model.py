@@ -35,15 +35,15 @@ class SourceParams:
     sigma_omega: float | None = None
 
     def __post_init__(self):
-        if self.crystal_length_cm <= 0:
+        if not self.crystal_length_cm > 0:
             raise ParameterError("crystal_length_cm must be > 0")
-        if self.inverse_gvd_ps_per_cm <= 0:
+        if not self.inverse_gvd_ps_per_cm > 0:
             raise ParameterError("inverse_gvd_ps_per_cm must be > 0")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ParameterError("gamma must be > 0")
-        if self.pair_rate_hz < 0:
+        if not self.pair_rate_hz >= 0:
             raise ParameterError("pair_rate_hz must be >= 0")
-        if self.sigma_omega is not None and self.sigma_omega <= 0:
+        if self.sigma_omega is not None and not self.sigma_omega > 0:
             raise ParameterError("sigma_omega must be > 0")
 
     @property

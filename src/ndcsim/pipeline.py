@@ -40,10 +40,13 @@ def run_simulation(cfg: ExperimentConfig, seed: int) -> tuple[TagStream, TagStre
 def measure_peak(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> PeakMeasurement:
     """Recover the stream offset, histogram the coincidences and fit the peak.
 
-    A strided seed pass over +/- (2 * coarse width + COARSE_BIN_FS) fits the
-    peak; only the reported histogram, a tenth of that FWHM per bin from
-    -max(4 FWHM, 10 bins), takes every pair.  Bins span whole timer ticks, so
-    each holds as many differences.
+    A seed pass over +/- (2 * coarse width + COARSE_BIN_FS), strided to
+    about 2^18 expected pairs (correlate._SEED_PAIRS), fits the peak; it
+    only sizes and centres the reported histogram, a tenth of that FWHM per
+    bin from -max(4 FWHM, 10 bins), which alone takes every pair.  Both
+    windows expect under 2 pairs per tag at the paper's rates, so the kernel
+    walks them partner by partner.  Bins span whole timer ticks, so each
+    holds as many differences.
     """
     offset, width_fs = coarse_offset(a, b, search_span_ms)
     tick = int(np.gcd(a.resolution_fs, b.resolution_fs)) or 1

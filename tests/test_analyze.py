@@ -43,6 +43,13 @@ def sampled_histogram(rng, n, sigma, bin_width, window, baseline_rate=0.0):
     return Histogram(bin_width, -window, counts.astype(np.int64))
 
 
+def weak_peak_histogram(seed):
+    """501 bins of 10 ps over +/- 2505 ps, Poisson counts at 4 exp(-x^2 / 2 40^2) + 3."""
+    x = -2500.0 + 10.0 * np.arange(501)
+    lam = 4.0 * np.exp(-0.5 * (x / 40.0) ** 2) + 3.0
+    return Histogram(10.0, -2505.0, np.random.default_rng(seed).poisson(lam))
+
+
 class TestFitGaussian:
     def test_exact_recovery(self):
         # noiseless samples of A=100, mu=40 ps, s=16 ps, B=0
@@ -78,6 +85,22 @@ class TestFitGaussian:
         h = gaussian_histogram(200.0, 1.5, 0.3, 5.0, 3.0, 300.0, noisy=rng)
         with pytest.raises(FitError, match=r"peak unresolved: sigma [\d.]+ ps .* 3 ps bin"):
             fit_gaussian(h)
+
+    @pytest.mark.parametrize("seed, message", [
+        (68, "singular covariance"), (78, "singular covariance"),
+        (156, "centre 3256.49 ps outside the histogram"),
+    ])
+    def test_weak_peak_without_valid_fit_raises(self, seed, message):
+        # 4 counts per bin over 3 in 10 ps bins, sigma 40 ps: seeds 68 and 78
+        # ended with negative variances (NaN errors and a sqrt warning), seed
+        # 156 with its centre beyond the +/- 2505 ps histogram, sigma 21 ns.
+        with pytest.raises(FitError, match=message):
+            fit_gaussian(weak_peak_histogram(seed))
+
+    def test_fwhm_wider_than_histogram_raises(self):
+        # The same weak peak at seed 38 fitted sigma 3.9 ns, a FWHM of 9.1 ns.
+        with pytest.raises(FitError, match="exceeds the 5010 ps histogram"):
+            fit_gaussian(weak_peak_histogram(38))
 
     def test_poisson_recovery_with_baseline(self):
         rng = np.random.default_rng(1)

@@ -67,6 +67,23 @@ class TestSimulate:
         assert rc == 2
         assert "invalid parameter: duration must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, message", [
+        ("jitter_fwhm_ps", "jitter, dark rate and dead time must be >= 0"),
+        ("dark_rate_hz", "jitter, dark rate and dead time must be >= 0"),
+        ("dead_time_ns", "jitter, dark rate and dead time must be >= 0"),
+        ("pair_rate_hz", "pair_rate_hz must be >= 0"),
+    ], ids=["jitter", "dark_rate", "dead_time", "pair_rate"])
+    def test_nan_parameter_exit_2(self, tmp_path, capsys, key, message):
+        # The first line of the key: [source] or [detector_a].
+        text = dump_config(presets.fig2a_config(duration_s=1.0))
+        line = next(ln for ln in text.splitlines() if ln.startswith(f"{key} = "))
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(text.replace(line, f"{key} = nan", 1))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"invalid parameter: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x_a.tags").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "absent.cfg"),
                    "--out", str(tmp_path / "x")])

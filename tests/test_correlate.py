@@ -107,12 +107,37 @@ class TestFineHistogram:
     )
     def test_matches_brute_force_hypothesis(self, a, b, offset, bin_fs, nbins):
         # Odd and even nbins*bin: the closed edge of the kernel's window falls
-        # on the grid's end, or one fs inside it.
+        # on the grid's end, or one fs inside it.  Both ways of finding pairs,
+        # whatever the density: at a threshold of 0 the kernel never walks,
+        # at infinity it always does.
         sa, sb = make_stream(a), make_stream(b)
         origin = -(nbins // 2) * bin_fs
-        h = fine_histogram(sa, sb, offset, origin, bin_fs, nbins)
         oracle = brute_force_histogram(sa.tags, sb.tags, offset, origin, bin_fs, nbins)
-        assert np.array_equal(h.counts, oracle)
+        for walk_below in (0, math.inf):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(correlate, "_WALK_PAIRS", walk_below)
+                h = fine_histogram(sa, sb, offset, origin, bin_fs, nbins)
+            assert np.array_equal(h.counts, oracle), walk_below
+
+    def test_walk_through_crowded_tag(self, monkeypatch):
+        # A sparse stream, about 0.1 pairs per tag, and one source tag with
+        # 71 partners: the walk takes 71 steps for that tag alone, past chunk
+        # edges of 1, 7 and 64 expected pairs.  The last tag of b lies past
+        # every window, so that every chunk walks.
+        rng = np.random.default_rng(4)
+        for budget in (1, 7, 64):
+            monkeypatch.setattr(correlate, "_DIFF_CHUNK", budget)
+            for trial in range(10):
+                a = rng.integers(0, 10**10, 200)
+                offset = int(rng.integers(-10**6, 10**6))
+                crowd = a[0] + offset + 100_000 * np.arange(-35, 36)
+                b = np.concatenate([rng.integers(0, 10**10, 200), crowd, [2 * 10**10]])
+                sa, sb = make_stream(a), make_stream(b)
+                assert correlate._pairs_per_tag(sb.tags, 10**7) < correlate._WALK_PAIRS
+                h = fine_histogram(sa, sb, offset, -5_000_000, 50_000, 200)
+                oracle = brute_force_histogram(sa.tags, sb.tags, offset, -5_000_000, 50_000, 200)
+                assert (h.counts[30:171:2] >= 1).all()  # the crowd, 100 ns apart
+                assert np.array_equal(h.counts, oracle)
 
     def test_matches_brute_force_across_chunks(self, monkeypatch):
         # Budgets of 1, 7 and 64 expected pairs against about 23 per tag, and
@@ -131,17 +156,22 @@ class TestFineHistogram:
                 oracle = brute_force_histogram(sa.tags, sb.tags, offset, -5_000_000, 50_000, 200)
                 assert np.array_equal(h.counts, oracle)
 
-    def test_half_open_edges(self):
+    def test_half_open_edges(self, monkeypatch):
         # [origin, origin + nbins*bin): a difference on origin lands in bin 0,
         # one a fs short of the end in the last bin, and one on the end in
-        # none, whether nbins*bin is even or odd.
-        a = make_stream([0])
-        for origin, bin_fs, nbins in ((-100_000, 10_000, 20), (-104_999, 11_001, 19)):
-            end = origin + nbins * bin_fs
-            for d, hit in ((origin - 1, []), (origin, [0]), (end - 1, [nbins - 1]), (end, [])):
-                h = fine_histogram(a, a, -d, origin, bin_fs, nbins)
-                assert h.counts.size == nbins
-                assert np.flatnonzero(h.counts).tolist() == hit, (origin, d)
+        # none, whether nbins*bin is even or odd, and whether the kernel
+        # searches both edges (threshold 0) or walks (infinity); b's second
+        # tag lies past every window, so that the kernel can walk.
+        a, b = make_stream([0]), make_stream([0, 10**12])
+        for walk_below in (0, math.inf):
+            monkeypatch.setattr(correlate, "_WALK_PAIRS", walk_below)
+            for origin, bin_fs, nbins in ((-100_000, 10_000, 20), (-104_999, 11_001, 19)):
+                end = origin + nbins * bin_fs
+                for d, hit in ((origin - 1, []), (origin, [0]), (end - 1, [nbins - 1]),
+                               (end, [])):
+                    h = fine_histogram(a, b, -d, origin, bin_fs, nbins)
+                    assert h.counts.size == nbins
+                    assert np.flatnonzero(h.counts).tolist() == hit, (walk_below, origin, d)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
@@ -261,9 +291,9 @@ class TestCoarseOffset:
         # its true partner in it: 12000 expected pairs against a budget of 1000.
         rng = np.random.default_rng(12)
         a = poisson_stream(rng, 12000, 1.0)
-        monkeypatch.setattr(correlate, "_PAIR_BUDGET", 1000)
+        monkeypatch.setattr(correlate, "_SEED_PAIRS", 1000)
         stride = -(-len(a) // 1000)  # without the partner term: 1
-        assert correlate._budget_stride(a.tags, a.tags, 21 * 1000) == stride
+        assert correlate._budget_stride(a.tags, a.tags, 21 * 1000, 1000) == stride
         h = correlate.strided_counts(a, a, 0, 1000, 10)
         assert h.counts[10] == h.counts.sum() == len(a.tags[::stride])
 

@@ -83,6 +83,9 @@ class TestG2Sigma:
             SourceParams(inverse_gvd_ps_per_cm=0.0)
         with pytest.raises(ParameterError):
             SourceParams(crystal_length_cm=-2.0)
+        for field in ("crystal_length_cm", "inverse_gvd_ps_per_cm", "gamma", "sigma_omega"):
+            with pytest.raises(ParameterError):
+                SourceParams(**{field: float("nan")})
 
 
 class TestFwhm:
