@@ -35,16 +35,17 @@ class SourceParams:
     sigma_omega: float | None = None
 
     def __post_init__(self):
-        if not self.crystal_length_cm > 0:
-            raise ParameterError("crystal_length_cm must be > 0")
-        if not self.inverse_gvd_ps_per_cm > 0:
-            raise ParameterError("inverse_gvd_ps_per_cm must be > 0")
-        if not self.gamma > 0:
-            raise ParameterError("gamma must be > 0")
-        if not self.pair_rate_hz >= 0:
-            raise ParameterError("pair_rate_hz must be >= 0")
-        if self.sigma_omega is not None and not self.sigma_omega > 0:
-            raise ParameterError("sigma_omega must be > 0")
+        # Each chained comparison with math.inf fails for nan as well as for inf.
+        if not 0 < self.crystal_length_cm < math.inf:
+            raise ParameterError("crystal_length_cm must be > 0 and finite")
+        if not 0 < self.inverse_gvd_ps_per_cm < math.inf:
+            raise ParameterError("inverse_gvd_ps_per_cm must be > 0 and finite")
+        if not 0 < self.gamma < math.inf:
+            raise ParameterError("gamma must be > 0 and finite")
+        if not 0 <= self.pair_rate_hz < math.inf:
+            raise ParameterError("pair_rate_hz must be >= 0 and finite")
+        if self.sigma_omega is not None and not 0 < self.sigma_omega < math.inf:
+            raise ParameterError("sigma_omega must be > 0 and finite")
 
     @property
     def dl_ps(self) -> float:
@@ -78,12 +79,14 @@ class DispersionLeg:
     group_index: float = 1.468
 
     def __post_init__(self):
-        if self.length_km < 0:
-            raise ParameterError("length_km must be >= 0")
-        if self.attenuation_db_per_km < 0:
-            raise ParameterError("attenuation_db_per_km must be >= 0")
-        if self.group_index < 1:
-            raise ParameterError("group_index must be >= 1")
+        if not math.isfinite(self.k2_s2_per_m):
+            raise ParameterError("k2_s2_per_m must be finite")
+        if not 0 <= self.length_km < math.inf:
+            raise ParameterError("length_km must be >= 0 and finite")
+        if not 0 <= self.attenuation_db_per_km < math.inf:
+            raise ParameterError("attenuation_db_per_km must be >= 0 and finite")
+        if not 1 <= self.group_index < math.inf:
+            raise ParameterError("group_index must be >= 1 and finite")
 
     @property
     def k2l_ps2(self) -> float:

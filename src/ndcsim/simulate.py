@@ -58,8 +58,9 @@ class DetectorSpec:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ParameterError("efficiency must be in [0, 1]")
-        if not (self.jitter_fwhm_ps >= 0 and self.dark_rate_hz >= 0 and self.dead_time_ns >= 0):
-            raise ParameterError("jitter, dark rate and dead time must be >= 0")
+        if not all(0 <= x < math.inf
+                   for x in (self.jitter_fwhm_ps, self.dark_rate_hz, self.dead_time_ns)):
+            raise ParameterError("jitter, dark rate and dead time must be >= 0 and finite")
 
     @property
     def jitter_sigma_fs(self) -> float:

@@ -4,6 +4,13 @@ Layout: a fixed 38-byte little-endian header followed by ``tag_count`` tags
 as signed 64-bit femtosecond values.  A file holds exactly these bytes, and a
 site sends exactly these bytes over its connection, half-closes it, and reads
 a one-byte verdict (``A`` accepted, ``R`` rejected) from the terminal.
+
+The terminal receives the payload straight into the tag array: one copy,
+from the kernel's socket buffer into memory the array already holds.  That
+memory is reserved from the header's tag count but committed page by page
+only as bytes arrive, so a header claiming more tags than arrive costs
+resident memory (RSS) only for the bytes received.  Allocation tracers such
+as tracemalloc count the whole reservation, so the bound holds for RSS only.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ HEADER_SIZE = _HEADER.size  # 8 + 2 + 4 + 8 + 8 + 8 = 38 bytes
 # from a connected site.
 TIMEOUT_S = 60.0
 
-# Tags per receive call: bounds each read, so a header claiming more tags than
-# arrive costs no more memory than the bytes actually received.
+# Unused by the transport, which receives each payload in one buffer; kept
+# because the benchmark's tracer (perfbench/tracing.py) reads it.
 DEFAULT_BATCH = 4096
 
 
@@ -103,19 +110,20 @@ def read_tags(source) -> TagStream:
 # Wire transport
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytearray:
-    buf = bytearray()
-    while len(buf) < n:
+def _recv_into(sock: socket.socket, buf) -> None:
+    """Fill the writable buffer ``buf`` from ``sock``; end of stream first is an error."""
+    view = memoryview(buf)
+    n, got = view.nbytes, 0
+    while got < n:
         try:
-            chunk = sock.recv(min(n - len(buf), 8 * DEFAULT_BATCH))
+            k = sock.recv_into(view[got:])
         except OSError as exc:
             raise TransportError(f"connection error: {exc}") from exc
-        if not chunk:
+        if not k:
             raise TransportError(
-                f"connection closed mid-message: expected {n} bytes, got {len(buf)}"
+                f"connection closed mid-message: expected {n} bytes, got {got}"
             )
-        buf.extend(chunk)
-    return buf
+        got += k
 
 
 def site_send(stream: TagStream, connection: socket.socket) -> None:
@@ -129,16 +137,25 @@ def site_send(stream: TagStream, connection: socket.socket) -> None:
 
 
 def receive_stream(connection: socket.socket) -> TagStream:
-    """Receive one stream: the header, exactly its tags, then end of stream."""
-    tag_count, fields = _unpack_header(_recv_exact(connection, HEADER_SIZE))
-    payload = _recv_exact(connection, tag_count * 8)
+    """Receive one stream: the header, exactly its tags, then end of stream.
+
+    The tags are a view of the received payload bytes, so no copy is made.
+    """
+    header = bytearray(HEADER_SIZE)
+    _recv_into(connection, header)
+    tag_count, fields = _unpack_header(header)
+    try:
+        payload = np.empty(8 * tag_count, np.uint8)
+    except (ValueError, MemoryError) as exc:
+        raise TransportError(f"cannot hold the header's {tag_count} tags: {exc}") from exc
+    _recv_into(connection, payload)
     try:
         extra = connection.recv(1)
     except OSError as exc:
         raise TransportError(f"connection error: {exc}") from exc
     if extra:
         raise TagFormatError(f"data past the header's {tag_count} tags")
-    return TagStream(tags=np.frombuffer(payload, dtype="<i8"), **fields)
+    return TagStream(tags=payload.view("<i8"), **fields)
 
 
 def send_to_terminal(stream: TagStream, address: tuple[str, int]) -> None:
@@ -147,7 +164,8 @@ def send_to_terminal(stream: TagStream, address: tuple[str, int]) -> None:
         with socket.create_connection(address, timeout=30.0) as sock:
             site_send(stream, sock)
             # Wait for the terminal to acknowledge or reject the stream.
-            verdict = _recv_exact(sock, 1)
+            verdict = bytearray(1)
+            _recv_into(sock, verdict)
     except OSError as exc:
         raise TransportError(f"cannot reach terminal at {address[0]}:{address[1]}: {exc}") from exc
     if verdict != b"A":

@@ -84,6 +84,27 @@ class TestSimulate:
         assert f"invalid parameter: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x_a.tags").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_exit_2(self, tmp_path, capsys, value):
+        # Every numeric key of [source], [smf], [dcf] and [detector_a].
+        lines = dump_config(presets.fig2a_config(duration_s=0.1)).splitlines()
+        section, edited = None, []
+        for i, line in enumerate(lines):
+            if line.startswith("["):
+                section = line
+            elif section in ("[source]", "[smf]", "[dcf]", "[detector_a]") and " = " in line:
+                key = line.partition(" = ")[0]
+                cfg = tmp_path / f"{section[1:-1]}_{key}.cfg"
+                cfg.write_text("\n".join(lines[:i] + [f"{key} = {value}"] + lines[i + 1:]))
+                out = tmp_path / cfg.stem
+                rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+                err = capsys.readouterr().err
+                assert rc == 2, f"{section} {key} = {value}"
+                assert "invalid parameter" in err, err
+                assert not (tmp_path / f"{cfg.stem}_a.tags").exists()
+                edited.append(key)
+        assert len(edited) == 16
+
     def test_missing_config_exit_2(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "absent.cfg"),
                    "--out", str(tmp_path / "x")])

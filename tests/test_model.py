@@ -88,6 +88,23 @@ class TestG2Sigma:
                 SourceParams(**{field: float("nan")})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make, field", [
+    (SourceParams, "crystal_length_cm"),
+    (SourceParams, "inverse_gvd_ps_per_cm"),
+    (SourceParams, "gamma"),
+    (SourceParams, "pair_rate_hz"),
+    (SourceParams, "sigma_omega"),
+    (DispersionLeg, "k2_s2_per_m"),
+    (DispersionLeg, "length_km"),
+    (DispersionLeg, "attenuation_db_per_km"),
+    (DispersionLeg, "group_index"),
+])
+def test_non_finite_parameter_rejected(make, field, value):
+    with pytest.raises(ParameterError, match=field):
+        make(**{field: value})
+
+
 class TestFwhm:
     def test_jitter_floor_width(self):
         assert fwhm_from_sigma(15.967) == pytest.approx(37.6, abs=0.01)

@@ -1,10 +1,15 @@
 """Serialization and transport tests: byte-exact round trips, wire layout, errors."""
 
 import io
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +154,42 @@ class TestFileFormat:
         assert "1" in str(err.value)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Receives a header claiming 2^27 tags (1 GiB), then 8 MB and a close, in a
+# fresh process, whose peak RSS no earlier test has raised.  Prints the error
+# and the growth of the peak RSS in KiB.  The peak is the process's VmHWM:
+# Linux carries the spawning process's peak into ru_maxrss across exec, so
+# ru_maxrss would not grow below the size of the test process.
+_CLAIM_MORE_THAN_ARRIVE = """
+import socket, threading
+from ndcsim.errors import TransportError
+from ndcsim.tagio import pack_header, receive_stream
+
+def peak_kib():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+raw = pack_header(0, 1000, 2**27, 100) + bytes(8 * 2**20)
+a, b = socket.socketpair()
+
+def send():
+    with a:
+        a.sendall(raw)
+
+before = peak_kib()
+sender = threading.Thread(target=send)
+sender.start()
+try:
+    with b:
+        receive_stream(b)
+except TransportError as exc:
+    print(type(exc).__name__)
+sender.join(timeout=30)
+print(peak_kib() - before)
+"""
+
+
 def _send_raw(raw):
     """Socket end that reads ``raw`` followed by end of stream."""
     a, b = socket.socketpair()
@@ -227,6 +268,48 @@ class TestWireTransport:
         header = pack_header(0, 1000, 2**61, 100)
         with _send_raw(header + bytes(800)) as b, pytest.raises(TransportError):
             receive_stream(b)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_claimed_tags_cost_only_received_bytes(self):
+        # RSS, not tracemalloc, which counts the whole 1 GiB reservation.
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        run = subprocess.run([sys.executable, "-c", _CLAIM_MORE_THAN_ARRIVE], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        error, grown_kib = run.stdout.split()
+        assert error == "TransportError"
+        assert int(grown_kib) < 64 * 1024
+
+    @pytest.mark.parametrize("refused", [False, True], ids=["host", "refused"])
+    def test_unallocatable_count_is_transport_error(self, monkeypatch, refused):
+        # 2^40 tags are 8 TiB: the host may refuse them or reserve them.
+        if refused:
+            def refuse(*args, **kwargs):
+                raise MemoryError("refused")
+            monkeypatch.setattr(np, "empty", refuse)
+        header = pack_header(0, 1000, 2**40, 100)
+        with _send_raw(header + bytes(800)) as b, pytest.raises(TransportError):
+            receive_stream(b)
+
+    def test_stream_sent_in_pieces(self):
+        tags = np.sort(np.random.default_rng(5).integers(-2**62, 2**62, 200))
+        raw = pack_header(6, 1000, tags.size, 10**12) + tags.astype("<i8").tobytes()
+        a, b = socket.socketpair()
+
+        def send():
+            with a:
+                for i in range(0, len(raw), 7):
+                    a.sendall(raw[i:i + 7])
+                    time.sleep(1e-4)
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        with b:
+            got = receive_stream(b)
+        sender.join(timeout=10)
+        assert not sender.is_alive()
+        assert got == read_tags(io.BytesIO(raw))
+        assert got.site_id == 6
 
     def test_unsorted_payload_names_index(self):
         header = pack_header(0, 1000, 3, 100)
