@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model
 from .correlate import Histogram
-from .errors import FitError, ParameterError
+from .errors import FitError, ParameterError, check_range
 from .model import SourceParams, WasakInputs
 
 _MIN_OCCUPIED_BINS = 8
@@ -230,8 +230,7 @@ def dispersion_from_slope(slope_ps_per_km: float, src: SourceParams, sign: int =
     1000 m and converting ps^2 -> s^2 gives k''.  ``sign`` encodes the
     channel role (anomalous SMF negative, DCF positive).
     """
-    if slope_ps_per_km <= 0:
-        raise ParameterError("slope must be > 0")
+    check_range("slope_ps_per_km", slope_ps_per_km, 0, above=True)
     k2l_ps2_per_km = slope_ps_per_km / model.farfield_eta(src)
     return sign * k2l_ps2_per_km * 1e-24 / 1e3
 

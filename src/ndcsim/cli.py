@@ -14,7 +14,8 @@ from . import presets, tagio
 from .analyze import evaluate_wasak, fit_gaussian, fit_report_text, wasak_report_text
 from .config import parse_config
 from .correlate import read_histogram_csv, write_histogram_csv
-from .errors import ConfigError, FitError, NoPeakError, ParameterError, TagFormatError, TransportError
+from .errors import (ConfigError, FitError, NoPeakError, ParameterError, TagFormatError,
+                     TransportError, check_range)
 from .pipeline import measure_peak, run_simulation
 from .reproduce import TARGETS, reproduce
 
@@ -102,8 +103,9 @@ def cmd_reproduce(args) -> int:
 
 def cmd_site(args) -> int:
     host, _, port = args.terminal.rpartition(":")
-    if not port.isdigit() or int(port) > 65535:
+    if not port.isdigit():
         raise ParameterError(f"--terminal must be host:port, got {args.terminal!r}")
+    check_range("port", int(port), 0, 65535)
     stream = _read(tagio.read_tags, args.tags)
     tagio.send_to_terminal(stream, (host or "127.0.0.1", int(port)))
     print(f"sent {len(stream)} tags from site {stream.site_id}")
@@ -111,6 +113,7 @@ def cmd_site(args) -> int:
 
 
 def cmd_terminal(args) -> int:
+    check_range("port", args.port, 0, 65535)
     terminal = tagio.Terminal(port=args.port)
     print(f"listening on port {terminal.port}", flush=True)
     streams = terminal.collect(n_sites=2)

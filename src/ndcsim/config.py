@@ -15,7 +15,7 @@ import io
 import typing
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 from .model import DispersionLeg, SourceParams
 from .simulate import CORRELATION_MODES, DetectorSpec, TimerSpec
 
@@ -26,8 +26,7 @@ class RunSpec:
     mode: str = "anti"
 
     def __post_init__(self):
-        if self.duration_s < 0:
-            raise ConfigError("duration_s must be >= 0")
+        check_range("duration_s", self.duration_s, 0)
         if self.mode not in CORRELATION_MODES:
             raise ConfigError(f"mode must be one of {CORRELATION_MODES}, got {self.mode!r}")
 

@@ -29,7 +29,7 @@ import numpy as np
 # No FFT runs here; the perfbench tracer looks these two names up.
 from numpy.fft import rfft, irfft  # noqa: F401
 
-from .errors import NoPeakError, ParameterError
+from .errors import NoPeakError, ParameterError, check_range
 from .streams import FS_PER_MS, FS_PER_PS, TagStream
 
 COARSE_BIN_FS = 10**6  # the offset search bin, 1 ns
@@ -55,8 +55,7 @@ class Histogram:
     counts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.bin_width_ps <= 0:
-            raise ParameterError("bin_width must be > 0")
+        check_range("bin_width_ps", self.bin_width_ps, 0, above=True)
         counts = np.ascontiguousarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
         if np.any(counts < 0):
@@ -197,8 +196,8 @@ def fine_histogram(
     half-open bins [origin + k*bin, origin + (k+1)*bin), all in fs."""
     tags_a = _nonempty(a, "a")
     tags_b = _nonempty(b, "b")
-    if bin_fs <= 0 or nbins <= 0:
-        raise ParameterError("bin_fs and nbins must be > 0")
+    check_range("bin_fs", bin_fs, 0, above=True)
+    check_range("nbins", nbins, 0, above=True)
     # The kernel's closed window, centred on the grid, spans it; its right
     # edge may fall on origin + nbins*bin, the spare bin, which is dropped.
     half = nbins * bin_fs // 2
@@ -245,8 +244,7 @@ def coarse_offset(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> tu
     """
     tags_a = _nonempty(a, "a")
     tags_b = _nonempty(b, "b")
-    if not (math.isfinite(search_span_ms) and search_span_ms > 0):
-        raise ParameterError("search_span must be finite and > 0")
+    check_range("search_span_ms", search_span_ms, 0, above=True)
     span_bins = max(1, math.ceil(search_span_ms * FS_PER_MS / COARSE_BIN_FS))
     nbins = 2 * span_bins + 1
     # COARSE_BIN_FS is even, so the span [-half, half) is whole bins.
@@ -301,8 +299,9 @@ def g2_normalize(
     h: Histogram, rate_a_hz: float, rate_b_hz: float, duration_s: float
 ) -> np.ndarray:
     """Counts divided by the accidental level R_a*R_b*T*bin; baseline -> 1."""
-    if rate_a_hz <= 0 or rate_b_hz <= 0 or duration_s <= 0:
-        raise ParameterError("rates and duration must be > 0")
+    check_range("rate_a_hz", rate_a_hz, 0, above=True)
+    check_range("rate_b_hz", rate_b_hz, 0, above=True)
+    check_range("duration_s", duration_s, 0, above=True)
     accidental = rate_a_hz * rate_b_hz * duration_s * (h.bin_width_ps * 1e-12)
     return h.counts.astype(np.float64) / accidental
 

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one range check."""
+
+import math
 
 
 class NdcError(Exception):
@@ -7,6 +9,18 @@ class NdcError(Exception):
 
 class ParameterError(NdcError, ValueError):
     """A physical or numerical parameter violates its constraints."""
+
+
+def check_range(name: str, value, lo, hi=math.inf, *, above: bool = False) -> None:
+    """Raise ParameterError, naming the field and its range, unless ``value`` is
+    finite and lo <= value <= hi (lo < value when ``above``).  Every test is a
+    chained comparison, which nan fails; math.isfinite overflows on huge ints."""
+    inside = lo < value <= hi if above else lo <= value <= hi
+    if inside and -math.inf < value < math.inf:
+        return
+    low = f"{'>' if above else '>='} {lo} and finite" if lo > -math.inf else "finite"
+    bounds = f"in {'(' if above else '['}{lo}, {hi}]" if hi < math.inf else low
+    raise ParameterError(f"{name} must be {bounds}, got {value}")
 
 
 class ConfigError(NdcError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, check_range
 
 # FWHM of a unit-sigma Gaussian.
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -35,17 +35,11 @@ class SourceParams:
     sigma_omega: float | None = None
 
     def __post_init__(self):
-        # Each chained comparison with math.inf fails for nan as well as for inf.
-        if not 0 < self.crystal_length_cm < math.inf:
-            raise ParameterError("crystal_length_cm must be > 0 and finite")
-        if not 0 < self.inverse_gvd_ps_per_cm < math.inf:
-            raise ParameterError("inverse_gvd_ps_per_cm must be > 0 and finite")
-        if not 0 < self.gamma < math.inf:
-            raise ParameterError("gamma must be > 0 and finite")
-        if not 0 <= self.pair_rate_hz < math.inf:
-            raise ParameterError("pair_rate_hz must be >= 0 and finite")
-        if self.sigma_omega is not None and not 0 < self.sigma_omega < math.inf:
-            raise ParameterError("sigma_omega must be > 0 and finite")
+        for name in ("crystal_length_cm", "inverse_gvd_ps_per_cm", "gamma"):
+            check_range(name, getattr(self, name), 0, above=True)
+        check_range("pair_rate_hz", self.pair_rate_hz, 0)
+        if self.sigma_omega is not None:
+            check_range("sigma_omega", self.sigma_omega, 0, above=True)
 
     @property
     def dl_ps(self) -> float:
@@ -79,14 +73,10 @@ class DispersionLeg:
     group_index: float = 1.468
 
     def __post_init__(self):
-        if not math.isfinite(self.k2_s2_per_m):
-            raise ParameterError("k2_s2_per_m must be finite")
-        if not 0 <= self.length_km < math.inf:
-            raise ParameterError("length_km must be >= 0 and finite")
-        if not 0 <= self.attenuation_db_per_km < math.inf:
-            raise ParameterError("attenuation_db_per_km must be >= 0 and finite")
-        if not 1 <= self.group_index < math.inf:
-            raise ParameterError("group_index must be >= 1 and finite")
+        check_range("k2_s2_per_m", self.k2_s2_per_m, -math.inf)
+        for name in ("length_km", "attenuation_db_per_km"):
+            check_range(name, getattr(self, name), 0)
+        check_range("group_index", self.group_index, 1)
 
     @property
     def k2l_ps2(self) -> float:
@@ -118,12 +108,10 @@ class WasakInputs:
     two_beta_l_ps2: float
 
     def __post_init__(self):
-        if self.var_before_ps2 <= 0 or self.var_after_ps2 <= 0:
-            raise ParameterError("variances must be > 0")
-        if self.var_before_err_ps2 < 0 or self.var_after_err_ps2 < 0:
-            raise ParameterError("variance uncertainties must be >= 0")
-        if self.two_beta_l_ps2 < 0:
-            raise ParameterError("two_beta_l must be >= 0")
+        for name in ("var_before_ps2", "var_after_ps2"):
+            check_range(name, getattr(self, name), 0, above=True)
+        for name in ("var_before_err_ps2", "var_after_err_ps2", "two_beta_l_ps2"):
+            check_range(name, getattr(self, name), 0)
 
 
 def source_variance_ps2(src: SourceParams, s: float, i: float, mode: str = "anti") -> float:
@@ -146,8 +134,7 @@ def source_variance_ps2(src: SourceParams, s: float, i: float, mode: str = "anti
 
 
 def fwhm_from_sigma(sigma_ps: float) -> float:
-    if sigma_ps <= 0:
-        raise ParameterError("sigma must be > 0")
+    check_range("sigma_ps", sigma_ps, 0, above=True)
     return FWHM_PER_SIGMA * sigma_ps
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from . import model, presets
 from .analyze import WasakResult, dispersion_from_slope, evaluate_wasak, fit_linear
-from .errors import ParameterError
+from .errors import ParameterError, check_range
 from .model import SourceParams
 from .pipeline import measure_config_peak
 
@@ -38,8 +38,7 @@ class ReproduceReport:
 
 
 def _scaled_duration(scale: float) -> float:
-    if not scale > 0:
-        raise ParameterError("scale must be > 0")
+    check_range("scale", scale, 0, above=True)
     return presets.ACQUISITION_S * scale
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, TimestampRangeError
+from .errors import ParameterError, TimestampRangeError, check_range
 from .model import FWHM_PER_SIGMA, DispersionLeg, SourceParams
 from .streams import FS_PER_PS, FS_PER_S, TagStream
 
@@ -43,6 +43,7 @@ _STAGE_DETECT_B = 4
 
 def stage_rng(seed: int, stage: int) -> np.random.Generator:
     """Independent deterministic RNG stream for one pipeline stage."""
+    check_range("seed", seed, 0)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage,)))
 
 
@@ -56,11 +57,9 @@ class DetectorSpec:
     dead_time_ns: float = 40.0
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ParameterError("efficiency must be in [0, 1]")
-        if not all(0 <= x < math.inf
-                   for x in (self.jitter_fwhm_ps, self.dark_rate_hz, self.dead_time_ns)):
-            raise ParameterError("jitter, dark rate and dead time must be >= 0 and finite")
+        check_range("efficiency", self.efficiency, 0, 1)
+        for name in ("jitter_fwhm_ps", "dark_rate_hz", "dead_time_ns"):
+            check_range(name, getattr(self, name), 0)
 
     @property
     def jitter_sigma_fs(self) -> float:
@@ -76,8 +75,9 @@ class TimerSpec:
     site_id: int = 0
 
     def __post_init__(self):
-        if self.resolution_fs <= 0:
-            raise ParameterError("resolution_fs must be > 0")
+        check_range("resolution_fs", self.resolution_fs, 1, INT64_MAX)
+        check_range("clock_offset_fs", self.clock_offset_fs, -INT64_MAX, INT64_MAX)
+        check_range("site_id", self.site_id, 0, 2**32 - 1)  # the header's uint32 field
 
 
 @dataclass(frozen=True)
@@ -114,12 +114,11 @@ def generate_pairs(
     intra-pair time offset is Gaussian with std sqrt(gamma)*D*L and the
     signal detuning Gaussian with std ``src.effective_sigma_omega``.
     """
-    if not duration_s >= 0:
-        raise ParameterError("duration must be >= 0")
+    check_range("duration_s", duration_s, 0)
     if mode not in CORRELATION_MODES:
         raise ParameterError(f"unknown correlation mode {mode!r}")
-    if not (0.0 <= p_signal <= 1.0 and 0.0 <= p_idler <= 1.0):
-        raise ParameterError("detection probabilities must be in [0, 1]")
+    for name, p in (("p_signal", p_signal), ("p_idler", p_idler)):
+        check_range(name, p, 0, 1)
     duration_fs = duration_s * FS_PER_S
     if duration_fs >= INT64_MAX:
         raise TimestampRangeError("duration exceeds the int64 femtosecond range")

@@ -61,19 +61,18 @@ class TestSimulate:
         assert "invalid parameter: duration exceeds" in capsys.readouterr().err
 
     def test_nan_duration_exit_2(self, tmp_path, capsys):
+        # RunSpec rejects nan, so the preset is edited as text.
         cfg = tmp_path / "nan.cfg"
-        cfg.write_text(dump_config(presets.fig2a_config(duration_s=float("nan"))))
+        text = dump_config(presets.fig2a_config(duration_s=1.0))
+        cfg.write_text(text.replace("duration_s = 1.0", "duration_s = nan"))
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
-        assert "invalid parameter: duration must be >= 0" in capsys.readouterr().err
+        assert "invalid parameter: duration_s must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, message", [
-        ("jitter_fwhm_ps", "jitter, dark rate and dead time must be >= 0"),
-        ("dark_rate_hz", "jitter, dark rate and dead time must be >= 0"),
-        ("dead_time_ns", "jitter, dark rate and dead time must be >= 0"),
-        ("pair_rate_hz", "pair_rate_hz must be >= 0"),
-    ], ids=["jitter", "dark_rate", "dead_time", "pair_rate"])
-    def test_nan_parameter_exit_2(self, tmp_path, capsys, key, message):
+    @pytest.mark.parametrize("key", ["jitter_fwhm_ps", "dark_rate_hz", "dead_time_ns",
+                                     "pair_rate_hz"],
+                             ids=["jitter", "dark_rate", "dead_time", "pair_rate"])
+    def test_nan_parameter_exit_2(self, tmp_path, capsys, key):
         # The first line of the key: [source] or [detector_a].
         text = dump_config(presets.fig2a_config(duration_s=1.0))
         line = next(ln for ln in text.splitlines() if ln.startswith(f"{key} = "))
@@ -81,18 +80,20 @@ class TestSimulate:
         cfg.write_text(text.replace(line, f"{key} = nan", 1))
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
-        assert f"invalid parameter: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"invalid parameter: {key} must be >= 0 and finite, got nan" in err
         assert not (tmp_path / "x_a.tags").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_parameter_exit_2(self, tmp_path, capsys, value):
-        # Every numeric key of [source], [smf], [dcf] and [detector_a].
+        # Every numeric key of all eight sections; the integer [timer_*] keys
+        # fail to parse, every other key fails its range check.
         lines = dump_config(presets.fig2a_config(duration_s=0.1)).splitlines()
         section, edited = None, []
         for i, line in enumerate(lines):
             if line.startswith("["):
                 section = line
-            elif section in ("[source]", "[smf]", "[dcf]", "[detector_a]") and " = " in line:
+            elif " = " in line and not line.startswith("mode = "):
                 key = line.partition(" = ")[0]
                 cfg = tmp_path / f"{section[1:-1]}_{key}.cfg"
                 cfg.write_text("\n".join(lines[:i] + [f"{key} = {value}"] + lines[i + 1:]))
@@ -100,10 +101,38 @@ class TestSimulate:
                 rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
                 err = capsys.readouterr().err
                 assert rc == 2, f"{section} {key} = {value}"
-                assert "invalid parameter" in err, err
+                assert key in err, err
+                expected = "not an integer" if section.startswith("[timer") else "invalid parameter"
+                assert expected in err, err
                 assert not (tmp_path / f"{cfg.stem}_a.tags").exists()
                 edited.append(key)
-        assert len(edited) == 16
+        assert len(edited) == 27
+
+    @pytest.mark.parametrize("line, bounds", [
+        ("site_id = -1", "[0, 4294967295]"),
+        ("site_id = 4294967296", "[0, 4294967295]"),
+        ("resolution_fs = 18446744073709551616", "[1, 9223372036854775807]"),
+        (f"clock_offset_fs = {10**400}", "[-9223372036854775807, 9223372036854775807]"),
+    ], ids=["site_id_negative", "site_id_past_uint32", "resolution_fs", "clock_offset_fs"])
+    def test_timer_integer_outside_its_field_exit_2(self, tmp_path, capsys, line, bounds):
+        # site_id is the header's uint32 field; tags and their tick are int64.
+        key = line.partition(" = ")[0]
+        text = dump_config(presets.fig2a_config(duration_s=0.1))
+        head, _, timer_b = text.partition("[timer_b]")
+        old = next(ln for ln in timer_b.splitlines() if ln.startswith(f"{key} = "))
+        cfg = tmp_path / "timer.cfg"
+        cfg.write_text(f"{head}[timer_b]{timer_b.replace(old, line)}")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"invalid parameter: {key} must be in {bounds}" in capsys.readouterr().err
+        assert list(tmp_path.glob("x_*")) == []
+
+    def test_negative_seed_exit_2(self, sim_dir, tmp_path, capsys):
+        rc = main(["simulate", "--config", str(sim_dir / "run.cfg"),
+                   "--out", str(tmp_path / "x"), "--seed", "-1"])
+        assert rc == 2
+        assert "invalid parameter: seed must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.glob("x_*")) == []
 
     def test_missing_config_exit_2(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "absent.cfg"),
@@ -163,7 +192,7 @@ class TestCorrelateAnalyze:
         rc = main(["correlate", str(sim_dir / "run_a.tags"), str(sim_dir / "run_b.tags"),
                    "--search-span-ms", span])
         assert rc == 2
-        assert "search_span must be finite and > 0" in capsys.readouterr().err
+        assert "search_span_ms must be > 0 and finite" in capsys.readouterr().err
 
     def test_missing_tag_file_exit_2(self, sim_dir, tmp_path, capsys):
         rc = main(["correlate", str(sim_dir / "run_a.tags"), str(tmp_path / "absent.tags")])
@@ -290,6 +319,14 @@ class TestWasak:
         assert rc == 3
         assert "no peak" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_two_beta_l_exit_2(self, tag_files, capsys, value):
+        rc = main(["wasak", *tag_files, "--two-beta-l", value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"two_beta_l_ps2 must be >= 0 and finite, got {value}" in captured.err
+        assert "violated" not in captured.out
+
 
 class TestReproduce:
     def test_fig2a_smoke(self, capsys):
@@ -306,6 +343,10 @@ class TestReproduce:
     def test_nan_scale_exit_2(self, capsys):
         assert main(["reproduce", "fig2a", "--scale", "nan"]) == 2
         assert "scale must be > 0" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["reproduce", "fig2a", "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_unknown_target_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -409,6 +450,18 @@ class TestTransport:
         rc = main(["site", "--terminal", "localhost", "--tags", str(sim_dir / "run_a.tags")])
         assert rc == 2
         assert "invalid parameter: --terminal must be host:port" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_terminal_port_out_of_range_exit_2(self, tmp_path, capsys, port):
+        rc = main(["terminal", "--port", port, "--out", str(tmp_path / "term")])
+        assert rc == 2
+        assert f"port must be in [0, 65535], got {port}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_site_port_out_of_range_exit_2(self, sim_dir, capsys):
+        rc = main(["site", "--terminal", "127.0.0.1:70000", "--tags", str(sim_dir / "run_a.tags")])
+        assert rc == 2
+        assert "port must be in [0, 65535], got 70000" in capsys.readouterr().err
 
     def test_no_terminal_exit_5(self, sim_dir, capsys):
         with socket.socket() as probe:

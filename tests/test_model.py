@@ -1,5 +1,6 @@
 """Analytic-model tests: frozen reference values and algebraic properties."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndcsim import model
+from ndcsim.analyze import dispersion_from_slope
+from ndcsim.config import RunSpec
+from ndcsim.correlate import Histogram, g2_normalize
 from ndcsim.errors import ParameterError
 from ndcsim.model import (
     DispersionLeg,
@@ -17,6 +21,7 @@ from ndcsim.model import (
     wasak_w,
     wasak_w_uncertainty,
 )
+from ndcsim.simulate import DetectorSpec, TimerSpec
 
 SRC = SourceParams()
 
@@ -88,6 +93,16 @@ class TestG2Sigma:
                 SourceParams(**{field: float("nan")})
 
 
+def wasak_inputs(**fields):
+    """The reference witness inputs with ``fields`` replaced."""
+    return dataclasses.replace(REFERENCE_INPUTS, **fields)
+
+
+def histogram(**fields):
+    """A two-bin histogram with ``fields`` replaced."""
+    return Histogram(**{"bin_width_ps": 1.0, "origin_ps": 0.0, "counts": [0, 1], **fields})
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("make, field", [
     (SourceParams, "crystal_length_cm"),
@@ -99,10 +114,38 @@ class TestG2Sigma:
     (DispersionLeg, "length_km"),
     (DispersionLeg, "attenuation_db_per_km"),
     (DispersionLeg, "group_index"),
+    (DetectorSpec, "efficiency"),
+    (DetectorSpec, "jitter_fwhm_ps"),
+    (DetectorSpec, "dark_rate_hz"),
+    (DetectorSpec, "dead_time_ns"),
+    (TimerSpec, "resolution_fs"),
+    (TimerSpec, "clock_offset_fs"),
+    (TimerSpec, "site_id"),
+    (RunSpec, "duration_s"),
+    (wasak_inputs, "var_before_ps2"),
+    (wasak_inputs, "var_before_err_ps2"),
+    (wasak_inputs, "var_after_ps2"),
+    (wasak_inputs, "var_after_err_ps2"),
+    (wasak_inputs, "two_beta_l_ps2"),
+    (histogram, "bin_width_ps"),
 ])
 def test_non_finite_parameter_rejected(make, field, value):
     with pytest.raises(ParameterError, match=field):
         make(**{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, name", [
+    (fwhm_from_sigma, "sigma_ps"),
+    (lambda x: dispersion_from_slope(x, SRC), "slope_ps_per_km"),
+    (lambda x: g2_normalize(histogram(), x, 1.0, 1.0), "rate_a_hz"),
+    (lambda x: g2_normalize(histogram(), 1.0, x, 1.0), "rate_b_hz"),
+    (lambda x: g2_normalize(histogram(), 1.0, 1.0, x), "duration_s"),
+], ids=["fwhm_from_sigma", "dispersion_from_slope", "g2_normalize-rate_a_hz",
+        "g2_normalize-rate_b_hz", "g2_normalize-duration_s"])
+def test_non_finite_argument_rejected(call, name, value):
+    with pytest.raises(ParameterError, match=name):
+        call(value)
 
 
 class TestFwhm:
