@@ -128,9 +128,16 @@ def generate_pairs(
     q_signal = p_signal * (1.0 - p_idler)
     q_any = 1.0 - (1.0 - p_signal) * (1.0 - p_idler)
     n = int(rng.poisson(src.pair_rate_hz * duration_s * q_any))
-    emission = np.sort(rng.uniform(0.0, duration_fs, n)).astype(np.int64)
-    u = rng.random(n) * q_any
-    arms = np.where(u < q_both, BOTH, np.where(u < q_both + q_signal, SIGNAL, IDLER))
+    emission = rng.uniform(0.0, duration_fs, n)
+    emission.sort()
+    emission = emission.astype(np.int64)
+    u = rng.random(n)
+    u *= q_any
+    # IDLER, less 1 where the signal arm detects, plus 2 where both arms do
+    arms = np.subtract(IDLER, u < q_both + q_signal, dtype=np.uint8)
+    both = (u < q_both).view(np.uint8)
+    arms += both
+    arms += both
     delta_t = rng.normal(0.0, src.base_sigma_ps * FS_PER_PS, n)
     omega_s = rng.normal(0.0, src.effective_sigma_omega, n)
     if mode == "anti":
@@ -139,7 +146,7 @@ def generate_pairs(
         omega_i = omega_s.copy()
     else:
         omega_i = rng.normal(0.0, src.effective_sigma_omega, n)
-    return PairEvents(emission, delta_t, omega_s, omega_i, arms.astype(np.uint8))
+    return PairEvents(emission, delta_t, omega_s, omega_i, arms)
 
 
 def propagate(events: PairEvents, leg: DispersionLeg, which: str) -> np.ndarray:
@@ -147,6 +154,7 @@ def propagate(events: PairEvents, leg: DispersionLeg, which: str) -> np.ndarray:
 
     Only pairs detected in the arm contribute, in emission order.  The
     dispersive time shift is k''l * Omega for the photon's own detuning.
+    ``events`` is left unchanged.
     """
     if which == "signal":
         half, bit, omega = +0.5, SIGNAL, events.omega_signal
@@ -155,13 +163,21 @@ def propagate(events: PairEvents, leg: DispersionLeg, which: str) -> np.ndarray:
     else:
         raise ParameterError(f"which must be 'signal' or 'idler', got {which!r}")
 
-    mine = (events.arms & bit) != 0
-    return (
-        events.emission_fs[mine].astype(np.float64)
-        + half * events.delta_t_fs[mine]
-        + leg.group_delay_fs
-        + leg.k2l_ps2 * omega[mine] * FS_PER_PS
-    )
+    # ((emission + half * delta_t) + group delay) + (k''l * Omega) * 1e3, in
+    # this order; a sum may swap its operands, which leaves its result as is.
+    mine = np.flatnonzero((events.arms & bit) != 0)
+    out = events.delta_t_fs.take(mine)
+    out *= half
+    scratch = events.emission_fs.take(mine)
+    np.add(scratch, out, out=out)
+    out += leg.group_delay_fs
+    shift = scratch.view(np.float64)
+    # take copies through a buffer in mode "raise"; mine has no index to clip
+    np.take(omega, mine, out=shift, mode="clip")
+    shift *= leg.k2l_ps2
+    shift *= FS_PER_PS
+    out += shift
+    return out
 
 
 def detect(
@@ -172,16 +188,20 @@ def detect(
     Every arrival is a detected photon (efficiency is part of the pair
     marking in ``generate_pairs``).  Order of effects: Gaussian jitter, dark
     counts uniform over the acquisition window [0, duration_s), sort,
-    dead-time pruning.
+    dead-time pruning.  ``arrivals_fs`` is left unchanged.
     """
     rng = stage_rng(seed, stage)
     t = np.asarray(arrivals_fs, dtype=np.float64)
     if det.jitter_fwhm_ps > 0:
-        t = t + rng.normal(0.0, det.jitter_sigma_fs, t.size)
+        jittered = rng.normal(0.0, det.jitter_sigma_fs, t.size)
+        jittered += t
+        t = jittered
     if det.dark_rate_hz > 0 and duration_s > 0:
         n_dark = int(rng.poisson(det.dark_rate_hz * duration_s))
         t = np.concatenate([t, rng.uniform(0.0, duration_s * FS_PER_S, n_dark)])
-    t = np.sort(t)
+    if np.may_share_memory(t, arrivals_fs):
+        t = t.copy()
+    t.sort()
     if det.dead_time_ns > 0:
         t = _prune_dead_time(t, det.dead_time_ns * 1e6)
     return t
@@ -216,15 +236,21 @@ def digitize(times_fs: np.ndarray, timer: TimerSpec, acquisition_span_fs: int) -
 
     Adds the clock offset, rounds half-up to the nearest resolution multiple
     and emits sorted integer tags; ties after rounding stay as duplicates.
+    ``times_fs`` is left unchanged.
     """
     t = np.asarray(times_fs, dtype=np.float64)
-    if t.size > 1 and np.any(np.diff(t) < 0):
+    if np.any(t[1:] < t[:-1]):
         raise ParameterError("detection times must be sorted")
-    shifted = t + float(timer.clock_offset_fs)
-    if shifted.size and np.max(np.abs(shifted)) >= INT64_MAX - timer.resolution_fs:
-        raise TimestampRangeError("timestamp outside the int64 femtosecond range")
-    ticks = np.floor(shifted / timer.resolution_fs + 0.5).astype(np.int64)
-    tags = ticks * timer.resolution_fs
+    if t.size:
+        ends = t[[0, -1]] + float(timer.clock_offset_fs)  # sorted: the extremes are here
+        if np.max(np.abs(ends)) >= INT64_MAX - timer.resolution_fs:
+            raise TimestampRangeError("timestamp outside the int64 femtosecond range")
+    ticks = t + float(timer.clock_offset_fs)
+    ticks /= timer.resolution_fs
+    ticks += 0.5
+    np.floor(ticks, out=ticks)
+    tags = ticks.astype(np.int64)
+    tags *= timer.resolution_fs
     span = int(max(acquisition_span_fs, tags[-1] if tags.size else 0))
     return TagStream(
         tags=tags,

@@ -1,5 +1,8 @@
 """Monte-Carlo generator tests: determinism, calibration, stage semantics."""
 
+import dataclasses
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndcsim import model, presets
+from ndcsim import model, presets, tagio
 from ndcsim.analyze import fit_gaussian
 from ndcsim.correlate import fine_histogram, g2_normalize
 from ndcsim.errors import ParameterError, TimestampRangeError
@@ -84,6 +87,13 @@ class TestGeneratePairs:
 
     def test_zero_duration_empty(self):
         assert len(generate_pairs(SRC, "anti", 0.0, seed=1)) == 0
+
+    def test_undetectable_arms_empty(self):
+        pairs = generate_pairs(SRC, "anti", 1.0, 1, p_signal=0.0, p_idler=0.0)
+        assert len(pairs) == 0 and pairs.arms.dtype == np.uint8
+        for which in ("signal", "idler"):
+            arrival = propagate(pairs, NO_FIBER, which)
+            assert arrival.size == 0 and arrival.dtype == np.float64
 
     def test_emission_sorted_and_poisson_rate(self):
         pairs = generate_pairs(SRC, "anti", 5.0, seed=3)
@@ -223,6 +233,16 @@ class TestDetect:
         assert abs(out.size - times.size - 5000) < 5 * math.sqrt(5000)
         assert out[0] >= 0.0 and out[-1] < 1e15
 
+    def test_zero_arrivals_full_detector(self):
+        # jitter and dead time on as well, over an empty and a zero-length window
+        det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=26.587, dark_rate_hz=5000.0,
+                           dead_time_ns=40.0)
+        out = detect(np.empty(0), det, seed=9, stage=4, duration_s=1.0)
+        assert abs(out.size - 5000) < 5 * math.sqrt(5000)
+        assert np.all(out[1:] - out[:-1] >= 40e6)
+        assert out[0] >= 0.0 and out[-1] < 1e15
+        assert detect(np.empty(0), det, seed=9, stage=4, duration_s=0.0).size == 0
+
     def test_dead_time_pruning(self):
         # bursts closer than the dead time collapse to their first event
         times = np.array([0.0, 10.0, 20.0, 100.0, 105.0, 300.0]) * 1e6  # fs
@@ -306,6 +326,63 @@ class TestMarking:
         assert abs(mean["marked"] - mean["oracle"]) < 3 * math.sqrt(sem2)
 
 
+class TestInputsUnchanged:
+    """propagate, detect and digitize never write to the arrays they are given.
+
+    The callers pass the same pairs to both arms, and a stage may work in
+    place only on arrays it made itself.
+    """
+
+    CFG = presets.fig2d_config(duration_s=0.05)
+
+    def pairs(self):
+        cfg = self.CFG
+        return generate_pairs(cfg.source, "anti", cfg.run.duration_s, 29,
+                              cfg.smf.survival_probability, cfg.dcf.survival_probability)
+
+    @staticmethod
+    def arrays(pairs):
+        return [getattr(pairs, f.name) for f in dataclasses.fields(pairs)]
+
+    def test_propagate(self):
+        alone, first = self.pairs(), self.pairs()
+        before = [a.copy() for a in self.arrays(first)]
+        idler_alone = propagate(alone, self.CFG.dcf, "idler")
+        signal = propagate(first, self.CFG.smf, "signal")
+        idler = propagate(first, self.CFG.dcf, "idler")
+        for array, copy in zip(self.arrays(first), before):
+            assert array.tobytes() == copy.tobytes()
+        assert idler.tobytes() == idler_alone.tobytes()
+        assert not np.shares_memory(signal, idler)
+
+    @pytest.mark.parametrize("jitter", [0.0, 26.587], ids=["no-jitter", "jitter"])
+    @pytest.mark.parametrize("dark", [0.0, 5000.0], ids=["no-dark", "dark"])
+    @pytest.mark.parametrize("dead", [0.0, 40.0], ids=["no-dead", "dead"])
+    def test_detect(self, jitter, dark, dead):
+        # unsorted, with bursts closer than the dead time
+        rng = np.random.default_rng(3)
+        arrivals = rng.uniform(0.0, 1e12, 20_000)
+        arrivals[1::50] = arrivals[::50] + 1e6
+        before = arrivals.copy()
+        det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=jitter, dark_rate_hz=dark,
+                           dead_time_ns=dead)
+        out = detect(arrivals, det, seed=1, stage=3, duration_s=0.001)
+        assert arrivals.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, arrivals)
+        assert np.all(out[1:] >= out[:-1])
+        if dead:
+            assert np.all(out[1:] - out[:-1] >= dead * 1e6)
+
+    @pytest.mark.parametrize("offset_fs", [0, 267_000_123_456])
+    def test_digitize(self, offset_fs):
+        times = np.sort(np.random.default_rng(5).uniform(-1e12, 1e12, 10_000))
+        before = times.copy()
+        timer = TimerSpec(resolution_fs=1000, clock_offset_fs=offset_fs, site_id=0)
+        stream = digitize(times, timer, acquisition_span_fs=10**12)
+        assert times.tobytes() == before.tobytes()
+        assert not np.shares_memory(stream.tags, times)
+
+
 class TestDigitize:
     TIMER = TimerSpec(resolution_fs=1000, clock_offset_fs=0, site_id=0)
 
@@ -324,9 +401,33 @@ class TestDigitize:
         stream = digitize(tags.astype(float), self.TIMER, acquisition_span_fs=10**6)
         assert np.array_equal(stream.tags, tags)
 
+    def test_empty(self):
+        stream = digitize(np.empty(0), self.TIMER, acquisition_span_fs=10**6)
+        assert stream.tags.size == 0 and stream.tags.dtype == np.int64
+        assert stream.acquisition_span_fs == 10**6
+
     def test_range_error(self):
         with pytest.raises(TimestampRangeError):
             digitize(np.array([9.3e18]), self.TIMER, acquisition_span_fs=10**6)
+
+    @pytest.mark.parametrize("times", [
+        [-9.3e18, 0.0], [0.0, 9.3e18], [-math.inf, 0.0], [0.0, math.inf], [-math.inf, math.inf],
+    ], ids=["low-first", "high-last", "-inf-first", "inf-last", "both-inf"])
+    def test_range_error_at_either_end(self, times):
+        # the check reads the ends of the sorted times, whichever end is out
+        with pytest.raises(TimestampRangeError):
+            digitize(np.array(times), self.TIMER, acquisition_span_fs=10**6)
+
+    @pytest.mark.parametrize("offset_fs", [3 * 10**17, -3 * 10**17])
+    def test_clock_offset_pushes_out_of_range(self, offset_fs):
+        times = np.array([-9.0e18, 0.0, 9.0e18])
+        timer = TimerSpec(resolution_fs=1000, clock_offset_fs=offset_fs, site_id=0)
+        with pytest.raises(TimestampRangeError):
+            digitize(times, timer, acquisition_span_fs=10**6)
+
+    def test_extremes_in_range(self):
+        stream = digitize(np.array([-9.2e18, 9.2e18]), self.TIMER, acquisition_span_fs=10**6)
+        assert stream.tags.tolist() == [-9_200_000_000_000_000_000, 9_200_000_000_000_000_000]
 
     def test_unsorted_rejected(self):
         with pytest.raises(ParameterError):
@@ -342,6 +443,13 @@ class TestEndToEnd:
         assert b1 == b2
         a3, _ = run_simulation(cfg, seed=100)
         assert a3 != a1
+
+    def test_zero_duration(self):
+        for stream in run_simulation(presets.fig2d_config(duration_s=0.0), seed=0):
+            assert len(stream) == 0 and stream.acquisition_span_fs == 0
+            buf = io.BytesIO()
+            tagio.write_tags(stream, buf)
+            assert tagio.read_tags(io.BytesIO(buf.getvalue())) == stream
 
     def test_detected_rates_near_target(self):
         a, b = run_simulation(presets.fig2d_config(), seed=0)
@@ -360,3 +468,65 @@ class TestEndToEnd:
         wings = np.abs(h.bin_centers_ps) > 1e5
         n = h.counts[wings].sum()
         assert g2[wings].mean() == pytest.approx(1.0, abs=5 / math.sqrt(n))
+
+
+# sha256 of both write_tags outputs of run_simulation at 0.5 s, taken before
+# the stages computed in place.
+GOLDEN_TAG_DIGESTS = {
+    ("fig2a", "anti", 0): (
+        "454674fc7b73fd75e28fa07b0a57e51c31ab60c64a6d996291593a654c37f65d",
+        "065b2be17c1022f47373880d1672c50de03de4096500e0228be990e2567b4f58"),
+    ("fig2a", "anti", 1): (
+        "43a79fe1b7fb5bc1be276f48b42418eb7724156560d6638ebc27b036ef9e1072",
+        "7d4f680f56a6facf121bd57ccabf51802b2feb83c25c30955bee7261a962d5a8"),
+    ("fig2d", "anti", 0): (
+        "67db282b382c97083db3fbbab8f75d81f53345a75154fb4aa054ffa2a1666c7d",
+        "5e3797c3be4a4998d37c77bfa603c706c0c0cffb427e3c83c747d5e8be54a05b"),
+    ("fig2d", "anti", 1): (
+        "2cbe4b954ed0fea6a8c8c1ec8d2d9c41a65df7fd07d8b531450205a47928c616",
+        "e3e8edb154e014ad6526f3a5c878b7cf9f26c64a2e3320c05cbededcbe00e2b9"),
+    ("fig2d", "positive", 0): (
+        "67db282b382c97083db3fbbab8f75d81f53345a75154fb4aa054ffa2a1666c7d",
+        "4288b42023d67effda75bb9247aed880d458d59eb62a12ce3e9f39779c971094"),
+    ("fig2d", "positive", 1): (
+        "2cbe4b954ed0fea6a8c8c1ec8d2d9c41a65df7fd07d8b531450205a47928c616",
+        "e7f63da11371204f6a371aaad2dde6d67493ee28a49ef5cd3a91bd3b56e05594"),
+    ("fig2d", "none", 0): (
+        "67db282b382c97083db3fbbab8f75d81f53345a75154fb4aa054ffa2a1666c7d",
+        "676621bed2dd97f9c92242f899fa2c00377444b4c02e4d2b0891b927e5bd429b"),
+    ("fig2d", "none", 1): (
+        "2cbe4b954ed0fea6a8c8c1ec8d2d9c41a65df7fd07d8b531450205a47928c616",
+        "53a041e9251ad788dc4c5da7b893a7abd426db52f69f5ac84c3c41630be34b19"),
+    ("fig2d_offset", "anti", 0): (
+        "67db282b382c97083db3fbbab8f75d81f53345a75154fb4aa054ffa2a1666c7d",
+        "e0b4c4f12874ec563b0adbef3b0f79b56c041cec7e6b897cd4e76915c79e2cf7"),
+    ("fig2d_offset", "anti", 1): (
+        "2cbe4b954ed0fea6a8c8c1ec8d2d9c41a65df7fd07d8b531450205a47928c616",
+        "6d10a930b58bb2286d5501c7e41e081aa14806315050090f4f0eb9806bf2898e"),
+}
+
+
+def golden_config(name, mode):
+    if name == "fig2a":
+        return presets.fig2a_config(duration_s=0.5)
+    cfg = presets.fig2d_config(mode=mode, duration_s=0.5)
+    if name == "fig2d_offset":
+        cfg = dataclasses.replace(cfg, timer_b=TimerSpec(4000, -267_000_123_000, 1))
+    return cfg
+
+
+@pytest.mark.parametrize("name, mode, seed", list(GOLDEN_TAG_DIGESTS))
+def test_golden_tag_bytes(name, mode, seed):
+    """The seed -> tag-file bytes mapping is pinned.
+
+    A change to the stages' arithmetic must keep every float operation, so
+    these digests hold.  ROADMAP item 4 (exact timestamps at long
+    acquisitions) is expected to change the bytes: it re-pins them and says
+    so in CHANGES.md.
+    """
+    digests = []
+    for stream in run_simulation(golden_config(name, mode), seed):
+        buf = io.BytesIO()
+        tagio.write_tags(stream, buf)
+        digests.append(hashlib.sha256(buf.getvalue()).hexdigest())
+    assert tuple(digests) == GOLDEN_TAG_DIGESTS[name, mode, seed]
