@@ -14,12 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from . import model
-from .correlate import Histogram
+from .correlate import FALSE_PEAK_P, Histogram
 from .errors import FitError, ParameterError, check_range
 from .model import SourceParams, WasakInputs
 
-_MIN_OCCUPIED_BINS = 8
-_PEAK_SIGNIFICANCE = 5.0
 _MAX_STEPS = 100  # cap on the scoring steps, and on the halvings of each
 _TOL = 1e-6  # twice the NLL decrease, predicted by a step, that ends the fit
 _MIN_SIGMA_BINS = 0.25  # a narrower sigma, in bins, is not resolved by the histogram
@@ -87,20 +85,16 @@ def fit_gaussian(h: Histogram) -> GaussianFit:
 
     Fisher scoring with step halving; the baseline is held at 0 while its score
     is <= 0.  Errors from the inverse Fisher information, 0 for a held baseline.
-    Raises FitError when there is no significant peak, when a step takes sigma
-    below a quarter of the bin (a peak the histogram does not resolve), when
-    the fit does not converge, or when it ends without a positive, finite
-    variance for every free parameter, with its centre outside the histogram
-    or with a FWHM wider than the histogram.
+    The peak must pass the offset search's false-alarm level: the Wilks ratio
+    against a flat baseline, as a one-sided normal tail times the bins, at most
+    correlate.FALSE_PEAK_P.  Raises FitError without such a peak, or when the
+    fit is unresolved, singular, unconverged, degenerate or not in the histogram.
     """
     x = h.bin_centers_ps
     y = h.counts.astype(np.float64)
-    if int(np.count_nonzero(y)) < _MIN_OCCUPIED_BINS:
-        raise FitError(f"need >= {_MIN_OCCUPIED_BINS} occupied bins, got {int(np.count_nonzero(y))}")
-
     baseline0 = float(np.median(y))
     peak = float(y.max())
-    if peak < baseline0 + _PEAK_SIGNIFICANCE * math.sqrt(max(baseline0, 1.0)):
+    if peak <= baseline0:
         raise FitError("no significant peak above the baseline")
 
     mu0 = float(x[int(np.argmax(y))])
@@ -124,7 +118,10 @@ def fit_gaussian(h: Histogram) -> GaussianFit:
             cov = np.linalg.inv((grad[:free] * w) @ grad[:free].T)
         except np.linalg.LinAlgError as exc:
             raise FitError(f"singular covariance in Gaussian fit: {exc}") from exc
-        step = np.append(cov @ score[:free], np.zeros(4 - free))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is refused
+            step = np.append(cov @ score[:free], np.zeros(4 - free))
+        if not np.all(np.isfinite(step)):
+            raise FitError("singular covariance in Gaussian fit: the scoring step is not finite")
         if score @ step <= _TOL:
             break
         for _ in range(_MAX_STEPS):
@@ -144,9 +141,8 @@ def fit_gaussian(h: Histogram) -> GaussianFit:
 
     amp, mu, sig, base = p
     variances = np.diag(cov)
-    if not (np.all(np.isfinite(cov)) and np.all(variances > 0)):
-        raise FitError("singular covariance in Gaussian fit: "
-                       "a variance is not positive and finite")
+    if not np.all(variances > 0):
+        raise FitError("singular covariance in Gaussian fit: a variance is not positive")
     if sig == 0 or amp <= 0:
         raise FitError(f"degenerate fit: amplitude={amp:.3g}, sigma={abs(sig):.3g}")
     span, fwhm = h.counts.size * h.bin_width_ps, model.fwhm_from_sigma(abs(sig))
@@ -155,6 +151,10 @@ def fit_gaussian(h: Histogram) -> GaussianFit:
                        f"[{h.origin_ps:.6g}, {h.origin_ps + span:.6g}) ps")
     if fwhm > span:
         raise FitError(f"fitted FWHM {fwhm:.6g} ps exceeds the {span:.6g} ps histogram")
+    ratio = 2.0 * (float(y.sum()) * (1.0 - math.log(y.mean())) - nll)  # against a flat baseline
+    p_false = min(1.0, x.size * math.erfc(math.sqrt(max(ratio, 0.0) / 2)) / 2)
+    if p_false > FALSE_PEAK_P:
+        raise FitError(f"no significant peak above the baseline: trials-corrected p = {p_false:.3g}")
     errs = np.append(np.sqrt(variances), np.zeros(4 - free))
     # The Baker-Cousins deviance is twice the NLL above the saturated model's.
     return GaussianFit(

@@ -37,7 +37,7 @@ _PAIR_BUDGET = 1 << 22  # expected pairs per test pass; denser streams are strid
 _SEED_PAIRS = 1 << 18  # expected pairs of the seed pass that sizes the reported one
 _LOOK_PAIRS = 1 << 16  # expected pairs of the first look, at least
 _CONFIRM_BINS = 64  # bins either side of a located bin counted at the test stride
-_FALSE_PEAK_P = 2.87e-7  # a one-sided 5 sigma excess, trials factor included
+FALSE_PEAK_P = 2.87e-7  # a one-sided 5 sigma excess, trials factor included
 # Expected pairs per two-pointer step: bounds the kernel's temporaries, which
 # then stay in cache and below the allocator's mmap threshold.
 _DIFF_CHUNK = 1 << 12
@@ -278,7 +278,7 @@ def coarse_offset(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> tu
         mean = (total - peak) / (nbins - 1)
         # At peak <= mean the tail is at least 0.5, so p is 1 for any nbins >= 3.
         p = min(1.0, nbins * _poisson_sf(peak - 1, mean)) if peak > mean else 1.0
-        if p <= _FALSE_PEAK_P:
+        if p <= FALSE_PEAK_P:
             break
         if look == stride:
             raise NoPeakError(

@@ -239,13 +239,11 @@ def digitize(times_fs: np.ndarray, timer: TimerSpec, acquisition_span_fs: int) -
     ``times_fs`` is left unchanged.
     """
     t = np.asarray(times_fs, dtype=np.float64)
-    if np.any(t[1:] < t[:-1]):
-        raise ParameterError("detection times must be sorted")
-    if t.size:
-        ends = t[[0, -1]] + float(timer.clock_offset_fs)  # sorted: the extremes are here
-        if np.max(np.abs(ends)) >= INT64_MAX - timer.resolution_fs:
-            raise TimestampRangeError("timestamp outside the int64 femtosecond range")
-    ticks = t + float(timer.clock_offset_fs)
+    if not np.all(t[1:] >= t[:-1]):
+        raise ParameterError("detection times must be sorted and not nan")
+    ticks = t + float(timer.clock_offset_fs)  # sorted: the extremes are the ends
+    if ticks.size and not np.max(np.abs(ticks[[0, -1]])) < INT64_MAX - timer.resolution_fs:
+        raise TimestampRangeError("timestamp outside the int64 femtosecond range")
     ticks /= timer.resolution_fs
     ticks += 0.5
     np.floor(ticks, out=ticks)

@@ -5,6 +5,7 @@ import pytest
 
 from ndcsim import presets
 from ndcsim.analyze import variance_from_fit
+from ndcsim.errors import FitError
 from ndcsim.pipeline import measure_peak, run_simulation
 from ndcsim.reproduce import FIG2A_FWHM_RANGE
 
@@ -64,3 +65,22 @@ def test_fwhm_error_matches_scatter(cfg, search_span_ms):
     fwhm = np.array([f.fwhm_ps for f in fits])
     pull = fwhm.std(ddof=1) / np.mean([f.fwhm_err_ps for f in fits])
     assert 0.75 <= pull <= 1.33
+
+
+@pytest.mark.parametrize("duration_s, least, scatter", [(0.05, 85, False), (0.1, 98, True)],
+                         ids=["0.05s", "0.1s"])
+def test_weak_fig2d_peaks_measured(duration_s, least, scatter):
+    # At 1 % and 2 % of the paper's acquisition the coarse stage accepts the
+    # peak on every seed; the fit, held to the same false-alarm level, must
+    # measure nearly all of them.
+    cfg = presets.fig2d_config(duration_s=duration_s)
+    fits = []
+    for seed in range(100):
+        try:
+            fits.append(measure_peak(*run_simulation(cfg, seed)).fit)
+        except FitError:
+            pass
+    assert len(fits) >= least
+    if scatter:
+        fwhm = np.array([f.fwhm_ps for f in fits])
+        assert 0.75 <= fwhm.std(ddof=1) / np.mean([f.fwhm_err_ps for f in fits]) <= 1.33

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -432,6 +433,16 @@ class TestDigitize:
     def test_unsorted_rejected(self):
         with pytest.raises(ParameterError):
             digitize(np.array([2e6, 1e6]), self.TIMER, acquisition_span_fs=10**7)
+
+    @pytest.mark.parametrize("times", [
+        [math.nan, 0.0, 1e6], [0.0, math.nan, 1e6], [0.0, 1e6, math.nan], [math.nan],
+    ], ids=["first", "middle", "last", "alone"])
+    def test_nan_rejected(self, times):
+        # nan fails both the sortedness and the range comparison, before any cast.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                digitize(np.array(times), self.TIMER, acquisition_span_fs=10**7)
 
 
 class TestEndToEnd:
