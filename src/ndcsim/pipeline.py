@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import presets
 from .analyze import GaussianFit, fit_gaussian
 from .config import ExperimentConfig
 from .correlate import (COARSE_BIN_FS, Histogram, coarse_offset, fine_histogram, g2_normalize,
                         strided_counts)
-from .simulate import generate_pairs, simulate_arm
-from .streams import FS_PER_PS, TagStream
+from .simulate import ArmChain, check_duration, generate_pairs
+from .streams import FS_PER_PS, FS_PER_S, TagStream
 
 _SEED_BINS = 250  # seed-pass bins either side of the coarse offset
+# Emission time simulated at once: the paper's acquisition, so a run of at
+# most 5 s is one block and draws exactly as an unblocked simulation.
+_BLOCK_FS = round(presets.ACQUISITION_S * FS_PER_S)
 
 
 @dataclass(frozen=True)
@@ -26,15 +31,30 @@ class PeakMeasurement:
 
 
 def run_simulation(cfg: ExperimentConfig, seed: int) -> tuple[TagStream, TagStream]:
-    """Simulate both tag streams for one acquisition."""
-    pairs = generate_pairs(cfg.source, cfg.run.mode, cfg.run.duration_s, seed,
-                           cfg.smf.survival_probability * cfg.detector_a.efficiency,
-                           cfg.dcf.survival_probability * cfg.detector_b.efficiency)
-    a = simulate_arm(pairs, cfg.smf, "signal", cfg.detector_a, cfg.timer_a,
-                     cfg.run.duration_s, seed)
-    b = simulate_arm(pairs, cfg.dcf, "idler", cfg.detector_b, cfg.timer_b,
-                     cfg.run.duration_s, seed)
-    return a, b
+    """Simulate both tag streams for one acquisition, _BLOCK_FS of emission
+    time at a time.
+
+    Block k holds the emissions in [k, k + 1) * _BLOCK_FS, cut at the
+    duration, and draws each stage from its own stream (simulate.stage_rng):
+    its pair count is Poisson over its own length and its dark counts are
+    uniform over its own window, so the streams are exact in distribution.
+    Only one block's pairs are held at a time.
+    """
+    duration = cfg.run.duration_s
+    check_duration(duration)
+    p_a = cfg.smf.survival_probability * cfg.detector_a.efficiency
+    p_b = cfg.dcf.survival_probability * cfg.detector_b.efficiency
+    arms = (ArmChain(cfg.source, cfg.smf, "signal", cfg.detector_a, cfg.timer_a, seed, duration),
+            ArmChain(cfg.source, cfg.dcf, "idler", cfg.detector_b, cfg.timer_b, seed, duration))
+    block_s = _BLOCK_FS / FS_PER_S
+    for block in itertools.count():
+        start, end = block * block_s, min((block + 1) * block_s, duration)
+        pairs = generate_pairs(cfg.source, cfg.run.mode, end, seed, p_a, p_b, start, block)
+        for arm in arms:
+            arm.add(pairs, block, start, end)
+        del pairs  # before the next block draws its own
+        if end >= duration:
+            return arms[0].stream(), arms[1].stream()
 
 
 def measure_peak(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> PeakMeasurement:

@@ -3,7 +3,8 @@
 Pipeline: pair emission -> dispersive fiber propagation per arm -> detector
 response -> event-timer digitization.  Every stage draws from its own
 seed-derived RNG stream, so identical seeds give bit-identical output
-regardless of how stages are combined.
+regardless of how stages are combined.  A long acquisition is simulated in
+blocks of emission time (``ArmChain``), each with its own streams.
 
 Only pairs with at least one detectable photon are drawn.  Fiber loss and
 detector efficiency remove each photon independently, so thinning the pair
@@ -18,7 +19,7 @@ accumulated dispersions ps**2, matching the analytic model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,11 +41,29 @@ _STAGE_PAIRS = 0
 _STAGE_DETECT_A = 3
 _STAGE_DETECT_B = 4
 
+# A detected photon lies within this many standard deviations of its Gaussian
+# shift (half the pair offset, dispersion and jitter) from its emission plus
+# the group delay: a normal draw beyond 20 sigma has probability below 1e-88.
+_SHIFT_SIGMAS = 20
 
-def stage_rng(seed: int, stage: int) -> np.random.Generator:
-    """Independent deterministic RNG stream for one pipeline stage."""
+
+def stage_rng(seed: int, stage: int, block: int = 0) -> np.random.Generator:
+    """Independent deterministic RNG stream for one pipeline stage and time block.
+
+    Block 0 draws from the stage's own stream, spawn key ``(stage,)``, so a
+    one-block acquisition draws as an unblocked one; block k >= 1 draws from
+    ``(stage, k)``.
+    """
     check_range("seed", seed, 0)
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage,)))
+    key = (stage, block) if block else (stage,)
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def check_duration(duration_s: float) -> None:
+    """An acquisition length must be >= 0 and end inside the int64 fs range."""
+    check_range("duration_s", duration_s, 0)
+    if duration_s * FS_PER_S >= INT64_MAX:
+        raise TimestampRangeError("duration exceeds the int64 femtosecond range")
 
 
 @dataclass(frozen=True)
@@ -102,9 +121,9 @@ class PairEvents:
 
 def generate_pairs(
     src: SourceParams, mode: str, duration_s: float, seed: int,
-    p_signal: float = 1.0, p_idler: float = 1.0,
+    p_signal: float = 1.0, p_idler: float = 1.0, start_s: float = 0.0, block: int = 0,
 ) -> PairEvents:
-    """Sample the pair emissions over ``duration_s`` seconds that are detected.
+    """Sample the detected pair emissions in [start_s, duration_s) seconds.
 
     ``p_signal`` / ``p_idler`` are the probabilities that a photon of each arm
     is detected (fiber survival times detector efficiency).  Emissions follow
@@ -113,22 +132,21 @@ def generate_pairs(
     probabilities proportional to p_s*p_i, p_s(1-p_i) and (1-p_s)p_i.  The
     intra-pair time offset is Gaussian with std sqrt(gamma)*D*L and the
     signal detuning Gaussian with std ``src.effective_sigma_omega``.
+    ``block`` picks the RNG stream (see ``stage_rng``).
     """
-    check_range("duration_s", duration_s, 0)
+    check_duration(duration_s)
+    check_range("start_s", start_s, 0, duration_s)
     if mode not in CORRELATION_MODES:
         raise ParameterError(f"unknown correlation mode {mode!r}")
     for name, p in (("p_signal", p_signal), ("p_idler", p_idler)):
         check_range(name, p, 0, 1)
-    duration_fs = duration_s * FS_PER_S
-    if duration_fs >= INT64_MAX:
-        raise TimestampRangeError("duration exceeds the int64 femtosecond range")
 
-    rng = stage_rng(seed, _STAGE_PAIRS)
+    rng = stage_rng(seed, _STAGE_PAIRS, block)
     q_both = p_signal * p_idler
     q_signal = p_signal * (1.0 - p_idler)
     q_any = 1.0 - (1.0 - p_signal) * (1.0 - p_idler)
-    n = int(rng.poisson(src.pair_rate_hz * duration_s * q_any))
-    emission = rng.uniform(0.0, duration_fs, n)
+    n = int(rng.poisson(src.pair_rate_hz * (duration_s - start_s) * q_any))
+    emission = rng.uniform(start_s * FS_PER_S, duration_s * FS_PER_S, n)
     emission.sort()
     emission = emission.astype(np.int64)
     u = rng.random(n)
@@ -180,53 +198,92 @@ def propagate(events: PairEvents, leg: DispersionLeg, which: str) -> np.ndarray:
     return out
 
 
+@dataclass
+class Carry:
+    """One arm's detection state between the time blocks of an acquisition.
+
+    ``pending`` holds the sorted, unpruned detections at or after
+    ``boundary_fs``, which a later block may still precede; ``final_fs`` is
+    the latest detection already returned and ``last_kept_fs`` the latest one
+    the dead-time filter kept.
+    """
+
+    boundary_fs: float = math.inf
+    pending: np.ndarray = field(default_factory=lambda: np.empty(0))
+    final_fs: float = -math.inf
+    last_kept_fs: float = -math.inf
+
+
 def detect(
-    arrivals_fs: np.ndarray, det: DetectorSpec, seed: int, stage: int, duration_s: float = 0.0
+    arrivals_fs: np.ndarray, det: DetectorSpec, seed: int, stage: int, duration_s: float = 0.0,
+    start_s: float = 0.0, block: int = 0, carry: Carry | None = None,
 ) -> np.ndarray:
     """Apply detector timing; returns sorted real-valued detection times (fs).
 
     Every arrival is a detected photon (efficiency is part of the pair
     marking in ``generate_pairs``).  Order of effects: Gaussian jitter, dark
-    counts uniform over the acquisition window [0, duration_s), sort,
-    dead-time pruning.  ``arrivals_fs`` is left unchanged.
+    counts uniform over the window [start_s, duration_s), sort, dead-time
+    pruning.  ``block`` picks the RNG stream (see ``stage_rng``).  A
+    ``carry`` joins its pending detections to the sort and takes back, unpruned,
+    those at or after its boundary; the rest are pruned against its last kept
+    detection.  A detection earlier than one a previous call returned raises
+    ParameterError.  ``arrivals_fs`` is left unchanged.
     """
-    rng = stage_rng(seed, stage)
+    rng = stage_rng(seed, stage, block)
+    carry = Carry() if carry is None else carry
     t = np.asarray(arrivals_fs, dtype=np.float64)
     if det.jitter_fwhm_ps > 0:
         jittered = rng.normal(0.0, det.jitter_sigma_fs, t.size)
         jittered += t
         t = jittered
-    if det.dark_rate_hz > 0 and duration_s > 0:
-        n_dark = int(rng.poisson(det.dark_rate_hz * duration_s))
-        t = np.concatenate([t, rng.uniform(0.0, duration_s * FS_PER_S, n_dark)])
+    parts = [carry.pending, t] if carry.pending.size else [t]
+    if det.dark_rate_hz > 0 and duration_s > start_s:
+        n_dark = int(rng.poisson(det.dark_rate_hz * (duration_s - start_s)))
+        parts.append(rng.uniform(start_s * FS_PER_S, duration_s * FS_PER_S, n_dark))
+    if len(parts) > 1:
+        t = np.concatenate(parts)
     if np.may_share_memory(t, arrivals_fs):
         t = t.copy()
-    t.sort()
+    # The arrivals come in emission order, nearly sorted: timsort merges their runs.
+    t.sort(kind="stable")
+    if t.size and t[0] < carry.final_fs:
+        raise ParameterError(f"detection at {t[0]} fs precedes the finalized one at "
+                             f"{carry.final_fs} fs: a photon's shift exceeds the block margin")
+    cut = int(np.searchsorted(t, carry.boundary_fs))
+    carry.pending = t[cut:].copy()
+    t = t[:cut]
+    if t.size:
+        carry.final_fs = float(t[-1])
     if det.dead_time_ns > 0:
-        t = _prune_dead_time(t, det.dead_time_ns * 1e6)
+        t = _prune_dead_time(t, det.dead_time_ns * 1e6, carry.last_kept_fs)
+    if t.size:
+        carry.last_kept_fs = float(t[-1])
     return t
 
 
-def _prune_dead_time(times: np.ndarray, dead_fs: float) -> np.ndarray:
-    """Greedy dead-time filter: drop events within dead_fs of the last kept one.
+def _prune_dead_time(times: np.ndarray, dead_fs: float, last: float = -math.inf) -> np.ndarray:
+    """Greedy dead-time filter: drop events within dead_fs of the last kept one,
+    which before ``times[0]`` is ``last``.
 
-    An event at least dead_fs after its predecessor is always kept, since the
-    last kept event is no later than the predecessor.  So only the runs of
-    events joined by shorter gaps need the sequential pass, and each run
-    starts after a kept event.
+    An event at least dead_fs after its predecessor (``last`` for the first)
+    is always kept, since the last kept event is no later than the
+    predecessor.  So only the runs of events joined by shorter gaps need the
+    sequential pass, and each run starts after a kept event.
     """
     close = np.flatnonzero(np.diff(times) < dead_fs) + 1
+    if times.size and times[0] - last < dead_fs:
+        close = np.insert(close, 0, 0)
     if close.size == 0:
         return times
     keep = np.ones(times.size, dtype=bool)
-    prev = -1
-    for i, t, before in zip(close.tolist(), times[close].tolist(), times[close - 1].tolist()):
+    prev = -2
+    for i, t in zip(close.tolist(), times[close].tolist()):
         if i != prev + 1:
-            last = before
-        if t - last < dead_fs:
+            kept = float(times[i - 1]) if i else last
+        if t - kept < dead_fs:
             keep[i] = False
         else:
-            last = t
+            kept = t
         prev = i
     return times[keep]
 
@@ -258,17 +315,42 @@ def digitize(times_fs: np.ndarray, timer: TimerSpec, acquisition_span_fs: int) -
     )
 
 
-def simulate_arm(
-    events: PairEvents,
-    leg: DispersionLeg,
-    which: str,
-    det: DetectorSpec,
-    timer: TimerSpec,
-    duration_s: float,
-    seed: int,
-) -> TagStream:
-    """Full chain for one arm: propagate, detect, digitize."""
-    arrival = propagate(events, leg, which)
-    stage = _STAGE_DETECT_A if which == "signal" else _STAGE_DETECT_B
-    detected = detect(arrival, det, seed, stage, duration_s)
-    return digitize(detected, timer, int(math.ceil(duration_s * FS_PER_S)))
+class ArmChain:
+    """One arm's chain, propagate -> detect -> digitize, fed one time block of
+    pairs at a time.
+
+    The next block's dark counts start at its first emission, and its photons
+    arrive no earlier than that plus the group delay less _SHIFT_SIGMAS
+    standard deviations of their shift.  Detections from that boundary on wait
+    in the arm's ``Carry`` for the next block's sort, so the tags of every
+    block, concatenated, are those of one sort, prune and digitization of
+    all the blocks' detections.
+    """
+
+    def __init__(self, src: SourceParams, leg: DispersionLeg, which: str,
+                 det: DetectorSpec, timer: TimerSpec, seed: int, duration_s: float):
+        self.leg, self.which, self.det, self.timer, self.seed = leg, which, det, timer, seed
+        self.duration_s = duration_s
+        self.stage = _STAGE_DETECT_A if which == "signal" else _STAGE_DETECT_B
+        shift_fs = (0.5 * src.base_sigma_ps * FS_PER_PS + det.jitter_sigma_fs
+                    + abs(leg.k2l_ps2) * src.effective_sigma_omega * FS_PER_PS)
+        self.lead_fs = min(0.0, leg.group_delay_fs - _SHIFT_SIGMAS * shift_fs)
+        self.carry = Carry()
+        self.tags: list[np.ndarray] = []
+
+    def add(self, events: PairEvents, block: int, start_s: float, end_s: float) -> None:
+        """Simulate the block of emissions in [start_s, end_s); the last block,
+        which ends at the duration, finalizes every detection."""
+        last = end_s >= self.duration_s
+        self.carry.boundary_fs = math.inf if last else end_s * FS_PER_S + self.lead_fs
+        arrival = propagate(events, self.leg, self.which)
+        detected = detect(arrival, self.det, self.seed, self.stage, end_s, start_s, block,
+                          self.carry)
+        self.tags.append(digitize(detected, self.timer, 0).tags)
+
+    def stream(self) -> TagStream:
+        """The arm's tag stream, after the last block."""
+        tags = self.tags[0] if len(self.tags) == 1 else np.concatenate(self.tags)
+        self.tags = []
+        span = int(max(math.ceil(self.duration_s * FS_PER_S), tags[-1] if tags.size else 0))
+        return TagStream(tags, self.timer.resolution_fs, self.timer.site_id, span)

@@ -372,6 +372,31 @@ def _python(code: str) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
+# Simulates the fig2d config at 100 s (20 blocks) in a fresh process and
+# prints the exit code and the process's peak RSS (VmHWM) in KiB.
+_SIMULATE_PEAK = """
+import sys
+from ndcsim.cli import main
+rc = main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+with open("/proc/self/status") as f:
+    print(rc, next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_long_simulation_memory_is_bounded(tmp_path):
+    # One block's pairs at a time: the whole-run simulation peaked at 159 MB.
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(dump_config(presets.fig2d_config(duration_s=100.0)))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-c", _SIMULATE_PEAK, str(cfg), str(tmp_path / "x")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    rc, peak_kib = run.stdout.split("\n")[-2].split()
+    assert rc == "0"
+    assert int(peak_kib) < 100 * 1024
+
+
 class TestRunTimeDependencies:
     def test_import_loads_no_scipy(self):
         run = _python("import sys, ndcsim, ndcsim.cli, ndcsim.reproduce\n"

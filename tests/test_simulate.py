@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import warnings
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndcsim import model, presets, tagio
+from ndcsim import model, pipeline, presets, tagio
 from ndcsim.analyze import fit_gaussian
 from ndcsim.correlate import fine_histogram, g2_normalize
 from ndcsim.errors import ParameterError, TimestampRangeError
@@ -21,6 +22,7 @@ from ndcsim.simulate import (
     BOTH,
     IDLER,
     SIGNAL,
+    Carry,
     DetectorSpec,
     TimerSpec,
     _prune_dead_time,
@@ -481,8 +483,97 @@ class TestEndToEnd:
         assert g2[wings].mean() == pytest.approx(1.0, abs=5 / math.sqrt(n))
 
 
-# sha256 of both write_tags outputs of run_simulation at 0.5 s, taken before
-# the stages computed in place.
+class TestBlocks:
+    """A run of many blocks equals one sort, prune and digitization of the same
+    per-block draws."""
+
+    BLOCK_FS = 5 * 10**13  # 50 ms: a 0.5 s run spans 10 blocks
+
+    @staticmethod
+    def oracle(cfg, seed, block_fs):
+        """Both streams from every block's raw detections, concatenated, then
+        sorted, pruned and digitized once."""
+        duration = cfg.run.duration_s
+        block_s = block_fs / 1e15
+        p_a = cfg.smf.survival_probability * cfg.detector_a.efficiency
+        p_b = cfg.dcf.survival_probability * cfg.detector_b.efficiency
+        arms = ((cfg.smf, "signal", cfg.detector_a, cfg.timer_a, 3),
+                (cfg.dcf, "idler", cfg.detector_b, cfg.timer_b, 4))
+        raw = ([], [])
+        for block in itertools.count():
+            start, end = block * block_s, min((block + 1) * block_s, duration)
+            pairs = generate_pairs(cfg.source, cfg.run.mode, end, seed, p_a, p_b, start, block)
+            for (leg, which, det, _, stage), out in zip(arms, raw):
+                no_dead = dataclasses.replace(det, dead_time_ns=0.0)
+                out.append(detect(propagate(pairs, leg, which), no_dead, seed, stage, end,
+                                  start, block))
+            if end >= duration:
+                break
+        streams = []
+        for (_, _, det, timer, _), out in zip(arms, raw):
+            times = greedy_dead_time(np.sort(np.concatenate(out)), det.dead_time_ns * 1e6)
+            streams.append(digitize(times, timer, math.ceil(duration * 1e15)))
+        return streams
+
+    def check(self, monkeypatch, cfg, seed):
+        monkeypatch.setattr(pipeline, "_BLOCK_FS", self.BLOCK_FS)
+        streams = run_simulation(cfg, seed)
+        assert list(streams) == self.oracle(cfg, seed, self.BLOCK_FS)
+        return streams
+
+    @pytest.mark.parametrize("mode", ["anti", "none"])
+    def test_matches_one_shot_oracle(self, monkeypatch, mode):
+        a, b = self.check(monkeypatch, presets.fig2d_config(mode=mode, duration_s=0.5), 3)
+        # block 0 draws as the unblocked 50 ms run; no later block reaches
+        # below its end
+        short, _ = run_simulation(presets.fig2d_config(mode=mode, duration_s=0.05), 3)
+        assert np.array_equal(a.tags[a.tags < self.BLOCK_FS],
+                              short.tags[short.tags < self.BLOCK_FS])
+
+    def test_group_delay_longer_than_a_block(self, monkeypatch):
+        cfg = presets.fig2d_config(duration_s=0.5)
+        # 20,000 km: about 98 ms of delay and 350 ns of dispersive spread
+        smf = dataclasses.replace(cfg.smf, length_km=20_000.0, attenuation_db_per_km=0.0)
+        cfg = dataclasses.replace(cfg, smf=smf)
+        assert smf.group_delay_fs > 1.5 * self.BLOCK_FS
+        a, _ = self.check(monkeypatch, cfg, 5)
+        assert len(a) > 50_000
+
+    def test_dead_time_straddles_block_boundaries(self, monkeypatch):
+        cfg = presets.fig2d_config(duration_s=0.5)
+        dead_ns = 5e6  # 5 ms, against about 83 us between tags
+        cfg = dataclasses.replace(cfg, detector_a=dataclasses.replace(
+            cfg.detector_a, dead_time_ns=dead_ns))
+        a, _ = self.check(monkeypatch, cfg, 7)
+        boundaries = self.BLOCK_FS * np.arange(1, 10)
+        before = np.searchsorted(a.tags, boundaries) - 1
+        straddling = boundaries - a.tags[before] < dead_ns * 1e6
+        assert np.count_nonzero(straddling) >= 5
+
+    def test_block_windows(self):
+        # a block's pairs and dark counts lie in its own window, Poisson over its length
+        pairs = generate_pairs(SRC, "anti", 2.0, 1, start_s=1.5, block=3)
+        assert pairs.emission_fs.min() >= 1.5e15 and pairs.emission_fs.max() < 2e15
+        assert abs(len(pairs) - 12_000) < 5 * math.sqrt(12_000)
+        det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=5000.0,
+                           dead_time_ns=0.0)
+        darks = detect(np.empty(0), det, 1, 3, 2.0, start_s=1.5, block=3)
+        assert darks[0] >= 1.5e15 and darks[-1] < 2e15
+        assert abs(darks.size - 2500) < 5 * math.sqrt(2500)
+        assert not np.array_equal(darks, detect(np.empty(0), det, 1, 3, 2.0, 1.5, block=4))
+
+    def test_detection_before_a_finalized_one_raises(self):
+        det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
+        carry = Carry(boundary_fs=2e12)
+        first = detect(np.array([1e12, 3e12]), det, 0, 3, carry=carry)
+        assert first.tolist() == [1e12] and carry.pending.tolist() == [3e12]
+        with pytest.raises(ParameterError, match="precedes the finalized"):
+            detect(np.array([0.5e12]), det, 0, 3, block=1, carry=carry)
+
+
+# sha256 of both write_tags outputs of run_simulation, taken before the
+# stages computed in place (the 0.5 s cases) and when the simulation first
+# ran in 5 s blocks (the 12 s cases, three blocks each).
 GOLDEN_TAG_DIGESTS = {
     ("fig2a", "anti", 0): (
         "454674fc7b73fd75e28fa07b0a57e51c31ab60c64a6d996291593a654c37f65d",
@@ -514,12 +605,20 @@ GOLDEN_TAG_DIGESTS = {
     ("fig2d_offset", "anti", 1): (
         "2cbe4b954ed0fea6a8c8c1ec8d2d9c41a65df7fd07d8b531450205a47928c616",
         "6d10a930b58bb2286d5501c7e41e081aa14806315050090f4f0eb9806bf2898e"),
+    ("fig2d_12s", "anti", 0): (
+        "e9b26d908cc00f0b1030076e085873a5cd1af15a03d7caa4141f2b274c472225",
+        "53f5570e51d2492f5983a6e68b7b375492ce7754c4e30cea0f76a831e2a9f1ad"),
+    ("fig2d_12s", "anti", 1): (
+        "ee1586d5c4b6a65afcd8be08b39cb54bedd31dc3a904bc2f74dccb4a30bf7186",
+        "f23d76b0f17d60c7170332ac936b5ccbb665c35e142e7b16f8523d3bb63b17df"),
 }
 
 
 def golden_config(name, mode):
     if name == "fig2a":
         return presets.fig2a_config(duration_s=0.5)
+    if name == "fig2d_12s":
+        return presets.fig2d_config(mode=mode, duration_s=12.0)
     cfg = presets.fig2d_config(mode=mode, duration_s=0.5)
     if name == "fig2d_offset":
         cfg = dataclasses.replace(cfg, timer_b=TimerSpec(4000, -267_000_123_000, 1))
@@ -531,9 +630,11 @@ def test_golden_tag_bytes(name, mode, seed):
     """The seed -> tag-file bytes mapping is pinned.
 
     A change to the stages' arithmetic must keep every float operation, so
-    these digests hold.  ROADMAP item 4 (exact timestamps at long
-    acquisitions) is expected to change the bytes: it re-pins them and says
-    so in CHANGES.md.
+    these digests hold.  The 0.5 s cases are one simulation block and the
+    12 s cases three, so the block structure (its RNG streams, windows and
+    carried detections) is pinned too.  ROADMAP item 4 (exact timestamps at
+    long acquisitions) is expected to change the bytes: it re-pins them and
+    says so in CHANGES.md.
     """
     digests = []
     for stream in run_simulation(golden_config(name, mode), seed):
