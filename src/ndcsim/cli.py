@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import presets, tagio
@@ -181,7 +182,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # The reader went away (`| head`): send the rest of the output to
+        # devnull, as the Python docs do, so that the exit flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

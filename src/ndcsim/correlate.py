@@ -16,12 +16,18 @@ spans the search.  The cost is O(|a| log |b|) plus the pairs in the window,
 never O(|a|*|b|); all but the reported pass stride a, the seed pass to
 _SEED_PAIRS expected pairs.  The kernel walks a in chunks sized to hold
 about _DIFF_CHUNK expected pairs each, so its temporaries stay small
-whatever the density of the streams.
+whatever the density of the streams.  A histogram pass large enough to give
+every usable CPU 16 chunks cuts a into one contiguous piece per CPU, counts
+the pieces on threads and sums their counts; every pair belongs to exactly
+one tag of a, so the counts are those of the serial pass.  In practice that
+is the reported pass over dense streams; the coarse looks and fig2d's
+reported pass stay on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -38,9 +44,16 @@ _SEED_PAIRS = 1 << 18  # expected pairs of the seed pass that sizes the reported
 _LOOK_PAIRS = 1 << 16  # expected pairs of the first look, at least
 _CONFIRM_BINS = 64  # bins either side of a located bin counted at the test stride
 FALSE_PEAK_P = 2.87e-7  # a one-sided 5 sigma excess, trials factor included
-# Expected pairs per two-pointer step: bounds the kernel's temporaries, which
-# then stay in cache and below the allocator's mmap threshold.
-_DIFF_CHUNK = 1 << 12
+# Expected pairs per two-pointer step.  At 2^13 the kernel's temporaries are
+# 64 KiB: in cache, and below a 128 KiB malloc mmap threshold
+# (MALLOC_MMAP_THRESHOLD_=131072, as the benchmark sets), which maps each
+# 128 KiB temporary of 2^14 afresh.  The reported pass over 1e7-tag streams
+# under that threshold, on a 2-core x86-64 VM: one thread 0.29, 0.31 and
+# 0.34 s at 2^12, 2^13 and 2^14; two threads 0.28, 0.23 and 0.21 s wall for
+# 0.43, 0.38 and 0.39 s of CPU, with about 9 k, 3.5 k and 2 k context switches.
+_DIFF_CHUNK = 1 << 13
+# A histogram pass is split only into pieces of at least this many chunks.
+_PIECE_CHUNKS = 16
 # Below this many expected pairs per tag, window_diffs walks b partner by
 # partner instead of searching both window edges.
 _WALK_PAIRS = 2
@@ -165,12 +178,18 @@ def window_diffs(
             j = np.searchsorted(reach, base - half, side="left")
             steps = []
             while j.size:
-                diffs = reach[j] - base
+                diffs = reach[j]
+                diffs -= base
                 inside = diffs <= half
-                steps.append(diffs[inside])
-                j = j[inside] + 1
+                kept = diffs[inside]
+                if kept.size:
+                    steps.append(kept)
+                j = j[inside]
+                j += 1
                 base = base[inside]
-            diffs = np.concatenate(steps)
+            if not steps:
+                continue
+            diffs = steps[0] if len(steps) == 1 else np.concatenate(steps)
         else:
             reach = b[first:last]
             lo = np.searchsorted(reach, base - half, side="left") + first
@@ -193,7 +212,9 @@ def fine_histogram(
     a: TagStream, b: TagStream, offset_fs: int, origin_fs: int, bin_fs: int, nbins: int
 ) -> Histogram:
     """Histogram of pair differences d = t_b - t_a - offset in nbins whole,
-    half-open bins [origin + k*bin, origin + (k+1)*bin), all in fs."""
+    half-open bins [origin + k*bin, origin + (k+1)*bin), all in fs.  A pass
+    expecting _PIECE_CHUNKS chunks per usable CPU counts one contiguous piece
+    of a per CPU, each on its own thread."""
     tags_a = _nonempty(a, "a")
     tags_b = _nonempty(b, "b")
     check_range("bin_fs", bin_fs, 0, above=True)
@@ -201,13 +222,41 @@ def fine_histogram(
     # The kernel's closed window, centred on the grid, spans it; its right
     # edge may fall on origin + nbins*bin, the spare bin, which is dropped.
     half = nbins * bin_fs // 2
-    counts = np.zeros(nbins + 1, dtype=np.int64)
-    for diffs in window_diffs(tags_a, tags_b, offset_fs + origin_fs + half, half):
-        diffs += half
-        diffs //= bin_fs
-        np.add.at(counts, diffs, 1)  # touches only the bins the chunk hits
+    centre_fs = offset_fs + origin_fs + half
+    expected = tags_a.size * _pairs_per_tag(tags_b, 2 * half + 1)
+    workers = min(_usable_cpus(), int(expected // (_PIECE_CHUNKS * _DIFF_CHUNK)), tags_a.size)
+    if workers < 2:
+        counts = _piece_counts(tags_a, tags_b, centre_fs, half, bin_fs, nbins)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only dense passes need it
+
+        cuts = [tags_a.size * k // workers for k in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pieces = [pool.submit(_piece_counts, tags_a[lo:hi], tags_b, centre_fs, half,
+                                  bin_fs, nbins) for lo, hi in zip(cuts, cuts[1:])]
+            counts = sum(piece.result() for piece in pieces)
     return Histogram(bin_width_ps=bin_fs / FS_PER_PS, origin_ps=origin_fs / FS_PER_PS,
                      counts=counts[:nbins])
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _piece_counts(a: np.ndarray, b: np.ndarray, centre_fs: int, half: int, bin_fs: int,
+                  nbins: int) -> np.ndarray:
+    """Counts in nbins + 1 bins of bin_fs of the differences b - a - centre
+    within +/- half, shifted by half."""
+    counts = np.zeros(nbins + 1, dtype=np.int64)
+    for diffs in window_diffs(a, b, centre_fs, half):
+        diffs += half
+        diffs //= bin_fs
+        counts += np.bincount(diffs, minlength=nbins + 1)
+    return counts
 
 
 def strided_counts(a: TagStream, b: TagStream, center_fs: int, bin_fs: int,

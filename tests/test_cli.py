@@ -397,6 +397,24 @@ def test_long_simulation_memory_is_bounded(tmp_path):
     assert int(peak_kib) < 100 * 1024
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # `ndcsim reproduce fig2a | head -1` with the reader gone before the
+    # first write: exit 1, and no BrokenPipeError traceback, whether the
+    # write fails in print (unbuffered) or in the flush before exit.
+    read_end, write_end = os.pipe()
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen([sys.executable, "-m", "ndcsim.cli", "reproduce", "fig2a",
+                             "--seed", "1"], env=env, stdout=write_end,
+                            stderr=subprocess.PIPE, text=True)
+    os.close(write_end)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
 class TestRunTimeDependencies:
     def test_import_loads_no_scipy(self):
         run = _python("import sys, ndcsim, ndcsim.cli, ndcsim.reproduce\n"

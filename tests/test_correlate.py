@@ -1,5 +1,6 @@
 """Correlator tests against an all-pairs brute-force oracle."""
 
+import concurrent.futures
 import math
 import re
 import tracemalloc
@@ -17,7 +18,7 @@ from ndcsim.correlate import (
     g2_normalize,
 )
 from ndcsim.errors import NoPeakError, ParameterError
-from ndcsim.pipeline import run_simulation
+from ndcsim.pipeline import measure_peak, run_simulation
 from ndcsim.streams import TagStream
 
 
@@ -109,15 +110,22 @@ class TestFineHistogram:
         # Odd and even nbins*bin: the closed edge of the kernel's window falls
         # on the grid's end, or one fs inside it.  Both ways of finding pairs,
         # whatever the density: at a threshold of 0 the kernel never walks,
-        # at infinity it always does.
+        # at infinity it always does.  On one thread, and split over 2 and 3
+        # with one-pair chunks and one-chunk pieces, so that any a of more
+        # than one tag splits.
         sa, sb = make_stream(a), make_stream(b)
         origin = -(nbins // 2) * bin_fs
         oracle = brute_force_histogram(sa.tags, sb.tags, offset, origin, bin_fs, nbins)
         for walk_below in (0, math.inf):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(correlate, "_WALK_PAIRS", walk_below)
-                h = fine_histogram(sa, sb, offset, origin, bin_fs, nbins)
-            assert np.array_equal(h.counts, oracle), walk_below
+            for workers in (1, 2, 3):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(correlate, "_WALK_PAIRS", walk_below)
+                    mp.setattr(correlate, "_usable_cpus", lambda: workers)
+                    if workers > 1:
+                        mp.setattr(correlate, "_DIFF_CHUNK", 1)
+                        mp.setattr(correlate, "_PIECE_CHUNKS", 1)
+                    h = fine_histogram(sa, sb, offset, origin, bin_fs, nbins)
+                assert np.array_equal(h.counts, oracle), (walk_below, workers)
 
     def test_walk_through_crowded_tag(self, monkeypatch):
         # A sparse stream, about 0.1 pairs per tag, and one source tag with
@@ -215,6 +223,17 @@ def _record_yields(monkeypatch) -> list[int]:
     return sizes
 
 
+def dense_streams():
+    """test_10's streams at a tenth of the tags and span: one pair per tag
+    within the 4 ns window at 1 us."""
+    rng = np.random.default_rng(99)
+    n, span = 10**6, 5 * 10**14
+    base = np.sort(rng.integers(0, span, n))
+    jitter = rng.normal(0.0, 10_000.0, n).astype(np.int64)
+    return (TagStream(base, 1000, 0, span),
+            TagStream(np.sort(base + jitter + 10**9), 1000, 1, span + 2 * 10**9))
+
+
 class TestChunkBound:
     def test_coarse_pass_fig2a(self, monkeypatch):
         # fig2a's +/- 1 ms at 1 ns from every tag of a: about 24 pairs per tag.
@@ -225,17 +244,98 @@ class TestChunkBound:
         assert max(sizes) < 2 * correlate._DIFF_CHUNK
 
     def test_fine_pass_dense(self, monkeypatch):
-        # test_10's streams at a tenth of the tags and span: one pair per tag.
-        rng = np.random.default_rng(99)
-        n, span = 10**6, 5 * 10**14
-        base = np.sort(rng.integers(0, span, n))
-        jitter = rng.normal(0.0, 10_000.0, n).astype(np.int64)
-        a = TagStream(base, 1000, 0, span)
-        b = TagStream(np.sort(base + jitter + 10**9), 1000, 1, span + 2 * 10**9)
+        a, b = dense_streams()
         sizes = _record_yields(monkeypatch)
         h = fine_histogram(a, b, 10**9, -2_000_000, 8000, 500)
-        assert h.total_pairs == sum(sizes) > n
+        assert h.total_pairs == sum(sizes) > len(a)
         assert max(sizes) < 2 * correlate._DIFF_CHUNK
+
+
+def _record_pieces(monkeypatch) -> list[np.ndarray]:
+    """The tags of a that each window_diffs call takes from now on."""
+    pieces = []  # in the order the threads start them
+    window_diffs = correlate.window_diffs
+
+    def recording(a, *rest):
+        pieces.append(a)
+        return window_diffs(a, *rest)
+
+    monkeypatch.setattr(correlate, "window_diffs", recording)
+    return pieces
+
+
+class TestSplit:
+    """A pass split over 1, 2 or 3 threads counts what one thread counts;
+    TestFineHistogram's hypothesis test splits too."""
+
+    def test_dense_streams(self):
+        a, b = dense_streams()
+        serial = None
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(correlate, "_usable_cpus", lambda: workers)
+                pieces = _record_pieces(mp)
+                h = fine_histogram(a, b, 10**9, -2_000_000, 8000, 500)
+            # One contiguous piece of a per thread, together all of a.
+            assert len(pieces) == workers
+            pieces.sort(key=lambda piece: piece[0])
+            assert np.array_equal(np.concatenate(pieces), a.tags)
+            serial = h.counts if serial is None else serial
+            assert np.array_equal(h.counts, serial)
+            assert h.total_pairs > len(a)
+
+    def test_piece_boundary_inside_crowd(self, monkeypatch):
+        # 100 tags of a within 2 ns of each other, amid 100 spread over 10 us,
+        # all reaching a crowd of 71 partners in b: the cuts at a third, half
+        # and two thirds of a fall among them.  Both ways of finding pairs.
+        rng = np.random.default_rng(5)
+        centre, offset = 5 * 10**9, 123_456
+        cluster = centre + 20_000 * np.arange(-50, 50)
+        a = make_stream(np.concatenate([rng.integers(0, 10**10, 100), cluster]))
+        crowd = centre + offset + 100_000 * np.arange(-35, 36)
+        b = make_stream(np.concatenate([rng.integers(0, 10**10, 200), crowd]))
+        oracle = brute_force_histogram(a.tags, b.tags, offset, -5_000_000, 50_000, 200)
+        assert oracle.sum() > 5000
+        monkeypatch.setattr(correlate, "_DIFF_CHUNK", 1)
+        for walk_below in (0, math.inf):
+            monkeypatch.setattr(correlate, "_WALK_PAIRS", walk_below)
+            for workers in (1, 2, 3):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(correlate, "_usable_cpus", lambda: workers)
+                    pieces = _record_pieces(mp)
+                    h = fine_histogram(a, b, offset, -5_000_000, 50_000, 200)
+                assert len(pieces) == workers
+                firsts = sorted(piece[0] for piece in pieces)
+                assert all(cluster[0] < first <= cluster[-1] for first in firsts[1:])
+                assert np.array_equal(h.counts, oracle), (walk_below, workers)
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    monkeypatch.delattr(correlate.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(correlate.os, "cpu_count", lambda: 5)
+    assert correlate._usable_cpus() == 5
+    monkeypatch.setattr(correlate.os, "cpu_count", lambda: None)
+    assert correlate._usable_cpus() == 1
+
+
+def test_small_passes_start_no_thread(monkeypatch):
+    # The paper's 5 s runs, fig2a and fig2d: the offset search, the seed pass
+    # and the reported pass stay on the calling thread even with three CPUs;
+    # a dense pass opens one pool of three.
+    opened = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(correlate, "_usable_cpus", lambda: 3)
+    for cfg in (presets.fig2a_config(), presets.fig2d_config()):
+        measure_peak(*run_simulation(cfg, seed=0))
+    assert opened == []
+    fine_histogram(*dense_streams(), 10**9, -2_000_000, 8000, 500)
+    assert opened == [3]
 
 
 class TestCoarseOffset:
