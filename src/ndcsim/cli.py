@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 
 from . import presets, tagio
 from .analyze import evaluate_wasak, fit_gaussian, fit_report_text, wasak_report_text
@@ -17,7 +18,9 @@ from .config import parse_config
 from .correlate import read_histogram_csv, write_histogram_csv
 from .errors import (ConfigError, FitError, NoPeakError, ParameterError, TagFormatError,
                      TransportError, check_range)
-from .pipeline import measure_peak, run_simulation
+# cmd_simulate streams its blocks; run_simulation stays importable from here
+# because the benchmark's tracer (perfbench/tracing.py) wraps cli.run_simulation.
+from .pipeline import measure_peak, min_span_fs, run_simulation, simulate_blocks  # noqa: F401
 from .reproduce import TARGETS, reproduce
 
 EXIT_CONFIG = 2
@@ -34,16 +37,32 @@ def _write_manifest(manifest, path):
 
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
-    a, b = run_simulation(cfg, args.seed)
-    path_a = f"{args.out}_a.tags"
-    path_b = f"{args.out}_b.tags"
-    _write(tagio.write_tags, a, path_a)
-    _write(tagio.write_tags, b, path_b)
+    paths = {arm: f"{args.out}_{arm}.tags" for arm in ("a", "b")}
+    try:
+        counts = _simulate_to_files(cfg, args.seed, paths.values())
+    except OSError as exc:
+        raise ParameterError(f"cannot write {args.out}_*.tags: {exc}") from exc
     manifest = {"seed": args.seed, "config": cfg.manifest(),
-                "files": {"a": path_a, "b": path_b}, "tags": {"a": len(a), "b": len(b)}}
+                "files": paths, "tags": dict(zip(paths, counts))}
     _write(_write_manifest, manifest, f"{args.out}_manifest.json")
-    print(f"wrote {path_a} ({len(a)} tags), {path_b} ({len(b)} tags)")
+    print(f"wrote {paths['a']} ({counts[0]} tags), {paths['b']} ({counts[1]} tags)")
     return 0
+
+
+def _simulate_to_files(cfg, seed: int, paths) -> list[int]:
+    """Append each simulated block's tags to the arms' files as it comes;
+    returns the tag counts.  A run that fails leaves neither file behind."""
+    with ExitStack() as stack:
+        writers = [stack.enter_context(tagio.TagWriter(
+            path, timer.resolution_fs, timer.site_id, min_span_fs(cfg)))
+            for path, timer in zip(paths, (cfg.timer_a, cfg.timer_b))]
+        for tags in simulate_blocks(cfg, seed):
+            for writer, block_tags in zip(writers, tags):
+                writer.append(block_tags)
+            # Freed before the next block's draws: a block's tags held across
+            # them pin glibc's heap, whose resident size then grows block by block.
+            del tags, block_tags
+    return [writer.count for writer in writers]
 
 
 def _read(reader, path):

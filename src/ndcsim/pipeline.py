@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +31,16 @@ class PeakMeasurement:
     g2: np.ndarray
 
 
-def run_simulation(cfg: ExperimentConfig, seed: int) -> tuple[TagStream, TagStream]:
-    """Simulate both tag streams for one acquisition, _BLOCK_FS of emission
-    time at a time.
+def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Simulate one acquisition _BLOCK_FS of emission time at a time, yielding
+    each block's tags of both arms, ``(tags_a, tags_b)``.
 
     Block k holds the emissions in [k, k + 1) * _BLOCK_FS, cut at the
     duration, and draws each stage from its own stream (simulate.stage_rng):
     its pair count is Poisson over its own length and its dark counts are
     uniform over its own window, so the streams are exact in distribution.
-    Only one block's pairs are held at a time.
+    Only one block's pairs are held at a time, and no tags once yielded; each
+    arm's blocks, concatenated, are its tag stream.
     """
     duration = cfg.run.duration_s
     check_duration(duration)
@@ -50,11 +52,34 @@ def run_simulation(cfg: ExperimentConfig, seed: int) -> tuple[TagStream, TagStre
     for block in itertools.count():
         start, end = block * block_s, min((block + 1) * block_s, duration)
         pairs = generate_pairs(cfg.source, cfg.run.mode, end, seed, p_a, p_b, start, block)
-        for arm in arms:
-            arm.add(pairs, block, start, end)
-        del pairs  # before the next block draws its own
+        tags = tuple(arm.add(pairs, block, start, end) for arm in arms)
+        del pairs  # before the tags are used, and the next block draws its own
+        yield tags
+        del tags  # the caller is done with them: freed before the next block's draws
         if end >= duration:
-            return arms[0].stream(), arms[1].stream()
+            return
+
+
+def min_span_fs(cfg: ExperimentConfig) -> int:
+    """The shortest acquisition span of a simulated stream: the duration, in
+    whole femtoseconds; a stream whose last tag is later spans to that tag."""
+    return math.ceil(cfg.run.duration_s * FS_PER_S)
+
+
+def run_simulation(cfg: ExperimentConfig, seed: int) -> tuple[TagStream, TagStream]:
+    """Simulate both tag streams for one acquisition, in memory: each arm's
+    blocks from ``simulate_blocks``, concatenated."""
+    parts = ([], [])
+    for tags in simulate_blocks(cfg, seed):
+        for arm, block_tags in zip(parts, tags):
+            arm.append(block_tags)
+    streams = []
+    for arm, timer in zip(parts, (cfg.timer_a, cfg.timer_b)):
+        tags = arm[0] if len(arm) == 1 else np.concatenate(arm)
+        arm.clear()  # before the next arm is joined
+        span = max(min_span_fs(cfg), int(tags[-1]) if tags.size else 0)
+        streams.append(TagStream(tags, timer.resolution_fs, timer.site_id, span))
+    return streams[0], streams[1]
 
 
 def measure_peak(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> PeakMeasurement:

@@ -46,6 +46,9 @@ _STAGE_DETECT_B = 4
 # the group delay: a normal draw beyond 20 sigma has probability below 1e-88.
 _SHIFT_SIGMAS = 20
 
+# Gaps the dead-time filter takes at once: a 64 KiB temporary.
+_PRUNE_CHUNK = 2**13
+
 
 def stage_rng(seed: int, stage: int, block: int = 0) -> np.random.Generator:
     """Independent deterministic RNG stream for one pipeline stage and time block.
@@ -104,19 +107,27 @@ class PairEvents:
     """A batch of photon-pair emissions with at least one detected photon.
 
     ``delta_t_fs`` is the intra-pair signal-minus-idler offset at the source;
-    ``omega_signal`` / ``omega_idler`` are the spectral detunings (rad/ps)
-    already correlated according to the correlation mode; ``arms`` holds the
-    ``SIGNAL``/``IDLER`` bits of the arms in which the pair is detected.
+    ``omega_signal`` is the signal photon's spectral detuning (rad/ps) and
+    ``idler_sign * idler_omega`` the idler's.  In modes ``anti`` and
+    ``positive``, ``idler_omega`` is ``omega_signal`` itself, with sign -1 and
+    +1; in mode ``none`` it is drawn on its own, with sign +1.  ``arms`` holds
+    the ``SIGNAL``/``IDLER`` bits of the arms in which the pair is detected.
     """
 
     emission_fs: np.ndarray
     delta_t_fs: np.ndarray
     omega_signal: np.ndarray
-    omega_idler: np.ndarray
+    idler_omega: np.ndarray
+    idler_sign: float
     arms: np.ndarray
 
     def __len__(self) -> int:
         return int(self.emission_fs.size)
+
+    @property
+    def omega_idler(self) -> np.ndarray:
+        """The idler photons' detunings, computed anew on each access."""
+        return self.idler_omega * self.idler_sign
 
 
 def generate_pairs(
@@ -156,28 +167,29 @@ def generate_pairs(
     both = (u < q_both).view(np.uint8)
     arms += both
     arms += both
+    del u, both  # before the normal draws
     delta_t = rng.normal(0.0, src.base_sigma_ps * FS_PER_PS, n)
     omega_s = rng.normal(0.0, src.effective_sigma_omega, n)
-    if mode == "anti":
-        omega_i = -omega_s
-    elif mode == "positive":
-        omega_i = omega_s.copy()
-    else:
-        omega_i = rng.normal(0.0, src.effective_sigma_omega, n)
-    return PairEvents(emission, delta_t, omega_s, omega_i, arms)
+    if mode == "none":
+        return PairEvents(emission, delta_t, omega_s,
+                          rng.normal(0.0, src.effective_sigma_omega, n), 1.0, arms)
+    return PairEvents(emission, delta_t, omega_s, omega_s, -1.0 if mode == "anti" else 1.0, arms)
 
 
 def propagate(events: PairEvents, leg: DispersionLeg, which: str) -> np.ndarray:
     """Arrival times (fs, float64) of one arm's detected photons after a fiber leg.
 
     Only pairs detected in the arm contribute, in emission order.  The
-    dispersive time shift is k''l * Omega for the photon's own detuning.
+    dispersive time shift is k''l * Omega for the photon's own detuning; for
+    an idler that is ``idler_omega * (idler_sign * k''l)``, which equals
+    ``(idler_sign * idler_omega) * k''l`` exactly, since the sign is +-1.
     ``events`` is left unchanged.
     """
     if which == "signal":
-        half, bit, omega = +0.5, SIGNAL, events.omega_signal
+        half, bit, omega, k2l = +0.5, SIGNAL, events.omega_signal, leg.k2l_ps2
     elif which == "idler":
-        half, bit, omega = -0.5, IDLER, events.omega_idler
+        half, bit, omega = -0.5, IDLER, events.idler_omega
+        k2l = events.idler_sign * leg.k2l_ps2
     else:
         raise ParameterError(f"which must be 'signal' or 'idler', got {which!r}")
 
@@ -192,7 +204,7 @@ def propagate(events: PairEvents, leg: DispersionLeg, which: str) -> np.ndarray:
     shift = scratch.view(np.float64)
     # take copies through a buffer in mode "raise"; mine has no index to clip
     np.take(omega, mine, out=shift, mode="clip")
-    shift *= leg.k2l_ps2
+    shift *= k2l
     shift *= FS_PER_PS
     out += shift
     return out
@@ -262,30 +274,40 @@ def detect(
 
 
 def _prune_dead_time(times: np.ndarray, dead_fs: float, last: float = -math.inf) -> np.ndarray:
-    """Greedy dead-time filter: drop events within dead_fs of the last kept one,
-    which before ``times[0]`` is ``last``.
+    """Greedy dead-time filter, in place: drop events within dead_fs of the
+    last kept one, which before ``times[0]`` is ``last``.  Returns the kept
+    events, a prefix of ``times``.
 
     An event at least dead_fs after its predecessor (``last`` for the first)
     is always kept, since the last kept event is no later than the
     predecessor.  So only the runs of events joined by shorter gaps need the
-    sequential pass, and each run starts after a kept event.
+    sequential pass, and each run starts after a kept event.  The gaps are
+    taken _PRUNE_CHUNK at a time, and the kept events between two dropped
+    ones move down in one copy.
     """
-    close = np.flatnonzero(np.diff(times) < dead_fs) + 1
+    close = [np.flatnonzero(np.diff(times[lo:lo + _PRUNE_CHUNK + 1]) < dead_fs) + (lo + 1)
+             for lo in range(0, times.size - 1, _PRUNE_CHUNK)]
     if times.size and times[0] - last < dead_fs:
-        close = np.insert(close, 0, 0)
-    if close.size == 0:
-        return times
-    keep = np.ones(times.size, dtype=bool)
+        close.insert(0, np.zeros(1, np.intp))
+    close = np.concatenate(close) if close else np.empty(0, np.intp)
+    dropped = []
     prev = -2
     for i, t in zip(close.tolist(), times[close].tolist()):
         if i != prev + 1:
             kept = float(times[i - 1]) if i else last
         if t - kept < dead_fs:
-            keep[i] = False
+            dropped.append(i)
         else:
             kept = t
         prev = i
-    return times[keep]
+    if not dropped:
+        return times
+    end = dropped[0]
+    for i, j in zip(dropped, dropped[1:] + [times.size]):
+        # a forward copy within one array: numpy moves overlapping 1-d runs
+        times[end:end + j - i - 1] = times[i + 1:j]
+        end += j - i - 1
+    return times[:end]
 
 
 def digitize(times_fs: np.ndarray, timer: TimerSpec, acquisition_span_fs: int) -> TagStream:
@@ -324,7 +346,7 @@ class ArmChain:
     standard deviations of their shift.  Detections from that boundary on wait
     in the arm's ``Carry`` for the next block's sort, so the tags of every
     block, concatenated, are those of one sort, prune and digitization of
-    all the blocks' detections.
+    all the blocks' detections.  The chain keeps no tags: ``add`` returns them.
     """
 
     def __init__(self, src: SourceParams, leg: DispersionLeg, which: str,
@@ -336,21 +358,13 @@ class ArmChain:
                     + abs(leg.k2l_ps2) * src.effective_sigma_omega * FS_PER_PS)
         self.lead_fs = min(0.0, leg.group_delay_fs - _SHIFT_SIGMAS * shift_fs)
         self.carry = Carry()
-        self.tags: list[np.ndarray] = []
 
-    def add(self, events: PairEvents, block: int, start_s: float, end_s: float) -> None:
-        """Simulate the block of emissions in [start_s, end_s); the last block,
-        which ends at the duration, finalizes every detection."""
+    def add(self, events: PairEvents, block: int, start_s: float, end_s: float) -> np.ndarray:
+        """The tags of the block of emissions in [start_s, end_s); the last
+        block, which ends at the duration, finalizes every detection."""
         last = end_s >= self.duration_s
         self.carry.boundary_fs = math.inf if last else end_s * FS_PER_S + self.lead_fs
         arrival = propagate(events, self.leg, self.which)
         detected = detect(arrival, self.det, self.seed, self.stage, end_s, start_s, block,
                           self.carry)
-        self.tags.append(digitize(detected, self.timer, 0).tags)
-
-    def stream(self) -> TagStream:
-        """The arm's tag stream, after the last block."""
-        tags = self.tags[0] if len(self.tags) == 1 else np.concatenate(self.tags)
-        self.tags = []
-        span = int(max(math.ceil(self.duration_s * FS_PER_S), tags[-1] if tags.size else 0))
-        return TagStream(tags, self.timer.resolution_fs, self.timer.site_id, span)
+        return digitize(detected, self.timer, 0).tags

@@ -5,6 +5,10 @@ as signed 64-bit femtosecond values.  A file holds exactly these bytes, and a
 site sends exactly these bytes over its connection, half-closes it, and reads
 a one-byte verdict (``A`` accepted, ``R`` rejected) from the terminal.
 
+A file is written by one ``TagWriter``, block by block: the header goes first
+with a placeholder tag count and is rewritten when the writer closes, so a
+file whose writer never closed is rejected on reading.
+
 The terminal receives the payload straight into the tag array: one copy,
 from the kernel's socket buffer into memory the array already holds.  That
 memory is reserved from the header's tag count but committed page by page
@@ -15,9 +19,10 @@ as tracemalloc count the whole reservation, so the bound holds for RSS only.
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from .errors import (
     TagFormatError,
     TransportError,
     TruncatedFileError,
+    UnsortedTagsError,
     VersionMismatchError,
 )
 from .streams import TagStream
@@ -35,6 +41,10 @@ VERSION = 1
 
 _HEADER = struct.Struct("<8sHIQQQ")
 HEADER_SIZE = _HEADER.size  # 8 + 2 + 4 + 8 + 8 + 8 = 38 bytes
+
+# The tag count of a header its writer has not finalized: more tags than any
+# file or host can hold.
+_UNFINISHED = 2**64 - 1
 
 # Seconds the terminal waits for a site to connect, and then for each read
 # from a connected site.
@@ -62,6 +72,8 @@ def _unpack_header(raw) -> tuple[int, dict]:
         raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise VersionMismatchError(f"unsupported version {version}, expected {VERSION}")
+    if tag_count == _UNFINISHED:
+        raise TruncatedFileError("header never finalized: the file's writer did not close it")
     return tag_count, dict(site_id=site_id, resolution_fs=resolution_fs,
                            acquisition_span_fs=span)
 
@@ -73,15 +85,92 @@ def _encode(stream: TagStream) -> tuple[bytes, memoryview]:
     return header, stream.tags.astype("<i8", copy=False).data
 
 
-def write_tags(stream: TagStream, destination) -> int:
-    """Serialize a stream; returns the byte count written.
+class TagWriter:
+    """Writes one tag stream a block of tags at a time.
 
-    ``destination`` is a path or a writable binary file object.
+    The header goes first, with a placeholder tag count that ``read_tags``
+    rejects; ``append`` writes a block's tags after the previous block's, and
+    ``close`` rewrites the header with the tag count and the span.  As a
+    context manager, the writer closes on success; on an exception it deletes
+    the file it created, or leaves a file object's header unfinished.
+
+    ``destination`` is a path or a writable, seekable binary file object; the
+    stream starts at its current position.
     """
-    with nullcontext(destination) if hasattr(destination, "write") else open(destination, "wb") as f:
-        for part in _encode(stream):
-            f.write(part)
-    return HEADER_SIZE + 8 * len(stream)
+
+    def __init__(self, destination, resolution_fs: int, site_id: int, min_span_fs: int = 0):
+        self._path = None if hasattr(destination, "write") else destination
+        self._file = destination if self._path is None else open(destination, "wb")
+        self._start = self._file.tell()
+        self._fields = (site_id, resolution_fs)
+        self.min_span_fs = min_span_fs
+        self.count = 0
+        self.last: int | None = None
+        try:
+            self._file.write(pack_header(site_id, resolution_fs, _UNFINISHED, 0))
+        except BaseException:
+            self.discard()
+            raise
+
+    def append(self, tags: np.ndarray) -> None:
+        """Write a sorted block of tags; a block may not start before the
+        previous block's last tag (only that join is checked)."""
+        if not tags.size:
+            return
+        if self.last is not None and tags[0] < self.last:
+            raise UnsortedTagsError(f"block starts at {tags[0]} fs, before the previous "
+                                    f"block's last tag at {self.last} fs")
+        self._file.write(np.ascontiguousarray(tags, "<i8").data)
+        self.count += tags.size
+        self.last = int(tags[-1])
+
+    def close(self, span_fs: int | None = None) -> int:
+        """Finalize the header; returns the stream's byte count.
+
+        The header's span is ``span_fs`` if given, else the larger of
+        ``min_span_fs`` and the last tag.  A file the writer opened is closed.
+        """
+        if span_fs is None:
+            span_fs = self.min_span_fs if self.last is None else max(self.min_span_fs, self.last)
+        f = self._file
+        end = f.tell()
+        f.seek(self._start)
+        f.write(pack_header(*self._fields, self.count, span_fs))
+        f.seek(end)
+        if self._path is not None:
+            f.close()
+        self._file = None
+        return HEADER_SIZE + 8 * self.count
+
+    def discard(self) -> None:
+        """Stop writing without finalizing: close and delete the file the
+        writer created."""
+        f, self._file = self._file, None
+        if self._path is not None and f is not None:
+            f.close()
+            with suppress(OSError):
+                os.unlink(self._path)
+
+    def __enter__(self) -> TagWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None and self._file is not None:
+                self.close()
+        finally:
+            self.discard()  # a no-op once closed
+
+
+def write_tags(stream: TagStream, destination) -> int:
+    """Serialize a stream (a ``TagWriter`` with one block); returns the byte
+    count written.
+
+    ``destination`` is a path or a writable, seekable binary file object.
+    """
+    with TagWriter(destination, stream.resolution_fs, stream.site_id) as writer:
+        writer.append(stream.tags)
+        return writer.close(stream.acquisition_span_fs)
 
 
 def read_tags(source) -> TagStream:

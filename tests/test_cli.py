@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ndcsim import presets, tagio
+from ndcsim import presets, simulate, tagio
 from ndcsim.cli import main
 from ndcsim.config import dump_config
+from ndcsim.errors import TimestampRangeError
 from ndcsim.reproduce import reproduce
 
 
@@ -138,6 +139,26 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(tmp_path / "absent.cfg"),
                    "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_failure_mid_run_leaves_no_tag_file(self, tmp_path, capsys, monkeypatch):
+        # Two 5 s blocks; the third digitize call is the second block's first,
+        # made after block 0's tags went to both files.
+        cfg = tmp_path / "two_blocks.cfg"
+        cfg.write_text(dump_config(presets.fig2d_config(duration_s=6.0)))
+        digitize, calls = simulate.digitize, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise TimestampRangeError("injected")
+            return digitize(*args)
+
+        monkeypatch.setattr(simulate, "digitize", failing)
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "invalid parameter: injected" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert list(tmp_path.glob("x_*")) == []
 
     def test_unwritable_out_exit_2(self, sim_dir, tmp_path, capsys):
         rc = main(["simulate", "--config", str(sim_dir / "run.cfg"),
@@ -395,6 +416,24 @@ def test_long_simulation_memory_is_bounded(tmp_path):
     rc, peak_kib = run.stdout.split("\n")[-2].split()
     assert rc == "0"
     assert int(peak_kib) < 100 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_simulation_memory_is_flat_in_the_duration(tmp_path):
+    # Each block's tags go to the files as it is simulated: before, 100 s
+    # peaked at 65-83 MB against about 45 MB for 10 s.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    peaks = []
+    for duration in (10.0, 100.0):
+        cfg = tmp_path / f"{duration}.cfg"
+        cfg.write_text(dump_config(presets.fig2d_config(duration_s=duration)))
+        run = subprocess.run([sys.executable, "-c", _SIMULATE_PEAK, str(cfg), str(tmp_path / "x")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        rc, peak_kib = run.stdout.split("\n")[-2].split()
+        assert rc == "0"
+        peaks.append(int(peak_kib))
+    assert peaks[1] - peaks[0] < 4 * 1024, peaks
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -6,14 +6,17 @@ import io
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndcsim import model, pipeline, presets, tagio
+from ndcsim import model, pipeline, presets, simulate, tagio
 from ndcsim.analyze import fit_gaussian
+from ndcsim.cli import main
+from ndcsim.config import dump_config
 from ndcsim.correlate import fine_histogram, g2_normalize
 from ndcsim.errors import ParameterError, TimestampRangeError
 from ndcsim.model import DispersionLeg, SourceParams
@@ -265,7 +268,11 @@ class TestDetect:
         # zero gaps are ties, runs of short gaps are dense bursts
         times = start + np.cumsum(np.asarray(gaps, dtype=np.float64))
         dead_fs = fraction * (float(times[-1] - times[0]) if times.size else 0.0)
-        assert np.array_equal(_prune_dead_time(times, dead_fs), greedy_dead_time(times, dead_fs))
+        expected = greedy_dead_time(times, dead_fs)
+        # the filter works in place, in chunks of gaps; 3 puts chunk joins in bursts
+        for chunk in (3, simulate._PRUNE_CHUNK):
+            with mock.patch.object(simulate, "_PRUNE_CHUNK", chunk):
+                assert np.array_equal(_prune_dead_time(times.copy(), dead_fs), expected)
 
 
 class TestMarking:
@@ -345,7 +352,8 @@ class TestInputsUnchanged:
 
     @staticmethod
     def arrays(pairs):
-        return [getattr(pairs, f.name) for f in dataclasses.fields(pairs)]
+        fields = (getattr(pairs, f.name) for f in dataclasses.fields(pairs))
+        return [v for v in fields if isinstance(v, np.ndarray)]
 
     def test_propagate(self):
         alone, first = self.pairs(), self.pairs()
@@ -642,3 +650,16 @@ def test_golden_tag_bytes(name, mode, seed):
         tagio.write_tags(stream, buf)
         digests.append(hashlib.sha256(buf.getvalue()).hexdigest())
     assert tuple(digests) == GOLDEN_TAG_DIGESTS[name, mode, seed]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_golden_tag_bytes_streamed_by_the_cli(tmp_path, seed):
+    """``ndcsim simulate`` appends each block's tags to the files as they
+    come; the files are the in-memory path's bytes, three blocks each."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(dump_config(golden_config("fig2d_12s", "anti")))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                 "--seed", str(seed)]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f"run_{arm}.tags").read_bytes()).hexdigest()
+                    for arm in ("a", "b"))
+    assert digests == GOLDEN_TAG_DIGESTS["fig2d_12s", "anti", seed]

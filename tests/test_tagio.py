@@ -29,6 +29,7 @@ from ndcsim.streams import TagStream
 from ndcsim.tagio import (
     HEADER_SIZE,
     MAGIC,
+    TagWriter,
     Terminal,
     pack_header,
     read_tags,
@@ -152,6 +153,55 @@ class TestFileFormat:
         with pytest.raises(UnsortedTagsError) as err:
             read_tags(io.BytesIO(header + payload))
         assert "1" in str(err.value)
+
+
+class TestTagWriter:
+    def test_blocks_write_the_bytes_of_one_stream(self):
+        tags = np.array([-7, 0, 5, 5, 9, 12, 40], dtype=np.int64)
+        buf = io.BytesIO()
+        with TagWriter(buf, 1000, 3, min_span_fs=30) as writer:
+            for block in (tags[:3], tags[3:3], tags[3:6], tags[6:]):
+                writer.append(block)
+        whole = io.BytesIO()
+        write_tags(stream_of(tags, site_id=3, span=40), whole)
+        assert buf.getvalue() == whole.getvalue()
+
+    @pytest.mark.parametrize("tags, span", [([], 30), ([5, 20], 30), ([5, 40], 40)])
+    def test_span_covers_duration_and_last_tag(self, tags, span):
+        buf = io.BytesIO()
+        with TagWriter(buf, 1000, 0, min_span_fs=30) as writer:
+            writer.append(np.array(tags, dtype=np.int64))
+        assert read_tags(io.BytesIO(buf.getvalue())).acquisition_span_fs == span
+
+    def test_block_before_previous_block_rejected(self):
+        writer = TagWriter(io.BytesIO(), 1000, 0)
+        writer.append(np.array([1, 5]))
+        with pytest.raises(UnsortedTagsError, match="before the previous block's last tag"):
+            writer.append(np.array([4, 6]))
+        writer.append(np.array([5, 6]))  # ties across the join are kept
+
+    def test_unfinished_header_rejected(self, tmp_path):
+        # a writer that never closed, as a killed run leaves its file
+        buf = io.BytesIO()
+        TagWriter(buf, 1000, 0).append(np.arange(3))
+        for read in (_read_file, _read_socket):
+            with pytest.raises(TruncatedFileError, match="never finalized"):
+                read(buf.getvalue(), tmp_path)
+
+    def test_exception_deletes_the_file(self, tmp_path):
+        path = tmp_path / "a.tags"
+        with pytest.raises(RuntimeError), TagWriter(path, 1000, 0) as writer:
+            writer.append(np.arange(3))
+            raise RuntimeError
+        assert not path.exists()
+
+    def test_exception_leaves_a_file_object_unfinished(self):
+        buf = io.BytesIO()
+        with pytest.raises(RuntimeError), TagWriter(buf, 1000, 0) as writer:
+            writer.append(np.arange(3))
+            raise RuntimeError
+        with pytest.raises(TruncatedFileError, match="never finalized"):
+            read_tags(io.BytesIO(buf.getvalue()))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
