@@ -18,9 +18,10 @@ from .config import parse_config
 from .correlate import read_histogram_csv, write_histogram_csv
 from .errors import (ConfigError, FitError, NoPeakError, ParameterError, TagFormatError,
                      TransportError, check_range)
+from .pipeline import acquisition_span_fs, measure_peak, simulate_blocks
 # cmd_simulate streams its blocks; run_simulation stays importable from here
 # because the benchmark's tracer (perfbench/tracing.py) wraps cli.run_simulation.
-from .pipeline import measure_peak, min_span_fs, run_simulation, simulate_blocks  # noqa: F401
+from .pipeline import run_simulation  # noqa: F401
 from .reproduce import TARGETS, reproduce
 
 EXIT_CONFIG = 2
@@ -53,15 +54,16 @@ def _simulate_to_files(cfg, seed: int, paths) -> list[int]:
     """Append each simulated block's tags to the arms' files as it comes;
     returns the tag counts.  A run that fails leaves neither file behind."""
     with ExitStack() as stack:
-        writers = [stack.enter_context(tagio.TagWriter(
-            path, timer.resolution_fs, timer.site_id, min_span_fs(cfg)))
-            for path, timer in zip(paths, (cfg.timer_a, cfg.timer_b))]
+        writers = [stack.enter_context(tagio.TagWriter(path, timer.resolution_fs, timer.site_id))
+                   for path, timer in zip(paths, (cfg.timer_a, cfg.timer_b))]
         for tags in simulate_blocks(cfg, seed):
             for writer, block_tags in zip(writers, tags):
                 writer.append(block_tags)
             # Freed before the next block's draws: a block's tags held across
             # them pin glibc's heap, whose resident size then grows block by block.
             del tags, block_tags
+        for writer in writers:
+            writer.close(acquisition_span_fs(cfg.run.duration_s, writer.last))
     return [writer.count for writer in writers]
 
 

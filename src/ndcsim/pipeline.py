@@ -60,10 +60,11 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
             return
 
 
-def min_span_fs(cfg: ExperimentConfig) -> int:
-    """The shortest acquisition span of a simulated stream: the duration, in
-    whole femtoseconds; a stream whose last tag is later spans to that tag."""
-    return math.ceil(cfg.run.duration_s * FS_PER_S)
+def acquisition_span_fs(duration_s: float, last_tag_fs: int | None) -> int:
+    """The acquisition span of a simulated stream: the duration in whole
+    femtoseconds, or the stream's last tag (None for no tags) if that is later."""
+    span = math.ceil(duration_s * FS_PER_S)
+    return span if last_tag_fs is None else max(span, last_tag_fs)
 
 
 def run_simulation(cfg: ExperimentConfig, seed: int) -> tuple[TagStream, TagStream]:
@@ -77,7 +78,7 @@ def run_simulation(cfg: ExperimentConfig, seed: int) -> tuple[TagStream, TagStre
     for arm, timer in zip(parts, (cfg.timer_a, cfg.timer_b)):
         tags = arm[0] if len(arm) == 1 else np.concatenate(arm)
         arm.clear()  # before the next arm is joined
-        span = max(min_span_fs(cfg), int(tags[-1]) if tags.size else 0)
+        span = acquisition_span_fs(cfg.run.duration_s, int(tags[-1]) if tags.size else None)
         streams.append(TagStream(tags, timer.resolution_fs, timer.site_id, span))
     return streams[0], streams[1]
 

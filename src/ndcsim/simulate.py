@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ParameterError, TimestampRangeError, check_range
 from .model import FWHM_PER_SIGMA, DispersionLeg, SourceParams
-from .streams import FS_PER_PS, FS_PER_S, TagStream
+from .streams import FS_PER_PS, FS_PER_S
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -123,11 +123,6 @@ class PairEvents:
 
     def __len__(self) -> int:
         return int(self.emission_fs.size)
-
-    @property
-    def omega_idler(self) -> np.ndarray:
-        """The idler photons' detunings, computed anew on each access."""
-        return self.idler_omega * self.idler_sign
 
 
 def generate_pairs(
@@ -310,8 +305,8 @@ def _prune_dead_time(times: np.ndarray, dead_fs: float, last: float = -math.inf)
     return times[:end]
 
 
-def digitize(times_fs: np.ndarray, timer: TimerSpec, acquisition_span_fs: int) -> TagStream:
-    """Quantize detection times onto the event-timer grid.
+def digitize(times_fs: np.ndarray, timer: TimerSpec) -> np.ndarray:
+    """Quantize detection times onto the event-timer grid; returns the int64 tags.
 
     Adds the clock offset, rounds half-up to the nearest resolution multiple
     and emits sorted integer tags; ties after rounding stay as duplicates.
@@ -328,13 +323,7 @@ def digitize(times_fs: np.ndarray, timer: TimerSpec, acquisition_span_fs: int) -
     np.floor(ticks, out=ticks)
     tags = ticks.astype(np.int64)
     tags *= timer.resolution_fs
-    span = int(max(acquisition_span_fs, tags[-1] if tags.size else 0))
-    return TagStream(
-        tags=tags,
-        resolution_fs=timer.resolution_fs,
-        site_id=timer.site_id,
-        acquisition_span_fs=span,
-    )
+    return tags
 
 
 class ArmChain:
@@ -367,4 +356,4 @@ class ArmChain:
         arrival = propagate(events, self.leg, self.which)
         detected = detect(arrival, self.det, self.seed, self.stage, end_s, start_s, block,
                           self.carry)
-        return digitize(detected, self.timer, 0).tags
+        return digitize(detected, self.timer)

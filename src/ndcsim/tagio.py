@@ -6,8 +6,9 @@ site sends exactly these bytes over its connection, half-closes it, and reads
 a one-byte verdict (``A`` accepted, ``R`` rejected) from the terminal.
 
 A file is written by one ``TagWriter``, block by block: the header goes first
-with a placeholder tag count and is rewritten when the writer closes, so a
-file whose writer never closed is rejected on reading.
+with a placeholder tag count and is rewritten, with the span its caller gives,
+when the writer closes, so a file whose writer never closed is rejected on
+reading.
 
 The terminal receives the payload straight into the tag array: one copy,
 from the kernel's socket buffer into memory the array already holds.  That
@@ -90,20 +91,20 @@ class TagWriter:
 
     The header goes first, with a placeholder tag count that ``read_tags``
     rejects; ``append`` writes a block's tags after the previous block's, and
-    ``close`` rewrites the header with the tag count and the span.  As a
-    context manager, the writer closes on success; on an exception it deletes
-    the file it created, or leaves a file object's header unfinished.
+    ``close(span_fs)`` rewrites the header with the tag count and the span the
+    caller gives.  As a context manager, a writer not closed by the end of
+    the block is discarded, whether or not an exception ended it: the file it
+    created is deleted, or a file object's header is left unfinished.
 
     ``destination`` is a path or a writable, seekable binary file object; the
     stream starts at its current position.
     """
 
-    def __init__(self, destination, resolution_fs: int, site_id: int, min_span_fs: int = 0):
+    def __init__(self, destination, resolution_fs: int, site_id: int):
         self._path = None if hasattr(destination, "write") else destination
         self._file = destination if self._path is None else open(destination, "wb")
         self._start = self._file.tell()
         self._fields = (site_id, resolution_fs)
-        self.min_span_fs = min_span_fs
         self.count = 0
         self.last: int | None = None
         try:
@@ -124,14 +125,9 @@ class TagWriter:
         self.count += tags.size
         self.last = int(tags[-1])
 
-    def close(self, span_fs: int | None = None) -> int:
-        """Finalize the header; returns the stream's byte count.
-
-        The header's span is ``span_fs`` if given, else the larger of
-        ``min_span_fs`` and the last tag.  A file the writer opened is closed.
-        """
-        if span_fs is None:
-            span_fs = self.min_span_fs if self.last is None else max(self.min_span_fs, self.last)
+    def close(self, span_fs: int) -> int:
+        """Finalize the header with the tag count and ``span_fs``; returns the
+        stream's byte count.  A file the writer opened is closed."""
         f = self._file
         end = f.tell()
         f.seek(self._start)
@@ -155,11 +151,7 @@ class TagWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            if exc_type is None and self._file is not None:
-                self.close()
-        finally:
-            self.discard()  # a no-op once closed
+        self.discard()  # a no-op once closed
 
 
 def write_tags(stream: TagStream, destination) -> int:

@@ -109,8 +109,8 @@ def test_05_wasak_violation_all_seeds(wasak_suite):
 
 def test_06_fiber_sweep_slopes():
     report = reproduce_fig3(seed=0)
-    smf_nom, smf_fit, smf_k2 = report.result["smf"]
-    dcf_nom, dcf_fit, dcf_k2 = report.result["dcf"]
+    smf_nom, smf_fit, _, smf_k2, smf_k2_err = report.result["smf"]
+    dcf_nom, dcf_fit, _, dcf_k2, dcf_k2_err = report.result["dcf"]
     detail = (f"smf {smf_nom.slope:.2f} ps/km, dcf {dcf_nom.slope:.2f} ps/km; "
               f"fitted-k2 {smf_fit.slope:.2f}/{dcf_fit.slope:.2f} vs "
               f"{REFERENCE_SMF_SLOPE}/{REFERENCE_DCF_SLOPE}")
@@ -120,6 +120,9 @@ def test_06_fiber_sweep_slopes():
         2.37e-26, rel=0.01)
     assert abs(dispersion_from_slope(REFERENCE_DCF_SLOPE, SourceParams())) == pytest.approx(
         1.99e-25, rel=0.01)
+    # the k2 each simulated nominal-k2 sweep recovers lies within 3 slope errors of the preset
+    assert abs(smf_k2 - abs(presets.SMF_K2_S2_PER_M)) <= 3 * smf_k2_err
+    assert abs(dcf_k2 - abs(presets.DCF_K2_S2_PER_M)) <= 3 * dcf_k2_err
     verdict(report.passed, "6 width-versus-length slopes", detail)
 
 

@@ -6,7 +6,7 @@ import pytest
 from ndcsim import presets
 from ndcsim.analyze import variance_from_fit
 from ndcsim.errors import FitError
-from ndcsim.pipeline import measure_peak, run_simulation
+from ndcsim.pipeline import acquisition_span_fs, measure_peak, run_simulation
 from ndcsim.reproduce import FIG2A_FWHM_RANGE
 
 # Peaks from the 37.6 ps jitter floor to the 5 ns classical widths.
@@ -18,6 +18,14 @@ CONFIGS = {
     "fig3-smf-62km": presets.fig3_config("smf", 62.0, duration_s=2.0),
     "fig3-dcf-7.47km": presets.fig3_config("dcf", 7.47, duration_s=2.0),
 }
+
+
+@pytest.mark.parametrize("last_tag_fs, span_fs", [(None, 23), (-40, 23), (20, 23), (24, 24)],
+                         ids=["no-tags", "negative-tag", "tag-before-duration",
+                              "tag-after-duration"])
+def test_acquisition_span_covers_duration_and_last_tag(last_tag_fs, span_fs):
+    # 22.5 fs of acquisition span 23 whole fs, or to a later last tag
+    assert acquisition_span_fs(2.25e-14, last_tag_fs) == span_fs
 
 
 @pytest.mark.parametrize("name", CONFIGS)

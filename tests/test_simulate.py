@@ -34,6 +34,7 @@ from ndcsim.simulate import (
     generate_pairs,
     propagate,
 )
+from ndcsim.streams import TagStream
 
 SRC = SourceParams(pair_rate_hz=24000.0)
 NO_FIBER = DispersionLeg(length_km=0.0)
@@ -51,6 +52,13 @@ def greedy_dead_time(times, dead_fs):
         else:
             last = times[i]
     return times[keep]
+
+
+def simulated_stream(tags, timer, duration_s):
+    """A stream of simulated tags, spanning the duration in whole fs or, if
+    later, its last tag."""
+    span = max(math.ceil(duration_s * 1e15), int(tags[-1]) if tags.size else 0)
+    return TagStream(tags, timer.resolution_fs, timer.site_id, span)
 
 
 def per_pair_oracle(cfg, seed):
@@ -78,7 +86,7 @@ def per_pair_oracle(cfg, seed):
         survive = rng.random(n) < leg.survival_probability
         detected = survive & (rng.random(n) < det.efficiency)
         times = detect(arrival[detected], det, seed, stage, duration)
-        streams.append(digitize(times, timer, int(math.ceil(duration * 1e15))))
+        streams.append(simulated_stream(digitize(times, timer), timer, duration))
     return streams
 
 
@@ -118,9 +126,9 @@ class TestGeneratePairs:
         anti = generate_pairs(SRC, "anti", 0.5, seed=5)
         pos = generate_pairs(SRC, "positive", 0.5, seed=5)
         indep = generate_pairs(SRC, "none", 0.5, seed=5)
-        assert np.array_equal(anti.omega_idler, -anti.omega_signal)
-        assert np.array_equal(pos.omega_idler, pos.omega_signal)
-        r = np.corrcoef(indep.omega_signal, indep.omega_idler)[0, 1]
+        assert np.array_equal(anti.idler_sign * anti.idler_omega, -anti.omega_signal)
+        assert np.array_equal(pos.idler_sign * pos.idler_omega, pos.omega_signal)
+        r = np.corrcoef(indep.omega_signal, indep.idler_sign * indep.idler_omega)[0, 1]
         assert abs(r) < 0.05
 
     def test_unknown_mode_rejected(self):
@@ -389,37 +397,34 @@ class TestInputsUnchanged:
         times = np.sort(np.random.default_rng(5).uniform(-1e12, 1e12, 10_000))
         before = times.copy()
         timer = TimerSpec(resolution_fs=1000, clock_offset_fs=offset_fs, site_id=0)
-        stream = digitize(times, timer, acquisition_span_fs=10**12)
+        tags = digitize(times, timer)
         assert times.tobytes() == before.tobytes()
-        assert not np.shares_memory(stream.tags, times)
+        assert not np.shares_memory(tags, times)
 
 
 class TestDigitize:
     TIMER = TimerSpec(resolution_fs=1000, clock_offset_fs=0, site_id=0)
 
     def test_round_half_up(self):
-        stream = digitize(np.array([1234.6e3]), self.TIMER, acquisition_span_fs=10**7)
-        assert stream.tags[0] == 1235_000
+        assert digitize(np.array([1234.6e3]), self.TIMER)[0] == 1235_000
 
     def test_clock_offset(self):
         timer = TimerSpec(resolution_fs=1000, clock_offset_fs=267_000_000_000, site_id=1)
-        stream = digitize(np.array([0.0, 1e6]), timer, acquisition_span_fs=10**7)
-        assert stream.tags[0] == 267_000_000_000
-        assert stream.tags[1] == 267_000_000_000 + 1_000_000
+        tags = digitize(np.array([0.0, 1e6]), timer)
+        assert tags[0] == 267_000_000_000
+        assert tags[1] == 267_000_000_000 + 1_000_000
 
     def test_round_trip_on_grid(self):
         tags = np.arange(0, 100) * 1000
-        stream = digitize(tags.astype(float), self.TIMER, acquisition_span_fs=10**6)
-        assert np.array_equal(stream.tags, tags)
+        assert np.array_equal(digitize(tags.astype(float), self.TIMER), tags)
 
     def test_empty(self):
-        stream = digitize(np.empty(0), self.TIMER, acquisition_span_fs=10**6)
-        assert stream.tags.size == 0 and stream.tags.dtype == np.int64
-        assert stream.acquisition_span_fs == 10**6
+        tags = digitize(np.empty(0), self.TIMER)
+        assert tags.size == 0 and tags.dtype == np.int64
 
     def test_range_error(self):
         with pytest.raises(TimestampRangeError):
-            digitize(np.array([9.3e18]), self.TIMER, acquisition_span_fs=10**6)
+            digitize(np.array([9.3e18]), self.TIMER)
 
     @pytest.mark.parametrize("times", [
         [-9.3e18, 0.0], [0.0, 9.3e18], [-math.inf, 0.0], [0.0, math.inf], [-math.inf, math.inf],
@@ -427,22 +432,22 @@ class TestDigitize:
     def test_range_error_at_either_end(self, times):
         # the check reads the ends of the sorted times, whichever end is out
         with pytest.raises(TimestampRangeError):
-            digitize(np.array(times), self.TIMER, acquisition_span_fs=10**6)
+            digitize(np.array(times), self.TIMER)
 
     @pytest.mark.parametrize("offset_fs", [3 * 10**17, -3 * 10**17])
     def test_clock_offset_pushes_out_of_range(self, offset_fs):
         times = np.array([-9.0e18, 0.0, 9.0e18])
         timer = TimerSpec(resolution_fs=1000, clock_offset_fs=offset_fs, site_id=0)
         with pytest.raises(TimestampRangeError):
-            digitize(times, timer, acquisition_span_fs=10**6)
+            digitize(times, timer)
 
     def test_extremes_in_range(self):
-        stream = digitize(np.array([-9.2e18, 9.2e18]), self.TIMER, acquisition_span_fs=10**6)
-        assert stream.tags.tolist() == [-9_200_000_000_000_000_000, 9_200_000_000_000_000_000]
+        tags = digitize(np.array([-9.2e18, 9.2e18]), self.TIMER)
+        assert tags.tolist() == [-9_200_000_000_000_000_000, 9_200_000_000_000_000_000]
 
     def test_unsorted_rejected(self):
         with pytest.raises(ParameterError):
-            digitize(np.array([2e6, 1e6]), self.TIMER, acquisition_span_fs=10**7)
+            digitize(np.array([2e6, 1e6]), self.TIMER)
 
     @pytest.mark.parametrize("times", [
         [math.nan, 0.0, 1e6], [0.0, math.nan, 1e6], [0.0, 1e6, math.nan], [math.nan],
@@ -452,7 +457,7 @@ class TestDigitize:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError):
-                digitize(np.array(times), self.TIMER, acquisition_span_fs=10**7)
+                digitize(np.array(times), self.TIMER)
 
 
 class TestEndToEnd:
@@ -520,7 +525,7 @@ class TestBlocks:
         streams = []
         for (_, _, det, timer, _), out in zip(arms, raw):
             times = greedy_dead_time(np.sort(np.concatenate(out)), det.dead_time_ns * 1e6)
-            streams.append(digitize(times, timer, math.ceil(duration * 1e15)))
+            streams.append(simulated_stream(digitize(times, timer), timer, duration))
         return streams
 
     def check(self, monkeypatch, cfg, seed):

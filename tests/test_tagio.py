@@ -159,19 +159,13 @@ class TestTagWriter:
     def test_blocks_write_the_bytes_of_one_stream(self):
         tags = np.array([-7, 0, 5, 5, 9, 12, 40], dtype=np.int64)
         buf = io.BytesIO()
-        with TagWriter(buf, 1000, 3, min_span_fs=30) as writer:
+        with TagWriter(buf, 1000, 3) as writer:
             for block in (tags[:3], tags[3:3], tags[3:6], tags[6:]):
                 writer.append(block)
+            writer.close(40)
         whole = io.BytesIO()
         write_tags(stream_of(tags, site_id=3, span=40), whole)
         assert buf.getvalue() == whole.getvalue()
-
-    @pytest.mark.parametrize("tags, span", [([], 30), ([5, 20], 30), ([5, 40], 40)])
-    def test_span_covers_duration_and_last_tag(self, tags, span):
-        buf = io.BytesIO()
-        with TagWriter(buf, 1000, 0, min_span_fs=30) as writer:
-            writer.append(np.array(tags, dtype=np.int64))
-        assert read_tags(io.BytesIO(buf.getvalue())).acquisition_span_fs == span
 
     def test_block_before_previous_block_rejected(self):
         writer = TagWriter(io.BytesIO(), 1000, 0)
@@ -187,6 +181,16 @@ class TestTagWriter:
         for read in (_read_file, _read_socket):
             with pytest.raises(TruncatedFileError, match="never finalized"):
                 read(buf.getvalue(), tmp_path)
+
+    def test_unclosed_writer_discarded(self, tmp_path):
+        # leaving the block without close() and without an exception discards
+        path, buf = tmp_path / "a.tags", io.BytesIO()
+        for destination in (path, buf):
+            with TagWriter(destination, 1000, 0) as writer:
+                writer.append(np.arange(3))
+        assert not path.exists()
+        with pytest.raises(TruncatedFileError, match="never finalized"):
+            read_tags(io.BytesIO(buf.getvalue()))
 
     def test_exception_deletes_the_file(self, tmp_path):
         path = tmp_path / "a.tags"
