@@ -223,16 +223,16 @@ def fit_linear(points: Sequence[tuple[float, float, float]]) -> LinearFit:
     )
 
 
-def dispersion_from_slope(slope_ps_per_km: float, src: SourceParams, sign: int = 1) -> float:
-    """Invert the far-field width-per-length slope to k'' in s^2/m.
+def dispersion_from_slope(slope_ps_per_km: float, src: SourceParams) -> float:
+    """Invert the far-field width-per-length slope to |k''| in s^2/m.
 
     slope/eta is the accumulated dispersion per km in ps^2; dividing by
-    1000 m and converting ps^2 -> s^2 gives k''.  ``sign`` encodes the
-    channel role (anomalous SMF negative, DCF positive).
+    1000 m and converting ps^2 -> s^2 gives |k''|.  The slope carries no
+    sign, so anomalous SMF and normal DCF come out alike.
     """
     check_range("slope_ps_per_km", slope_ps_per_km, 0, above=True)
     k2l_ps2_per_km = slope_ps_per_km / model.farfield_eta(src)
-    return sign * k2l_ps2_per_km * 1e-24 / 1e3
+    return k2l_ps2_per_km * 1e-24 / 1e3
 
 
 def fit_report_text(fit: GaussianFit) -> str:

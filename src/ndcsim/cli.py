@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration or input error, 3 no coincidence peak,
-4 fit failure, 5 transport error.
+Exit codes: 0 success, 1 a ``reproduce`` target outside its bounds or a closed
+stdout, 2 configuration or input error, 3 no coincidence peak, 4 fit failure,
+5 transport error.
 """
 
 from __future__ import annotations
@@ -16,18 +17,18 @@ from . import presets, tagio
 from .analyze import evaluate_wasak, fit_gaussian, fit_report_text, wasak_report_text
 from .config import parse_config
 from .correlate import read_histogram_csv, write_histogram_csv
-from .errors import (ConfigError, FitError, NoPeakError, ParameterError, TagFormatError,
-                     TransportError, check_range)
+from .errors import (ConfigError, FitError, NdcError, NoPeakError, ParameterError,
+                     TagFormatError, TransportError, check_range)
 from .pipeline import acquisition_span_fs, measure_peak, simulate_blocks
 # cmd_simulate streams its blocks; run_simulation stays importable from here
 # because the benchmark's tracer (perfbench/tracing.py) wraps cli.run_simulation.
 from .pipeline import run_simulation  # noqa: F401
 from .reproduce import TARGETS, reproduce
 
-EXIT_CONFIG = 2
-EXIT_NO_PEAK = 3
-EXIT_FIT_FAILED = 4
-EXIT_TRANSPORT = 5
+# Exit code and stderr label of each package error; the classes are disjoint.
+_EXITS = {ConfigError: (2, "config error"), ParameterError: (2, "invalid parameter"),
+          TagFormatError: (2, "bad tag data"), NoPeakError: (3, "no peak"),
+          FitError: (4, "fit failed"), TransportError: (5, "transport error")}
 
 
 def _write_manifest(manifest, path):
@@ -214,24 +215,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoPeakError as exc:
-        print(f"no peak: {exc}", file=sys.stderr)
-        return EXIT_NO_PEAK
-    except FitError as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return EXIT_FIT_FAILED
-    except TransportError as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    except ParameterError as exc:
-        print(f"invalid parameter: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TagFormatError as exc:
-        print(f"bad tag data: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except NdcError as exc:
+        code, label = next(v for cls, v in _EXITS.items() if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

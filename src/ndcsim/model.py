@@ -17,6 +17,10 @@ FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
+# Each correlation mode's idler detuning in units of the signal's: -1 anti,
+# +1 positive, and 0 for an idler drawn independently of the signal.
+IDLER_SIGN = {"anti": -1.0, "positive": 1.0, "none": 0.0}
+
 
 @dataclass(frozen=True)
 class SourceParams:
@@ -122,15 +126,11 @@ def source_variance_ps2(src: SourceParams, s: float, i: float, mode: str = "anti
     and idler accumulated dispersions k''l in ps**2.  In the anti mode it is
     minimal exactly when the two dispersions cancel.
     """
-    g = src.base_variance_ps2
-    sw = src.effective_sigma_omega
-    if mode == "anti":
-        return g + (s + i) ** 2 * sw**2
-    if mode == "positive":
-        return g + (s - i) ** 2 * sw**2
-    if mode == "none":
-        return g + (s**2 + i**2) * sw**2
-    raise ParameterError(f"unknown correlation mode {mode!r}")
+    if mode not in IDLER_SIGN:
+        raise ParameterError(f"unknown correlation mode {mode!r}")
+    sign = IDLER_SIGN[mode]
+    spread = (s - sign * i) ** 2 if sign else s**2 + i**2
+    return src.base_variance_ps2 + spread * src.effective_sigma_omega**2
 
 
 def fwhm_from_sigma(sigma_ps: float) -> float:

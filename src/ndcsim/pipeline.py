@@ -95,7 +95,7 @@ def measure_peak(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> Pea
     holds as many differences.
     """
     offset, width_fs = coarse_offset(a, b, search_span_ms)
-    tick = int(np.gcd(a.resolution_fs, b.resolution_fs)) or 1
+    tick = int(np.gcd(a.resolution_fs, b.resolution_fs))
     seed_bin_fs = max((2 * width_fs + COARSE_BIN_FS) // (_SEED_BINS * tick), 1) * tick
     fit = fit_gaussian(strided_counts(a, b, offset, seed_bin_fs, _SEED_BINS))
     bin_fs = max(round(fit.fwhm_ps * FS_PER_PS / (10 * tick)), 1) * tick

@@ -164,7 +164,7 @@ def reproduce_fig3(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
             f"(reference {ref_slope}, deviation {100 * rel:.2f}%, require <= 3%)"
         )
 
-        k2_inverted = abs(dispersion_from_slope(ref_slope, src))
+        k2_inverted = dispersion_from_slope(ref_slope, src)
         rel_k2 = abs(k2_inverted - abs(ref_k2)) / abs(ref_k2)
         ok = ok and rel_k2 <= 0.01
         lines.append(

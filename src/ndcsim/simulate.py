@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, TimestampRangeError, check_range
-from .model import FWHM_PER_SIGMA, DispersionLeg, SourceParams
+from .model import FWHM_PER_SIGMA, IDLER_SIGN, DispersionLeg, SourceParams
 from .streams import FS_PER_PS, FS_PER_S
 
 INT64_MAX = np.iinfo(np.int64).max
 
-CORRELATION_MODES = ("anti", "positive", "none")
+CORRELATION_MODES = tuple(IDLER_SIGN)
 
 # Bits of PairEvents.arms: the arms in which a pair's photon is detected.
 SIGNAL = 1
@@ -165,10 +165,9 @@ def generate_pairs(
     del u, both  # before the normal draws
     delta_t = rng.normal(0.0, src.base_sigma_ps * FS_PER_PS, n)
     omega_s = rng.normal(0.0, src.effective_sigma_omega, n)
-    if mode == "none":
-        return PairEvents(emission, delta_t, omega_s,
-                          rng.normal(0.0, src.effective_sigma_omega, n), 1.0, arms)
-    return PairEvents(emission, delta_t, omega_s, omega_s, -1.0 if mode == "anti" else 1.0, arms)
+    sign = IDLER_SIGN[mode]
+    idler = omega_s if sign else rng.normal(0.0, src.effective_sigma_omega, n)
+    return PairEvents(emission, delta_t, omega_s, idler, sign or 1.0, arms)
 
 
 def propagate(events: PairEvents, leg: DispersionLeg, which: str) -> np.ndarray:

@@ -263,9 +263,8 @@ class TestFitLinear:
 
 class TestDispersionFromSlope:
     def test_smf(self):
-        k2 = dispersion_from_slope(42.96, SRC, sign=-1)
-        assert abs(k2) == pytest.approx(2.37e-26, rel=0.01)
-        assert k2 < 0
+        k2 = dispersion_from_slope(42.96, SRC)
+        assert k2 == pytest.approx(2.37e-26, rel=0.01)
         # far-field slope at the nominal k2
         assert dispersion_from_slope(40.94, SRC) == pytest.approx(2.26e-26, rel=5e-4)
 

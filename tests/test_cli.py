@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ndcsim import presets, simulate, tagio
+from ndcsim import cli, errors, presets, simulate, tagio
 from ndcsim.cli import main
 from ndcsim.config import dump_config
-from ndcsim.errors import TimestampRangeError
+from ndcsim.errors import (ConfigError, FitError, NdcError, NoPeakError, ParameterError,
+                           TagFormatError, TimestampRangeError, TransportError)
 from ndcsim.reproduce import reproduce
 
 
@@ -372,6 +373,31 @@ class TestReproduce:
     def test_unknown_target_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["reproduce", "fig9"])
+
+
+# The documented exit code and stderr label of each family of package errors.
+DOCUMENTED_EXITS = {ConfigError: (2, "config error"), ParameterError: (2, "invalid parameter"),
+                    TagFormatError: (2, "bad tag data"), NoPeakError: (3, "no peak"),
+                    FitError: (4, "fit failed"), TransportError: (5, "transport error")}
+
+
+def _error_classes(base=NdcError):
+    for cls in base.__subclasses__():
+        if cls.__module__ == errors.__name__:
+            yield cls
+            yield from _error_classes(cls)
+
+
+@pytest.mark.parametrize("error", sorted(set(_error_classes()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_error_class_ends_with_its_documented_code(error, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "reproduce", failing)
+    code, label = next(v for cls, v in DOCUMENTED_EXITS.items() if issubclass(error, cls))
+    assert main(["reproduce", "fig2a"]) == code
+    assert capsys.readouterr().err == f"{label}: injected\n"
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -417,6 +417,11 @@ class TestDecodedStream:
         with pytest.raises(UnsortedTagsError, match="first offending index 1$"):
             read(raw, tmp_path)
 
+    def test_zero_resolution_rejected(self, read, tmp_path):
+        raw = pack_header(0, 0, 3, 100) + np.arange(3, dtype="<i8").tobytes()
+        with pytest.raises(TagFormatError, match="resolution must be >= 1 fs, got 0"):
+            read(raw, tmp_path)
+
 
 def test_unaligned_tags_copied_aligned():
     # Tags 38 bytes into a buffer, as they stand in a tag file.
