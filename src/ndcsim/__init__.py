@@ -22,7 +22,8 @@ from .model import (
     wasak_w_uncertainty,
 )
 from .pipeline import measure_peak, run_simulation
-from .simulate import DetectorSpec, PairEvents, TimerSpec, detect, digitize, generate_pairs, propagate
+from .simulate import (DetectorSpec, PairEvents, TimerSpec, arm_shifts, detect, digitize,
+                       generate_pairs, propagate)
 from .streams import TagStream
 from .tagio import read_tags, write_tags
 

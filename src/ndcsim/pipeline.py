@@ -14,7 +14,7 @@ from .analyze import GaussianFit, fit_gaussian
 from .config import ExperimentConfig
 from .correlate import (COARSE_BIN_FS, Histogram, coarse_offset, fine_histogram, g2_normalize,
                         strided_counts)
-from .simulate import ArmChain, check_duration, generate_pairs
+from .simulate import ArmChain, arm_shifts, check_duration, generate_pairs
 from .streams import FS_PER_PS, FS_PER_S, TagStream
 
 _SEED_BINS = 250  # seed-pass bins either side of the coarse offset
@@ -46,12 +46,14 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
     check_duration(duration)
     p_a = cfg.smf.survival_probability * cfg.detector_a.efficiency
     p_b = cfg.dcf.survival_probability * cfg.detector_b.efficiency
-    arms = (ArmChain(cfg.source, cfg.smf, "signal", cfg.detector_a, cfg.timer_a, seed, duration),
-            ArmChain(cfg.source, cfg.dcf, "idler", cfg.detector_b, cfg.timer_b, seed, duration))
+    dets = (cfg.detector_a, cfg.detector_b)
+    shifts = arm_shifts(cfg.source, cfg.run.mode, (cfg.smf, cfg.dcf), dets)
+    arms = [ArmChain(shift, det, timer, seed, duration)
+            for shift, det, timer in zip(shifts, dets, (cfg.timer_a, cfg.timer_b))]
     block_s = _BLOCK_FS / FS_PER_S
     for block in itertools.count():
         start, end = block * block_s, min((block + 1) * block_s, duration)
-        pairs = generate_pairs(cfg.source, cfg.run.mode, end, seed, p_a, p_b, start, block)
+        pairs = generate_pairs(cfg.source, end, seed, p_a, p_b, start, block)
         tags = tuple(arm.add(pairs, block, start, end) for arm in arms)
         del pairs  # before the tags are used, and the next block draws its own
         yield tags

@@ -6,14 +6,26 @@ seed-derived RNG stream, so identical seeds give bit-identical output
 regardless of how stages are combined.  A long acquisition is simulated in
 blocks of emission time (``ArmChain``), each with its own streams.
 
-Only pairs with at least one detectable photon are drawn.  Fiber loss and
+Only pairs with at least one detected photon are drawn.  Fiber loss and
 detector efficiency remove each photon independently, so thinning the pair
-Poisson process by them is the same in distribution as marking a Poisson
-process of the surviving pairs with the arms they reach: both, signal only or
-idler only.  Pairs lost in both arms are never generated.
+Poisson process by them splits it into three independent Poisson processes:
+pairs seen in both arms, in the signal arm only and in the idler arm only.
+Pairs lost in both arms are never generated.
 
-Internal time unit is the femtosecond; spectral detunings are rad/ps and
-accumulated dispersions ps**2, matching the analytic model.
+A photon lands at its emission plus its fiber's group delay plus a Gaussian
+shift: half the pair's offset, its fiber's dispersion acting on its detuning,
+and its detector's jitter, all independent Gaussians.  So each detected
+photon takes one standard normal draw (``generate_pairs``), which
+``arm_shifts`` scales to its shift: a photon seen alone to its arm's
+marginal, and the two photons of a pair seen in both arms to one correlated
+bivariate normal.
+
+Time is int64 femtoseconds from emission to tag.  Emissions and dark counts
+are drawn as integers, and each photon's continuous shift is rounded once,
+half-up, to a whole fs, which adds 1/12 fs**2 (about 1e-7 ps**2) to its
+variance; the sort, dead time and digitization are then exact at any
+acquisition length.  Spectral detunings are rad/ps and accumulated
+dispersions ps**2, matching the analytic model.
 """
 
 from __future__ import annotations
@@ -28,13 +40,9 @@ from .model import FWHM_PER_SIGMA, IDLER_SIGN, DispersionLeg, SourceParams
 from .streams import FS_PER_PS, FS_PER_S
 
 INT64_MAX = np.iinfo(np.int64).max
+INT64_MIN = np.iinfo(np.int64).min
 
 CORRELATION_MODES = tuple(IDLER_SIGN)
-
-# Bits of PairEvents.arms: the arms in which a pair's photon is detected.
-SIGNAL = 1
-IDLER = 2
-BOTH = SIGNAL | IDLER
 
 # Spawn keys for the per-stage RNG streams.
 _STAGE_PAIRS = 0
@@ -42,8 +50,8 @@ _STAGE_DETECT_A = 3
 _STAGE_DETECT_B = 4
 
 # A detected photon lies within this many standard deviations of its Gaussian
-# shift (half the pair offset, dispersion and jitter) from its emission plus
-# the group delay: a normal draw beyond 20 sigma has probability below 1e-88.
+# shift from its emission plus the group delay: a normal draw beyond 20 sigma
+# has probability below 1e-88.
 _SHIFT_SIGMAS = 20
 
 # Gaps the dead-time filter takes at once: a 64 KiB temporary.
@@ -67,6 +75,11 @@ def check_duration(duration_s: float) -> None:
     check_range("duration_s", duration_s, 0)
     if duration_s * FS_PER_S >= INT64_MAX:
         raise TimestampRangeError("duration exceeds the int64 femtosecond range")
+
+
+def _window_fs(start_s: float, end_s: float) -> tuple[int, int]:
+    """The whole femtoseconds t with start_s <= t < end_s, as [lo, hi)."""
+    return math.ceil(start_s * FS_PER_S), math.ceil(end_s * FS_PER_S)
 
 
 @dataclass(frozen=True)
@@ -103,104 +116,131 @@ class TimerSpec:
 
 
 @dataclass(frozen=True)
-class PairEvents:
-    """A batch of photon-pair emissions with at least one detected photon.
+class ArmShift:
+    """Where one arm's detected photons land, relative to their emission (fs).
 
-    ``delta_t_fs`` is the intra-pair signal-minus-idler offset at the source;
-    ``omega_signal`` is the signal photon's spectral detuning (rad/ps) and
-    ``idler_sign * idler_omega`` the idler's.  In modes ``anti`` and
-    ``positive``, ``idler_omega`` is ``omega_signal`` itself, with sign -1 and
-    +1; in mode ``none`` it is drawn on its own, with sign +1.  ``arms`` holds
-    the ``SIGNAL``/``IDLER`` bits of the arms in which the pair is detected.
+    ``arm`` is 0 for the signal and 1 for the idler.  A photon lands
+    ``delay_fs`` (its fiber's group delay) plus a Gaussian shift after its
+    emission.  Seen alone, its shift is ``sigma_fs`` times one standard
+    normal; seen with its twin, it is ``both[0] * z0 + both[1] * z1`` with the
+    pair's two standard normals, ``both`` being the arm's row of the Cholesky
+    factor of the two photons' covariance.
     """
 
-    emission_fs: np.ndarray
-    delta_t_fs: np.ndarray
-    omega_signal: np.ndarray
-    idler_omega: np.ndarray
-    idler_sign: float
-    arms: np.ndarray
+    arm: int
+    delay_fs: float
+    sigma_fs: float
+    both: tuple[float, float]
+
+
+def arm_shifts(src: SourceParams, mode: str, legs: tuple[DispersionLeg, DispersionLeg],
+               dets: tuple[DetectorSpec, DetectorSpec]) -> tuple[ArmShift, ArmShift]:
+    """The signal and idler arms' shifts, from the physical parameters alone.
+
+    A photon's shift is +-dt/2 (+ for the signal) for the pair offset dt, of
+    variance sigma_t^2 = gamma D^2 L^2; plus k''l * Omega for its fiber's
+    accumulated dispersion and its detuning Omega, of std sigma_omega; plus
+    its detector's jitter.  These are independent Gaussians, so a photon's
+    shift has variance sigma_t^2/4 + (k''l sigma_omega)^2 + sigma_J^2.  The
+    idler's detuning is the signal's times IDLER_SIGN[mode], or independent of
+    it in mode none (sign 0), so a pair's two shifts covary by
+    -sigma_t^2/4 + sign k''l_a k''l_b sigma_omega^2.  The Cholesky factor of
+    that 2x2 covariance is singular when the two shifts are fully correlated
+    (no jitter and no fiber, say): its second diagonal entry is then 0.
+    """
+    if mode not in IDLER_SIGN:
+        raise ParameterError(f"unknown correlation mode {mode!r}")
+    quarter = src.base_variance_ps2 * FS_PER_PS**2 / 4
+    disp = [leg.k2l_ps2 * src.effective_sigma_omega * FS_PER_PS for leg in legs]
+    var = [quarter + d * d + det.jitter_sigma_fs**2 for d, det in zip(disp, dets)]
+    cov = IDLER_SIGN[mode] * disp[0] * disp[1] - quarter
+    l00 = math.sqrt(var[0])
+    l10 = cov / l00
+    rows = ((l00, 0.0), (l10, math.sqrt(max(var[1] - l10 * l10, 0.0))))
+    return tuple(ArmShift(arm, leg.group_delay_fs, math.sqrt(v), row)
+                 for arm, (leg, v, row) in enumerate(zip(legs, var, rows)))
+
+
+@dataclass(frozen=True)
+class PairEvents:
+    """One block's pair emissions with a photon detected in at least one arm.
+
+    Emissions are int64 fs in [start, end_fs), in no particular order, in
+    three classes: ``both_fs``, seen in both arms, and ``alone_fs[k]``, seen
+    in arm k alone (0 signal, 1 idler).  Each detected photon has one
+    standard normal: ``both_z`` holds a pair's two, shape (2, n), and
+    ``alone_z[k]`` one per emission of ``alone_fs[k]``.
+    """
+
+    both_fs: np.ndarray
+    both_z: np.ndarray
+    alone_fs: tuple[np.ndarray, np.ndarray]
+    alone_z: tuple[np.ndarray, np.ndarray]
+    end_fs: int
 
     def __len__(self) -> int:
-        return int(self.emission_fs.size)
+        return int(self.both_fs.size + self.alone_fs[0].size + self.alone_fs[1].size)
 
 
 def generate_pairs(
-    src: SourceParams, mode: str, duration_s: float, seed: int,
-    p_signal: float = 1.0, p_idler: float = 1.0, start_s: float = 0.0, block: int = 0,
+    src: SourceParams, duration_s: float, seed: int, p_signal: float = 1.0,
+    p_idler: float = 1.0, start_s: float = 0.0, block: int = 0,
 ) -> PairEvents:
     """Sample the detected pair emissions in [start_s, duration_s) seconds.
 
     ``p_signal`` / ``p_idler`` are the probabilities that a photon of each arm
-    is detected (fiber survival times detector efficiency).  Emissions follow
-    a Poisson process at ``src.pair_rate_hz * (1 - (1-p_s)(1-p_i))``, and each
-    is detected in both arms, the signal arm only or the idler arm only with
-    probabilities proportional to p_s*p_i, p_s(1-p_i) and (1-p_s)p_i.  The
-    intra-pair time offset is Gaussian with std sqrt(gamma)*D*L and the
-    signal detuning Gaussian with std ``src.effective_sigma_omega``.
-    ``block`` picks the RNG stream (see ``stage_rng``).
+    is detected (fiber survival times detector efficiency).  Pairs seen in
+    both arms, the signal arm only and the idler arm only are Poisson at
+    ``src.pair_rate_hz`` times p_s*p_i, p_s(1-p_i) and (1-p_s)p_i, with
+    emissions uniform over the window's whole femtoseconds.  ``block`` picks
+    the RNG stream (see ``stage_rng``).
     """
     check_duration(duration_s)
     check_range("start_s", start_s, 0, duration_s)
-    if mode not in CORRELATION_MODES:
-        raise ParameterError(f"unknown correlation mode {mode!r}")
     for name, p in (("p_signal", p_signal), ("p_idler", p_idler)):
         check_range(name, p, 0, 1)
 
     rng = stage_rng(seed, _STAGE_PAIRS, block)
-    q_both = p_signal * p_idler
-    q_signal = p_signal * (1.0 - p_idler)
-    q_any = 1.0 - (1.0 - p_signal) * (1.0 - p_idler)
-    n = int(rng.poisson(src.pair_rate_hz * (duration_s - start_s) * q_any))
-    emission = rng.uniform(start_s * FS_PER_S, duration_s * FS_PER_S, n)
-    emission.sort()
-    emission = emission.astype(np.int64)
-    u = rng.random(n)
-    u *= q_any
-    # IDLER, less 1 where the signal arm detects, plus 2 where both arms do
-    arms = np.subtract(IDLER, u < q_both + q_signal, dtype=np.uint8)
-    both = (u < q_both).view(np.uint8)
-    arms += both
-    arms += both
-    del u, both  # before the normal draws
-    delta_t = rng.normal(0.0, src.base_sigma_ps * FS_PER_PS, n)
-    omega_s = rng.normal(0.0, src.effective_sigma_omega, n)
-    sign = IDLER_SIGN[mode]
-    idler = omega_s if sign else rng.normal(0.0, src.effective_sigma_omega, n)
-    return PairEvents(emission, delta_t, omega_s, idler, sign or 1.0, arms)
+    lo, hi = _window_fs(start_s, duration_s)
+    shares = (p_signal * p_idler, p_signal * (1.0 - p_idler), (1.0 - p_signal) * p_idler)
+    counts = rng.poisson(src.pair_rate_hz * (hi - lo) / FS_PER_S * np.array(shares))
+    n_both, n_signal, n_idler = counts.tolist()
+    emission = rng.integers(lo, hi, n_both + n_signal + n_idler)
+    z = rng.standard_normal(emission.size + n_both)
+    split = n_both + n_signal
+    return PairEvents(
+        both_fs=emission[:n_both], both_z=z[:2 * n_both].reshape(2, n_both),
+        alone_fs=(emission[n_both:split], emission[split:]),
+        alone_z=(z[2 * n_both:n_both + split], z[n_both + split:]), end_fs=hi)
 
 
-def propagate(events: PairEvents, leg: DispersionLeg, which: str) -> np.ndarray:
-    """Arrival times (fs, float64) of one arm's detected photons after a fiber leg.
+def propagate(events: PairEvents, shift: ArmShift) -> np.ndarray:
+    """Arrival times (int64 fs) of one arm's detected photons: those of the
+    pairs seen in both arms, then those seen in this arm alone, in the order
+    of their emissions in ``events``.
 
-    Only pairs detected in the arm contribute, in emission order.  The
-    dispersive time shift is k''l * Omega for the photon's own detuning; for
-    an idler that is ``idler_omega * (idler_sign * k''l)``, which equals
-    ``(idler_sign * idler_omega) * k''l`` exactly, since the sign is +-1.
-    ``events`` is left unchanged.
+    Each photon's continuous shift, the group delay plus its Gaussian, is
+    rounded half-up to whole fs and added to its emission.  ``events`` is
+    left unchanged.
     """
-    if which == "signal":
-        half, bit, omega, k2l = +0.5, SIGNAL, events.omega_signal, leg.k2l_ps2
-    elif which == "idler":
-        half, bit, omega = -0.5, IDLER, events.idler_omega
-        k2l = events.idler_sign * leg.k2l_ps2
-    else:
-        raise ParameterError(f"which must be 'signal' or 'idler', got {which!r}")
-
-    # ((emission + half * delta_t) + group delay) + (k''l * Omega) * 1e3, in
-    # this order; a sum may swap its operands, which leaves its result as is.
-    mine = np.flatnonzero((events.arms & bit) != 0)
-    out = events.delta_t_fs.take(mine)
-    out *= half
-    scratch = events.emission_fs.take(mine)
-    np.add(scratch, out, out=out)
-    out += leg.group_delay_fs
-    shift = scratch.view(np.float64)
-    # take copies through a buffer in mode "raise"; mine has no index to clip
-    np.take(omega, mine, out=shift, mode="clip")
-    shift *= k2l
-    shift *= FS_PER_PS
-    out += shift
+    n = events.both_fs.size
+    alone_fs = events.alone_fs[shift.arm]
+    s = np.empty(n + alone_fs.size)
+    first, second = shift.both
+    np.multiply(events.both_z[0], first, out=s[:n])
+    if second:
+        s[:n] += events.both_z[1] * second
+    np.multiply(events.alone_z[shift.arm], shift.sigma_fs, out=s[n:])
+    s += shift.delay_fs + 0.5
+    # emissions lie in [0, end_fs): the arrivals fit int64 when the shifts do
+    hi = s.max() if s.size else 0.0
+    if not (-2.0**63 <= s.min(initial=0.0) and hi < 2.0**63
+            and int(hi) < INT64_MAX - events.end_fs):
+        raise TimestampRangeError("arrival outside the int64 femtosecond range")
+    out = s.view(np.int64)
+    np.floor(s, out=out, casting="unsafe")  # in place, element by element
+    out[:n] += events.both_fs
+    out[n:] += alone_fs
     return out
 
 
@@ -209,61 +249,58 @@ class Carry:
     """One arm's detection state between the time blocks of an acquisition.
 
     ``pending`` holds the sorted, unpruned detections at or after
-    ``boundary_fs``, which a later block may still precede; ``final_fs`` is
-    the latest detection already returned and ``last_kept_fs`` the latest one
-    the dead-time filter kept.
+    ``boundary_fs`` (None: no boundary), which a later block may still
+    precede; ``final_fs`` is the latest detection already returned and
+    ``last_kept_fs`` the latest one the dead-time filter kept.
     """
 
-    boundary_fs: float = math.inf
-    pending: np.ndarray = field(default_factory=lambda: np.empty(0))
-    final_fs: float = -math.inf
-    last_kept_fs: float = -math.inf
+    boundary_fs: int | None = None
+    pending: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    final_fs: int | float = -math.inf
+    last_kept_fs: int | float = -math.inf
 
 
 def detect(
     arrivals_fs: np.ndarray, det: DetectorSpec, seed: int, stage: int, duration_s: float = 0.0,
     start_s: float = 0.0, block: int = 0, carry: Carry | None = None,
 ) -> np.ndarray:
-    """Apply detector timing; returns sorted real-valued detection times (fs).
+    """Apply the detector's counting; returns the sorted int64 detection times (fs).
 
     Every arrival is a detected photon (efficiency is part of the pair
-    marking in ``generate_pairs``).  Order of effects: Gaussian jitter, dark
-    counts uniform over the window [start_s, duration_s), sort, dead-time
-    pruning.  ``block`` picks the RNG stream (see ``stage_rng``).  A
-    ``carry`` joins its pending detections to the sort and takes back, unpruned,
-    those at or after its boundary; the rest are pruned against its last kept
-    detection.  A detection earlier than one a previous call returned raises
+    classes in ``generate_pairs``, jitter part of its shift in
+    ``propagate``).  Order of effects: dark counts uniform over the whole fs
+    of the window [start_s, duration_s), sort, dead-time pruning.  ``block``
+    picks the RNG stream (see ``stage_rng``).  A ``carry`` joins its pending
+    detections to the sort and takes back, unpruned, those at or after its
+    boundary; the rest are pruned against its last kept detection.  A
+    detection earlier than one a previous call returned raises
     ParameterError.  ``arrivals_fs`` is left unchanged.
     """
     rng = stage_rng(seed, stage, block)
     carry = Carry() if carry is None else carry
-    t = np.asarray(arrivals_fs, dtype=np.float64)
-    if det.jitter_fwhm_ps > 0:
-        jittered = rng.normal(0.0, det.jitter_sigma_fs, t.size)
-        jittered += t
-        t = jittered
+    t = np.asarray(arrivals_fs)
+    if t.dtype != np.int64:
+        raise ParameterError(f"arrival times must be int64 femtoseconds, got {t.dtype}")
     parts = [carry.pending, t] if carry.pending.size else [t]
     if det.dark_rate_hz > 0 and duration_s > start_s:
-        n_dark = int(rng.poisson(det.dark_rate_hz * (duration_s - start_s)))
-        parts.append(rng.uniform(start_s * FS_PER_S, duration_s * FS_PER_S, n_dark))
-    if len(parts) > 1:
-        t = np.concatenate(parts)
-    if np.may_share_memory(t, arrivals_fs):
-        t = t.copy()
-    # The arrivals come in emission order, nearly sorted: timsort merges their runs.
-    t.sort(kind="stable")
+        lo, hi = _window_fs(start_s, duration_s)
+        n_dark = int(rng.poisson(det.dark_rate_hz * (hi - lo) / FS_PER_S))
+        parts.append(rng.integers(lo, hi, n_dark))
+    t = np.concatenate(parts) if len(parts) > 1 else t.copy()
+    t.sort()
     if t.size and t[0] < carry.final_fs:
         raise ParameterError(f"detection at {t[0]} fs precedes the finalized one at "
                              f"{carry.final_fs} fs: a photon's shift exceeds the block margin")
-    cut = int(np.searchsorted(t, carry.boundary_fs))
+    cut = t.size if carry.boundary_fs is None else int(np.searchsorted(t, carry.boundary_fs))
     carry.pending = t[cut:].copy()
     t = t[:cut]
     if t.size:
-        carry.final_fs = float(t[-1])
+        carry.final_fs = int(t[-1])
     if det.dead_time_ns > 0:
-        t = _prune_dead_time(t, det.dead_time_ns * 1e6, carry.last_kept_fs)
+        # t - kept < dead time exactly when, in whole fs, t - kept < its ceiling
+        t = _prune_dead_time(t, math.ceil(det.dead_time_ns * 1e6), carry.last_kept_fs)
     if t.size:
-        carry.last_kept_fs = float(t[-1])
+        carry.last_kept_fs = int(t[-1])
     return t
 
 
@@ -288,7 +325,7 @@ def _prune_dead_time(times: np.ndarray, dead_fs: float, last: float = -math.inf)
     prev = -2
     for i, t in zip(close.tolist(), times[close].tolist()):
         if i != prev + 1:
-            kept = float(times[i - 1]) if i else last
+            kept = times[i - 1].item() if i else last
         if t - kept < dead_fs:
             dropped.append(i)
         else:
@@ -305,23 +342,34 @@ def _prune_dead_time(times: np.ndarray, dead_fs: float, last: float = -math.inf)
 
 
 def digitize(times_fs: np.ndarray, timer: TimerSpec) -> np.ndarray:
-    """Quantize detection times onto the event-timer grid; returns the int64 tags.
+    """Quantize int64 detection times onto the event-timer grid; returns the int64 tags.
 
-    Adds the clock offset, rounds half-up to the nearest resolution multiple
-    and emits sorted integer tags; ties after rounding stay as duplicates.
-    ``times_fs`` is left unchanged.
+    Adds the clock offset and rounds half-up, exactly, to the nearest
+    resolution multiple: with ``q, r = divmod(t + offset, res)`` a tag is
+    ``res * (q + (r >= res - r))``.  That is ``(x + res//2) // res`` ticks for
+    x = t + offset, computed as ``(x - (res - res//2)) // res + 1`` where x >= 0
+    so that no sum leaves int64.  Ties after rounding stay as duplicates.
+    ``times_fs`` must be sorted and is left unchanged.
     """
-    t = np.asarray(times_fs, dtype=np.float64)
+    t = np.asarray(times_fs)
+    if t.dtype != np.int64:
+        raise ParameterError(f"detection times must be int64 femtoseconds, got {t.dtype}")
     if not np.all(t[1:] >= t[:-1]):
-        raise ParameterError("detection times must be sorted and not nan")
-    ticks = t + float(timer.clock_offset_fs)  # sorted: the extremes are the ends
-    if ticks.size and not np.max(np.abs(ticks[[0, -1]])) < INT64_MAX - timer.resolution_fs:
-        raise TimestampRangeError("timestamp outside the int64 femtosecond range")
-    ticks /= timer.resolution_fs
-    ticks += 0.5
-    np.floor(ticks, out=ticks)
-    tags = ticks.astype(np.int64)
-    tags *= timer.resolution_fs
+        raise ParameterError("detection times must be sorted")
+    res = timer.resolution_fs
+    for end in (int(t[0]), int(t[-1])) if t.size else ():  # sorted: the extremes are the ends
+        x = end + timer.clock_offset_fs
+        q, r = divmod(x, res)
+        tag = (q + (r >= res - r)) * res
+        if not INT64_MIN <= min(x, tag) <= max(x, tag) <= INT64_MAX:
+            raise TimestampRangeError("timestamp outside the int64 femtosecond range")
+    tags = t + timer.clock_offset_fs
+    k = int(np.searchsorted(tags, 0))  # sorted: the negative ones first
+    tags[:k] += res // 2
+    tags[k:] -= res - res // 2
+    tags //= res
+    tags[k:] += 1
+    tags *= res
     return tags
 
 
@@ -337,22 +385,20 @@ class ArmChain:
     all the blocks' detections.  The chain keeps no tags: ``add`` returns them.
     """
 
-    def __init__(self, src: SourceParams, leg: DispersionLeg, which: str,
-                 det: DetectorSpec, timer: TimerSpec, seed: int, duration_s: float):
-        self.leg, self.which, self.det, self.timer, self.seed = leg, which, det, timer, seed
+    def __init__(self, shift: ArmShift, det: DetectorSpec, timer: TimerSpec, seed: int,
+                 duration_s: float):
+        self.shift, self.det, self.timer, self.seed = shift, det, timer, seed
         self.duration_s = duration_s
-        self.stage = _STAGE_DETECT_A if which == "signal" else _STAGE_DETECT_B
-        shift_fs = (0.5 * src.base_sigma_ps * FS_PER_PS + det.jitter_sigma_fs
-                    + abs(leg.k2l_ps2) * src.effective_sigma_omega * FS_PER_PS)
-        self.lead_fs = min(0.0, leg.group_delay_fs - _SHIFT_SIGMAS * shift_fs)
+        self.stage = (_STAGE_DETECT_A, _STAGE_DETECT_B)[shift.arm]
+        self.lead_fs = min(0, math.floor(shift.delay_fs - _SHIFT_SIGMAS * shift.sigma_fs))
         self.carry = Carry()
 
     def add(self, events: PairEvents, block: int, start_s: float, end_s: float) -> np.ndarray:
         """The tags of the block of emissions in [start_s, end_s); the last
         block, which ends at the duration, finalizes every detection."""
         last = end_s >= self.duration_s
-        self.carry.boundary_fs = math.inf if last else end_s * FS_PER_S + self.lead_fs
-        arrival = propagate(events, self.leg, self.which)
+        self.carry.boundary_fs = None if last else events.end_fs + self.lead_fs
+        arrival = propagate(events, self.shift)
         detected = detect(arrival, self.det, self.seed, self.stage, end_s, start_s, block,
                           self.carry)
         return digitize(detected, self.timer)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsortedTagsError
+from .errors import UnsortedTagsError, check_range
 
 # Tags are integer femtoseconds; these convert other units to that one.
 FS_PER_PS = 1e3
@@ -24,6 +24,7 @@ class TagStream:
     acquisition_span_fs: int
 
     def __post_init__(self):
+        check_range("resolution_fs", self.resolution_fs, 1)
         # Aligned as well as contiguous: numpy copies an unaligned haystack on
         # every searchsorted, so a misaligned buffer is copied once, here.
         tags = np.require(self.tags, np.int64, "CA")

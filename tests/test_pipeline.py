@@ -5,9 +5,10 @@ import pytest
 
 from ndcsim import presets
 from ndcsim.analyze import variance_from_fit
-from ndcsim.errors import FitError
+from ndcsim.errors import FitError, ParameterError
 from ndcsim.pipeline import acquisition_span_fs, measure_peak, run_simulation
 from ndcsim.reproduce import FIG2A_FWHM_RANGE
+from ndcsim.streams import TagStream
 
 # Peaks from the 37.6 ps jitter floor to the 5 ns classical widths.
 CONFIGS = {
@@ -28,6 +29,16 @@ def test_acquisition_span_covers_duration_and_last_tag(last_tag_fs, span_fs):
     assert acquisition_span_fs(2.25e-14, last_tag_fs) == span_fs
 
 
+@pytest.mark.parametrize("resolution_fs", [0, -1000])
+def test_stream_without_a_tick_refused(resolution_fs):
+    # measure_peak bins in whole ticks; a stream without one used to end it in
+    # a ZeroDivisionError
+    a = np.sort(np.random.default_rng(0).integers(0, 10**15, 20_000))
+    with pytest.raises(ParameterError, match="resolution_fs"):
+        measure_peak(TagStream(a, resolution_fs, 0, 10**15),
+                     TagStream(a + 5000, resolution_fs, 1, 10**15))
+
+
 @pytest.mark.parametrize("name", CONFIGS)
 def test_default_arguments_match_prediction(name):
     cfg = CONFIGS[name]
@@ -41,7 +52,7 @@ def test_default_arguments_match_prediction(name):
 
 def test_histogram_counts_every_pair_within_its_edges():
     # Each bin, the last one too, holds every pair between its edges
-    # origin + k*bin.  At this seed the one pair of the last 510 ps bin lies
+    # origin + k*bin.  At this seed the one pair of the last 523 ps bin lies
     # beyond +floor(4 FWHM), where a window cut there would lose it.
     a, b = run_simulation(presets.fig2d_config(mode="positive"), seed=1_000_003)
     meas = measure_peak(a, b)

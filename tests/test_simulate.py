@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndcsim import model, pipeline, presets, simulate, tagio
@@ -22,13 +22,13 @@ from ndcsim.errors import ParameterError, TimestampRangeError
 from ndcsim.model import DispersionLeg, SourceParams
 from ndcsim.pipeline import run_simulation
 from ndcsim.simulate import (
-    BOTH,
-    IDLER,
-    SIGNAL,
+    INT64_MAX,
+    INT64_MIN,
     Carry,
     DetectorSpec,
     TimerSpec,
     _prune_dead_time,
+    arm_shifts,
     detect,
     digitize,
     generate_pairs,
@@ -38,6 +38,25 @@ from ndcsim.streams import TagStream
 
 SRC = SourceParams(pair_rate_hz=24000.0)
 NO_FIBER = DispersionLeg(length_km=0.0)
+NO_JITTER = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
+# Each mode's idler detuning in units of the signal's, None for an independent one.
+IDLER_FACTOR = {"anti": -1.0, "positive": 1.0, "none": None}
+
+
+def shifts_of(src, mode="anti", legs=(NO_FIBER, NO_FIBER), dets=(NO_JITTER, NO_JITTER)):
+    return arm_shifts(src, mode, legs, dets)
+
+
+def arm_moments_fs2(src, mode, legs, dets):
+    """Each arm's shift variance and the pair's covariance (fs**2), from the
+    physics: +-dt/2 + k''l * Omega + jitter, all independent Gaussians."""
+    sigma_t = src.base_sigma_ps * 1e3
+    disp = [leg.k2l_ps2 * src.effective_sigma_omega * 1e3 for leg in legs]
+    var = [sigma_t**2 / 4 + d**2 + (det.jitter_fwhm_ps / model.FWHM_PER_SIGMA * 1e3) ** 2
+           for d, det in zip(disp, dets)]
+    factor = IDLER_FACTOR[mode]
+    cov = -sigma_t**2 / 4 + (factor * disp[0] * disp[1] if factor is not None else 0.0)
+    return var, cov
 
 
 def greedy_dead_time(times, dead_fs):
@@ -64,161 +83,222 @@ def simulated_stream(tags, timer, duration_s):
 def per_pair_oracle(cfg, seed):
     """Both tag streams of ``cfg`` from the per-photon thinning sampler.
 
-    Every pair of the source is emitted, and each photon then survives its
-    fiber and its detector's efficiency by independent Bernoulli draws.
-    Jitter, dark counts, dead time and digitization are the package's.
+    Every pair of the source is emitted with its own offset and detunings:
+    the idler's is the signal's, negated in mode anti, or drawn on its own in
+    mode none.  Each photon then survives its fiber and its detector's
+    efficiency by independent Bernoulli draws and takes its own jitter, and
+    its arrival is rounded half-up to whole fs.  Dark counts, dead time and
+    digitization are the package's.
     """
-    assert cfg.run.mode == "anti"
     duration = cfg.run.duration_s
     src = cfg.source
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(src.pair_rate_hz * duration))
-    emission = np.sort(rng.uniform(0.0, duration * 1e15, n)).astype(np.int64)
+    emission = rng.integers(0, math.ceil(duration * 1e15), n)
     delta_t = rng.normal(0.0, src.base_sigma_ps * 1e3, n)
     omega_s = rng.normal(0.0, src.effective_sigma_omega, n)
+    factor = IDLER_FACTOR[cfg.run.mode]
+    if factor is None:
+        omega_i = rng.normal(0.0, src.effective_sigma_omega, n)
+    else:
+        omega_i = factor * omega_s
     legs = (
         (+0.5, omega_s, cfg.smf, cfg.detector_a, cfg.timer_a),
-        (-0.5, -omega_s, cfg.dcf, cfg.detector_b, cfg.timer_b),
+        (-0.5, omega_i, cfg.dcf, cfg.detector_b, cfg.timer_b),
     )
     streams = []
     for stage, (half, omega, leg, det, timer) in enumerate(legs, start=3):
-        arrival = emission + half * delta_t + leg.group_delay_fs + leg.k2l_ps2 * omega * 1e3
         survive = rng.random(n) < leg.survival_probability
         detected = survive & (rng.random(n) < det.efficiency)
+        jitter = rng.normal(0.0, det.jitter_fwhm_ps / model.FWHM_PER_SIGMA * 1e3, n)
+        shift = half * delta_t + leg.group_delay_fs + leg.k2l_ps2 * omega * 1e3 + jitter
+        arrival = emission + np.floor(shift + 0.5).astype(np.int64)
         times = detect(arrival[detected], det, seed, stage, duration)
         streams.append(simulated_stream(digitize(times, timer), timer, duration))
     return streams
 
 
+def pair_arrays(pairs):
+    """Every array a PairEvents holds."""
+    return [pairs.both_fs, pairs.both_z, *pairs.alone_fs, *pairs.alone_z]
+
+
 class TestGeneratePairs:
     def test_deterministic(self):
-        p1 = generate_pairs(SRC, "anti", 1.0, seed=42)
-        p2 = generate_pairs(SRC, "anti", 1.0, seed=42)
-        assert np.array_equal(p1.emission_fs, p2.emission_fs)
-        assert np.array_equal(p1.delta_t_fs, p2.delta_t_fs)
-        assert np.array_equal(p1.omega_signal, p2.omega_signal)
-        assert np.array_equal(p1.arms, p2.arms)
+        p1 = generate_pairs(SRC, 1.0, seed=42, p_signal=0.5, p_idler=0.5)
+        p2 = generate_pairs(SRC, 1.0, seed=42, p_signal=0.5, p_idler=0.5)
+        for a1, a2 in zip(pair_arrays(p1), pair_arrays(p2)):
+            assert a1.size and np.array_equal(a1, a2)
 
     def test_zero_duration_empty(self):
-        assert len(generate_pairs(SRC, "anti", 0.0, seed=1)) == 0
+        assert len(generate_pairs(SRC, 0.0, seed=1)) == 0
 
     def test_undetectable_arms_empty(self):
-        pairs = generate_pairs(SRC, "anti", 1.0, 1, p_signal=0.0, p_idler=0.0)
-        assert len(pairs) == 0 and pairs.arms.dtype == np.uint8
-        for which in ("signal", "idler"):
-            arrival = propagate(pairs, NO_FIBER, which)
-            assert arrival.size == 0 and arrival.dtype == np.float64
+        pairs = generate_pairs(SRC, 1.0, 1, p_signal=0.0, p_idler=0.0)
+        assert len(pairs) == 0
+        for shift in shifts_of(SRC):
+            arrival = propagate(pairs, shift)
+            assert arrival.size == 0 and arrival.dtype == np.int64
 
-    def test_emission_sorted_and_poisson_rate(self):
-        pairs = generate_pairs(SRC, "anti", 5.0, seed=3)
-        assert np.all(np.diff(pairs.emission_fs) >= 0)
+    def test_emission_window_and_poisson_rate(self):
+        pairs = generate_pairs(SRC, 5.0, seed=3)
+        assert pairs.end_fs == 5 * 10**15
+        for emission in (pairs.both_fs, *pairs.alone_fs):
+            assert emission.dtype == np.int64
+        assert pairs.both_fs.min() >= 0 and pairs.both_fs.max() < 5 * 10**15
         expected = SRC.pair_rate_hz * 5.0
         assert abs(len(pairs) - expected) < 5 * math.sqrt(expected)
 
     def test_delta_t_variance_matches_model(self):
+        # no fiber and no jitter: the pair's time difference is the source's
         src = SourceParams(pair_rate_hz=1e6)
-        pairs = generate_pairs(src, "anti", 1.0, seed=7)
+        pairs = generate_pairs(src, 1.0, seed=7)
         assert len(pairs) > 990_000
-        var_ps2 = np.var(pairs.delta_t_fs / 1e3)
+        a, b = (propagate(pairs, shift) for shift in shifts_of(src))
+        var_ps2 = np.var((a - b) / 1e3)
         assert var_ps2 == pytest.approx(model.source_variance_ps2(src, 0, 0), rel=5e-3)
 
     def test_mode_correlations(self):
-        anti = generate_pairs(SRC, "anti", 0.5, seed=5)
-        pos = generate_pairs(SRC, "positive", 0.5, seed=5)
-        indep = generate_pairs(SRC, "none", 0.5, seed=5)
-        assert np.array_equal(anti.idler_sign * anti.idler_omega, -anti.omega_signal)
-        assert np.array_equal(pos.idler_sign * pos.idler_omega, pos.omega_signal)
-        r = np.corrcoef(indep.omega_signal, indep.idler_sign * indep.idler_omega)[0, 1]
-        assert abs(r) < 0.05
+        # each arm's variance and the pair's covariance, against the physics,
+        # for the photons seen in both arms and those seen alone
+        src = SourceParams(pair_rate_hz=4e5)
+        cfg = presets.fig2d_config()
+        legs, dets = (cfg.smf, cfg.dcf), (cfg.detector_a, cfg.detector_b)
+        for mode in IDLER_FACTOR:
+            pairs = generate_pairs(src, 1.0, 5, p_signal=0.5, p_idler=0.5)
+            shifts = arm_shifts(src, mode, legs, dets)
+            var, cov = arm_moments_fs2(src, mode, legs, dets)
+            n = pairs.both_fs.size
+            both = []
+            for shift, v, alone in zip(shifts, var, pairs.alone_fs):
+                s = propagate(pairs, shift) - shift.delay_fs
+                both.append(s[:n] - pairs.both_fs)
+                alone_s = s[n:] - alone
+                for x in (both[-1], alone_s):
+                    assert np.var(x) == pytest.approx(v, rel=5 * math.sqrt(2 / x.size)), mode
+            sample_cov = np.cov(both[0], both[1])[0, 1]
+            assert abs(sample_cov - cov) < 5 * math.sqrt((var[0] * var[1] + cov**2) / n), mode
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ParameterError):
-            generate_pairs(SRC, "sideways", 1.0, seed=0)
+            shifts_of(SRC, "sideways")
 
     def test_overflowing_duration_rejected(self):
         with pytest.raises(TimestampRangeError):
-            generate_pairs(SRC, "anti", 1e5, seed=0)
+            generate_pairs(SRC, 1e5, seed=0)
 
     def test_detection_probability_out_of_range_rejected(self):
         with pytest.raises(ParameterError):
-            generate_pairs(SRC, "anti", 1.0, seed=0, p_signal=1.5)
+            generate_pairs(SRC, 1.0, seed=0, p_signal=1.5)
         with pytest.raises(ParameterError):
-            generate_pairs(SRC, "anti", 1.0, seed=0, p_idler=-0.1)
+            generate_pairs(SRC, 1.0, seed=0, p_idler=-0.1)
 
 
 class TestPropagate:
     def test_zero_length_identity(self):
-        pairs = generate_pairs(SRC, "anti", 0.5, seed=11)
-        arrival = propagate(pairs, NO_FIBER, "signal")
-        expected = pairs.emission_fs + 0.5 * pairs.delta_t_fs
-        assert np.allclose(arrival, expected)
+        # no fiber and no jitter: a photon lands half the pair offset away
+        pairs = generate_pairs(SRC, 0.5, 11, p_signal=0.5, p_idler=0.5)
+        signal, _ = shifts_of(SRC)
+        arrival = propagate(pairs, signal)
+        n = pairs.both_fs.size
+        half_fs = 0.5 * SRC.base_sigma_ps * 1e3
+        assert np.allclose(arrival[:n], pairs.both_fs + half_fs * pairs.both_z[0], rtol=0, atol=1)
+        assert np.allclose(arrival[n:], pairs.alone_fs[0] + half_fs * pairs.alone_z[0],
+                           rtol=0, atol=1)
 
     def test_idler_sign(self):
-        pairs = generate_pairs(SRC, "anti", 0.5, seed=11)
-        arrival = propagate(pairs, NO_FIBER, "idler")
-        assert np.allclose(arrival, pairs.emission_fs - 0.5 * pairs.delta_t_fs)
+        # mode anti with neither fiber nor jitter: the idler lands as far before
+        # the emission as the signal lands after it
+        pairs = generate_pairs(SRC, 0.5, seed=11)
+        a, b = (propagate(pairs, shift) for shift in shifts_of(SRC))
+        assert np.std(a - pairs.both_fs) == pytest.approx(500 * SRC.base_sigma_ps, rel=0.05)
+        assert np.all(np.abs((a - pairs.both_fs) + (b - pairs.both_fs)) <= 1)
+
+    @pytest.mark.parametrize("length_km", [0.0, 7.47, 62.0, 1000.0])
+    def test_singular_factor(self, length_km):
+        # equal fibers in mode anti and no jitter: the two photons' shifts are
+        # exactly opposite, so their covariance matrix is singular
+        src = SourceParams(pair_rate_hz=2e5)
+        leg = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=length_km)
+        signal, idler = shifts_of(src, "anti", (leg, leg))
+        assert idler.both[0] == pytest.approx(-signal.sigma_fs, rel=1e-12)
+        assert 0.0 <= idler.both[1] < 1e-6 * signal.sigma_fs
+        pairs = generate_pairs(src, 0.2, seed=31)
+        a, b = propagate(pairs, signal), propagate(pairs, idler)
+        total = (a - pairs.both_fs) + (b - pairs.both_fs) - 2 * leg.group_delay_fs
+        assert np.all(np.abs(total) <= 2)
 
     def test_ideal_cancellation_restores_variance(self):
         # equal-and-opposite accumulated dispersion: k_s''l_1 = -k_i''l_2
         src = SourceParams(pair_rate_hz=2e5)
-        pairs = generate_pairs(src, "anti", 1.0, seed=13)
+        pairs = generate_pairs(src, 1.0, seed=13)
         leg_s = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.0)
         leg_i = DispersionLeg(
             k2_s2_per_m=2.26e-26 * 62.0 / 7.47, length_km=7.47, attenuation_db_per_km=0.0
         )
-        arr_s = propagate(pairs, leg_s, "signal")
-        arr_i = propagate(pairs, leg_i, "idler")
+        arr_s, arr_i = (propagate(pairs, shift) for shift in shifts_of(src, "anti", (leg_s, leg_i)))
         var_ps2 = np.var((arr_s - arr_i) / 1e3)
         base = src.base_variance_ps2
         n = len(pairs)
         assert var_ps2 == pytest.approx(base, rel=5 * math.sqrt(2.0 / n))
 
     def test_dispersed_variance_matches_model(self):
+        # the pair's time difference against the analytic model, in every mode
         src = SourceParams(pair_rate_hz=2e5)
-        pairs = generate_pairs(src, "anti", 1.0, seed=17)
         leg_s = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.0)
         leg_i = DispersionLeg(k2_s2_per_m=1.95e-25, length_km=7.47, attenuation_db_per_km=0.0)
-        arr_s = propagate(pairs, leg_s, "signal")
-        arr_i = propagate(pairs, leg_i, "idler")
-        var_ps2 = np.var((arr_s - arr_i) / 1e3)
-        expected = model.source_variance_ps2(src, leg_s.k2l_ps2, leg_i.k2l_ps2)
-        assert var_ps2 == pytest.approx(expected, rel=5 * math.sqrt(2.0 / len(pairs)))
+        pairs = generate_pairs(src, 1.0, seed=17)
+        for mode in IDLER_FACTOR:
+            arr_s, arr_i = (propagate(pairs, shift)
+                            for shift in shifts_of(src, mode, (leg_s, leg_i)))
+            var_ps2 = np.var((arr_s - arr_i) / 1e3)
+            expected = model.source_variance_ps2(src, leg_s.k2l_ps2, leg_i.k2l_ps2, mode)
+            assert var_ps2 == pytest.approx(expected, rel=5 * math.sqrt(2.0 / len(pairs))), mode
 
     def test_survival_probability(self):
-        # fiber loss is drawn with the pair marking: with a lossless idler arm
+        # fiber loss is drawn with the pair classes: with a lossless idler arm
         # every pair is kept and the signal arm holds the survivors
         src = SourceParams(pair_rate_hz=2e5)
         leg = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.2)
-        pairs = generate_pairs(src, "anti", 1.0, 19, leg.survival_probability, 1.0)
-        survivors = propagate(pairs, leg, "signal")
+        pairs = generate_pairs(src, 1.0, 19, leg.survival_probability, 1.0)
+        survivors = propagate(pairs, shifts_of(src, "anti", (leg, NO_FIBER))[0])
         p = 10 ** (-1.24)
         n = len(pairs)
         assert survivors.size / n == pytest.approx(p, abs=5 * math.sqrt(p / n))
 
     def test_group_delay(self):
-        pairs = generate_pairs(SRC, "anti", 0.1, seed=23)
+        pairs = generate_pairs(SRC, 0.1, seed=23)
         leg = DispersionLeg(length_km=62.0, attenuation_db_per_km=0.0, group_index=1.468)
-        arrival = propagate(pairs, leg, "signal")
+        signal, _ = shifts_of(SRC, "anti", (leg, NO_FIBER))
+        arrival = propagate(pairs, signal)
         delay_fs = 62e3 * 1.468 / model.SPEED_OF_LIGHT_M_PER_S * 1e15
-        shift = arrival - (pairs.emission_fs + 0.5 * pairs.delta_t_fs)
-        assert np.allclose(shift, delay_fs)
+        shift = arrival - (pairs.both_fs + 0.5 * SRC.base_sigma_ps * 1e3 * pairs.both_z[0])
+        assert np.allclose(shift, delay_fs, rtol=0, atol=1)
+
+    def test_arrival_beyond_int64_rejected(self):
+        # emissions just inside the int64 range, delayed past its end
+        pairs = generate_pairs(SourceParams(pair_rate_hz=1000.0), 9223.372, 0, start_s=9223.3)
+        assert len(pairs) > 0
+        leg = DispersionLeg(length_km=1e6, attenuation_db_per_km=0.0)
+        with pytest.raises(TimestampRangeError):
+            propagate(pairs, shifts_of(SRC, "anti", (leg, NO_FIBER))[0])
 
 
 class TestDetect:
-    IDEAL = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
+    IDEAL = NO_JITTER
 
     def test_ideal_detector_identity(self):
-        times = np.array([5.0, 1.0, 3.0]) * 1e6
+        times = np.array([5, 1, 3]) * 10**6
         out = detect(times, self.IDEAL, seed=0, stage=3)
         assert np.array_equal(out, np.sort(times))
 
     def test_efficiency_thinning(self):
-        # efficiency is drawn with the pair marking, so detect keeps every
+        # efficiency is drawn with the pair classes, so detect keeps every
         # arrival it is given; the arm's share of the pairs is the efficiency
         src = SourceParams(pair_rate_hz=1e5)
         det = DetectorSpec(efficiency=0.5, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
-        pairs = generate_pairs(src, "anti", 1.0, 5, det.efficiency, 1.0)
-        arrivals = propagate(pairs, NO_FIBER, "signal")
+        pairs = generate_pairs(src, 1.0, 5, det.efficiency, 1.0)
+        arrivals = propagate(pairs, shifts_of(src)[0])
         out1 = detect(arrivals, det, seed=5, stage=3)
         out2 = detect(arrivals, det, seed=5, stage=3)
         assert np.array_equal(out1, out2)
@@ -227,55 +307,64 @@ class TestDetect:
         assert abs(out1.size - n / 2) < 5 * math.sqrt(n / 4)
 
     def test_jitter_variance(self):
-        times = np.zeros(200_000)
+        # the jitter is part of a photon's shift, with half the pair offset
+        src = SourceParams(pair_rate_hz=2e5)
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=26.587, dark_rate_hz=0.0, dead_time_ns=0.0)
-        out = detect(times, det, seed=7, stage=3)
-        sigma_ps = out.std() / 1e3
+        pairs = generate_pairs(src, 1.0, 7, p_signal=1.0, p_idler=0.0)
+        assert pairs.alone_fs[0].size == len(pairs) > 190_000
+        out = propagate(pairs, shifts_of(src, "anti", dets=(det, NO_JITTER))[0])
+        var_ps2 = np.var(out - pairs.alone_fs[0]) / 1e6
+        sigma_ps = math.sqrt(var_ps2 - src.base_variance_ps2 / 4)
         assert sigma_ps == pytest.approx(26.587 / model.FWHM_PER_SIGMA, rel=0.01)
 
     def test_dark_counts_added(self):
-        times = np.linspace(0, 1e15, 1000)  # 1 s span
+        times = np.linspace(0, 10**15, 1000).astype(np.int64)  # 1 s span
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=5000.0, dead_time_ns=0.0)
         out = detect(times, det, seed=9, stage=3, duration_s=1.0)
         extra = out.size - times.size
         assert abs(extra - 5000) < 5 * math.sqrt(5000)
 
-    @pytest.mark.parametrize("times", [np.empty(0), np.array([0.5e15])], ids=["empty", "one"])
+    @pytest.mark.parametrize("times", [np.empty(0, np.int64), np.array([5 * 10**14])],
+                             ids=["empty", "one"])
     def test_dark_counts_over_acquisition_window(self, times):
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=5000.0, dead_time_ns=0.0)
         out = detect(times, det, seed=9, stage=3, duration_s=1.0)
         assert abs(out.size - times.size - 5000) < 5 * math.sqrt(5000)
-        assert out[0] >= 0.0 and out[-1] < 1e15
+        assert out[0] >= 0 and out[-1] < 10**15
 
     def test_zero_arrivals_full_detector(self):
         # jitter and dead time on as well, over an empty and a zero-length window
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=26.587, dark_rate_hz=5000.0,
                            dead_time_ns=40.0)
-        out = detect(np.empty(0), det, seed=9, stage=4, duration_s=1.0)
+        out = detect(np.empty(0, np.int64), det, seed=9, stage=4, duration_s=1.0)
         assert abs(out.size - 5000) < 5 * math.sqrt(5000)
-        assert np.all(out[1:] - out[:-1] >= 40e6)
-        assert out[0] >= 0.0 and out[-1] < 1e15
-        assert detect(np.empty(0), det, seed=9, stage=4, duration_s=0.0).size == 0
+        assert np.all(out[1:] - out[:-1] >= 40 * 10**6)
+        assert out[0] >= 0 and out[-1] < 10**15
+        assert detect(np.empty(0, np.int64), det, seed=9, stage=4, duration_s=0.0).size == 0
 
     def test_dead_time_pruning(self):
         # bursts closer than the dead time collapse to their first event
-        times = np.array([0.0, 10.0, 20.0, 100.0, 105.0, 300.0]) * 1e6  # fs
+        times = np.array([0, 10, 20, 100, 105, 300]) * 10**6  # fs
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=40.0)
         out = detect(times, det, seed=0, stage=3)
-        assert np.array_equal(out, np.array([0.0, 100.0, 300.0]) * 1e6)
+        assert np.array_equal(out, np.array([0, 100, 300]) * 10**6)
+
+    def test_float_arrivals_rejected(self):
+        with pytest.raises(ParameterError, match="int64"):
+            detect(np.array([1.5e6]), self.IDEAL, seed=0, stage=3)
 
     @settings(max_examples=300, deadline=None)
     @given(
         gaps=st.lists(
-            st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e4)), max_size=200
+            st.one_of(st.just(0), st.integers(0, 10), st.integers(0, 10**4)), max_size=200
         ),
-        start=st.floats(-1e9, 1e9),
+        start=st.integers(-10**9, 10**9),
         fraction=st.floats(0.0, 1.0),
     )
     def test_dead_time_filter_matches_greedy_loop(self, gaps, start, fraction):
         # zero gaps are ties, runs of short gaps are dense bursts
-        times = start + np.cumsum(np.asarray(gaps, dtype=np.float64))
-        dead_fs = fraction * (float(times[-1] - times[0]) if times.size else 0.0)
+        times = start + np.cumsum(np.asarray(gaps, dtype=np.int64))
+        dead_fs = math.ceil(fraction * (int(times[-1] - times[0]) if times.size else 0))
         expected = greedy_dead_time(times, dead_fs)
         # the filter works in place, in chunks of gaps; 3 puts chunk joins in bursts
         for chunk in (3, simulate._PRUNE_CHUNK):
@@ -284,7 +373,7 @@ class TestDetect:
 
 
 class TestMarking:
-    """Pair classes of the marked sampler at the fig2d geometry."""
+    """Pair classes of the sampler at the fig2d geometry."""
 
     CFG = presets.fig2d_config(duration_s=1.0)
     SEEDS = range(20)
@@ -296,52 +385,55 @@ class TestMarking:
         # 62 km at 0.2 dB/km and a 0.5 efficiency detector in the signal arm
         assert p_a == pytest.approx(10 ** (-1.24) * 0.5, rel=1e-12)
         emitted = cfg.source.pair_rate_hz * cfg.run.duration_s * len(self.SEEDS)
+        shifts = arm_shifts(cfg.source, "anti", (cfg.smf, cfg.dcf), (cfg.detector_a, cfg.detector_b))
         drawn = []
         # the fig2d arms are balanced, so an unbalanced pair of arms as well
         for p_s, p_i in ((p_a, p_b), (0.5, 0.2)):
-            counts = np.zeros(4, dtype=np.int64)
+            counts = np.zeros(3, dtype=np.int64)
             for seed in self.SEEDS:
-                pairs = generate_pairs(cfg.source, "anti", cfg.run.duration_s, seed, p_s, p_i)
-                counts += np.bincount(pairs.arms, minlength=4)
-                signal = propagate(pairs, cfg.smf, "signal")
-                assert signal.size == np.count_nonzero(pairs.arms & SIGNAL)
-                idler = propagate(pairs, cfg.dcf, "idler")
-                assert idler.size == np.count_nonzero(pairs.arms & IDLER)
-            assert counts[0] == 0
+                pairs = generate_pairs(cfg.source, cfg.run.duration_s, seed, p_s, p_i)
+                n = (pairs.both_fs.size, *(a.size for a in pairs.alone_fs))
+                assert pairs.both_z.shape == (2, n[0])
+                assert tuple(z.size for z in pairs.alone_z) == n[1:]
+                counts += n
+                for shift, alone in zip(shifts, n[1:]):
+                    assert propagate(pairs, shift).size == n[0] + alone
             drawn.append(counts.sum())
+            both, signal, idler = counts
             checks = {
-                "both": (counts[BOTH], p_s * p_i),
-                "signal only": (counts[SIGNAL], p_s * (1 - p_i)),
-                "idler only": (counts[IDLER], (1 - p_s) * p_i),
-                "signal arm": (counts[SIGNAL] + counts[BOTH], p_s),
-                "idler arm": (counts[IDLER] + counts[BOTH], p_i),
+                "both": (both, p_s * p_i),
+                "signal only": (signal, p_s * (1 - p_i)),
+                "idler only": (idler, (1 - p_s) * p_i),
+                "signal arm": (signal + both, p_s),
+                "idler arm": (idler + both, p_i),
             }
             for name, (n, p) in checks.items():
                 assert abs(n - emitted * p) < 5 * math.sqrt(emitted * p), name
         # no pair lost in both arms is drawn: ~5.7 % of the fig2d pairs
         assert drawn[0] / emitted == pytest.approx(0.057, abs=0.001)
 
-    def test_matches_per_pair_oracle(self):
-        cfg = self.CFG
+    @pytest.mark.parametrize("mode", ["anti", "positive", "none"])
+    def test_matches_per_pair_oracle(self, mode):
+        cfg = presets.fig2d_config(mode=mode, duration_s=self.CFG.run.duration_s)
         offset = int(round(cfg.dcf.group_delay_fs - cfg.smf.group_delay_fs))
         fwhm = model.FWHM_PER_SIGMA * math.sqrt(presets.predicted_pair_variance_ps2(cfg))
         bin_fs = max(round(fwhm * 100), 1000)
         half_fs = max(round(4000 * fwhm), 2_000_000)
-        totals = {"marked": np.zeros(3), "oracle": np.zeros(3)}
-        fwhm = {"marked": [], "oracle": []}
+        totals = {"sampled": np.zeros(3), "oracle": np.zeros(3)}
+        fwhm = {"sampled": [], "oracle": []}
         for seed in self.SEEDS:
-            runs = {"marked": run_simulation(cfg, seed),
+            runs = {"sampled": run_simulation(cfg, seed),
                     "oracle": per_pair_oracle(cfg, seed + 1000)}
             for name, (a, b) in runs.items():
                 hist = fine_histogram(a, b, offset, -half_fs, bin_fs,
                                       math.ceil(2 * half_fs / bin_fs))
                 totals[name] += (len(a), len(b), hist.total_pairs)
                 fwhm[name].append(fit_gaussian(hist).fwhm_ps)
-        for marked, oracle in zip(totals["marked"], totals["oracle"]):
-            assert abs(marked - oracle) < 5 * math.sqrt(marked + oracle)
+        for sampled, oracle in zip(totals["sampled"], totals["oracle"]):
+            assert abs(sampled - oracle) < 5 * math.sqrt(sampled + oracle)
         mean = {name: np.mean(v) for name, v in fwhm.items()}
         sem2 = sum(np.var(v, ddof=1) / len(v) for v in fwhm.values())
-        assert abs(mean["marked"] - mean["oracle"]) < 3 * math.sqrt(sem2)
+        assert abs(mean["sampled"] - mean["oracle"]) < 3 * math.sqrt(sem2)
 
 
 class TestInputsUnchanged:
@@ -355,36 +447,38 @@ class TestInputsUnchanged:
 
     def pairs(self):
         cfg = self.CFG
-        return generate_pairs(cfg.source, "anti", cfg.run.duration_s, 29,
+        return generate_pairs(cfg.source, cfg.run.duration_s, 29,
                               cfg.smf.survival_probability, cfg.dcf.survival_probability)
 
-    @staticmethod
-    def arrays(pairs):
-        fields = (getattr(pairs, f.name) for f in dataclasses.fields(pairs))
-        return [v for v in fields if isinstance(v, np.ndarray)]
-
     def test_propagate(self):
+        cfg = self.CFG
+        signal, idler = arm_shifts(cfg.source, "anti", (cfg.smf, cfg.dcf),
+                                   (cfg.detector_a, cfg.detector_b))
         alone, first = self.pairs(), self.pairs()
-        before = [a.copy() for a in self.arrays(first)]
-        idler_alone = propagate(alone, self.CFG.dcf, "idler")
-        signal = propagate(first, self.CFG.smf, "signal")
-        idler = propagate(first, self.CFG.dcf, "idler")
-        for array, copy in zip(self.arrays(first), before):
+        before = [a.copy() for a in pair_arrays(first)]
+        idler_alone = propagate(alone, idler)
+        signal_out = propagate(first, signal)
+        idler_out = propagate(first, idler)
+        for array, copy in zip(pair_arrays(first), before):
             assert array.tobytes() == copy.tobytes()
-        assert idler.tobytes() == idler_alone.tobytes()
-        assert not np.shares_memory(signal, idler)
+        assert idler_out.tobytes() == idler_alone.tobytes()
+        assert not np.shares_memory(signal_out, idler_out)
+        assert not any(np.shares_memory(out, array) for out in (signal_out, idler_out)
+                       for array in pair_arrays(first))
 
     @pytest.mark.parametrize("jitter", [0.0, 26.587], ids=["no-jitter", "jitter"])
     @pytest.mark.parametrize("dark", [0.0, 5000.0], ids=["no-dark", "dark"])
     @pytest.mark.parametrize("dead", [0.0, 40.0], ids=["no-dead", "dead"])
     def test_detect(self, jitter, dark, dead):
+        # one arm's arrivals over 1 ms, with or without jitter in their shifts,
         # unsorted, with bursts closer than the dead time
-        rng = np.random.default_rng(3)
-        arrivals = rng.uniform(0.0, 1e12, 20_000)
-        arrivals[1::50] = arrivals[::50] + 1e6
-        before = arrivals.copy()
+        src = SourceParams(pair_rate_hz=2e7)
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=jitter, dark_rate_hz=dark,
                            dead_time_ns=dead)
+        arrivals = propagate(generate_pairs(src, 0.001, 3), shifts_of(src, dets=(det, det))[0])
+        arrivals[1::50] = arrivals[:-1:50] + 10**6
+        assert not np.all(arrivals[1:] >= arrivals[:-1])
+        before = arrivals.copy()
         out = detect(arrivals, det, seed=1, stage=3, duration_s=0.001)
         assert arrivals.tobytes() == before.tobytes()
         assert not np.shares_memory(out, arrivals)
@@ -394,7 +488,7 @@ class TestInputsUnchanged:
 
     @pytest.mark.parametrize("offset_fs", [0, 267_000_123_456])
     def test_digitize(self, offset_fs):
-        times = np.sort(np.random.default_rng(5).uniform(-1e12, 1e12, 10_000))
+        times = np.sort(np.random.default_rng(5).integers(-10**12, 10**12, 10_000))
         before = times.copy()
         timer = TimerSpec(resolution_fs=1000, clock_offset_fs=offset_fs, site_id=0)
         tags = digitize(times, timer)
@@ -402,61 +496,101 @@ class TestInputsUnchanged:
         assert not np.shares_memory(tags, times)
 
 
+def half_up_tag(t, timer):
+    """The tag of one time, rounded half-up in exact integer arithmetic."""
+    q, r = divmod(t + timer.clock_offset_fs, timer.resolution_fs)
+    return (q + (r >= timer.resolution_fs - r)) * timer.resolution_fs
+
+
 class TestDigitize:
     TIMER = TimerSpec(resolution_fs=1000, clock_offset_fs=0, site_id=0)
 
     def test_round_half_up(self):
-        assert digitize(np.array([1234.6e3]), self.TIMER)[0] == 1235_000
+        times = [1234_499, 1234_500, 1234_600, -1234_500, -1234_501, -500, 499]
+        tags = digitize(np.array(sorted(times)), self.TIMER)
+        expected = {1234_499: 1234_000, 1234_500: 1235_000, 1234_600: 1235_000,
+                    -1234_500: -1234_000, -1234_501: -1235_000, -500: 0, 499: 0}
+        assert tags.tolist() == [expected[t] for t in sorted(times)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        times=st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
+                                 st.integers(2**63 - 10**7, 2**63 - 1),
+                                 st.integers(-2**63, -2**63 + 10**7),
+                                 st.integers(-10**7, 10**7)), min_size=1, max_size=20),
+        resolution=st.one_of(st.integers(1, 10), st.just(1000), st.just(4000),
+                             st.integers(1, 2**63 - 1)),
+        offset=st.one_of(st.integers(-2**63 + 1, 2**63 - 1), st.integers(-10**7, 10**7)),
+    )
+    # a tie and a time whose x + res//2 would overflow, at the top of int64;
+    # ties at a negative offset
+    @example(times=[INT64_MAX - 1307, INT64_MAX - 400], resolution=1000, offset=0)
+    @example(times=[0, 1000, 1001], resolution=1000, offset=-267_000_000_500)
+    def test_round_half_up_exact(self, times, resolution, offset):
+        # negative offsets and ticks near the ends of int64 round as exact
+        # integer arithmetic does, or raise if a tag falls outside int64
+        timer = TimerSpec(resolution_fs=resolution, clock_offset_fs=offset, site_id=0)
+        times = sorted(times)
+        expected = [half_up_tag(t, timer) for t in times]
+        ends = [times[0] + offset, times[-1] + offset, expected[0], expected[-1]]
+        if INT64_MIN <= min(ends) and max(ends) <= INT64_MAX:
+            assert digitize(np.array(times, dtype=np.int64), timer).tolist() == expected
+        else:
+            with pytest.raises(TimestampRangeError):
+                digitize(np.array(times, dtype=np.int64), timer)
 
     def test_clock_offset(self):
         timer = TimerSpec(resolution_fs=1000, clock_offset_fs=267_000_000_000, site_id=1)
-        tags = digitize(np.array([0.0, 1e6]), timer)
+        tags = digitize(np.array([0, 10**6]), timer)
         assert tags[0] == 267_000_000_000
         assert tags[1] == 267_000_000_000 + 1_000_000
 
     def test_round_trip_on_grid(self):
         tags = np.arange(0, 100) * 1000
-        assert np.array_equal(digitize(tags.astype(float), self.TIMER), tags)
+        assert np.array_equal(digitize(tags, self.TIMER), tags)
 
     def test_empty(self):
-        tags = digitize(np.empty(0), self.TIMER)
+        tags = digitize(np.empty(0, np.int64), self.TIMER)
         assert tags.size == 0 and tags.dtype == np.int64
 
     def test_range_error(self):
         with pytest.raises(TimestampRangeError):
-            digitize(np.array([9.3e18]), self.TIMER)
+            digitize(np.array([INT64_MAX - 100]), self.TIMER)
 
     @pytest.mark.parametrize("times", [
-        [-9.3e18, 0.0], [0.0, 9.3e18], [-math.inf, 0.0], [0.0, math.inf], [-math.inf, math.inf],
+        [INT64_MIN + 100, 0], [0, INT64_MAX - 100], [INT64_MIN, 0], [0, INT64_MAX],
+        [INT64_MIN, INT64_MAX],
     ], ids=["low-first", "high-last", "-inf-first", "inf-last", "both-inf"])
     def test_range_error_at_either_end(self, times):
-        # the check reads the ends of the sorted times, whichever end is out
+        # the check reads the ends of the sorted times, whichever end is out;
+        # the ends of int64 stand where float times had their infinities
         with pytest.raises(TimestampRangeError):
             digitize(np.array(times), self.TIMER)
 
     @pytest.mark.parametrize("offset_fs", [3 * 10**17, -3 * 10**17])
     def test_clock_offset_pushes_out_of_range(self, offset_fs):
-        times = np.array([-9.0e18, 0.0, 9.0e18])
+        times = np.array([-9 * 10**18, 0, 9 * 10**18])
         timer = TimerSpec(resolution_fs=1000, clock_offset_fs=offset_fs, site_id=0)
         with pytest.raises(TimestampRangeError):
             digitize(times, timer)
 
     def test_extremes_in_range(self):
-        tags = digitize(np.array([-9.2e18, 9.2e18]), self.TIMER)
+        tags = digitize(np.array([-9_200_000_000_000_000_000, 9_200_000_000_000_000_000]),
+                        self.TIMER)
         assert tags.tolist() == [-9_200_000_000_000_000_000, 9_200_000_000_000_000_000]
 
     def test_unsorted_rejected(self):
         with pytest.raises(ParameterError):
-            digitize(np.array([2e6, 1e6]), self.TIMER)
+            digitize(np.array([2 * 10**6, 10**6]), self.TIMER)
 
     @pytest.mark.parametrize("times", [
         [math.nan, 0.0, 1e6], [0.0, math.nan, 1e6], [0.0, 1e6, math.nan], [math.nan],
     ], ids=["first", "middle", "last", "alone"])
     def test_nan_rejected(self, times):
-        # nan fails both the sortedness and the range comparison, before any cast.
+        # float times, nan or not, are refused before any comparison or cast
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParameterError):
+            with pytest.raises(ParameterError, match="int64"):
                 digitize(np.array(times), self.TIMER)
 
 
@@ -482,6 +616,18 @@ class TestEndToEnd:
         # both arms balanced to ~12 kHz over 5 s => ~60000 tags
         assert abs(len(a) - 60_000) < 2_000
         assert abs(len(b) - 60_000) < 2_000
+
+    def test_clock_offset_shifts_tags_exactly(self):
+        # 10^17 fs on the idler's clock, over three blocks: every tag moves by
+        # exactly that much and the signal's stream is unchanged
+        cfg = presets.fig2d_config(duration_s=12.0)
+        shifted = dataclasses.replace(cfg, timer_b=dataclasses.replace(
+            cfg.timer_b, clock_offset_fs=10**17))
+        a, b = run_simulation(cfg, seed=4)
+        a_shifted, b_shifted = run_simulation(shifted, seed=4)
+        assert a_shifted == a
+        assert len(b) > 100_000
+        assert np.array_equal(b_shifted.tags, b.tags + 10**17)
 
     def test_accidental_baseline_unity(self):
         # uncorrelated detunings still pair in time; away from the peak and
@@ -510,21 +656,22 @@ class TestBlocks:
         block_s = block_fs / 1e15
         p_a = cfg.smf.survival_probability * cfg.detector_a.efficiency
         p_b = cfg.dcf.survival_probability * cfg.detector_b.efficiency
-        arms = ((cfg.smf, "signal", cfg.detector_a, cfg.timer_a, 3),
-                (cfg.dcf, "idler", cfg.detector_b, cfg.timer_b, 4))
+        dets = (cfg.detector_a, cfg.detector_b)
+        shifts = arm_shifts(cfg.source, cfg.run.mode, (cfg.smf, cfg.dcf), dets)
+        arms = tuple(zip(shifts, dets, (cfg.timer_a, cfg.timer_b), (3, 4)))
         raw = ([], [])
         for block in itertools.count():
             start, end = block * block_s, min((block + 1) * block_s, duration)
-            pairs = generate_pairs(cfg.source, cfg.run.mode, end, seed, p_a, p_b, start, block)
-            for (leg, which, det, _, stage), out in zip(arms, raw):
+            pairs = generate_pairs(cfg.source, end, seed, p_a, p_b, start, block)
+            for (shift, det, _, stage), out in zip(arms, raw):
                 no_dead = dataclasses.replace(det, dead_time_ns=0.0)
-                out.append(detect(propagate(pairs, leg, which), no_dead, seed, stage, end,
-                                  start, block))
+                out.append(detect(propagate(pairs, shift), no_dead, seed, stage, end, start, block))
             if end >= duration:
                 break
         streams = []
-        for (_, _, det, timer, _), out in zip(arms, raw):
-            times = greedy_dead_time(np.sort(np.concatenate(out)), det.dead_time_ns * 1e6)
+        for (_, det, timer, _), out in zip(arms, raw):
+            dead_fs = math.ceil(det.dead_time_ns * 1e6)
+            times = greedy_dead_time(np.sort(np.concatenate(out)), dead_fs)
             streams.append(simulated_stream(digitize(times, timer), timer, duration))
         return streams
 
@@ -565,65 +712,69 @@ class TestBlocks:
 
     def test_block_windows(self):
         # a block's pairs and dark counts lie in its own window, Poisson over its length
-        pairs = generate_pairs(SRC, "anti", 2.0, 1, start_s=1.5, block=3)
-        assert pairs.emission_fs.min() >= 1.5e15 and pairs.emission_fs.max() < 2e15
-        assert abs(len(pairs) - 12_000) < 5 * math.sqrt(12_000)
+        pairs = generate_pairs(SRC, 2.0, 1, 0.5, 0.5, start_s=1.5, block=3)
+        assert pairs.end_fs == 2 * 10**15
+        for emission in (pairs.both_fs, *pairs.alone_fs):
+            assert emission.min() >= 15 * 10**14 and emission.max() < 2 * 10**15
+        assert abs(len(pairs) - 9_000) < 5 * math.sqrt(9_000)
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=5000.0,
                            dead_time_ns=0.0)
-        darks = detect(np.empty(0), det, 1, 3, 2.0, start_s=1.5, block=3)
-        assert darks[0] >= 1.5e15 and darks[-1] < 2e15
+        none = np.empty(0, np.int64)
+        darks = detect(none, det, 1, 3, 2.0, start_s=1.5, block=3)
+        assert darks[0] >= 15 * 10**14 and darks[-1] < 2 * 10**15
         assert abs(darks.size - 2500) < 5 * math.sqrt(2500)
-        assert not np.array_equal(darks, detect(np.empty(0), det, 1, 3, 2.0, 1.5, block=4))
+        assert not np.array_equal(darks, detect(none, det, 1, 3, 2.0, 1.5, block=4))
 
     def test_detection_before_a_finalized_one_raises(self):
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
-        carry = Carry(boundary_fs=2e12)
-        first = detect(np.array([1e12, 3e12]), det, 0, 3, carry=carry)
-        assert first.tolist() == [1e12] and carry.pending.tolist() == [3e12]
+        carry = Carry(boundary_fs=2 * 10**12)
+        first = detect(np.array([10**12, 3 * 10**12]), det, 0, 3, carry=carry)
+        assert first.tolist() == [10**12] and carry.pending.tolist() == [3 * 10**12]
         with pytest.raises(ParameterError, match="precedes the finalized"):
-            detect(np.array([0.5e12]), det, 0, 3, block=1, carry=carry)
+            detect(np.array([5 * 10**11]), det, 0, 3, block=1, carry=carry)
 
 
-# sha256 of both write_tags outputs of run_simulation, taken before the
-# stages computed in place (the 0.5 s cases) and when the simulation first
-# ran in 5 s blocks (the 12 s cases, three blocks each).
+# sha256 of both write_tags outputs of run_simulation, re-pinned once when the
+# sampler came to draw one normal per detected photon and to carry time as
+# int64 fs from emission to tag.  The 0.5 s cases are one block and the 12 s
+# cases three.
 GOLDEN_TAG_DIGESTS = {
     ("fig2a", "anti", 0): (
-        "454674fc7b73fd75e28fa07b0a57e51c31ab60c64a6d996291593a654c37f65d",
-        "065b2be17c1022f47373880d1672c50de03de4096500e0228be990e2567b4f58"),
+        "85a4275249d92de1b3a9e8ab5eaab273ab9c0f7afcd346a6c183727e5e26b53f",
+        "b0631629d3be9563a4ab541c8039c078cee0403a7dc3ffe78ec16bd3e223ae37"),
     ("fig2a", "anti", 1): (
-        "43a79fe1b7fb5bc1be276f48b42418eb7724156560d6638ebc27b036ef9e1072",
-        "7d4f680f56a6facf121bd57ccabf51802b2feb83c25c30955bee7261a962d5a8"),
+        "f4d5462da7ff79a86a261d7391ed339161b99babec5641d1c723f0904665a5a6",
+        "329421e5203a5826c146cf4566ec2995c80b3fc49cb7d0de3aa19076680ce01b"),
     ("fig2d", "anti", 0): (
-        "67db282b382c97083db3fbbab8f75d81f53345a75154fb4aa054ffa2a1666c7d",
-        "5e3797c3be4a4998d37c77bfa603c706c0c0cffb427e3c83c747d5e8be54a05b"),
+        "7d477deccbcf9043221d822d7f8e3c35ad5bf9576e43f49a6ce26aa793e7d269",
+        "c77b19947fdf0471ec99dea8a1d584091c890755a3b3d9d0d23709f195e04098"),
     ("fig2d", "anti", 1): (
-        "2cbe4b954ed0fea6a8c8c1ec8d2d9c41a65df7fd07d8b531450205a47928c616",
-        "e3e8edb154e014ad6526f3a5c878b7cf9f26c64a2e3320c05cbededcbe00e2b9"),
+        "29ed67678a751923a35a4cee79990acc1e926ff1a17bd6d717c09c4b472dec3a",
+        "05e3a2a40a44836e9cd4dc38095f4a3e4d7754bb5654971d5b8538821232c116"),
     ("fig2d", "positive", 0): (
-        "67db282b382c97083db3fbbab8f75d81f53345a75154fb4aa054ffa2a1666c7d",
-        "4288b42023d67effda75bb9247aed880d458d59eb62a12ce3e9f39779c971094"),
+        "7d477deccbcf9043221d822d7f8e3c35ad5bf9576e43f49a6ce26aa793e7d269",
+        "c94c3a67af5274991d263ff88558ee641f6c8f19d4a381ac49c18df4e4cb9934"),
     ("fig2d", "positive", 1): (
-        "2cbe4b954ed0fea6a8c8c1ec8d2d9c41a65df7fd07d8b531450205a47928c616",
-        "e7f63da11371204f6a371aaad2dde6d67493ee28a49ef5cd3a91bd3b56e05594"),
+        "29ed67678a751923a35a4cee79990acc1e926ff1a17bd6d717c09c4b472dec3a",
+        "d61fc283a9e61677616c9c6ef4e575b8cd5697fcf4126e851535e53e5410251e"),
     ("fig2d", "none", 0): (
-        "67db282b382c97083db3fbbab8f75d81f53345a75154fb4aa054ffa2a1666c7d",
-        "676621bed2dd97f9c92242f899fa2c00377444b4c02e4d2b0891b927e5bd429b"),
+        "7d477deccbcf9043221d822d7f8e3c35ad5bf9576e43f49a6ce26aa793e7d269",
+        "b8e582f13c1d3c20efe4a576ffbf86673906a363b67d9555e03a4ae4c529c8fc"),
     ("fig2d", "none", 1): (
-        "2cbe4b954ed0fea6a8c8c1ec8d2d9c41a65df7fd07d8b531450205a47928c616",
-        "53a041e9251ad788dc4c5da7b893a7abd426db52f69f5ac84c3c41630be34b19"),
+        "29ed67678a751923a35a4cee79990acc1e926ff1a17bd6d717c09c4b472dec3a",
+        "cc91df236cf12fc86ed5b883786f6664bcdee4f690f2b8962d3e91ad3b3312d0"),
     ("fig2d_offset", "anti", 0): (
-        "67db282b382c97083db3fbbab8f75d81f53345a75154fb4aa054ffa2a1666c7d",
-        "e0b4c4f12874ec563b0adbef3b0f79b56c041cec7e6b897cd4e76915c79e2cf7"),
+        "7d477deccbcf9043221d822d7f8e3c35ad5bf9576e43f49a6ce26aa793e7d269",
+        "2951b8f4dffefbac8cebb37216071ecd5fca8045047111105d48b95e9b28a4af"),
     ("fig2d_offset", "anti", 1): (
-        "2cbe4b954ed0fea6a8c8c1ec8d2d9c41a65df7fd07d8b531450205a47928c616",
-        "6d10a930b58bb2286d5501c7e41e081aa14806315050090f4f0eb9806bf2898e"),
+        "29ed67678a751923a35a4cee79990acc1e926ff1a17bd6d717c09c4b472dec3a",
+        "b0501f3773e04f498adbe4ff01ea9e7bfaadd30153a26771ff57f398193e0e52"),
     ("fig2d_12s", "anti", 0): (
-        "e9b26d908cc00f0b1030076e085873a5cd1af15a03d7caa4141f2b274c472225",
-        "53f5570e51d2492f5983a6e68b7b375492ce7754c4e30cea0f76a831e2a9f1ad"),
+        "54202e62fd2f788649bb5cf2988b9900b0401389a15f07762cfe0aad5b1fe9f7",
+        "e6c2948de97d6a07be0e4eaae7460e0ce9d086ddb854ca5c2f93fe03863143a5"),
     ("fig2d_12s", "anti", 1): (
-        "ee1586d5c4b6a65afcd8be08b39cb54bedd31dc3a904bc2f74dccb4a30bf7186",
-        "f23d76b0f17d60c7170332ac936b5ccbb665c35e142e7b16f8523d3bb63b17df"),
+        "0de980c83f309b50dd208010dbdde4c7ae0e604a6d917f0719791186e4423dd9",
+        "4ae3b768be7f173722a94f0d9722d3433fa095aac7a5d08a47e131d262905416"),
 }
 
 
@@ -642,12 +793,13 @@ def golden_config(name, mode):
 def test_golden_tag_bytes(name, mode, seed):
     """The seed -> tag-file bytes mapping is pinned.
 
-    A change to the stages' arithmetic must keep every float operation, so
-    these digests hold.  The 0.5 s cases are one simulation block and the
-    12 s cases three, so the block structure (its RNG streams, windows and
-    carried detections) is pinned too.  ROADMAP item 4 (exact timestamps at
-    long acquisitions) is expected to change the bytes: it re-pins them and
-    says so in CHANGES.md.
+    A change to the stages' arithmetic must keep every draw and every float
+    operation, so these digests hold.  The 0.5 s cases are one simulation
+    block and the 12 s cases three, so the block structure (its RNG streams,
+    windows and carried detections) is pinned too.  The bytes changed once,
+    when the per-pair sampler (an offset and detunings per pair, a jitter per
+    photon, float64 times) gave way to one normal per detected photon, with
+    integer emissions, dark counts and times and exact half-up rounding.
     """
     digests = []
     for stream in run_simulation(golden_config(name, mode), seed):
