@@ -14,21 +14,25 @@ locates the fullest bin in sparse samples of a, counting only the bins their
 pairs hit, and confirms it on a narrow window of the densest sample; no array
 spans the search.  The cost is O(|a| log |b|) plus the pairs in the window,
 never O(|a|*|b|); all but the reported pass stride a, the seed pass to
-_SEED_PAIRS expected pairs.  The kernel walks a in chunks sized to hold
-about _DIFF_CHUNK expected pairs each, so its temporaries stay small
-whatever the density of the streams.  A histogram pass large enough to give
-every usable CPU 16 chunks cuts a into one contiguous piece per CPU, counts
-the pieces on threads and sums their counts; every pair belongs to exactly
-one tag of a, so the counts are those of the serial pass.  In practice that
-is the reported pass over dense streams; the coarse looks and fig2d's
-reported pass stay on the calling thread.
+_SEED_PAIRS expected pairs.  The confirm and seed passes keep their pairs
+(PairDiffs), and a later histogram at the same stride within a kept window
+is binned from them instead of taking a pass of its own: on the paper's 5 s
+runs the confirm takes every tag of a, and the seed and reported histograms
+rebin it.  The kernel walks a in chunks sized to hold about _DIFF_CHUNK
+expected pairs each, so its temporaries stay small whatever the density of
+the streams.  A histogram pass large enough to give every usable CPU 16
+chunks cuts a into one contiguous piece per CPU, counts the pieces on
+threads and sums their counts; every pair belongs to exactly one tag of a,
+so the counts are those of the serial pass.  In practice that is the
+reported pass over dense streams; the coarse looks and the kept passes stay
+on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -259,19 +263,64 @@ def _piece_counts(a: np.ndarray, b: np.ndarray, centre_fs: int, half: int, bin_f
     return counts
 
 
-def strided_counts(a: TagStream, b: TagStream, center_fs: int, bin_fs: int,
-                   span_bins: int) -> Histogram:
-    """Histogram of t_b - t_a - center in 2*span_bins + 1 bins centred on
-    multiples of bin_fs, from as many tags of a, evenly strided, as are
-    expected to yield _SEED_PAIRS pairs."""
-    nbins = 2 * span_bins + 1
-    stride = _budget_stride(a.tags, b.tags, nbins * bin_fs, _SEED_PAIRS)
-    return fine_histogram(replace(a, tags=a.tags[::stride]), b, center_fs,
-                          -(nbins * bin_fs // 2), bin_fs, nbins)
+@dataclass(frozen=True)
+class PairDiffs:
+    """The differences b - a - centre_fs, in fs, of every pair within
+    +/- half_fs of centre_fs whose tag of a is one of every stride-th:
+    one pass's pairs, kept to be binned again."""
+
+    stride: int
+    centre_fs: int
+    half_fs: int
+    diffs: np.ndarray = field(repr=False)
+
+    def covers(self, stride: int, lo_fs: int, hi_fs: int) -> bool:
+        """Whether these are the pairs, at this stride, of every difference
+        b - a in [lo_fs, hi_fs)."""
+        return (stride == self.stride and lo_fs >= self.centre_fs - self.half_fs
+                and hi_fs <= self.centre_fs + self.half_fs + 1)
+
+    def histogram(self, offset_fs: int, origin_fs: int, bin_fs: int, nbins: int) -> Histogram:
+        """fine_histogram's grid of these pairs: b - a - offset in nbins whole,
+        half-open bins [origin + k*bin, origin + (k+1)*bin), all in fs.  The
+        grid must lie within the kept window."""
+        check_range("bin_fs", bin_fs, 0, above=True)
+        check_range("nbins", nbins, 0, above=True)
+        lo_fs = offset_fs + origin_fs
+        if not self.covers(self.stride, lo_fs, lo_fs + nbins * bin_fs):
+            raise ParameterError("histogram grid reaches beyond the kept pairs")
+        diffs = self.diffs + (self.centre_fs - lo_fs)
+        diffs = diffs[(diffs >= 0) & (diffs < nbins * bin_fs)]
+        diffs //= bin_fs
+        return Histogram(bin_width_ps=bin_fs / FS_PER_PS, origin_ps=origin_fs / FS_PER_PS,
+                         counts=np.bincount(diffs, minlength=nbins))
 
 
-def coarse_offset(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> tuple[int, int]:
-    """Recover the offset t_b - t_a of the coincidence peak and its width (fs).
+def pair_diffs(a: np.ndarray, b: np.ndarray, stride: int, centre_fs: int,
+               half_fs: int) -> PairDiffs:
+    """Keep the pairs window_diffs finds within +/- half_fs of centre_fs from
+    every stride-th tag of a."""
+    parts = list(window_diffs(a[::stride], b, centre_fs, half_fs))
+    diffs = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return PairDiffs(stride, centre_fs, half_fs, diffs)
+
+
+def seed_pairs(a: TagStream, b: TagStream, centre_fs: int, width_fs: int,
+               kept: PairDiffs) -> PairDiffs:
+    """The pairs within a window width_fs wide and centred on centre_fs, from
+    as many tags of a, evenly strided, as are expected to yield _SEED_PAIRS
+    pairs: kept, if it holds them all, else a pass of their own."""
+    stride = _budget_stride(a.tags, b.tags, width_fs, _SEED_PAIRS)
+    lo_fs = centre_fs - width_fs // 2
+    if kept.covers(stride, lo_fs, lo_fs + width_fs):
+        return kept
+    return pair_diffs(a.tags, b.tags, stride, centre_fs, width_fs // 2)
+
+
+def coarse_offset(a: TagStream, b: TagStream,
+                  search_span_ms: float = 1.0) -> tuple[int, int, PairDiffs]:
+    """Recover the offset t_b - t_a of the coincidence peak and its width (fs),
+    with the pairs of the confirm window that passed the test.
 
     The pair differences within +/- search_span fall into half-open bins of
     COARSE_BIN_FS centred on its multiples.  At the _budget_stride of the
@@ -302,16 +351,18 @@ def coarse_offset(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> tu
     expected = len(tags_a) * _pairs_per_tag(tags_b, nbins * COARSE_BIN_FS)
     while expected / (4 * look) >= _LOOK_PAIRS:
         look *= 4
-    sample = replace(a, tags=tags_a[::stride])
-    total = _pairs_within(sample.tags, tags_b, -half_fs, half_fs)
+    total = _pairs_within(tags_a[::stride], tags_b, -half_fs, half_fs)
     side = min(_CONFIRM_BINS, span_bins)
     window = 2 * side + 1
     while True:
         # One buffer for the look's bin indices: a list of chunk-sized arrays
         # would leave that much of the heap resident after the search.  The
-        # kernel's window is closed, so bin nbins holds its right edge.
+        # kernel's window is closed, so bin nbins holds its right edge.  The
+        # narrowest type that holds nbins (uint32 at +/- 1 ms) is the fastest
+        # for np.unique to sort.
         looked = tags_a[::look]
-        idx = np.empty(_pairs_within(looked, tags_b, -half_fs, half_fs + 1), dtype=np.int64)
+        idx = np.empty(_pairs_within(looked, tags_b, -half_fs, half_fs + 1),
+                       dtype=np.min_scalar_type(nbins))
         pos = 0
         for diffs in window_diffs(looked, tags_b, 0, half_fs):
             idx[pos : pos + diffs.size] = (diffs + half_fs) // COARSE_BIN_FS
@@ -320,8 +371,10 @@ def coarse_offset(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> tu
         hits[located == nbins] = 0
         top = int(located[np.argmax(hits)]) if located.size else span_bins
         centre = min(max(top, side), nbins - 1 - side) - span_bins
-        counts = fine_histogram(sample, b, centre * COARSE_BIN_FS,
-                                -(window * COARSE_BIN_FS // 2), COARSE_BIN_FS, window).counts
+        kept = pair_diffs(tags_a, tags_b, stride, centre * COARSE_BIN_FS,
+                          window * COARSE_BIN_FS // 2)
+        counts = kept.histogram(centre * COARSE_BIN_FS, -(window * COARSE_BIN_FS // 2),
+                                COARSE_BIN_FS, window).counts
         i = int(np.argmax(counts))
         peak = int(counts[i])
         mean = (total - peak) / (nbins - 1)
@@ -341,7 +394,7 @@ def coarse_offset(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> tu
         first -= 1
     while last < counts.size and counts[last] >= half:
         last += 1
-    return (centre - side + i) * COARSE_BIN_FS, (last - first) * COARSE_BIN_FS
+    return (centre - side + i) * COARSE_BIN_FS, (last - first) * COARSE_BIN_FS, kept
 
 
 def g2_normalize(

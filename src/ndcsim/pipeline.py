@@ -13,7 +13,7 @@ from . import presets
 from .analyze import GaussianFit, fit_gaussian
 from .config import ExperimentConfig
 from .correlate import (COARSE_BIN_FS, Histogram, coarse_offset, fine_histogram, g2_normalize,
-                        strided_counts)
+                        seed_pairs)
 from .simulate import ArmChain, arm_shifts, check_duration, generate_pairs
 from .streams import FS_PER_PS, FS_PER_S, TagStream
 
@@ -88,23 +88,31 @@ def run_simulation(cfg: ExperimentConfig, seed: int) -> tuple[TagStream, TagStre
 def measure_peak(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> PeakMeasurement:
     """Recover the stream offset, histogram the coincidences and fit the peak.
 
-    A seed pass over +/- (2 * coarse width + COARSE_BIN_FS), strided to
-    about 2^18 expected pairs (correlate._SEED_PAIRS), fits the peak; it
+    A seed histogram over +/- (2 * coarse width + COARSE_BIN_FS), strided
+    to about 2^18 expected pairs (correlate._SEED_PAIRS), fits the peak; it
     only sizes and centres the reported histogram, a tenth of that FWHM per
-    bin from -max(4 FWHM, 10 bins), which alone takes every pair.  Both
-    windows expect under 2 pairs per tag at the paper's rates, so the kernel
-    walks them partner by partner.  Bins span whole timer ticks, so each
-    holds as many differences.
+    bin from -max(4 FWHM, 10 bins), which counts the pairs of every tag.
+    Each rebins kept pairs that cover it at its stride: the seed those of the
+    coarse confirm window, else it takes and keeps a pass of its own; the
+    reported histogram those kept at stride 1, else it takes fine_histogram's
+    pass.  At the paper's rates every window expects under 2 pairs per tag,
+    so the kernel walks them partner by partner.  Bins span whole timer
+    ticks, so each holds as many differences.
     """
-    offset, width_fs = coarse_offset(a, b, search_span_ms)
+    offset, width_fs, kept = coarse_offset(a, b, search_span_ms)
     tick = int(np.gcd(a.resolution_fs, b.resolution_fs))
     seed_bin_fs = max((2 * width_fs + COARSE_BIN_FS) // (_SEED_BINS * tick), 1) * tick
-    fit = fit_gaussian(strided_counts(a, b, offset, seed_bin_fs, _SEED_BINS))
+    nbins = 2 * _SEED_BINS + 1
+    kept = seed_pairs(a, b, offset, nbins * seed_bin_fs, kept)
+    fit = fit_gaussian(kept.histogram(offset, -(nbins * seed_bin_fs // 2), seed_bin_fs, nbins))
     bin_fs = max(round(fit.fwhm_ps * FS_PER_PS / (10 * tick)), 1) * tick
     offset += int(round(fit.center_ps * FS_PER_PS))
     window_fs = max(4.0 * fit.fwhm_ps * FS_PER_PS, 10.0 * bin_fs)
-    hist = fine_histogram(a, b, offset, -math.floor(window_fs), bin_fs,
-                          math.ceil(2 * window_fs / bin_fs))
+    origin_fs, nbins = -math.floor(window_fs), math.ceil(2 * window_fs / bin_fs)
+    if kept.covers(1, offset + origin_fs, offset + origin_fs + nbins * bin_fs):
+        hist = kept.histogram(offset, origin_fs, bin_fs, nbins)
+    else:
+        hist = fine_histogram(a, b, offset, origin_fs, bin_fs, nbins)
     fit = fit_gaussian(hist)
     duration = max(a.duration_s, b.duration_s)
     g2 = g2_normalize(hist, max(a.rate_hz(), 1e-12), max(b.rate_hz(), 1e-12), duration)

@@ -179,7 +179,7 @@ def test_10_performance():
     sa = TagStream(base, 1000, 0, span)
     sb = TagStream(np.sort(base + jitter + 10**9), 1000, 1, span + 2 * 10**9)
     t0 = time.perf_counter()
-    offset, _ = coarse_offset(sa, sb)
+    offset, _, _ = coarse_offset(sa, sb)
     fine_histogram(sa, sb, offset, -2_000_000, 8000, 500)
     correlate_s = time.perf_counter() - t0
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndcsim import correlate, presets
+from ndcsim import correlate, pipeline, presets
 from ndcsim.correlate import (
     Histogram,
     coarse_offset,
@@ -169,17 +169,20 @@ class TestFineHistogram:
         # one a fs short of the end in the last bin, and one on the end in
         # none, whether nbins*bin is even or odd, and whether the kernel
         # searches both edges (threshold 0) or walks (infinity); b's second
-        # tag lies past every window, so that the kernel can walk.
+        # tag lies past every window, so that the kernel can walk.  Pairs
+        # kept over a wider window rebin the same way.
         a, b = make_stream([0]), make_stream([0, 10**12])
         for walk_below in (0, math.inf):
             monkeypatch.setattr(correlate, "_WALK_PAIRS", walk_below)
+            kept = correlate.pair_diffs(a.tags, b.tags, 1, 0, 10**6)
             for origin, bin_fs, nbins in ((-100_000, 10_000, 20), (-104_999, 11_001, 19)):
                 end = origin + nbins * bin_fs
                 for d, hit in ((origin - 1, []), (origin, [0]), (end - 1, [nbins - 1]),
                                (end, [])):
-                    h = fine_histogram(a, b, -d, origin, bin_fs, nbins)
-                    assert h.counts.size == nbins
-                    assert np.flatnonzero(h.counts).tolist() == hit, (walk_below, origin, d)
+                    for h in (fine_histogram(a, b, -d, origin, bin_fs, nbins),
+                              kept.histogram(-d, origin, bin_fs, nbins)):
+                        assert h.counts.size == nbins
+                        assert np.flatnonzero(h.counts).tolist() == hit, (walk_below, origin, d)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
@@ -207,6 +210,56 @@ class TestFineHistogram:
         empty = TagStream(np.empty(0, dtype=np.int64), 1000, 0, 0)
         with pytest.raises(ParameterError):
             fine_histogram(empty, a, 0, -2_000_000, 8000, 500)
+
+
+class TestPairDiffs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.lists(st.integers(0, 10**7), min_size=1, max_size=60),
+        b=st.lists(st.integers(0, 10**7), min_size=1, max_size=60),
+        stride=st.integers(1, 3),
+        centre=st.integers(-10**6, 10**6),
+        half=st.integers(13_001, 3 * 10**5),
+        bin_fs=st.sampled_from([1000, 7777, 8000, 13_001]),
+        data=st.data(),
+    )
+    def test_rebinning_equals_a_pass(self, a, b, stride, centre, half, bin_fs, data):
+        # A grid anywhere within the kept window, flush with either edge or
+        # both, with odd and even nbins*bin and origins of either sign: the
+        # kept pairs rebin to the counts of a pass of their own and of the
+        # oracle, whether the kernel searched both edges or walked.
+        sa, sb = make_stream(a), make_stream(b)
+        nbins = data.draw(st.integers(1, (2 * half + 1) // bin_fs))
+        first, last = centre - half, centre + half + 1 - nbins * bin_fs
+        lo = data.draw(st.sampled_from([first, last]) | st.integers(first, last))
+        origin = data.draw(st.integers(-nbins * bin_fs, nbins * bin_fs))
+        offset = lo - origin
+        sample = make_stream(sa.tags[::stride])
+        oracle = brute_force_histogram(sample.tags, sb.tags, offset, origin, bin_fs, nbins)
+        for walk_below in (0, math.inf):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(correlate, "_WALK_PAIRS", walk_below)
+                kept = correlate.pair_diffs(sa.tags, sb.tags, stride, centre, half)
+            assert kept.covers(stride, lo, lo + nbins * bin_fs)
+            h = kept.histogram(offset, origin, bin_fs, nbins)
+            assert np.array_equal(h.counts, oracle), walk_below
+            assert (h.bin_width_ps, h.origin_ps) == (bin_fs / 1000, origin / 1000)
+        passed = fine_histogram(sample, sb, offset, origin, bin_fs, nbins)
+        assert np.array_equal(passed.counts, oracle)
+        # The kept window is [centre - half, centre + half] and no wider, at
+        # its own stride only.
+        assert kept.covers(stride, first, centre + half + 1)
+        assert not kept.covers(stride, first - 1, centre + half + 1)
+        assert not kept.covers(stride, first, centre + half + 2)
+        assert not kept.covers(stride + 1, lo, lo + nbins * bin_fs)
+        for shift in (first - 1 - lo, last + 1 - lo):  # one fs beyond either edge
+            with pytest.raises(ParameterError):
+                kept.histogram(offset + shift, origin, bin_fs, nbins)
+
+    def test_no_pairs(self):
+        kept = correlate.pair_diffs(np.array([0]), np.array([10**9]), 1, 0, 1000)
+        assert kept.diffs.size == 0
+        assert kept.histogram(0, -1000, 100, 20).counts.tolist() == [0] * 20
 
 
 def _record_yields(monkeypatch) -> list[int]:
@@ -338,6 +391,68 @@ def test_small_passes_start_no_thread(monkeypatch):
     assert opened == [3]
 
 
+class TestHistogramPaths:
+    """measure_peak bins its seed and reported histograms from kept pairs
+    wherever they cover them at the stride each needs; otherwise each takes
+    a pass of its own."""
+
+    @staticmethod
+    def _record(mp):
+        passes, kept, reported = _record_pieces(mp), _record_confirms(mp), []
+        histogram = pipeline.fine_histogram
+
+        def recording(*args):
+            reported.append(args[2])
+            return histogram(*args)
+
+        mp.setattr(pipeline, "fine_histogram", recording)
+        return passes, kept, reported
+
+    @pytest.mark.parametrize("cfg", [presets.fig2a_config(), presets.fig2d_config()],
+                             ids=["fig2a", "fig2d"])
+    def test_paper_peaks_rebin_the_confirm(self, cfg):
+        # One pass over every tag of a, the confirm at test stride 1; the
+        # seed and reported histograms are its pairs, rebinned.
+        a, b = run_simulation(cfg, seed=0)
+        with pytest.MonkeyPatch.context() as mp:
+            passes, kept, reported = self._record(mp)
+            measure_peak(a, b)
+        assert [len(piece) for piece in passes].count(len(a)) == 1
+        assert [n for _, n in kept] == [len(a)]
+        assert reported == []
+
+    def test_longer_run_rebins_the_seed_pass(self):
+        # At four times the acquisition the confirm strides a by 2 and the seed
+        # by 1: the seed takes its own pass over every tag of a, and the
+        # reported histogram rebins it.
+        a, b = run_simulation(presets.fig2d_config(duration_s=4 * presets.ACQUISITION_S), 0)
+        with pytest.MonkeyPatch.context() as mp:
+            passes, kept, reported = self._record(mp)
+            measure_peak(a, b)
+        assert [len(piece) for piece in passes].count(len(a)) == 1
+        assert [n for _, n in kept] == [len(a.tags[::2]), len(a)]
+        assert reported == []
+
+    def test_dense_reported_pass_threaded(self, monkeypatch):
+        # The seed pass strides a, so the reported histogram takes
+        # fine_histogram's pass over every tag, split over three threads.
+        opened = []
+
+        class Spy(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(correlate, "_usable_cpus", lambda: 3)
+        a, b = dense_streams()
+        _, kept, reported = self._record(monkeypatch)
+        meas = measure_peak(a, b)
+        assert len(kept) == 2 and kept[-1][1] < len(a) // 2  # confirm, then seed
+        assert reported == [meas.offset_fs]
+        assert opened == [3]
+
+
 class TestCoarseOffset:
     def test_identical_streams_zero(self):
         rng = np.random.default_rng(3)
@@ -349,7 +464,7 @@ class TestCoarseOffset:
         rng = np.random.default_rng(4)
         a = poisson_stream(rng, 12000, 5.0)
         b = make_stream(a.tags + offset_fs, span=a.acquisition_span_fs + abs(offset_fs))
-        recovered, width = coarse_offset(a, b, search_span_ms=1.0)
+        recovered, width, _ = coarse_offset(a, b, search_span_ms=1.0)
         assert abs(recovered - offset_fs) <= 10**6  # +- one 1 ns coarse bin
         assert width == 10**6  # every pair lies in the one bin of the shift
 
@@ -370,20 +485,13 @@ class TestCoarseOffset:
         noise = poisson_stream(rng, 12000, 1.0).tags
         b = make_stream(np.concatenate([a.tags + offset_fs, noise]),
                         span=a.acquisition_span_fs + abs(offset_fs))
-        full, _ = coarse_offset(a, b)
-        sources = []
-        histogram = correlate.fine_histogram
-
-        def spy(a, *args):
-            sources.append(len(a))
-            return histogram(a, *args)
-
+        full = coarse_offset(a, b)[0]
         # about 5.8e5 expected pairs against a budget of 2^14: stride 36
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(correlate, "_PAIR_BUDGET", 1 << 14)
-            mp.setattr(correlate, "fine_histogram", spy)
+            confirms = _record_confirms(mp)
             assert coarse_offset(a, b)[0] == full
-        assert sources[0] < len(a) // 30
+        assert confirms[0][1] < len(a) // 30
         assert abs(full - offset_fs) <= 5 * 10**5
 
     def test_stride_counts_true_partners(self, monkeypatch):
@@ -394,7 +502,10 @@ class TestCoarseOffset:
         monkeypatch.setattr(correlate, "_SEED_PAIRS", 1000)
         stride = -(-len(a) // 1000)  # without the partner term: 1
         assert correlate._budget_stride(a.tags, a.tags, 21 * 1000, 1000) == stride
-        h = correlate.strided_counts(a, a, 0, 1000, 10)
+        confirmed = coarse_offset(a, a)[2]  # at stride 1, so the seed takes its own pass
+        kept = correlate.seed_pairs(a, a, 0, 21 * 1000, confirmed)
+        assert confirmed.stride == 1 and kept.stride == stride
+        h = kept.histogram(0, -10_500, 1000, 21)
         assert h.counts[10] == h.counts.sum() == len(a.tags[::stride])
 
     def test_independent_streams_no_peak(self):
@@ -444,7 +555,7 @@ class TestCoarseOffset:
         a = poisson_stream(rng, 12000, 5.0)
         offset_fs = 5 * 10**12 + 2_345_678
         b = make_stream(a.tags + offset_fs, span=a.acquisition_span_fs + offset_fs)
-        recovered, width = coarse_offset(a, b, search_span_ms=10.0)
+        recovered, width, _ = coarse_offset(a, b, search_span_ms=10.0)
         assert abs(recovered - offset_fs) <= 10**6
         assert width == 10**6  # every pair lies in the one bin of the shift
         with pytest.raises(NoPeakError):
@@ -460,7 +571,7 @@ class TestCoarseOffset:
         spread = [a.tags + offset_fs + rng.normal(0, 3e8, a.tags.size).astype(np.int64)
                   for _ in range(10)]
         b = make_stream(np.concatenate(spread), span=a.acquisition_span_fs + 2 * offset_fs)
-        recovered, width = coarse_offset(a, b)
+        recovered, width, _ = coarse_offset(a, b)
         assert abs(recovered - offset_fs) < 10**9
         assert width == (2 * correlate._CONFIRM_BINS + 1) * 10**6
 
@@ -472,18 +583,19 @@ class TestCoarseOffset:
             coarse_offset(empty, a)
 
 
-def _record_confirms(monkeypatch) -> list[int]:
-    """Offsets of the fine_histogram calls from now on: coarse_offset makes one
-    per look, centred within 65 ns of the bin the look located."""
-    offsets = []
-    histogram = correlate.fine_histogram
+def _record_confirms(monkeypatch) -> list[tuple[int, int]]:
+    """Centre and number of tags of a of the kept passes from now on:
+    coarse_offset makes one confirm per look, centred within 65 ns of the bin
+    the look located."""
+    passes = []
+    keep = correlate.pair_diffs
 
-    def recording(a, b, offset_fs, *args):
-        offsets.append(offset_fs)
-        return histogram(a, b, offset_fs, *args)
+    def recording(a, b, stride, centre_fs, half_fs):
+        passes.append((centre_fs, len(a[::stride])))
+        return keep(a, b, stride, centre_fs, half_fs)
 
-    monkeypatch.setattr(correlate, "fine_histogram", recording)
-    return offsets
+    monkeypatch.setattr(correlate, "pair_diffs", recording)
+    return passes
 
 
 class TestLooks:
@@ -498,10 +610,10 @@ class TestLooks:
             tracemalloc.stop()
         assert peak_bytes < 8 * 10**6
         sizes = _record_yields(monkeypatch)
-        centres = _record_confirms(monkeypatch)
+        confirms = _record_confirms(monkeypatch)
         coarse_offset(a, b)
         assert sum(sizes) < 2 * 10**5
-        assert len(centres) == 1
+        assert len(confirms) == 1
 
     @pytest.mark.parametrize("cfg", [
         presets.fig2a_config(),
@@ -517,7 +629,7 @@ class TestLooks:
         default = coarse_offset(a, b)
         sparse_pairs = sum(sizes)
         monkeypatch.setattr(correlate, "_LOOK_PAIRS", correlate._PAIR_BUDGET)
-        assert coarse_offset(a, b) == default
+        assert coarse_offset(a, b)[:2] == default[:2]
         assert sum(sizes) - sparse_pairs > 4 * sparse_pairs
 
     def test_later_look_recovers_missed_peak(self, monkeypatch):
@@ -525,8 +637,9 @@ class TestLooks:
         a, b, offset_fs = weak_signal_streams()
         default = coarse_offset(a, b)
         monkeypatch.setattr(correlate, "_LOOK_PAIRS", 1 << 8)
-        centres = _record_confirms(monkeypatch)
-        assert coarse_offset(a, b) == default
+        confirms = _record_confirms(monkeypatch)
+        assert coarse_offset(a, b)[:2] == default[:2]
+        centres = [centre for centre, _ in confirms]
         assert len(centres) > 1
         assert abs(centres[0] - offset_fs) > 65 * 10**6
         assert abs(centres[-1] - offset_fs) <= 65 * 10**6
