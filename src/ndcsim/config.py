@@ -15,9 +15,10 @@ import io
 import typing
 from dataclasses import dataclass
 
-from .errors import ConfigError, check_range
+from .errors import ConfigError, TimestampRangeError, check_range
 from .model import DispersionLeg, SourceParams
-from .simulate import CORRELATION_MODES, DetectorSpec, TimerSpec
+from .simulate import CORRELATION_MODES, INT64_MAX, DetectorSpec, TimerSpec
+from .streams import FS_PER_S
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,9 @@ class RunSpec:
 
     def __post_init__(self):
         check_range("duration_s", self.duration_s, 0)
+        # Every run's duration passes here; its whole fs must fit int64.
+        if self.duration_s * FS_PER_S > INT64_MAX:
+            raise TimestampRangeError("duration exceeds the int64 femtosecond range")
         if self.mode not in CORRELATION_MODES:
             raise ConfigError(f"mode must be one of {CORRELATION_MODES}, got {self.mode!r}")
 

@@ -1,4 +1,9 @@
-"""End-to-end orchestration: simulate, correlate, fit, witness."""
+"""End-to-end orchestration: simulate, correlate, fit, witness.
+
+A simulation's blocks of emission time are cut here, once, as whole-fs
+windows of the acquisition span (``simulate_blocks``); the simulate stages
+take each window as given.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +19,8 @@ from .analyze import GaussianFit, fit_gaussian
 from .config import ExperimentConfig
 from .correlate import (COARSE_BIN_FS, Histogram, coarse_offset, fine_histogram, g2_normalize,
                         seed_pairs)
-from .simulate import ArmChain, arm_shifts, check_duration, generate_pairs
+from .errors import ParameterError
+from .simulate import INT64_MAX, INT64_MIN, ArmChain, arm_shifts, generate_pairs
 from .streams import FS_PER_PS, FS_PER_S, TagStream
 
 _SEED_BINS = 250  # seed-pass bins either side of the coarse offset
@@ -35,30 +41,31 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
     """Simulate one acquisition _BLOCK_FS of emission time at a time, yielding
     each block's tags of both arms, ``(tags_a, tags_b)``.
 
-    Block k holds the emissions in [k, k + 1) * _BLOCK_FS, cut at the
-    duration, and draws each stage from its own stream (simulate.stage_rng):
-    its pair count is Poisson over its own length and its dark counts are
-    uniform over its own window, so the streams are exact in distribution.
-    Only one block's pairs are held at a time, and no tags once yielded; each
-    arm's blocks, concatenated, are its tag stream.
+    The blocks are cut here, once, in whole fs: block k holds the emissions
+    in [k * _BLOCK_FS, min((k + 1) * _BLOCK_FS, span)), the span being the
+    duration's (``acquisition_span_fs``), and every stage takes that window
+    as given.  Each block draws each stage from its own stream
+    (simulate.stage_rng): its pair count is Poisson over its own length and
+    its dark counts are uniform over its own window, so the streams are exact
+    in distribution.  Only one block's pairs are held at a time, and no tags
+    once yielded; each arm's blocks, concatenated, are its tag stream.
     """
-    duration = cfg.run.duration_s
-    check_duration(duration)
+    span = acquisition_span_fs(cfg.run.duration_s, None)
     p_a = cfg.smf.survival_probability * cfg.detector_a.efficiency
     p_b = cfg.dcf.survival_probability * cfg.detector_b.efficiency
     dets = (cfg.detector_a, cfg.detector_b)
     shifts = arm_shifts(cfg.source, cfg.run.mode, (cfg.smf, cfg.dcf), dets)
-    arms = [ArmChain(shift, det, timer, seed, duration)
+    arms = [ArmChain(shift, det, timer, seed, span)
             for shift, det, timer in zip(shifts, dets, (cfg.timer_a, cfg.timer_b))]
-    block_s = _BLOCK_FS / FS_PER_S
     for block in itertools.count():
-        start, end = block * block_s, min((block + 1) * block_s, duration)
+        start = block * _BLOCK_FS
+        end = min(start + _BLOCK_FS, span)
         pairs = generate_pairs(cfg.source, end, seed, p_a, p_b, start, block)
-        tags = tuple(arm.add(pairs, block, start, end) for arm in arms)
+        tags = tuple(arm.add(pairs) for arm in arms)
         del pairs  # before the tags are used, and the next block draws its own
         yield tags
         del tags  # the caller is done with them: freed before the next block's draws
-        if end >= duration:
+        if end >= span:
             return
 
 
@@ -97,14 +104,19 @@ def measure_peak(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> Pea
     reported histogram those kept at stride 1, else it takes fine_histogram's
     pass.  At the paper's rates every window expects under 2 pairs per tag,
     so the kernel walks them partner by partner.  Bins span whole timer
-    ticks, so each holds as many differences.
+    ticks, so each holds as many differences; a tick so long that the seed
+    window leaves int64 raises ParameterError.
     """
     offset, width_fs, kept = coarse_offset(a, b, search_span_ms)
-    tick = int(np.gcd(a.resolution_fs, b.resolution_fs))
+    tick = math.gcd(a.resolution_fs, b.resolution_fs)
     seed_bin_fs = max((2 * width_fs + COARSE_BIN_FS) // (_SEED_BINS * tick), 1) * tick
     nbins = 2 * _SEED_BINS + 1
+    half = nbins * seed_bin_fs // 2
+    if offset - half < INT64_MIN or offset + half > INT64_MAX:
+        raise ParameterError(f"resolution_fs: a tick of {tick} fs puts the seed window "
+                             "beyond the int64 femtosecond range")
     kept = seed_pairs(a, b, offset, nbins * seed_bin_fs, kept)
-    fit = fit_gaussian(kept.histogram(offset, -(nbins * seed_bin_fs // 2), seed_bin_fs, nbins))
+    fit = fit_gaussian(kept.histogram(offset, -half, seed_bin_fs, nbins))
     bin_fs = max(round(fit.fwhm_ps * FS_PER_PS / (10 * tick)), 1) * tick
     offset += int(round(fit.center_ps * FS_PER_PS))
     window_fs = max(4.0 * fit.fwhm_ps * FS_PER_PS, 10.0 * bin_fs)

@@ -4,7 +4,9 @@ Pipeline: pair emission -> dispersive fiber propagation per arm -> detector
 response -> event-timer digitization.  Every stage draws from its own
 seed-derived RNG stream, so identical seeds give bit-identical output
 regardless of how stages are combined.  A long acquisition is simulated in
-blocks of emission time (``ArmChain``), each with its own streams.
+blocks of emission time, each with its own streams: whole-fs windows that
+``pipeline.simulate_blocks`` cuts once from the run's span and every stage
+takes as given, joined across blocks by ``ArmChain``.
 
 Only pairs with at least one detected photon are drawn.  Fiber loss and
 detector efficiency remove each photon independently, so thinning the pair
@@ -68,18 +70,6 @@ def stage_rng(seed: int, stage: int, block: int = 0) -> np.random.Generator:
     check_range("seed", seed, 0)
     key = (stage, block) if block else (stage,)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
-def check_duration(duration_s: float) -> None:
-    """An acquisition length must be >= 0 and end inside the int64 fs range."""
-    check_range("duration_s", duration_s, 0)
-    if duration_s * FS_PER_S >= INT64_MAX:
-        raise TimestampRangeError("duration exceeds the int64 femtosecond range")
-
-
-def _window_fs(start_s: float, end_s: float) -> tuple[int, int]:
-    """The whole femtoseconds t with start_s <= t < end_s, as [lo, hi)."""
-    return math.ceil(start_s * FS_PER_S), math.ceil(end_s * FS_PER_S)
 
 
 @dataclass(frozen=True)
@@ -165,7 +155,8 @@ def arm_shifts(src: SourceParams, mode: str, legs: tuple[DispersionLeg, Dispersi
 class PairEvents:
     """One block's pair emissions with a photon detected in at least one arm.
 
-    Emissions are int64 fs in [start, end_fs), in no particular order, in
+    The block is number ``block`` and its window the whole fs [start_fs,
+    end_fs).  Emissions are int64 fs in that window, in no particular order, in
     three classes: ``both_fs``, seen in both arms, and ``alone_fs[k]``, seen
     in arm k alone (0 signal, 1 idler).  Each detected photon has one
     standard normal: ``both_z`` holds a pair's two, shape (2, n), and
@@ -176,42 +167,45 @@ class PairEvents:
     both_z: np.ndarray
     alone_fs: tuple[np.ndarray, np.ndarray]
     alone_z: tuple[np.ndarray, np.ndarray]
+    start_fs: int
     end_fs: int
+    block: int
 
     def __len__(self) -> int:
         return int(self.both_fs.size + self.alone_fs[0].size + self.alone_fs[1].size)
 
 
 def generate_pairs(
-    src: SourceParams, duration_s: float, seed: int, p_signal: float = 1.0,
-    p_idler: float = 1.0, start_s: float = 0.0, block: int = 0,
+    src: SourceParams, end_fs: int, seed: int, p_signal: float = 1.0,
+    p_idler: float = 1.0, start_fs: int = 0, block: int = 0,
 ) -> PairEvents:
-    """Sample the detected pair emissions in [start_s, duration_s) seconds.
+    """Sample the detected pair emissions in the whole fs [start_fs, end_fs).
 
     ``p_signal`` / ``p_idler`` are the probabilities that a photon of each arm
     is detected (fiber survival times detector efficiency).  Pairs seen in
     both arms, the signal arm only and the idler arm only are Poisson at
     ``src.pair_rate_hz`` times p_s*p_i, p_s(1-p_i) and (1-p_s)p_i, with
-    emissions uniform over the window's whole femtoseconds.  ``block`` picks
-    the RNG stream (see ``stage_rng``).
+    emissions uniform over the window.  ``block`` picks the RNG stream (see
+    ``stage_rng``).  A window ending beyond int64 raises TimestampRangeError.
     """
-    check_duration(duration_s)
-    check_range("start_s", start_s, 0, duration_s)
+    check_range("start_fs", start_fs, 0, end_fs)
+    if end_fs > INT64_MAX:
+        raise TimestampRangeError("window ends beyond the int64 femtosecond range")
     for name, p in (("p_signal", p_signal), ("p_idler", p_idler)):
         check_range(name, p, 0, 1)
 
     rng = stage_rng(seed, _STAGE_PAIRS, block)
-    lo, hi = _window_fs(start_s, duration_s)
     shares = (p_signal * p_idler, p_signal * (1.0 - p_idler), (1.0 - p_signal) * p_idler)
-    counts = rng.poisson(src.pair_rate_hz * (hi - lo) / FS_PER_S * np.array(shares))
+    counts = rng.poisson(src.pair_rate_hz * (end_fs - start_fs) / FS_PER_S * np.array(shares))
     n_both, n_signal, n_idler = counts.tolist()
-    emission = rng.integers(lo, hi, n_both + n_signal + n_idler)
+    emission = rng.integers(start_fs, end_fs, n_both + n_signal + n_idler)
     z = rng.standard_normal(emission.size + n_both)
     split = n_both + n_signal
     return PairEvents(
         both_fs=emission[:n_both], both_z=z[:2 * n_both].reshape(2, n_both),
         alone_fs=(emission[n_both:split], emission[split:]),
-        alone_z=(z[2 * n_both:n_both + split], z[n_both + split:]), end_fs=hi)
+        alone_z=(z[2 * n_both:n_both + split], z[n_both + split:]),
+        start_fs=start_fs, end_fs=end_fs, block=block)
 
 
 def propagate(events: PairEvents, shift: ArmShift) -> np.ndarray:
@@ -261,15 +255,15 @@ class Carry:
 
 
 def detect(
-    arrivals_fs: np.ndarray, det: DetectorSpec, seed: int, stage: int, duration_s: float = 0.0,
-    start_s: float = 0.0, block: int = 0, carry: Carry | None = None,
+    arrivals_fs: np.ndarray, det: DetectorSpec, seed: int, stage: int, end_fs: int = 0,
+    start_fs: int = 0, block: int = 0, carry: Carry | None = None,
 ) -> np.ndarray:
     """Apply the detector's counting; returns the sorted int64 detection times (fs).
 
     Every arrival is a detected photon (efficiency is part of the pair
     classes in ``generate_pairs``, jitter part of its shift in
-    ``propagate``).  Order of effects: dark counts uniform over the whole fs
-    of the window [start_s, duration_s), sort, dead-time pruning.  ``block``
+    ``propagate``).  Order of effects: dark counts uniform over the window's
+    whole fs [start_fs, end_fs), sort, dead-time pruning.  ``block``
     picks the RNG stream (see ``stage_rng``).  A ``carry`` joins its pending
     detections to the sort and takes back, unpruned, those at or after its
     boundary; the rest are pruned against its last kept detection.  A
@@ -282,10 +276,9 @@ def detect(
     if t.dtype != np.int64:
         raise ParameterError(f"arrival times must be int64 femtoseconds, got {t.dtype}")
     parts = [carry.pending, t] if carry.pending.size else [t]
-    if det.dark_rate_hz > 0 and duration_s > start_s:
-        lo, hi = _window_fs(start_s, duration_s)
-        n_dark = int(rng.poisson(det.dark_rate_hz * (hi - lo) / FS_PER_S))
-        parts.append(rng.integers(lo, hi, n_dark))
+    if det.dark_rate_hz > 0 and end_fs > start_fs:
+        n_dark = int(rng.poisson(det.dark_rate_hz * (end_fs - start_fs) / FS_PER_S))
+        parts.append(rng.integers(start_fs, end_fs, n_dark))
     t = np.concatenate(parts) if len(parts) > 1 else t.copy()
     t.sort()
     if t.size and t[0] < carry.final_fs:
@@ -375,7 +368,9 @@ def digitize(times_fs: np.ndarray, timer: TimerSpec) -> np.ndarray:
 
 class ArmChain:
     """One arm's chain, propagate -> detect -> digitize, fed one time block of
-    pairs at a time.
+    pairs at a time, in order, over an acquisition of ``span_fs``: each
+    ``PairEvents`` carries its block's number and window, and the block whose
+    window reaches the span ends the run.
 
     The next block's dark counts start at its first emission, and its photons
     arrive no earlier than that plus the group delay less _SHIFT_SIGMAS
@@ -386,19 +381,19 @@ class ArmChain:
     """
 
     def __init__(self, shift: ArmShift, det: DetectorSpec, timer: TimerSpec, seed: int,
-                 duration_s: float):
+                 span_fs: int):
         self.shift, self.det, self.timer, self.seed = shift, det, timer, seed
-        self.duration_s = duration_s
+        self.span_fs = span_fs
         self.stage = (_STAGE_DETECT_A, _STAGE_DETECT_B)[shift.arm]
         self.lead_fs = min(0, math.floor(shift.delay_fs - _SHIFT_SIGMAS * shift.sigma_fs))
         self.carry = Carry()
 
-    def add(self, events: PairEvents, block: int, start_s: float, end_s: float) -> np.ndarray:
-        """The tags of the block of emissions in [start_s, end_s); the last
-        block, which ends at the duration, finalizes every detection."""
-        last = end_s >= self.duration_s
+    def add(self, events: PairEvents) -> np.ndarray:
+        """The tags of one block of emissions; the last block, which reaches
+        the span, finalizes every detection."""
+        last = events.end_fs >= self.span_fs
         self.carry.boundary_fs = None if last else events.end_fs + self.lead_fs
         arrival = propagate(events, self.shift)
-        detected = detect(arrival, self.det, self.seed, self.stage, end_s, start_s, block,
-                          self.carry)
+        detected = detect(arrival, self.det, self.seed, self.stage, events.end_fs,
+                          events.start_fs, events.block, self.carry)
         return digitize(detected, self.timer)

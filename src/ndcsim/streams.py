@@ -24,7 +24,11 @@ class TagStream:
     acquisition_span_fs: int
 
     def __post_init__(self):
-        check_range("resolution_fs", self.resolution_fs, 1)
+        # What a tag header can carry: a uint32 site, a uint64 span, and
+        # TimerSpec's int64 bound on the resolution.
+        check_range("resolution_fs", self.resolution_fs, 1, 2**63 - 1)
+        check_range("site_id", self.site_id, 0, 2**32 - 1)
+        check_range("acquisition_span_fs", self.acquisition_span_fs, 0, 2**64 - 1)
         # Aligned as well as contiguous: numpy copies an unaligned haystack on
         # every searchsorted, so a misaligned buffer is copied once, here.
         tags = np.require(self.tags, np.int64, "CA")

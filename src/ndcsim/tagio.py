@@ -75,6 +75,8 @@ def _unpack_header(raw) -> tuple[int, dict]:
         raise VersionMismatchError(f"unsupported version {version}, expected {VERSION}")
     if resolution_fs == 0:
         raise TagFormatError("timer resolution must be >= 1 fs, got 0")
+    if resolution_fs >= 2**63:
+        raise TagFormatError(f"timer resolution must be <= 2**63 - 1 fs, got {resolution_fs}")
     if tag_count == _UNFINISHED:
         raise TruncatedFileError("header never finalized: the file's writer did not close it")
     return tag_count, dict(site_id=site_id, resolution_fs=resolution_fs,

@@ -56,8 +56,10 @@ class TestSimulate:
         assert "pair_rate_hz" in capsys.readouterr().err
 
     def test_duration_out_of_range_exit_2(self, tmp_path, capsys):
+        # RunSpec rejects the duration, so the preset is edited as text.
         cfg = tmp_path / "long.cfg"
-        cfg.write_text(dump_config(presets.fig2a_config(duration_s=1e5)))
+        text = dump_config(presets.fig2a_config(duration_s=1.0))
+        cfg.write_text(text.replace("duration_s = 1.0", "duration_s = 100000.0"))
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "invalid parameter: duration exceeds" in capsys.readouterr().err
@@ -199,6 +201,23 @@ class TestCorrelateAnalyze:
         rc = main(["correlate", str(bad), str(bad)])
         assert rc == 2
         assert "bad tag data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("resolution_fs", [2**63, 2**64 - 1])
+    def test_absurd_resolution_exit_2(self, sim_dir, tmp_path, resolution_fs):
+        # b's header claims a tick beyond int64, which used to end in an
+        # OverflowError traceback and exit 1
+        raw = bytearray((sim_dir / "run_b.tags").read_bytes())
+        raw[14:22] = resolution_fs.to_bytes(8, "little")
+        bad = tmp_path / "bad.tags"
+        bad.write_bytes(raw)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        run = subprocess.run([sys.executable, "-m", "ndcsim.cli", "correlate",
+                              str(sim_dir / "run_a.tags"), str(bad)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 2
+        assert f"bad tag data: timer resolution must be <= 2**63 - 1 fs, got {resolution_fs}" \
+            in run.stderr
+        assert "Traceback" not in run.stderr
 
     def test_positive_mode_exit_0(self, tmp_path, capsys):
         # A classical peak of about 5 ns: the histogram is sized from it.

@@ -6,7 +6,7 @@ import io
 import pytest
 
 from ndcsim.config import dump_config, parse_config
-from ndcsim.errors import ConfigError
+from ndcsim.errors import ConfigError, TimestampRangeError
 from ndcsim.model import SourceParams
 from ndcsim import presets
 
@@ -113,6 +113,17 @@ class TestParse:
         broken = SAMPLE.replace("mode = anti", "mode = diagonal")
         with pytest.raises(ConfigError):
             parse_config(io.StringIO(broken))
+
+    @pytest.mark.parametrize("duration", ["9223.373", "1e5"])
+    def test_duration_beyond_int64_rejected(self, duration):
+        # Every duration, from a file or a preset, must end inside int64 fs.
+        broken = SAMPLE.replace("duration_s = 5.0", f"duration_s = {duration}")
+        with pytest.raises(TimestampRangeError, match="duration exceeds the int64"):
+            parse_config(io.StringIO(broken))
+        with pytest.raises(TimestampRangeError):
+            presets.fig2d_config(duration_s=float(duration))
+        longest = SAMPLE.replace("duration_s = 5.0", "duration_s = 9223.372")
+        assert parse_config(io.StringIO(longest)).run.duration_s == 9223.372
 
     def test_parse_error_carries_line_number(self):
         broken = SAMPLE.replace("duration_s = 5.0", "duration_s")

@@ -29,10 +29,11 @@ def test_acquisition_span_covers_duration_and_last_tag(last_tag_fs, span_fs):
     assert acquisition_span_fs(2.25e-14, last_tag_fs) == span_fs
 
 
-@pytest.mark.parametrize("resolution_fs", [0, -1000])
+@pytest.mark.parametrize("resolution_fs", [0, -1000, 2**60])
 def test_stream_without_a_tick_refused(resolution_fs):
     # measure_peak bins in whole ticks; a stream without one used to end it in
-    # a ZeroDivisionError
+    # a ZeroDivisionError, and a 2**60 fs tick, whose 501-tick seed window
+    # leaves int64, in an OverflowError
     a = np.sort(np.random.default_rng(0).integers(0, 10**15, 20_000))
     with pytest.raises(ParameterError, match="resolution_fs"):
         measure_peak(TagStream(a, resolution_fs, 0, 10**15),

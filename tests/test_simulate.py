@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import io
 import itertools
 import math
@@ -91,10 +92,11 @@ def per_pair_oracle(cfg, seed):
     digitization are the package's.
     """
     duration = cfg.run.duration_s
+    span = math.ceil(duration * 1e15)
     src = cfg.source
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(src.pair_rate_hz * duration))
-    emission = rng.integers(0, math.ceil(duration * 1e15), n)
+    emission = rng.integers(0, span, n)
     delta_t = rng.normal(0.0, src.base_sigma_ps * 1e3, n)
     omega_s = rng.normal(0.0, src.effective_sigma_omega, n)
     factor = IDLER_FACTOR[cfg.run.mode]
@@ -113,7 +115,7 @@ def per_pair_oracle(cfg, seed):
         jitter = rng.normal(0.0, det.jitter_fwhm_ps / model.FWHM_PER_SIGMA * 1e3, n)
         shift = half * delta_t + leg.group_delay_fs + leg.k2l_ps2 * omega * 1e3 + jitter
         arrival = emission + np.floor(shift + 0.5).astype(np.int64)
-        times = detect(arrival[detected], det, seed, stage, duration)
+        times = detect(arrival[detected], det, seed, stage, span)
         streams.append(simulated_stream(digitize(times, timer), timer, duration))
     return streams
 
@@ -125,23 +127,23 @@ def pair_arrays(pairs):
 
 class TestGeneratePairs:
     def test_deterministic(self):
-        p1 = generate_pairs(SRC, 1.0, seed=42, p_signal=0.5, p_idler=0.5)
-        p2 = generate_pairs(SRC, 1.0, seed=42, p_signal=0.5, p_idler=0.5)
+        p1 = generate_pairs(SRC, 10**15, seed=42, p_signal=0.5, p_idler=0.5)
+        p2 = generate_pairs(SRC, 10**15, seed=42, p_signal=0.5, p_idler=0.5)
         for a1, a2 in zip(pair_arrays(p1), pair_arrays(p2)):
             assert a1.size and np.array_equal(a1, a2)
 
     def test_zero_duration_empty(self):
-        assert len(generate_pairs(SRC, 0.0, seed=1)) == 0
+        assert len(generate_pairs(SRC, 0, seed=1)) == 0
 
     def test_undetectable_arms_empty(self):
-        pairs = generate_pairs(SRC, 1.0, 1, p_signal=0.0, p_idler=0.0)
+        pairs = generate_pairs(SRC, 10**15, 1, p_signal=0.0, p_idler=0.0)
         assert len(pairs) == 0
         for shift in shifts_of(SRC):
             arrival = propagate(pairs, shift)
             assert arrival.size == 0 and arrival.dtype == np.int64
 
     def test_emission_window_and_poisson_rate(self):
-        pairs = generate_pairs(SRC, 5.0, seed=3)
+        pairs = generate_pairs(SRC, 5 * 10**15, seed=3)
         assert pairs.end_fs == 5 * 10**15
         for emission in (pairs.both_fs, *pairs.alone_fs):
             assert emission.dtype == np.int64
@@ -152,7 +154,7 @@ class TestGeneratePairs:
     def test_delta_t_variance_matches_model(self):
         # no fiber and no jitter: the pair's time difference is the source's
         src = SourceParams(pair_rate_hz=1e6)
-        pairs = generate_pairs(src, 1.0, seed=7)
+        pairs = generate_pairs(src, 10**15, seed=7)
         assert len(pairs) > 990_000
         a, b = (propagate(pairs, shift) for shift in shifts_of(src))
         var_ps2 = np.var((a - b) / 1e3)
@@ -165,7 +167,7 @@ class TestGeneratePairs:
         cfg = presets.fig2d_config()
         legs, dets = (cfg.smf, cfg.dcf), (cfg.detector_a, cfg.detector_b)
         for mode in IDLER_FACTOR:
-            pairs = generate_pairs(src, 1.0, 5, p_signal=0.5, p_idler=0.5)
+            pairs = generate_pairs(src, 10**15, 5, p_signal=0.5, p_idler=0.5)
             shifts = arm_shifts(src, mode, legs, dets)
             var, cov = arm_moments_fs2(src, mode, legs, dets)
             n = pairs.both_fs.size
@@ -184,20 +186,23 @@ class TestGeneratePairs:
             shifts_of(SRC, "sideways")
 
     def test_overflowing_duration_rejected(self):
+        # a window may end at the last int64 fs, not past it
+        last = generate_pairs(SRC, INT64_MAX, seed=0, start_fs=INT64_MAX - 10**15)
+        assert len(last) > 0 and last.both_fs.max() < INT64_MAX
         with pytest.raises(TimestampRangeError):
-            generate_pairs(SRC, 1e5, seed=0)
+            generate_pairs(SRC, INT64_MAX + 1, seed=0, start_fs=INT64_MAX - 10**15)
 
     def test_detection_probability_out_of_range_rejected(self):
         with pytest.raises(ParameterError):
-            generate_pairs(SRC, 1.0, seed=0, p_signal=1.5)
+            generate_pairs(SRC, 10**15, seed=0, p_signal=1.5)
         with pytest.raises(ParameterError):
-            generate_pairs(SRC, 1.0, seed=0, p_idler=-0.1)
+            generate_pairs(SRC, 10**15, seed=0, p_idler=-0.1)
 
 
 class TestPropagate:
     def test_zero_length_identity(self):
         # no fiber and no jitter: a photon lands half the pair offset away
-        pairs = generate_pairs(SRC, 0.5, 11, p_signal=0.5, p_idler=0.5)
+        pairs = generate_pairs(SRC, 5 * 10**14, 11, p_signal=0.5, p_idler=0.5)
         signal, _ = shifts_of(SRC)
         arrival = propagate(pairs, signal)
         n = pairs.both_fs.size
@@ -209,7 +214,7 @@ class TestPropagate:
     def test_idler_sign(self):
         # mode anti with neither fiber nor jitter: the idler lands as far before
         # the emission as the signal lands after it
-        pairs = generate_pairs(SRC, 0.5, seed=11)
+        pairs = generate_pairs(SRC, 5 * 10**14, seed=11)
         a, b = (propagate(pairs, shift) for shift in shifts_of(SRC))
         assert np.std(a - pairs.both_fs) == pytest.approx(500 * SRC.base_sigma_ps, rel=0.05)
         assert np.all(np.abs((a - pairs.both_fs) + (b - pairs.both_fs)) <= 1)
@@ -223,7 +228,7 @@ class TestPropagate:
         signal, idler = shifts_of(src, "anti", (leg, leg))
         assert idler.both[0] == pytest.approx(-signal.sigma_fs, rel=1e-12)
         assert 0.0 <= idler.both[1] < 1e-6 * signal.sigma_fs
-        pairs = generate_pairs(src, 0.2, seed=31)
+        pairs = generate_pairs(src, 2 * 10**14, seed=31)
         a, b = propagate(pairs, signal), propagate(pairs, idler)
         total = (a - pairs.both_fs) + (b - pairs.both_fs) - 2 * leg.group_delay_fs
         assert np.all(np.abs(total) <= 2)
@@ -231,7 +236,7 @@ class TestPropagate:
     def test_ideal_cancellation_restores_variance(self):
         # equal-and-opposite accumulated dispersion: k_s''l_1 = -k_i''l_2
         src = SourceParams(pair_rate_hz=2e5)
-        pairs = generate_pairs(src, 1.0, seed=13)
+        pairs = generate_pairs(src, 10**15, seed=13)
         leg_s = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.0)
         leg_i = DispersionLeg(
             k2_s2_per_m=2.26e-26 * 62.0 / 7.47, length_km=7.47, attenuation_db_per_km=0.0
@@ -247,7 +252,7 @@ class TestPropagate:
         src = SourceParams(pair_rate_hz=2e5)
         leg_s = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.0)
         leg_i = DispersionLeg(k2_s2_per_m=1.95e-25, length_km=7.47, attenuation_db_per_km=0.0)
-        pairs = generate_pairs(src, 1.0, seed=17)
+        pairs = generate_pairs(src, 10**15, seed=17)
         for mode in IDLER_FACTOR:
             arr_s, arr_i = (propagate(pairs, shift)
                             for shift in shifts_of(src, mode, (leg_s, leg_i)))
@@ -260,14 +265,14 @@ class TestPropagate:
         # every pair is kept and the signal arm holds the survivors
         src = SourceParams(pair_rate_hz=2e5)
         leg = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.2)
-        pairs = generate_pairs(src, 1.0, 19, leg.survival_probability, 1.0)
+        pairs = generate_pairs(src, 10**15, 19, leg.survival_probability, 1.0)
         survivors = propagate(pairs, shifts_of(src, "anti", (leg, NO_FIBER))[0])
         p = 10 ** (-1.24)
         n = len(pairs)
         assert survivors.size / n == pytest.approx(p, abs=5 * math.sqrt(p / n))
 
     def test_group_delay(self):
-        pairs = generate_pairs(SRC, 0.1, seed=23)
+        pairs = generate_pairs(SRC, 10**14, seed=23)
         leg = DispersionLeg(length_km=62.0, attenuation_db_per_km=0.0, group_index=1.468)
         signal, _ = shifts_of(SRC, "anti", (leg, NO_FIBER))
         arrival = propagate(pairs, signal)
@@ -277,7 +282,8 @@ class TestPropagate:
 
     def test_arrival_beyond_int64_rejected(self):
         # emissions just inside the int64 range, delayed past its end
-        pairs = generate_pairs(SourceParams(pair_rate_hz=1000.0), 9223.372, 0, start_s=9223.3)
+        pairs = generate_pairs(SourceParams(pair_rate_hz=1000.0), 9_223_372 * 10**12, 0,
+                               start_fs=9_223_300 * 10**12)
         assert len(pairs) > 0
         leg = DispersionLeg(length_km=1e6, attenuation_db_per_km=0.0)
         with pytest.raises(TimestampRangeError):
@@ -297,7 +303,7 @@ class TestDetect:
         # arrival it is given; the arm's share of the pairs is the efficiency
         src = SourceParams(pair_rate_hz=1e5)
         det = DetectorSpec(efficiency=0.5, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
-        pairs = generate_pairs(src, 1.0, 5, det.efficiency, 1.0)
+        pairs = generate_pairs(src, 10**15, 5, det.efficiency, 1.0)
         arrivals = propagate(pairs, shifts_of(src)[0])
         out1 = detect(arrivals, det, seed=5, stage=3)
         out2 = detect(arrivals, det, seed=5, stage=3)
@@ -310,7 +316,7 @@ class TestDetect:
         # the jitter is part of a photon's shift, with half the pair offset
         src = SourceParams(pair_rate_hz=2e5)
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=26.587, dark_rate_hz=0.0, dead_time_ns=0.0)
-        pairs = generate_pairs(src, 1.0, 7, p_signal=1.0, p_idler=0.0)
+        pairs = generate_pairs(src, 10**15, 7, p_signal=1.0, p_idler=0.0)
         assert pairs.alone_fs[0].size == len(pairs) > 190_000
         out = propagate(pairs, shifts_of(src, "anti", dets=(det, NO_JITTER))[0])
         var_ps2 = np.var(out - pairs.alone_fs[0]) / 1e6
@@ -320,7 +326,7 @@ class TestDetect:
     def test_dark_counts_added(self):
         times = np.linspace(0, 10**15, 1000).astype(np.int64)  # 1 s span
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=5000.0, dead_time_ns=0.0)
-        out = detect(times, det, seed=9, stage=3, duration_s=1.0)
+        out = detect(times, det, seed=9, stage=3, end_fs=10**15)
         extra = out.size - times.size
         assert abs(extra - 5000) < 5 * math.sqrt(5000)
 
@@ -328,7 +334,7 @@ class TestDetect:
                              ids=["empty", "one"])
     def test_dark_counts_over_acquisition_window(self, times):
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=5000.0, dead_time_ns=0.0)
-        out = detect(times, det, seed=9, stage=3, duration_s=1.0)
+        out = detect(times, det, seed=9, stage=3, end_fs=10**15)
         assert abs(out.size - times.size - 5000) < 5 * math.sqrt(5000)
         assert out[0] >= 0 and out[-1] < 10**15
 
@@ -336,11 +342,11 @@ class TestDetect:
         # jitter and dead time on as well, over an empty and a zero-length window
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=26.587, dark_rate_hz=5000.0,
                            dead_time_ns=40.0)
-        out = detect(np.empty(0, np.int64), det, seed=9, stage=4, duration_s=1.0)
+        out = detect(np.empty(0, np.int64), det, seed=9, stage=4, end_fs=10**15)
         assert abs(out.size - 5000) < 5 * math.sqrt(5000)
         assert np.all(out[1:] - out[:-1] >= 40 * 10**6)
         assert out[0] >= 0 and out[-1] < 10**15
-        assert detect(np.empty(0, np.int64), det, seed=9, stage=4, duration_s=0.0).size == 0
+        assert detect(np.empty(0, np.int64), det, seed=9, stage=4, end_fs=0).size == 0
 
     def test_dead_time_pruning(self):
         # bursts closer than the dead time collapse to their first event
@@ -385,13 +391,14 @@ class TestMarking:
         # 62 km at 0.2 dB/km and a 0.5 efficiency detector in the signal arm
         assert p_a == pytest.approx(10 ** (-1.24) * 0.5, rel=1e-12)
         emitted = cfg.source.pair_rate_hz * cfg.run.duration_s * len(self.SEEDS)
+        span = pipeline.acquisition_span_fs(cfg.run.duration_s, None)
         shifts = arm_shifts(cfg.source, "anti", (cfg.smf, cfg.dcf), (cfg.detector_a, cfg.detector_b))
         drawn = []
         # the fig2d arms are balanced, so an unbalanced pair of arms as well
         for p_s, p_i in ((p_a, p_b), (0.5, 0.2)):
             counts = np.zeros(3, dtype=np.int64)
             for seed in self.SEEDS:
-                pairs = generate_pairs(cfg.source, cfg.run.duration_s, seed, p_s, p_i)
+                pairs = generate_pairs(cfg.source, span, seed, p_s, p_i)
                 n = (pairs.both_fs.size, *(a.size for a in pairs.alone_fs))
                 assert pairs.both_z.shape == (2, n[0])
                 assert tuple(z.size for z in pairs.alone_z) == n[1:]
@@ -447,7 +454,8 @@ class TestInputsUnchanged:
 
     def pairs(self):
         cfg = self.CFG
-        return generate_pairs(cfg.source, cfg.run.duration_s, 29,
+        span = pipeline.acquisition_span_fs(cfg.run.duration_s, None)
+        return generate_pairs(cfg.source, span, 29,
                               cfg.smf.survival_probability, cfg.dcf.survival_probability)
 
     def test_propagate(self):
@@ -475,11 +483,11 @@ class TestInputsUnchanged:
         src = SourceParams(pair_rate_hz=2e7)
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=jitter, dark_rate_hz=dark,
                            dead_time_ns=dead)
-        arrivals = propagate(generate_pairs(src, 0.001, 3), shifts_of(src, dets=(det, det))[0])
+        arrivals = propagate(generate_pairs(src, 10**12, 3), shifts_of(src, dets=(det, det))[0])
         arrivals[1::50] = arrivals[:-1:50] + 10**6
         assert not np.all(arrivals[1:] >= arrivals[:-1])
         before = arrivals.copy()
-        out = detect(arrivals, det, seed=1, stage=3, duration_s=0.001)
+        out = detect(arrivals, det, seed=1, stage=3, end_fs=10**12)
         assert arrivals.tobytes() == before.tobytes()
         assert not np.shares_memory(out, arrivals)
         assert np.all(out[1:] >= out[:-1])
@@ -653,7 +661,7 @@ class TestBlocks:
         """Both streams from every block's raw detections, concatenated, then
         sorted, pruned and digitized once."""
         duration = cfg.run.duration_s
-        block_s = block_fs / 1e15
+        span = math.ceil(duration * 1e15)
         p_a = cfg.smf.survival_probability * cfg.detector_a.efficiency
         p_b = cfg.dcf.survival_probability * cfg.detector_b.efficiency
         dets = (cfg.detector_a, cfg.detector_b)
@@ -661,12 +669,12 @@ class TestBlocks:
         arms = tuple(zip(shifts, dets, (cfg.timer_a, cfg.timer_b), (3, 4)))
         raw = ([], [])
         for block in itertools.count():
-            start, end = block * block_s, min((block + 1) * block_s, duration)
+            start, end = block * block_fs, min((block + 1) * block_fs, span)
             pairs = generate_pairs(cfg.source, end, seed, p_a, p_b, start, block)
             for (shift, det, _, stage), out in zip(arms, raw):
                 no_dead = dataclasses.replace(det, dead_time_ns=0.0)
                 out.append(detect(propagate(pairs, shift), no_dead, seed, stage, end, start, block))
-            if end >= duration:
+            if end >= span:
                 break
         streams = []
         for (_, det, timer, _), out in zip(arms, raw):
@@ -712,18 +720,44 @@ class TestBlocks:
 
     def test_block_windows(self):
         # a block's pairs and dark counts lie in its own window, Poisson over its length
-        pairs = generate_pairs(SRC, 2.0, 1, 0.5, 0.5, start_s=1.5, block=3)
-        assert pairs.end_fs == 2 * 10**15
+        pairs = generate_pairs(SRC, 2 * 10**15, 1, 0.5, 0.5, start_fs=15 * 10**14, block=3)
+        assert (pairs.start_fs, pairs.end_fs, pairs.block) == (15 * 10**14, 2 * 10**15, 3)
         for emission in (pairs.both_fs, *pairs.alone_fs):
             assert emission.min() >= 15 * 10**14 and emission.max() < 2 * 10**15
         assert abs(len(pairs) - 9_000) < 5 * math.sqrt(9_000)
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=5000.0,
                            dead_time_ns=0.0)
         none = np.empty(0, np.int64)
-        darks = detect(none, det, 1, 3, 2.0, start_s=1.5, block=3)
+        darks = detect(none, det, 1, 3, 2 * 10**15, start_fs=15 * 10**14, block=3)
         assert darks[0] >= 15 * 10**14 and darks[-1] < 2 * 10**15
         assert abs(darks.size - 2500) < 5 * math.sqrt(2500)
-        assert not np.array_equal(darks, detect(none, det, 1, 3, 2.0, 1.5, block=4))
+        assert not np.array_equal(darks, detect(none, det, 1, 3, 2 * 10**15, 15 * 10**14, block=4))
+
+    @pytest.mark.parametrize("block_fs", [pipeline._BLOCK_FS, BLOCK_FS], ids=["5s", "50ms"])
+    @pytest.mark.parametrize("duration", [0.0, 2.25e-14, 1.1, 5.0, 5.1, 12.0])
+    def test_windows_tile_the_span(self, monkeypatch, block_fs, duration):
+        # the windows simulate_blocks gives generate_pairs are whole fs, in
+        # block order, and cover [0, span) with no gap or overlap
+        monkeypatch.setattr(pipeline, "_BLOCK_FS", block_fs)
+        windows = []
+
+        def spy(*args, **kwargs):
+            call = inspect.signature(generate_pairs).bind(*args, **kwargs).arguments
+            windows.append((call["start_fs"], call["end_fs"], call["block"]))
+            return generate_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "generate_pairs", spy)
+        cfg = presets.fig2d_config(duration_s=duration)
+        cfg = dataclasses.replace(cfg, source=dataclasses.replace(cfg.source, pair_rate_hz=1.0))
+        for _ in pipeline.simulate_blocks(cfg, 0):
+            pass
+        span = pipeline.acquisition_span_fs(duration, None)
+        starts, ends, blocks = zip(*windows)
+        assert all(type(t) is int for t in starts + ends)
+        assert blocks == tuple(range(len(windows))) == tuple(range(max(-(-span // block_fs), 1)))
+        assert starts[0] == 0 and ends[-1] == span and starts[1:] == ends[:-1]
+        assert all(0 <= end - start <= block_fs for start, end in zip(starts, ends))
+        assert all(end > start for start, end in zip(starts, ends)) or span == 0
 
     def test_detection_before_a_finalized_one_raises(self):
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
@@ -737,7 +771,9 @@ class TestBlocks:
 # sha256 of both write_tags outputs of run_simulation, re-pinned once when the
 # sampler came to draw one normal per detected photon and to carry time as
 # int64 fs from emission to tag.  The 0.5 s cases are one block and the 12 s
-# cases three.
+# cases three.  Two cases end off a whole block: 1.1 s spans
+# 1,100,000,000,000,001 fs (1.1 * 1e15 rounds up), and 5.1 s ends in a 0.1 s
+# second block.
 GOLDEN_TAG_DIGESTS = {
     ("fig2a", "anti", 0): (
         "85a4275249d92de1b3a9e8ab5eaab273ab9c0f7afcd346a6c183727e5e26b53f",
@@ -775,12 +811,22 @@ GOLDEN_TAG_DIGESTS = {
     ("fig2d_12s", "anti", 1): (
         "0de980c83f309b50dd208010dbdde4c7ae0e604a6d917f0719791186e4423dd9",
         "4ae3b768be7f173722a94f0d9722d3433fa095aac7a5d08a47e131d262905416"),
+    ("fig2a_1.1s", "anti", 0): (
+        "37db8c853b4aebaeeb8a89666d4b5f854f5468eacd85b14ac872b0996d3abce9",
+        "d534a04189912299403e567e2c273f6c805335ad580d44a5a42474aa2a60c929"),
+    ("fig2d_5.1s", "anti", 0): (
+        "ac1c904b4da8dd227a1f2e89f455092dc9f0110357c5f3c0939b90abf2c676f0",
+        "8eb0e893d9747918f20aa2171cb0fb559a8056322ee498190f65457ddc5ac732"),
 }
 
 
 def golden_config(name, mode):
     if name == "fig2a":
         return presets.fig2a_config(duration_s=0.5)
+    if name == "fig2a_1.1s":
+        return presets.fig2a_config(duration_s=1.1)
+    if name == "fig2d_5.1s":
+        return presets.fig2d_config(mode=mode, duration_s=5.1)
     if name == "fig2d_12s":
         return presets.fig2d_config(mode=mode, duration_s=12.0)
     cfg = presets.fig2d_config(mode=mode, duration_s=0.5)
@@ -795,8 +841,10 @@ def test_golden_tag_bytes(name, mode, seed):
 
     A change to the stages' arithmetic must keep every draw and every float
     operation, so these digests hold.  The 0.5 s cases are one simulation
-    block and the 12 s cases three, so the block structure (its RNG streams,
-    windows and carried detections) is pinned too.  The bytes changed once,
+    block, the 12 s cases three and the 5.1 s case two, the second 0.1 s
+    long, so the block structure (its RNG streams, windows and carried
+    detections) is pinned too; so is the span of a duration whose fs round
+    up (1.1 s).  The bytes changed once,
     when the per-pair sampler (an offset and detunings per pair, a jitter per
     photon, float64 times) gave way to one normal per detected photon, with
     integer emissions, dark counts and times and exact half-up rounding.

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ndcsim import tagio
 from ndcsim.errors import (
     BadMagicError,
+    ParameterError,
     TagFormatError,
     TransportError,
     TruncatedFileError,
@@ -421,6 +422,28 @@ class TestDecodedStream:
         raw = pack_header(0, 0, 3, 100) + np.arange(3, dtype="<i8").tobytes()
         with pytest.raises(TagFormatError, match="resolution must be >= 1 fs, got 0"):
             read(raw, tmp_path)
+
+    @pytest.mark.parametrize("resolution_fs", [2**63, 2**64 - 1])
+    def test_resolution_beyond_int64_rejected(self, read, tmp_path, resolution_fs):
+        # No tick of a TimerSpec is this long; numpy's gcd overflowed on it.
+        raw = pack_header(0, resolution_fs, 3, 100) + np.arange(3, dtype="<i8").tobytes()
+        with pytest.raises(TagFormatError, match=f"<= 2\\*\\*63 - 1 fs, got {resolution_fs}"):
+            read(raw, tmp_path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("resolution_fs", 2**63), ("site_id", 2**32), ("site_id", -1),
+    ("acquisition_span_fs", 2**64), ("acquisition_span_fs", -1)])
+def test_stream_holds_only_what_a_header_carries(field, value):
+    # write_tags used to fail on these with struct.error, which is no NdcError.
+    fields = dict(tags=np.arange(3), resolution_fs=1000, site_id=0, acquisition_span_fs=10)
+    with pytest.raises(ParameterError, match=field):
+        TagStream(**{**fields, field: value})
+    widest = TagStream(**{**fields, "resolution_fs": 2**63 - 1, "site_id": 2**32 - 1,
+                          "acquisition_span_fs": 2**64 - 1})
+    buf = io.BytesIO()
+    write_tags(widest, buf)
+    assert read_tags(io.BytesIO(buf.getvalue())) == widest
 
 
 def test_unaligned_tags_copied_aligned():
