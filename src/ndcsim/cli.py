@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 
 from . import presets, tagio
 from .analyze import evaluate_wasak, fit_gaussian, fit_report_text, wasak_report_text
@@ -57,11 +57,15 @@ def _simulate_to_files(cfg, seed: int, paths) -> list[int]:
     with ExitStack() as stack:
         writers = [stack.enter_context(tagio.TagWriter(path, timer.resolution_fs, timer.site_id))
                    for path, timer in zip(paths, (cfg.timer_a, cfg.timer_b))]
-        for tags in simulate_blocks(cfg, seed):
+        # closed on any exit: a failed run joins the simulation's worker
+        # thread here, not whenever the generator is collected
+        for tags in stack.enter_context(closing(simulate_blocks(cfg, seed))):
             for writer, block_tags in zip(writers, tags):
                 writer.append(block_tags)
-            # Freed before the next block's draws: a block's tags held across
-            # them pin glibc's heap, whose resident size then grows block by block.
+            # Freed before the generator resumes, which detects the next block
+            # and starts drawing the one after: held across that, they would be
+            # a third block in memory and pin glibc's heap, whose resident size
+            # then grows block by block.
             del tags, block_tags
         for writer in writers:
             writer.close(acquisition_span_fs(cfg.run.duration_s, writer.last))

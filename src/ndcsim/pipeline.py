@@ -2,14 +2,15 @@
 
 A simulation's blocks of emission time are cut here, once, as whole-fs
 windows of the acquisition span (``simulate_blocks``); the simulate stages
-take each window as given.
+take each window as given.  The next block is drawn and propagated on one
+worker thread while the current one is detected and used.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,15 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
     as given.  Each block draws each stage from its own stream
     (simulate.stage_rng): its pair count is Poisson over its own length and
     its dark counts are uniform over its own window, so the streams are exact
-    in distribution.  Only one block's pairs are held at a time, and no tags
-    once yielded; each arm's blocks, concatenated, are its tag stream.
+    in distribution.  Each arm's blocks, concatenated, are its tag stream.
+
+    A block's pairs and their propagation depend on no other block, so while
+    block k is detected, digitized and used by the caller, block k + 1 is
+    drawn and propagated on one worker thread; detection, which carries state
+    from block to block, stays on the calling thread in block order.  At most
+    two blocks are in flight, and a block's pairs are freed once propagated.
+    A run of one block starts no thread.  The worker is joined when the
+    generator ends, raises or is closed.
     """
     span = acquisition_span_fs(cfg.run.duration_s, None)
     p_a = cfg.smf.survival_probability * cfg.detector_a.efficiency
@@ -57,16 +65,29 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
     shifts = arm_shifts(cfg.source, cfg.run.mode, (cfg.smf, cfg.dcf), dets)
     arms = [ArmChain(shift, det, timer, seed, span)
             for shift, det, timer in zip(shifts, dets, (cfg.timer_a, cfg.timer_b))]
-    for block in itertools.count():
+
+    def draw(block):
         start = block * _BLOCK_FS
         end = min(start + _BLOCK_FS, span)
         pairs = generate_pairs(cfg.source, end, seed, p_a, p_b, start, block)
-        tags = tuple(arm.add(pairs) for arm in arms)
-        del pairs  # before the tags are used, and the next block draws its own
-        yield tags
-        del tags  # the caller is done with them: freed before the next block's draws
-        if end >= span:
-            return
+        return (start, end, block), [arm.arrivals(pairs) for arm in arms]
+
+    window, arrivals = draw(0)
+    worker = nullcontext()
+    if window[1] < span:  # a run of one block starts no thread
+        from concurrent.futures import ThreadPoolExecutor
+        worker = ThreadPoolExecutor(max_workers=1)
+    with worker:
+        while True:
+            _, end, block = window
+            ahead = worker.submit(draw, block + 1) if end < span else None
+            # each arm's arrivals are freed once detected
+            tags = tuple(arm.add(window, arrivals.pop(0)) for arm in arms)
+            yield tags
+            del tags  # the caller is done with them: freed before the next block is detected
+            if ahead is None:
+                return
+            window, arrivals = ahead.result()
 
 
 def acquisition_span_fs(duration_s: float, last_tag_fs: int | None) -> int:

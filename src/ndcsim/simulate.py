@@ -6,7 +6,9 @@ seed-derived RNG stream, so identical seeds give bit-identical output
 regardless of how stages are combined.  A long acquisition is simulated in
 blocks of emission time, each with its own streams: whole-fs windows that
 ``pipeline.simulate_blocks`` cuts once from the run's span and every stage
-takes as given, joined across blocks by ``ArmChain``.
+takes as given, joined across blocks by ``ArmChain``.  Pair generation and
+propagation depend on no other block, so a block can be drawn while the one
+before it is detected; detection carries state and takes the blocks in order.
 
 Only pairs with at least one detected photon are drawn.  Fiber loss and
 detector efficiency remove each photon independently, so thinning the pair
@@ -367,10 +369,11 @@ def digitize(times_fs: np.ndarray, timer: TimerSpec) -> np.ndarray:
 
 
 class ArmChain:
-    """One arm's chain, propagate -> detect -> digitize, fed one time block of
-    pairs at a time, in order, over an acquisition of ``span_fs``: each
-    ``PairEvents`` carries its block's number and window, and the block whose
-    window reaches the span ends the run.
+    """One arm's chain, propagate -> detect -> digitize, over an acquisition
+    of ``span_fs``.  ``arrivals`` propagates a block's pairs and depends on no
+    other block; ``add`` detects and digitizes each block's arrivals, fed one
+    block at a time, in order, with the block's window ``(start_fs, end_fs,
+    block)``; the block whose window reaches the span ends the run.
 
     The next block's dark counts start at its first emission, and its photons
     arrive no earlier than that plus the group delay less _SHIFT_SIGMAS
@@ -388,12 +391,16 @@ class ArmChain:
         self.lead_fs = min(0, math.floor(shift.delay_fs - _SHIFT_SIGMAS * shift.sigma_fs))
         self.carry = Carry()
 
-    def add(self, events: PairEvents) -> np.ndarray:
-        """The tags of one block of emissions; the last block, which reaches
+    def arrivals(self, events: PairEvents) -> np.ndarray:
+        """This arm's arrivals of one block's pairs (``propagate``)."""
+        return propagate(events, self.shift)
+
+    def add(self, window: tuple[int, int, int], arrivals: np.ndarray) -> np.ndarray:
+        """The tags of one block's arrivals; the last block, which reaches
         the span, finalizes every detection."""
-        last = events.end_fs >= self.span_fs
-        self.carry.boundary_fs = None if last else events.end_fs + self.lead_fs
-        arrival = propagate(events, self.shift)
-        detected = detect(arrival, self.det, self.seed, self.stage, events.end_fs,
-                          events.start_fs, events.block, self.carry)
+        start_fs, end_fs, block = window
+        last = end_fs >= self.span_fs
+        self.carry.boundary_fs = None if last else end_fs + self.lead_fs
+        detected = detect(arrivals, self.det, self.seed, self.stage, end_fs, start_fs, block,
+                          self.carry)
         return digitize(detected, self.timer)

@@ -1,11 +1,13 @@
 """Monte-Carlo generator tests: determinism, calibration, stage semantics."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import inspect
 import io
 import itertools
 import math
+import threading
 import warnings
 from unittest import mock
 
@@ -766,6 +768,81 @@ class TestBlocks:
         assert first.tolist() == [10**12] and carry.pending.tolist() == [3 * 10**12]
         with pytest.raises(ParameterError, match="precedes the finalized"):
             detect(np.array([5 * 10**11]), det, 0, 3, block=1, carry=carry)
+
+
+class TestBlocksAhead:
+    """simulate_blocks draws block k + 1 on one worker thread while block k is
+    detected and used; the worker lives no longer than the generator."""
+
+    @staticmethod
+    def sparse(duration_s):
+        cfg = presets.fig2d_config(duration_s=duration_s)
+        return dataclasses.replace(cfg, source=dataclasses.replace(cfg.source, pair_rate_hz=1e3))
+
+    @staticmethod
+    def fail_on_block_2(monkeypatch):
+        error = TimestampRangeError("arrival outside the int64 femtosecond range")
+
+        def spy(*args, **kwargs):
+            if inspect.signature(generate_pairs).bind(*args, **kwargs).arguments["block"] == 2:
+                raise error
+            return generate_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "generate_pairs", spy)
+        return error
+
+    @pytest.mark.parametrize("duration_s, workers", [(5.0, []), (12.0, [1])])
+    def test_several_blocks_start_one_worker(self, monkeypatch, duration_s, workers):
+        # a 5 s run is one block and starts no thread; a 12 s run is three:
+        # block 0 is drawn on the calling thread, blocks 1 and 2 on one worker
+        opened, drawn_on = [], []
+
+        class Spy(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers)
+
+        def spy(*args, **kwargs):
+            drawn_on.append(threading.current_thread())
+            return generate_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(pipeline, "generate_pairs", spy)
+        run_simulation(self.sparse(duration_s), 0)
+        assert opened == workers
+        assert drawn_on[0] is threading.current_thread()
+        assert len(set(drawn_on[1:])) == len(workers)
+        assert threading.current_thread() not in drawn_on[1:]
+
+    @pytest.mark.parametrize("taken", [1, 2, None], ids=["close-after-1", "close-after-2", "end"])
+    def test_worker_joined_when_the_generator_ends(self, taken):
+        before = threading.active_count()
+        blocks = pipeline.simulate_blocks(self.sparse(20.0), 0)
+        for _ in itertools.islice(blocks, taken):
+            assert threading.active_count() == before + 1
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_error_on_a_later_block_surfaces(self, monkeypatch):
+        # block 2 is drawn on the worker; its error is raised as it was
+        error = self.fail_on_block_2(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(TimestampRangeError) as raised:
+            run_simulation(self.sparse(12.0), 0)
+        assert raised.value is error
+        assert threading.active_count() == before
+
+    def test_error_on_a_later_block_exit_2(self, monkeypatch, tmp_path, capsys):
+        # the tag files already hold blocks 0 and 1: the failed run deletes both
+        self.fail_on_block_2(monkeypatch)
+        before = threading.active_count()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(dump_config(self.sparse(12.0)))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert ("invalid parameter: arrival outside the int64 femtosecond range"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+        assert threading.active_count() == before
 
 
 # sha256 of both write_tags outputs of run_simulation, re-pinned once when the
