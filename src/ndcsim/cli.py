@@ -62,10 +62,9 @@ def _simulate_to_files(cfg, seed: int, paths) -> list[int]:
         for tags in stack.enter_context(closing(simulate_blocks(cfg, seed))):
             for writer, block_tags in zip(writers, tags):
                 writer.append(block_tags)
-            # Freed before the generator resumes, which detects the next block
-            # and starts drawing the one after: held across that, they would be
-            # a third block in memory and pin glibc's heap, whose resident size
-            # then grows block by block.
+            # Freed before the generator resumes to make the next block's tags:
+            # held across that, they would be one block more in memory and pin
+            # glibc's heap, whose resident size then grows block by block.
             del tags, block_tags
         for writer in writers:
             writer.close(acquisition_span_fs(cfg.run.duration_s, writer.last))

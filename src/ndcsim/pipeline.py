@@ -2,26 +2,27 @@
 
 A simulation's blocks of emission time are cut here, once, as whole-fs
 windows of the acquisition span (``simulate_blocks``); the simulate stages
-take each window as given.  The next block is drawn and propagated on one
-worker thread while the current one is detected and used.
+take each window as given.  On two or more CPUs the next block is drawn and
+propagated on one worker thread while the current one is detected and used.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import presets
+from . import presets, simulate
 from .analyze import GaussianFit, fit_gaussian
 from .config import ExperimentConfig
-from .correlate import (COARSE_BIN_FS, Histogram, coarse_offset, fine_histogram, g2_normalize,
-                        seed_pairs)
+from .correlate import (COARSE_BIN_FS, Histogram, _usable_cpus, coarse_offset, fine_histogram,
+                        g2_normalize, seed_pairs)
 from .errors import ParameterError
-from .simulate import INT64_MAX, INT64_MIN, ArmChain, arm_shifts, generate_pairs
+from .simulate import (INT64_MAX, INT64_MIN, ArmChain, PairEvents, Window, arm_shifts,
+                       generate_pairs)
 from .streams import FS_PER_PS, FS_PER_S, TagStream
 
 _SEED_BINS = 250  # seed-pass bins either side of the coarse offset
@@ -50,13 +51,17 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
     its dark counts are uniform over its own window, so the streams are exact
     in distribution.  Each arm's blocks, concatenated, are its tag stream.
 
-    A block's pairs and their propagation depend on no other block, so while
-    block k is detected, digitized and used by the caller, block k + 1 is
-    drawn and propagated on one worker thread; detection, which carries state
-    from block to block, stays on the calling thread in block order.  At most
-    two blocks are in flight, and a block's pairs are freed once propagated.
-    A run of one block starts no thread.  The worker is joined when the
-    generator ends, raises or is closed.
+    A block's pairs and their propagation depend on no other block, so on
+    two or more usable CPUs block k + 1 is drawn and propagated on one worker
+    thread while block k is detected, digitized and used by the caller;
+    detection, which carries state from block to block, stays on the calling
+    thread in block order.  At most two blocks are in flight, and a block
+    drawn ahead frees its pairs once propagated.  The worker is joined when
+    the generator ends, raises or is closed.  A run of one block, or on one
+    CPU, where a worker would overlap nothing, starts no thread: it draws
+    each block, and propagates and detects each arm, in turn, and with
+    glibc's default malloc so faults in far fewer pages than by propagating
+    both arms first.
     """
     span = acquisition_span_fs(cfg.run.duration_s, None)
     p_a = cfg.smf.survival_probability * cfg.detector_a.efficiency
@@ -66,28 +71,41 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
     arms = [ArmChain(shift, det, timer, seed, span)
             for shift, det, timer in zip(shifts, dets, (cfg.timer_a, cfg.timer_b))]
 
-    def draw(block):
+    def pairs_of(block: int) -> PairEvents:
         start = block * _BLOCK_FS
-        end = min(start + _BLOCK_FS, span)
-        pairs = generate_pairs(cfg.source, end, seed, p_a, p_b, start, block)
-        return (start, end, block), [arm.arrivals(pairs) for arm in arms]
+        return generate_pairs(cfg.source, min(start + _BLOCK_FS, span), seed, p_a, p_b,
+                              start, block)
 
-    window, arrivals = draw(0)
-    worker = nullcontext()
-    if window[1] < span:  # a run of one block starts no thread
-        from concurrent.futures import ThreadPoolExecutor
-        worker = ThreadPoolExecutor(max_workers=1)
-    with worker:
+    if span <= _BLOCK_FS or _usable_cpus() < 2:
+        for block in itertools.count():
+            pairs = pairs_of(block)
+            window = pairs.window
+            tags = tuple(arm.add(window, simulate.propagate(pairs, arm.shift)) for arm in arms)
+            del pairs  # before the tags are used, and the next block draws its own
+            yield tags
+            del tags  # the caller is done with them: freed before the next block's draws
+            if window.end_fs >= span:
+                return
+
+    # imported only for the worker: its modules add 0.4 MB to a run's peak RSS
+    from concurrent.futures import ThreadPoolExecutor
+
+    def draw(block: int) -> tuple[Window, list[np.ndarray]]:
+        pairs = pairs_of(block)
+        return pairs.window, [simulate.propagate(pairs, arm.shift) for arm in arms]
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        window, arrivals = draw(0)
         while True:
-            _, end, block = window
-            ahead = worker.submit(draw, block + 1) if end < span else None
+            last = window.end_fs >= span
+            following = None if last else worker.submit(draw, window.block + 1)
             # each arm's arrivals are freed once detected
             tags = tuple(arm.add(window, arrivals.pop(0)) for arm in arms)
             yield tags
             del tags  # the caller is done with them: freed before the next block is detected
-            if ahead is None:
+            if last:
                 return
-            window, arrivals = ahead.result()
+            window, arrivals = following.result()
 
 
 def acquisition_span_fs(duration_s: float, last_tag_fs: int | None) -> int:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,12 +154,20 @@ def arm_shifts(src: SourceParams, mode: str, legs: tuple[DispersionLeg, Dispersi
                  for arm, (leg, v, row) in enumerate(zip(legs, var, rows)))
 
 
+class Window(NamedTuple):
+    """Block number ``block`` of a simulation: the emissions in the whole fs
+    [start_fs, end_fs)."""
+
+    start_fs: int
+    end_fs: int
+    block: int
+
+
 @dataclass(frozen=True)
 class PairEvents:
     """One block's pair emissions with a photon detected in at least one arm.
 
-    The block is number ``block`` and its window the whole fs [start_fs,
-    end_fs).  Emissions are int64 fs in that window, in no particular order, in
+    Emissions are int64 fs in the block's ``window``, in no particular order, in
     three classes: ``both_fs``, seen in both arms, and ``alone_fs[k]``, seen
     in arm k alone (0 signal, 1 idler).  Each detected photon has one
     standard normal: ``both_z`` holds a pair's two, shape (2, n), and
@@ -169,9 +178,7 @@ class PairEvents:
     both_z: np.ndarray
     alone_fs: tuple[np.ndarray, np.ndarray]
     alone_z: tuple[np.ndarray, np.ndarray]
-    start_fs: int
-    end_fs: int
-    block: int
+    window: Window
 
     def __len__(self) -> int:
         return int(self.both_fs.size + self.alone_fs[0].size + self.alone_fs[1].size)
@@ -207,7 +214,7 @@ def generate_pairs(
         both_fs=emission[:n_both], both_z=z[:2 * n_both].reshape(2, n_both),
         alone_fs=(emission[n_both:split], emission[split:]),
         alone_z=(z[2 * n_both:n_both + split], z[n_both + split:]),
-        start_fs=start_fs, end_fs=end_fs, block=block)
+        window=Window(start_fs, end_fs, block))
 
 
 def propagate(events: PairEvents, shift: ArmShift) -> np.ndarray:
@@ -231,7 +238,7 @@ def propagate(events: PairEvents, shift: ArmShift) -> np.ndarray:
     # emissions lie in [0, end_fs): the arrivals fit int64 when the shifts do
     hi = s.max() if s.size else 0.0
     if not (-2.0**63 <= s.min(initial=0.0) and hi < 2.0**63
-            and int(hi) < INT64_MAX - events.end_fs):
+            and int(hi) < INT64_MAX - events.window.end_fs):
         raise TimestampRangeError("arrival outside the int64 femtosecond range")
     out = s.view(np.int64)
     np.floor(s, out=out, casting="unsafe")  # in place, element by element
@@ -369,11 +376,9 @@ def digitize(times_fs: np.ndarray, timer: TimerSpec) -> np.ndarray:
 
 
 class ArmChain:
-    """One arm's chain, propagate -> detect -> digitize, over an acquisition
-    of ``span_fs``.  ``arrivals`` propagates a block's pairs and depends on no
-    other block; ``add`` detects and digitizes each block's arrivals, fed one
-    block at a time, in order, with the block's window ``(start_fs, end_fs,
-    block)``; the block whose window reaches the span ends the run.
+    """One arm's detect -> digitize, over an acquisition of ``span_fs``, fed
+    one block's arrivals (``propagate``) at a time, in order, with the block's
+    ``Window``; the block whose window reaches the span ends the run.
 
     The next block's dark counts start at its first emission, and its photons
     arrive no earlier than that plus the group delay less _SHIFT_SIGMAS
@@ -391,16 +396,11 @@ class ArmChain:
         self.lead_fs = min(0, math.floor(shift.delay_fs - _SHIFT_SIGMAS * shift.sigma_fs))
         self.carry = Carry()
 
-    def arrivals(self, events: PairEvents) -> np.ndarray:
-        """This arm's arrivals of one block's pairs (``propagate``)."""
-        return propagate(events, self.shift)
-
-    def add(self, window: tuple[int, int, int], arrivals: np.ndarray) -> np.ndarray:
+    def add(self, window: Window, arrivals: np.ndarray) -> np.ndarray:
         """The tags of one block's arrivals; the last block, which reaches
         the span, finalizes every detection."""
-        start_fs, end_fs, block = window
-        last = end_fs >= self.span_fs
-        self.carry.boundary_fs = None if last else end_fs + self.lead_fs
-        detected = detect(arrivals, self.det, self.seed, self.stage, end_fs, start_fs, block,
-                          self.carry)
+        last = window.end_fs >= self.span_fs
+        self.carry.boundary_fs = None if last else window.end_fs + self.lead_fs
+        detected = detect(arrivals, self.det, self.seed, self.stage, window.end_fs,
+                          window.start_fs, window.block, self.carry)
         return digitize(detected, self.timer)

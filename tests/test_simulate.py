@@ -1,6 +1,5 @@
 """Monte-Carlo generator tests: determinism, calibration, stage semantics."""
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import inspect
@@ -146,7 +145,7 @@ class TestGeneratePairs:
 
     def test_emission_window_and_poisson_rate(self):
         pairs = generate_pairs(SRC, 5 * 10**15, seed=3)
-        assert pairs.end_fs == 5 * 10**15
+        assert pairs.window == (0, 5 * 10**15, 0)
         for emission in (pairs.both_fs, *pairs.alone_fs):
             assert emission.dtype == np.int64
         assert pairs.both_fs.min() >= 0 and pairs.both_fs.max() < 5 * 10**15
@@ -652,6 +651,14 @@ class TestEndToEnd:
         assert g2[wings].mean() == pytest.approx(1.0, abs=5 / math.sqrt(n))
 
 
+@pytest.fixture
+def draw_ahead(monkeypatch):
+    """simulate_blocks draws the next block on its worker whatever the usable
+    CPUs, so that on one CPU the worker shares it with the calling thread."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.usefixtures("draw_ahead")
 class TestBlocks:
     """A run of many blocks equals one sort, prune and digitization of the same
     per-block draws."""
@@ -700,6 +707,11 @@ class TestBlocks:
         assert np.array_equal(a.tags[a.tags < self.BLOCK_FS],
                               short.tags[short.tags < self.BLOCK_FS])
 
+    def test_matches_one_shot_oracle_on_one_cpu(self, monkeypatch):
+        # each block drawn in turn on the calling thread, with no worker
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        self.check(monkeypatch, presets.fig2d_config(duration_s=0.5), 3)
+
     def test_group_delay_longer_than_a_block(self, monkeypatch):
         cfg = presets.fig2d_config(duration_s=0.5)
         # 20,000 km: about 98 ms of delay and 350 ns of dispersive spread
@@ -723,7 +735,7 @@ class TestBlocks:
     def test_block_windows(self):
         # a block's pairs and dark counts lie in its own window, Poisson over its length
         pairs = generate_pairs(SRC, 2 * 10**15, 1, 0.5, 0.5, start_fs=15 * 10**14, block=3)
-        assert (pairs.start_fs, pairs.end_fs, pairs.block) == (15 * 10**14, 2 * 10**15, 3)
+        assert pairs.window == (15 * 10**14, 2 * 10**15, 3)
         for emission in (pairs.both_fs, *pairs.alone_fs):
             assert emission.min() >= 15 * 10**14 and emission.max() < 2 * 10**15
         assert abs(len(pairs) - 9_000) < 5 * math.sqrt(9_000)
@@ -738,6 +750,16 @@ class TestBlocks:
     @pytest.mark.parametrize("block_fs", [pipeline._BLOCK_FS, BLOCK_FS], ids=["5s", "50ms"])
     @pytest.mark.parametrize("duration", [0.0, 2.25e-14, 1.1, 5.0, 5.1, 12.0])
     def test_windows_tile_the_span(self, monkeypatch, block_fs, duration):
+        self.tiles(monkeypatch, block_fs, duration)
+
+    @pytest.mark.parametrize("duration", [0.0, 0.05, 0.12, 1.1])
+    def test_windows_tile_the_span_on_one_cpu(self, monkeypatch, duration):
+        # each block drawn in turn on the calling thread, with no worker
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        self.tiles(monkeypatch, self.BLOCK_FS, duration)
+
+    @staticmethod
+    def tiles(monkeypatch, block_fs, duration):
         # the windows simulate_blocks gives generate_pairs are whole fs, in
         # block order, and cover [0, span) with no gap or overlap
         monkeypatch.setattr(pipeline, "_BLOCK_FS", block_fs)
@@ -770,6 +792,7 @@ class TestBlocks:
             detect(np.array([5 * 10**11]), det, 0, 3, block=1, carry=carry)
 
 
+@pytest.mark.usefixtures("draw_ahead")
 class TestBlocksAhead:
     """simulate_blocks draws block k + 1 on one worker thread while block k is
     detected and used; the worker lives no longer than the generator."""
@@ -791,28 +814,28 @@ class TestBlocksAhead:
         monkeypatch.setattr(pipeline, "generate_pairs", spy)
         return error
 
-    @pytest.mark.parametrize("duration_s, workers", [(5.0, []), (12.0, [1])])
-    def test_several_blocks_start_one_worker(self, monkeypatch, duration_s, workers):
+    @pytest.mark.parametrize("duration_s, cpus, workers",
+                             [(5.0, 2, 0), (12.0, 2, 1), (12.0, 1, 0)])
+    def test_threads_that_draw(self, monkeypatch, duration_s, cpus, workers):
         # a 5 s run is one block and starts no thread; a 12 s run is three:
-        # block 0 is drawn on the calling thread, blocks 1 and 2 on one worker
-        opened, drawn_on = [], []
-
-        class Spy(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-                super().__init__(max_workers)
+        # block 0 is drawn on the calling thread and, on two CPUs, blocks 1
+        # and 2 on one worker; on one CPU no thread is started
+        drawn_on, running = [], []
 
         def spy(*args, **kwargs):
             drawn_on.append(threading.current_thread())
             return generate_pairs(*args, **kwargs)
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(pipeline, "generate_pairs", spy)
-        run_simulation(self.sparse(duration_s), 0)
-        assert opened == workers
-        assert drawn_on[0] is threading.current_thread()
-        assert len(set(drawn_on[1:])) == len(workers)
-        assert threading.current_thread() not in drawn_on[1:]
+        before = threading.active_count()
+        for _ in pipeline.simulate_blocks(self.sparse(duration_s), 0):
+            running.append(threading.active_count() - before)
+        caller = threading.current_thread()
+        assert drawn_on[0] is caller
+        others = [thread for thread in drawn_on[1:] if thread is not caller]
+        assert len(set(others)) == workers and len(others) == workers * (len(drawn_on) - 1)
+        assert max(running) == workers and threading.active_count() == before
 
     @pytest.mark.parametrize("taken", [1, 2, None], ids=["close-after-1", "close-after-2", "end"])
     def test_worker_joined_when_the_generator_ends(self, taken):
@@ -912,6 +935,16 @@ def golden_config(name, mode):
     return cfg
 
 
+def tag_digests(name, mode, seed):
+    digests = []
+    for stream in run_simulation(golden_config(name, mode), seed):
+        buf = io.BytesIO()
+        tagio.write_tags(stream, buf)
+        digests.append(hashlib.sha256(buf.getvalue()).hexdigest())
+    return tuple(digests)
+
+
+@pytest.mark.usefixtures("draw_ahead")
 @pytest.mark.parametrize("name, mode, seed", list(GOLDEN_TAG_DIGESTS))
 def test_golden_tag_bytes(name, mode, seed):
     """The seed -> tag-file bytes mapping is pinned.
@@ -926,12 +959,14 @@ def test_golden_tag_bytes(name, mode, seed):
     photon, float64 times) gave way to one normal per detected photon, with
     integer emissions, dark counts and times and exact half-up rounding.
     """
-    digests = []
-    for stream in run_simulation(golden_config(name, mode), seed):
-        buf = io.BytesIO()
-        tagio.write_tags(stream, buf)
-        digests.append(hashlib.sha256(buf.getvalue()).hexdigest())
-    assert tuple(digests) == GOLDEN_TAG_DIGESTS[name, mode, seed]
+    assert tag_digests(name, mode, seed) == GOLDEN_TAG_DIGESTS[name, mode, seed]
+
+
+@pytest.mark.parametrize("name, seed", [("fig2d_12s", 0), ("fig2d_12s", 1), ("fig2d_5.1s", 0)])
+def test_golden_tag_bytes_on_one_cpu(monkeypatch, name, seed):
+    """On one CPU no block is drawn ahead, and the bytes are the same."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    assert tag_digests(name, "anti", seed) == GOLDEN_TAG_DIGESTS[name, "anti", seed]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
