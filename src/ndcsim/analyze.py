@@ -80,11 +80,47 @@ def _poisson(x, y, p):
     return nll, lam, np.array([g, amp * g * z / sig, amp * g * z * z / sig, np.ones_like(x)])
 
 
+def _scoring(x, y, p, hold: bool, bin_width_ps: float):
+    """Fisher scoring with step halving from p = (A, mu, sigma, B), B held at 0
+    if ``hold``, else while its score is <= 0: (p, NLL, score, free parameters,
+    their covariance) at convergence, None if _MAX_STEPS steps do not."""
+    nll, lam, grad = _poisson(x, y, p)
+    for _ in range(_MAX_STEPS):
+        # Where the rate underflows, weight 0 keeps 1/lambda finite.
+        w = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > np.finfo(float).tiny)
+        score = grad @ (y * w - 1.0)
+        free = 3 if p[3] == 0 and (hold or score[3] <= 0) else 4
+        try:
+            cov = np.linalg.inv((grad[:free] * w) @ grad[:free].T)
+        except np.linalg.LinAlgError as exc:
+            raise FitError(f"singular covariance in Gaussian fit: {exc}") from exc
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is refused
+            step = np.append(cov @ score[:free], np.zeros(4 - free))
+        if not np.all(np.isfinite(step)):
+            raise FitError("singular covariance in Gaussian fit: the scoring step is not finite")
+        if score @ step <= _TOL:
+            return p, nll, score, free, cov
+        for _ in range(_MAX_STEPS):
+            trial = np.maximum(p + step, (-np.inf, -np.inf, -np.inf, 0.0))  # baseline >= 0
+            evaluation = _poisson(x, y, trial)
+            if evaluation[0] < nll:
+                break
+            step /= 2
+        else:
+            return p, nll, score, free, cov  # no step along the scoring direction lowers the NLL
+        p, (nll, lam, grad) = trial, evaluation
+        if abs(p[2]) < _MIN_SIGMA_BINS * bin_width_ps:
+            raise FitError(f"peak unresolved: sigma {abs(p[2]):.3g} ps is below a quarter "
+                           f"of the {bin_width_ps:.6g} ps bin")
+    return None
+
+
 def fit_gaussian(h: Histogram) -> GaussianFit:
     """Poisson maximum-likelihood Gaussian-plus-baseline fit (Cash 1979).
 
     Fisher scoring with step halving; the baseline is held at 0 while its score
-    is <= 0.  Errors from the inverse Fisher information, 0 for a held baseline.
+    is <= 0, and a fit that does not converge is refit with it held at 0 from
+    the start.  Errors from the inverse Fisher information, 0 for a held baseline.
     The peak must pass the offset search's false-alarm level: the Wilks ratio
     against a flat baseline, as a one-sided normal tail times the bins, at most
     correlate.FALSE_PEAK_P.  Raises FitError without such a peak, or when the
@@ -107,37 +143,15 @@ def fit_gaussian(h: Histogram) -> GaussianFit:
     else:
         s0 = h.bin_width_ps
     # At 0, an accidental where the initial Gaussian underflows is impossible.
-    p = np.array([amp0, mu0, s0, max(float(y.min()), 1.0 / y.size)])
-    nll, lam, grad = _poisson(x, y, p)
-    for _ in range(_MAX_STEPS):
-        # Where the rate underflows, weight 0 keeps 1/lambda finite.
-        w = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > np.finfo(float).tiny)
-        score = grad @ (y * w - 1.0)
-        free = 3 if p[3] == 0 and score[3] <= 0 else 4
-        try:
-            cov = np.linalg.inv((grad[:free] * w) @ grad[:free].T)
-        except np.linalg.LinAlgError as exc:
-            raise FitError(f"singular covariance in Gaussian fit: {exc}") from exc
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is refused
-            step = np.append(cov @ score[:free], np.zeros(4 - free))
-        if not np.all(np.isfinite(step)):
-            raise FitError("singular covariance in Gaussian fit: the scoring step is not finite")
-        if score @ step <= _TOL:
-            break
-        for _ in range(_MAX_STEPS):
-            trial = np.maximum(p + step, (-np.inf, -np.inf, -np.inf, 0.0))  # baseline >= 0
-            evaluation = _poisson(x, y, trial)
-            if evaluation[0] < nll:
-                break
-            step /= 2
-        else:
-            break  # no step along the scoring direction lowers the NLL
-        p, (nll, lam, grad) = trial, evaluation
-        if abs(p[2]) < _MIN_SIGMA_BINS * h.bin_width_ps:
-            raise FitError(f"peak unresolved: sigma {abs(p[2]):.3g} ps is below a quarter "
-                           f"of the {h.bin_width_ps:.6g} ps bin")
-    else:
-        raise FitError(f"Gaussian fit did not converge in {_MAX_STEPS} steps")
+    start = np.array([amp0, mu0, s0, max(float(y.min()), 1.0 / y.size)])
+    fit = _scoring(x, y, start, False, h.bin_width_ps)
+    if fit is None:
+        # A free baseline falling toward 0 shrinks by a fraction a step and may
+        # never reach it: refit with it held there, kept if its score is <= 0.
+        fit = _scoring(x, y, np.append(start[:3], 0.0), True, h.bin_width_ps)
+        if fit is None or fit[2][3] > 0:
+            raise FitError(f"Gaussian fit did not converge in {_MAX_STEPS} steps")
+    p, nll, _, free, cov = fit
 
     amp, mu, sig, base = p
     variances = np.diag(cov)

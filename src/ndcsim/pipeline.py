@@ -1,16 +1,16 @@
 """End-to-end orchestration: simulate, correlate, fit, witness.
 
-A simulation's blocks of emission time are cut here, once, as whole-fs
-windows of the acquisition span (``simulate_blocks``); the simulate stages
-take each window as given.  On two or more CPUs the next block is drawn and
-propagated on one worker thread while the current one is detected and used.
+A simulation's blocks of emission time are cut here, once, as the whole-fs
+``Window``s of the acquisition span (``simulate_blocks``); the simulate
+stages take each window as given.  One loop detects the blocks in order; on
+two or more CPUs the next block is drawn on one worker thread meanwhile.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +21,7 @@ from .config import ExperimentConfig
 from .correlate import (COARSE_BIN_FS, Histogram, _usable_cpus, coarse_offset, fine_histogram,
                         g2_normalize, seed_pairs)
 from .errors import ParameterError
-from .simulate import (INT64_MAX, INT64_MIN, ArmChain, PairEvents, Window, arm_shifts,
-                       generate_pairs)
+from .simulate import INT64_MAX, INT64_MIN, ArmChain, Window, arm_shifts, generate_pairs
 from .streams import FS_PER_PS, FS_PER_S, TagStream
 
 _SEED_BINS = 250  # seed-pass bins either side of the coarse offset
@@ -43,25 +42,23 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
     """Simulate one acquisition _BLOCK_FS of emission time at a time, yielding
     each block's tags of both arms, ``(tags_a, tags_b)``.
 
-    The blocks are cut here, once, in whole fs: block k holds the emissions
-    in [k * _BLOCK_FS, min((k + 1) * _BLOCK_FS, span)), the span being the
-    duration's (``acquisition_span_fs``), and every stage takes that window
-    as given.  Each block draws each stage from its own stream
-    (simulate.stage_rng): its pair count is Poisson over its own length and
-    its dark counts are uniform over its own window, so the streams are exact
-    in distribution.  Each arm's blocks, concatenated, are its tag stream.
+    The blocks are cut here, once, in whole fs: block k's ``Window`` holds
+    the emissions in [k * _BLOCK_FS, min((k + 1) * _BLOCK_FS, span)), the
+    span being the duration's (``acquisition_span_fs``).  Each block draws
+    each stage from its own stream (simulate.stage_rng), Poisson over its own
+    length, so the streams are exact in distribution; each arm's blocks,
+    concatenated, are its tag stream.
 
-    A block's pairs and their propagation depend on no other block, so on
-    two or more usable CPUs block k + 1 is drawn and propagated on one worker
-    thread while block k is detected, digitized and used by the caller;
-    detection, which carries state from block to block, stays on the calling
-    thread in block order.  At most two blocks are in flight, and a block
-    drawn ahead frees its pairs once propagated.  The worker is joined when
-    the generator ends, raises or is closed.  A run of one block, or on one
-    CPU, where a worker would overlap nothing, starts no thread: it draws
-    each block, and propagates and detects each arm, in turn, and with
-    glibc's default malloc so faults in far fewer pages than by propagating
-    both arms first.
+    One loop detects and digitizes each block's arms in turn, in block order
+    on the calling thread, as detection carries state from block to block.
+    ``draw(block, now)`` gives a block's window and hands over each arm's
+    arrivals once.  On two or more usable CPUs block k + 1 is drawn on one
+    worker thread while block k is detected and used, both arms propagated
+    ``now`` and the pairs freed: at most two blocks are in flight, and the
+    worker is joined when the generator ends, raises or is closed.  A run of
+    one block, or on one CPU, starts no thread: each block is drawn once the
+    one before is used, and each arm propagated as it is detected, as
+    propagating both first faults in more pages with glibc's default malloc.
     """
     span = acquisition_span_fs(cfg.run.duration_s, None)
     p_a = cfg.smf.survival_probability * cfg.detector_a.efficiency
@@ -71,41 +68,33 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
     arms = [ArmChain(shift, det, timer, seed, span)
             for shift, det, timer in zip(shifts, dets, (cfg.timer_a, cfg.timer_b))]
 
-    def pairs_of(block: int) -> PairEvents:
+    def draw(block: int, now: bool) -> tuple[Window, Iterator[np.ndarray]]:
         start = block * _BLOCK_FS
-        return generate_pairs(cfg.source, min(start + _BLOCK_FS, span), seed, p_a, p_b,
-                              start, block)
+        window = Window(start, min(start + _BLOCK_FS, span), block)
+        pairs = generate_pairs(cfg.source, window, seed, p_a, p_b)
+        arrivals = (simulate.propagate(pairs, arm.shift) for arm in arms)
+        if now:  # the pairs are freed on return, each arm's arrivals once taken
+            arrivals = list(arrivals)
+            return window, (arrivals.pop(0) for _ in arms)
+        return window, arrivals
 
-    if span <= _BLOCK_FS or _usable_cpus() < 2:
-        for block in itertools.count():
-            pairs = pairs_of(block)
-            window = pairs.window
-            tags = tuple(arm.add(window, simulate.propagate(pairs, arm.shift)) for arm in arms)
-            del pairs  # before the tags are used, and the next block draws its own
-            yield tags
-            del tags  # the caller is done with them: freed before the next block's draws
-            if window.end_fs >= span:
-                return
-
-    # imported only for the worker: its modules add 0.4 MB to a run's peak RSS
-    from concurrent.futures import ThreadPoolExecutor
-
-    def draw(block: int) -> tuple[Window, list[np.ndarray]]:
-        pairs = pairs_of(block)
-        return pairs.window, [simulate.propagate(pairs, arm.shift) for arm in arms]
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        window, arrivals = draw(0)
+    with ExitStack() as stack:
+        worker = None
+        if span > _BLOCK_FS and _usable_cpus() >= 2:
+            # imported only for the worker: its modules add 0.5 MB to a run's peak RSS
+            from concurrent.futures import ThreadPoolExecutor
+            worker = stack.enter_context(ThreadPoolExecutor(max_workers=1))
+        window, arrivals = draw(0, worker is not None)
         while True:
             last = window.end_fs >= span
-            following = None if last else worker.submit(draw, window.block + 1)
-            # each arm's arrivals are freed once detected
-            tags = tuple(arm.add(window, arrivals.pop(0)) for arm in arms)
+            following = worker.submit(draw, window.block + 1, True) if worker and not last else None
+            tags = tuple(arm.add(window, next(arrivals)) for arm in arms)
+            del arrivals  # with the block's pairs: freed before the tags are used
             yield tags
             del tags  # the caller is done with them: freed before the next block is detected
             if last:
                 return
-            window, arrivals = following.result()
+            window, arrivals = following.result() if worker else draw(window.block + 1, False)
 
 
 def acquisition_span_fs(duration_s: float, last_tag_fs: int | None) -> int:

@@ -4,11 +4,11 @@ Pipeline: pair emission -> dispersive fiber propagation per arm -> detector
 response -> event-timer digitization.  Every stage draws from its own
 seed-derived RNG stream, so identical seeds give bit-identical output
 regardless of how stages are combined.  A long acquisition is simulated in
-blocks of emission time, each with its own streams: whole-fs windows that
-``pipeline.simulate_blocks`` cuts once from the run's span and every stage
-takes as given, joined across blocks by ``ArmChain``.  Pair generation and
-propagation depend on no other block, so a block can be drawn while the one
-before it is detected; detection carries state and takes the blocks in order.
+blocks of emission time, each with its own streams: the whole-fs ``Window``s
+that ``pipeline.simulate_blocks`` cuts once from the run's span and every
+stage takes as given, joined across blocks by ``ArmChain``.  Pair generation
+and propagation depend on no other block, so a block can be drawn while the
+one before is detected: in block order, as detection carries state.
 
 Only pairs with at least one detected photon are drawn.  Fiber loss and
 detector efficiency remove each photon independently, so thinning the pair
@@ -184,19 +184,18 @@ class PairEvents:
         return int(self.both_fs.size + self.alone_fs[0].size + self.alone_fs[1].size)
 
 
-def generate_pairs(
-    src: SourceParams, end_fs: int, seed: int, p_signal: float = 1.0,
-    p_idler: float = 1.0, start_fs: int = 0, block: int = 0,
-) -> PairEvents:
-    """Sample the detected pair emissions in the whole fs [start_fs, end_fs).
+def generate_pairs(src: SourceParams, window: Window, seed: int, p_signal: float = 1.0,
+                   p_idler: float = 1.0) -> PairEvents:
+    """Sample the detected pair emissions in the block ``window``.
 
     ``p_signal`` / ``p_idler`` are the probabilities that a photon of each arm
     is detected (fiber survival times detector efficiency).  Pairs seen in
     both arms, the signal arm only and the idler arm only are Poisson at
     ``src.pair_rate_hz`` times p_s*p_i, p_s(1-p_i) and (1-p_s)p_i, with
-    emissions uniform over the window.  ``block`` picks the RNG stream (see
-    ``stage_rng``).  A window ending beyond int64 raises TimestampRangeError.
+    emissions uniform over the window, whose block picks the RNG stream
+    (``stage_rng``).  A window ending past int64 raises TimestampRangeError.
     """
+    start_fs, end_fs, block = window
     check_range("start_fs", start_fs, 0, end_fs)
     if end_fs > INT64_MAX:
         raise TimestampRangeError("window ends beyond the int64 femtosecond range")
@@ -213,8 +212,7 @@ def generate_pairs(
     return PairEvents(
         both_fs=emission[:n_both], both_z=z[:2 * n_both].reshape(2, n_both),
         alone_fs=(emission[n_both:split], emission[split:]),
-        alone_z=(z[2 * n_both:n_both + split], z[n_both + split:]),
-        window=Window(start_fs, end_fs, block))
+        alone_z=(z[2 * n_both:n_both + split], z[n_both + split:]), window=window)
 
 
 def propagate(events: PairEvents, shift: ArmShift) -> np.ndarray:
@@ -263,22 +261,21 @@ class Carry:
     last_kept_fs: int | float = -math.inf
 
 
-def detect(
-    arrivals_fs: np.ndarray, det: DetectorSpec, seed: int, stage: int, end_fs: int = 0,
-    start_fs: int = 0, block: int = 0, carry: Carry | None = None,
-) -> np.ndarray:
+def detect(arrivals_fs: np.ndarray, det: DetectorSpec, seed: int, stage: int, window: Window,
+           carry: Carry | None = None) -> np.ndarray:
     """Apply the detector's counting; returns the sorted int64 detection times (fs).
 
     Every arrival is a detected photon (efficiency is part of the pair
     classes in ``generate_pairs``, jitter part of its shift in
-    ``propagate``).  Order of effects: dark counts uniform over the window's
-    whole fs [start_fs, end_fs), sort, dead-time pruning.  ``block``
-    picks the RNG stream (see ``stage_rng``).  A ``carry`` joins its pending
-    detections to the sort and takes back, unpruned, those at or after its
-    boundary; the rest are pruned against its last kept detection.  A
-    detection earlier than one a previous call returned raises
-    ParameterError.  ``arrivals_fs`` is left unchanged.
+    ``propagate``).  Order of effects: dark counts uniform over the block
+    ``window``, whose block picks the RNG stream (``stage_rng``), sort,
+    dead-time pruning.  A ``carry`` joins its pending detections to the sort
+    and takes back, unpruned, those at or after its boundary; the rest are
+    pruned against its last kept detection.  A detection earlier than one a
+    previous call returned raises ParameterError.  ``arrivals_fs`` is left
+    unchanged.
     """
+    start_fs, end_fs, block = window
     rng = stage_rng(seed, stage, block)
     carry = Carry() if carry is None else carry
     t = np.asarray(arrivals_fs)
@@ -401,6 +398,5 @@ class ArmChain:
         the span, finalizes every detection."""
         last = window.end_fs >= self.span_fs
         self.carry.boundary_fs = None if last else window.end_fs + self.lead_fs
-        detected = detect(arrivals, self.det, self.seed, self.stage, window.end_fs,
-                          window.start_fs, window.block, self.carry)
+        detected = detect(arrivals, self.det, self.seed, self.stage, window, self.carry)
         return digitize(detected, self.timer)

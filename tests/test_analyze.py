@@ -125,6 +125,21 @@ class TestFitGaussian:
         with pytest.raises(FitError, match="exceeds the 5010 ps histogram"):
             fit_gaussian(weak_peak_histogram(38))
 
+    def test_baseline_falling_to_zero(self):
+        # The reported fig3 smf 20 km histogram at seed 1000141: about 12,000
+        # pairs, no background.  Each scoring step shrank the free baseline by
+        # a fixed fraction, to 1e-4 after 91 steps, and the fit ran out of
+        # steps; refit with the baseline held at 0 it converges, with a
+        # baseline score of -0.83 there.
+        counts = np.zeros(81, np.int64)
+        counts[20:59] = [1, 0, 0, 1, 1, 4, 6, 12, 28, 41, 94, 167, 221, 315, 458, 607, 760, 978,
+                         1096, 1135, 1087, 1050, 969, 808, 643, 501, 354, 243, 189, 104, 55, 35,
+                         13, 11, 2, 5, 1, 0, 1]
+        fit = fit_gaussian(Histogram(82.0, -3290.854, counts))
+        assert fit.sigma_ps == pytest.approx(350.157, abs=1e-3)
+        assert fit.center_ps == pytest.approx(-0.662, abs=1e-3)
+        assert fit.baseline == fit.baseline_err == 0.0
+
     def test_poisson_recovery_with_baseline(self):
         rng = np.random.default_rng(1)
         h = gaussian_histogram(2000.0, 40.0, 16.0, 25.0, 3.0, 200.0, noisy=rng)

@@ -29,6 +29,7 @@ from ndcsim.simulate import (
     Carry,
     DetectorSpec,
     TimerSpec,
+    Window,
     _prune_dead_time,
     arm_shifts,
     detect,
@@ -41,6 +42,7 @@ from ndcsim.streams import TagStream
 SRC = SourceParams(pair_rate_hz=24000.0)
 NO_FIBER = DispersionLeg(length_km=0.0)
 NO_JITTER = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
+NO_WINDOW = Window(0, 0, 0)  # block 0 of no emission time: no dark counts
 # Each mode's idler detuning in units of the signal's, None for an independent one.
 IDLER_FACTOR = {"anti": -1.0, "positive": 1.0, "none": None}
 
@@ -116,7 +118,7 @@ def per_pair_oracle(cfg, seed):
         jitter = rng.normal(0.0, det.jitter_fwhm_ps / model.FWHM_PER_SIGMA * 1e3, n)
         shift = half * delta_t + leg.group_delay_fs + leg.k2l_ps2 * omega * 1e3 + jitter
         arrival = emission + np.floor(shift + 0.5).astype(np.int64)
-        times = detect(arrival[detected], det, seed, stage, span)
+        times = detect(arrival[detected], det, seed, stage, Window(0, span, 0))
         streams.append(simulated_stream(digitize(times, timer), timer, duration))
     return streams
 
@@ -128,23 +130,23 @@ def pair_arrays(pairs):
 
 class TestGeneratePairs:
     def test_deterministic(self):
-        p1 = generate_pairs(SRC, 10**15, seed=42, p_signal=0.5, p_idler=0.5)
-        p2 = generate_pairs(SRC, 10**15, seed=42, p_signal=0.5, p_idler=0.5)
+        p1 = generate_pairs(SRC, Window(0, 10**15, 0), seed=42, p_signal=0.5, p_idler=0.5)
+        p2 = generate_pairs(SRC, Window(0, 10**15, 0), seed=42, p_signal=0.5, p_idler=0.5)
         for a1, a2 in zip(pair_arrays(p1), pair_arrays(p2)):
             assert a1.size and np.array_equal(a1, a2)
 
     def test_zero_duration_empty(self):
-        assert len(generate_pairs(SRC, 0, seed=1)) == 0
+        assert len(generate_pairs(SRC, Window(0, 0, 0), seed=1)) == 0
 
     def test_undetectable_arms_empty(self):
-        pairs = generate_pairs(SRC, 10**15, 1, p_signal=0.0, p_idler=0.0)
+        pairs = generate_pairs(SRC, Window(0, 10**15, 0), 1, p_signal=0.0, p_idler=0.0)
         assert len(pairs) == 0
         for shift in shifts_of(SRC):
             arrival = propagate(pairs, shift)
             assert arrival.size == 0 and arrival.dtype == np.int64
 
     def test_emission_window_and_poisson_rate(self):
-        pairs = generate_pairs(SRC, 5 * 10**15, seed=3)
+        pairs = generate_pairs(SRC, Window(0, 5 * 10**15, 0), seed=3)
         assert pairs.window == (0, 5 * 10**15, 0)
         for emission in (pairs.both_fs, *pairs.alone_fs):
             assert emission.dtype == np.int64
@@ -155,7 +157,7 @@ class TestGeneratePairs:
     def test_delta_t_variance_matches_model(self):
         # no fiber and no jitter: the pair's time difference is the source's
         src = SourceParams(pair_rate_hz=1e6)
-        pairs = generate_pairs(src, 10**15, seed=7)
+        pairs = generate_pairs(src, Window(0, 10**15, 0), seed=7)
         assert len(pairs) > 990_000
         a, b = (propagate(pairs, shift) for shift in shifts_of(src))
         var_ps2 = np.var((a - b) / 1e3)
@@ -168,7 +170,7 @@ class TestGeneratePairs:
         cfg = presets.fig2d_config()
         legs, dets = (cfg.smf, cfg.dcf), (cfg.detector_a, cfg.detector_b)
         for mode in IDLER_FACTOR:
-            pairs = generate_pairs(src, 10**15, 5, p_signal=0.5, p_idler=0.5)
+            pairs = generate_pairs(src, Window(0, 10**15, 0), 5, p_signal=0.5, p_idler=0.5)
             shifts = arm_shifts(src, mode, legs, dets)
             var, cov = arm_moments_fs2(src, mode, legs, dets)
             n = pairs.both_fs.size
@@ -188,22 +190,22 @@ class TestGeneratePairs:
 
     def test_overflowing_duration_rejected(self):
         # a window may end at the last int64 fs, not past it
-        last = generate_pairs(SRC, INT64_MAX, seed=0, start_fs=INT64_MAX - 10**15)
+        last = generate_pairs(SRC, Window(INT64_MAX - 10**15, INT64_MAX, 0), seed=0)
         assert len(last) > 0 and last.both_fs.max() < INT64_MAX
         with pytest.raises(TimestampRangeError):
-            generate_pairs(SRC, INT64_MAX + 1, seed=0, start_fs=INT64_MAX - 10**15)
+            generate_pairs(SRC, Window(INT64_MAX - 10**15, INT64_MAX + 1, 0), seed=0)
 
     def test_detection_probability_out_of_range_rejected(self):
         with pytest.raises(ParameterError):
-            generate_pairs(SRC, 10**15, seed=0, p_signal=1.5)
+            generate_pairs(SRC, Window(0, 10**15, 0), seed=0, p_signal=1.5)
         with pytest.raises(ParameterError):
-            generate_pairs(SRC, 10**15, seed=0, p_idler=-0.1)
+            generate_pairs(SRC, Window(0, 10**15, 0), seed=0, p_idler=-0.1)
 
 
 class TestPropagate:
     def test_zero_length_identity(self):
         # no fiber and no jitter: a photon lands half the pair offset away
-        pairs = generate_pairs(SRC, 5 * 10**14, 11, p_signal=0.5, p_idler=0.5)
+        pairs = generate_pairs(SRC, Window(0, 5 * 10**14, 0), 11, p_signal=0.5, p_idler=0.5)
         signal, _ = shifts_of(SRC)
         arrival = propagate(pairs, signal)
         n = pairs.both_fs.size
@@ -215,7 +217,7 @@ class TestPropagate:
     def test_idler_sign(self):
         # mode anti with neither fiber nor jitter: the idler lands as far before
         # the emission as the signal lands after it
-        pairs = generate_pairs(SRC, 5 * 10**14, seed=11)
+        pairs = generate_pairs(SRC, Window(0, 5 * 10**14, 0), seed=11)
         a, b = (propagate(pairs, shift) for shift in shifts_of(SRC))
         assert np.std(a - pairs.both_fs) == pytest.approx(500 * SRC.base_sigma_ps, rel=0.05)
         assert np.all(np.abs((a - pairs.both_fs) + (b - pairs.both_fs)) <= 1)
@@ -229,7 +231,7 @@ class TestPropagate:
         signal, idler = shifts_of(src, "anti", (leg, leg))
         assert idler.both[0] == pytest.approx(-signal.sigma_fs, rel=1e-12)
         assert 0.0 <= idler.both[1] < 1e-6 * signal.sigma_fs
-        pairs = generate_pairs(src, 2 * 10**14, seed=31)
+        pairs = generate_pairs(src, Window(0, 2 * 10**14, 0), seed=31)
         a, b = propagate(pairs, signal), propagate(pairs, idler)
         total = (a - pairs.both_fs) + (b - pairs.both_fs) - 2 * leg.group_delay_fs
         assert np.all(np.abs(total) <= 2)
@@ -237,7 +239,7 @@ class TestPropagate:
     def test_ideal_cancellation_restores_variance(self):
         # equal-and-opposite accumulated dispersion: k_s''l_1 = -k_i''l_2
         src = SourceParams(pair_rate_hz=2e5)
-        pairs = generate_pairs(src, 10**15, seed=13)
+        pairs = generate_pairs(src, Window(0, 10**15, 0), seed=13)
         leg_s = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.0)
         leg_i = DispersionLeg(
             k2_s2_per_m=2.26e-26 * 62.0 / 7.47, length_km=7.47, attenuation_db_per_km=0.0
@@ -253,7 +255,7 @@ class TestPropagate:
         src = SourceParams(pair_rate_hz=2e5)
         leg_s = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.0)
         leg_i = DispersionLeg(k2_s2_per_m=1.95e-25, length_km=7.47, attenuation_db_per_km=0.0)
-        pairs = generate_pairs(src, 10**15, seed=17)
+        pairs = generate_pairs(src, Window(0, 10**15, 0), seed=17)
         for mode in IDLER_FACTOR:
             arr_s, arr_i = (propagate(pairs, shift)
                             for shift in shifts_of(src, mode, (leg_s, leg_i)))
@@ -266,14 +268,14 @@ class TestPropagate:
         # every pair is kept and the signal arm holds the survivors
         src = SourceParams(pair_rate_hz=2e5)
         leg = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.2)
-        pairs = generate_pairs(src, 10**15, 19, leg.survival_probability, 1.0)
+        pairs = generate_pairs(src, Window(0, 10**15, 0), 19, leg.survival_probability, 1.0)
         survivors = propagate(pairs, shifts_of(src, "anti", (leg, NO_FIBER))[0])
         p = 10 ** (-1.24)
         n = len(pairs)
         assert survivors.size / n == pytest.approx(p, abs=5 * math.sqrt(p / n))
 
     def test_group_delay(self):
-        pairs = generate_pairs(SRC, 10**14, seed=23)
+        pairs = generate_pairs(SRC, Window(0, 10**14, 0), seed=23)
         leg = DispersionLeg(length_km=62.0, attenuation_db_per_km=0.0, group_index=1.468)
         signal, _ = shifts_of(SRC, "anti", (leg, NO_FIBER))
         arrival = propagate(pairs, signal)
@@ -283,8 +285,8 @@ class TestPropagate:
 
     def test_arrival_beyond_int64_rejected(self):
         # emissions just inside the int64 range, delayed past its end
-        pairs = generate_pairs(SourceParams(pair_rate_hz=1000.0), 9_223_372 * 10**12, 0,
-                               start_fs=9_223_300 * 10**12)
+        pairs = generate_pairs(SourceParams(pair_rate_hz=1000.0),
+                               Window(9_223_300 * 10**12, 9_223_372 * 10**12, 0), 0)
         assert len(pairs) > 0
         leg = DispersionLeg(length_km=1e6, attenuation_db_per_km=0.0)
         with pytest.raises(TimestampRangeError):
@@ -296,7 +298,7 @@ class TestDetect:
 
     def test_ideal_detector_identity(self):
         times = np.array([5, 1, 3]) * 10**6
-        out = detect(times, self.IDEAL, seed=0, stage=3)
+        out = detect(times, self.IDEAL, 0, 3, NO_WINDOW)
         assert np.array_equal(out, np.sort(times))
 
     def test_efficiency_thinning(self):
@@ -304,10 +306,10 @@ class TestDetect:
         # arrival it is given; the arm's share of the pairs is the efficiency
         src = SourceParams(pair_rate_hz=1e5)
         det = DetectorSpec(efficiency=0.5, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
-        pairs = generate_pairs(src, 10**15, 5, det.efficiency, 1.0)
+        pairs = generate_pairs(src, Window(0, 10**15, 0), 5, det.efficiency, 1.0)
         arrivals = propagate(pairs, shifts_of(src)[0])
-        out1 = detect(arrivals, det, seed=5, stage=3)
-        out2 = detect(arrivals, det, seed=5, stage=3)
+        out1 = detect(arrivals, det, 5, 3, NO_WINDOW)
+        out2 = detect(arrivals, det, 5, 3, NO_WINDOW)
         assert np.array_equal(out1, out2)
         assert np.array_equal(out1, np.sort(arrivals))
         n = len(pairs)
@@ -317,7 +319,7 @@ class TestDetect:
         # the jitter is part of a photon's shift, with half the pair offset
         src = SourceParams(pair_rate_hz=2e5)
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=26.587, dark_rate_hz=0.0, dead_time_ns=0.0)
-        pairs = generate_pairs(src, 10**15, 7, p_signal=1.0, p_idler=0.0)
+        pairs = generate_pairs(src, Window(0, 10**15, 0), 7, p_signal=1.0, p_idler=0.0)
         assert pairs.alone_fs[0].size == len(pairs) > 190_000
         out = propagate(pairs, shifts_of(src, "anti", dets=(det, NO_JITTER))[0])
         var_ps2 = np.var(out - pairs.alone_fs[0]) / 1e6
@@ -327,7 +329,7 @@ class TestDetect:
     def test_dark_counts_added(self):
         times = np.linspace(0, 10**15, 1000).astype(np.int64)  # 1 s span
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=5000.0, dead_time_ns=0.0)
-        out = detect(times, det, seed=9, stage=3, end_fs=10**15)
+        out = detect(times, det, 9, 3, Window(0, 10**15, 0))
         extra = out.size - times.size
         assert abs(extra - 5000) < 5 * math.sqrt(5000)
 
@@ -335,7 +337,7 @@ class TestDetect:
                              ids=["empty", "one"])
     def test_dark_counts_over_acquisition_window(self, times):
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=5000.0, dead_time_ns=0.0)
-        out = detect(times, det, seed=9, stage=3, end_fs=10**15)
+        out = detect(times, det, 9, 3, Window(0, 10**15, 0))
         assert abs(out.size - times.size - 5000) < 5 * math.sqrt(5000)
         assert out[0] >= 0 and out[-1] < 10**15
 
@@ -343,22 +345,22 @@ class TestDetect:
         # jitter and dead time on as well, over an empty and a zero-length window
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=26.587, dark_rate_hz=5000.0,
                            dead_time_ns=40.0)
-        out = detect(np.empty(0, np.int64), det, seed=9, stage=4, end_fs=10**15)
+        out = detect(np.empty(0, np.int64), det, 9, 4, Window(0, 10**15, 0))
         assert abs(out.size - 5000) < 5 * math.sqrt(5000)
         assert np.all(out[1:] - out[:-1] >= 40 * 10**6)
         assert out[0] >= 0 and out[-1] < 10**15
-        assert detect(np.empty(0, np.int64), det, seed=9, stage=4, end_fs=0).size == 0
+        assert detect(np.empty(0, np.int64), det, 9, 4, NO_WINDOW).size == 0
 
     def test_dead_time_pruning(self):
         # bursts closer than the dead time collapse to their first event
         times = np.array([0, 10, 20, 100, 105, 300]) * 10**6  # fs
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=40.0)
-        out = detect(times, det, seed=0, stage=3)
+        out = detect(times, det, 0, 3, NO_WINDOW)
         assert np.array_equal(out, np.array([0, 100, 300]) * 10**6)
 
     def test_float_arrivals_rejected(self):
         with pytest.raises(ParameterError, match="int64"):
-            detect(np.array([1.5e6]), self.IDEAL, seed=0, stage=3)
+            detect(np.array([1.5e6]), self.IDEAL, 0, 3, NO_WINDOW)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -399,7 +401,7 @@ class TestMarking:
         for p_s, p_i in ((p_a, p_b), (0.5, 0.2)):
             counts = np.zeros(3, dtype=np.int64)
             for seed in self.SEEDS:
-                pairs = generate_pairs(cfg.source, span, seed, p_s, p_i)
+                pairs = generate_pairs(cfg.source, Window(0, span, 0), seed, p_s, p_i)
                 n = (pairs.both_fs.size, *(a.size for a in pairs.alone_fs))
                 assert pairs.both_z.shape == (2, n[0])
                 assert tuple(z.size for z in pairs.alone_z) == n[1:]
@@ -456,7 +458,7 @@ class TestInputsUnchanged:
     def pairs(self):
         cfg = self.CFG
         span = pipeline.acquisition_span_fs(cfg.run.duration_s, None)
-        return generate_pairs(cfg.source, span, 29,
+        return generate_pairs(cfg.source, Window(0, span, 0), 29,
                               cfg.smf.survival_probability, cfg.dcf.survival_probability)
 
     def test_propagate(self):
@@ -484,11 +486,12 @@ class TestInputsUnchanged:
         src = SourceParams(pair_rate_hz=2e7)
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=jitter, dark_rate_hz=dark,
                            dead_time_ns=dead)
-        arrivals = propagate(generate_pairs(src, 10**12, 3), shifts_of(src, dets=(det, det))[0])
+        arrivals = propagate(generate_pairs(src, Window(0, 10**12, 0), 3),
+                             shifts_of(src, dets=(det, det))[0])
         arrivals[1::50] = arrivals[:-1:50] + 10**6
         assert not np.all(arrivals[1:] >= arrivals[:-1])
         before = arrivals.copy()
-        out = detect(arrivals, det, seed=1, stage=3, end_fs=10**12)
+        out = detect(arrivals, det, 1, 3, Window(0, 10**12, 0))
         assert arrivals.tobytes() == before.tobytes()
         assert not np.shares_memory(out, arrivals)
         assert np.all(out[1:] >= out[:-1])
@@ -678,12 +681,13 @@ class TestBlocks:
         arms = tuple(zip(shifts, dets, (cfg.timer_a, cfg.timer_b), (3, 4)))
         raw = ([], [])
         for block in itertools.count():
-            start, end = block * block_fs, min((block + 1) * block_fs, span)
-            pairs = generate_pairs(cfg.source, end, seed, p_a, p_b, start, block)
+            start = block * block_fs
+            window = Window(start, min(start + block_fs, span), block)
+            pairs = generate_pairs(cfg.source, window, seed, p_a, p_b)
             for (shift, det, _, stage), out in zip(arms, raw):
                 no_dead = dataclasses.replace(det, dead_time_ns=0.0)
-                out.append(detect(propagate(pairs, shift), no_dead, seed, stage, end, start, block))
-            if end >= span:
+                out.append(detect(propagate(pairs, shift), no_dead, seed, stage, window))
+            if window.end_fs >= span:
                 break
         streams = []
         for (_, det, timer, _), out in zip(arms, raw):
@@ -734,18 +738,19 @@ class TestBlocks:
 
     def test_block_windows(self):
         # a block's pairs and dark counts lie in its own window, Poisson over its length
-        pairs = generate_pairs(SRC, 2 * 10**15, 1, 0.5, 0.5, start_fs=15 * 10**14, block=3)
-        assert pairs.window == (15 * 10**14, 2 * 10**15, 3)
+        window = Window(15 * 10**14, 2 * 10**15, 3)
+        pairs = generate_pairs(SRC, window, 1, 0.5, 0.5)
+        assert pairs.window == window
         for emission in (pairs.both_fs, *pairs.alone_fs):
             assert emission.min() >= 15 * 10**14 and emission.max() < 2 * 10**15
         assert abs(len(pairs) - 9_000) < 5 * math.sqrt(9_000)
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=5000.0,
                            dead_time_ns=0.0)
         none = np.empty(0, np.int64)
-        darks = detect(none, det, 1, 3, 2 * 10**15, start_fs=15 * 10**14, block=3)
+        darks = detect(none, det, 1, 3, window)
         assert darks[0] >= 15 * 10**14 and darks[-1] < 2 * 10**15
         assert abs(darks.size - 2500) < 5 * math.sqrt(2500)
-        assert not np.array_equal(darks, detect(none, det, 1, 3, 2 * 10**15, 15 * 10**14, block=4))
+        assert not np.array_equal(darks, detect(none, det, 1, 3, window._replace(block=4)))
 
     @pytest.mark.parametrize("block_fs", [pipeline._BLOCK_FS, BLOCK_FS], ids=["5s", "50ms"])
     @pytest.mark.parametrize("duration", [0.0, 2.25e-14, 1.1, 5.0, 5.1, 12.0])
@@ -758,6 +763,29 @@ class TestBlocks:
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
         self.tiles(monkeypatch, self.BLOCK_FS, duration)
 
+    def test_each_arm_propagated_as_it_is_detected_on_one_cpu(self, monkeypatch):
+        # with no worker each block propagates and detects arm a, then arm b,
+        # so that one arm's arrivals are freed before the other's are made
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(pipeline, "_BLOCK_FS", self.BLOCK_FS)
+        calls = []
+
+        def spy_propagate(events, shift):
+            calls.append((events.window.block, "propagate", shift.arm))
+            return propagate(events, shift)
+
+        def spy_detect(*args, **kwargs):
+            call = inspect.signature(detect).bind(*args, **kwargs).arguments
+            calls.append((call["window"].block, "detect", call["stage"] - 3))
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "propagate", spy_propagate)
+        monkeypatch.setattr(simulate, "detect", spy_detect)
+        for _ in pipeline.simulate_blocks(presets.fig2d_config(duration_s=0.15), 0):
+            pass
+        order = [("propagate", 0), ("detect", 0), ("propagate", 1), ("detect", 1)]
+        assert calls == [(block, *step) for block in range(3) for step in order]
+
     @staticmethod
     def tiles(monkeypatch, block_fs, duration):
         # the windows simulate_blocks gives generate_pairs are whole fs, in
@@ -767,7 +795,7 @@ class TestBlocks:
 
         def spy(*args, **kwargs):
             call = inspect.signature(generate_pairs).bind(*args, **kwargs).arguments
-            windows.append((call["start_fs"], call["end_fs"], call["block"]))
+            windows.append(call["window"])
             return generate_pairs(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "generate_pairs", spy)
@@ -776,6 +804,7 @@ class TestBlocks:
         for _ in pipeline.simulate_blocks(cfg, 0):
             pass
         span = pipeline.acquisition_span_fs(duration, None)
+        assert all(type(window) is Window for window in windows)
         starts, ends, blocks = zip(*windows)
         assert all(type(t) is int for t in starts + ends)
         assert blocks == tuple(range(len(windows))) == tuple(range(max(-(-span // block_fs), 1)))
@@ -786,10 +815,10 @@ class TestBlocks:
     def test_detection_before_a_finalized_one_raises(self):
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
         carry = Carry(boundary_fs=2 * 10**12)
-        first = detect(np.array([10**12, 3 * 10**12]), det, 0, 3, carry=carry)
+        first = detect(np.array([10**12, 3 * 10**12]), det, 0, 3, NO_WINDOW, carry)
         assert first.tolist() == [10**12] and carry.pending.tolist() == [3 * 10**12]
         with pytest.raises(ParameterError, match="precedes the finalized"):
-            detect(np.array([5 * 10**11]), det, 0, 3, block=1, carry=carry)
+            detect(np.array([5 * 10**11]), det, 0, 3, Window(0, 0, 1), carry)
 
 
 @pytest.mark.usefixtures("draw_ahead")
@@ -807,7 +836,8 @@ class TestBlocksAhead:
         error = TimestampRangeError("arrival outside the int64 femtosecond range")
 
         def spy(*args, **kwargs):
-            if inspect.signature(generate_pairs).bind(*args, **kwargs).arguments["block"] == 2:
+            call = inspect.signature(generate_pairs).bind(*args, **kwargs).arguments
+            if call["window"].block == 2:
                 raise error
             return generate_pairs(*args, **kwargs)
 
