@@ -17,22 +17,25 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, TimestampRangeError, check_range
 from .model import DispersionLeg, SourceParams
-from .simulate import CORRELATION_MODES, INT64_MAX, DetectorSpec, TimerSpec
+from .simulate import INT64_MAX, DetectorSpec, TimerSpec
 from .streams import FS_PER_S
+
+
+# Names a file may give ``mode``, the correlation of the idler's detuning.
+CORRELATION_NAMES = {"anti": -1.0, "positive": 1.0, "none": 0.0}
 
 
 @dataclass(frozen=True)
 class RunSpec:
     duration_s: float = 5.0
-    mode: str = "anti"
+    mode: float = -1.0
 
     def __post_init__(self):
         check_range("duration_s", self.duration_s, 0)
         # Every run's duration passes here; its whole fs must fit int64.
         if self.duration_s * FS_PER_S > INT64_MAX:
             raise TimestampRangeError("duration exceeds the int64 femtosecond range")
-        if self.mode not in CORRELATION_MODES:
-            raise ConfigError(f"mode must be one of {CORRELATION_MODES}, got {self.mode!r}")
+        check_range("mode", self.mode, -1, 1)
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ _FILE_KEYS = {"sigma_omega": "sigma_omega_rad_per_ps"}
 
 
 def _convert(section: str, key: str, kind, raw: str):
-    if kind is str:
-        return raw
+    if key == "mode" and raw in CORRELATION_NAMES:
+        return CORRELATION_NAMES[raw]
     number, what = (int, "an integer") if kind is int else (float, "a number")
     try:
         return number(raw)
@@ -114,7 +117,7 @@ def dump_config(cfg: ExperimentConfig) -> str:
     for section in dataclasses.fields(cfg):
         obj = getattr(cfg, section.name)
         parser[section.name] = {
-            _FILE_KEYS.get(f.name, f.name): value if isinstance(value, str) else repr(value)
+            _FILE_KEYS.get(f.name, f.name): repr(value)
             for f in dataclasses.fields(obj)
             if (value := getattr(obj, f.name)) is not None
         }

@@ -10,16 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, check_range
+from .errors import check_range
 
 # FWHM of a unit-sigma Gaussian.
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
-
-# Each correlation mode's idler detuning in units of the signal's: -1 anti,
-# +1 positive, and 0 for an idler drawn independently of the signal.
-IDLER_SIGN = {"anti": -1.0, "positive": 1.0, "none": 0.0}
 
 
 @dataclass(frozen=True)
@@ -118,18 +114,16 @@ class WasakInputs:
             check_range(name, getattr(self, name), 0)
 
 
-def source_variance_ps2(src: SourceParams, s: float, i: float, mode: str = "anti") -> float:
+def source_variance_ps2(src: SourceParams, s: float, i: float, rho: float = -1.0) -> float:
     """Pair time-difference variance (ps**2) after dispersion, before jitter.
 
-    g + {(s+i)^2, (s-i)^2, s^2+i^2} * sigma_omega^2 for the anti, positive and
-    uncorrelated frequency modes, with g = gamma*D^2*L^2 and s, i the signal
-    and idler accumulated dispersions k''l in ps**2.  In the anti mode it is
+    g + ((s - rho*i)^2 + (1 - rho^2)*i^2) * sigma_omega^2, with g =
+    gamma*D^2*L^2, s, i the signal and idler accumulated dispersions k''l in
+    ps**2 and rho the correlation of the idler's detuning with the signal's:
+    (s+i)^2, (s-i)^2 and s^2+i^2 at rho = -1, +1 and 0.  At rho = -1 it is
     minimal exactly when the two dispersions cancel.
     """
-    if mode not in IDLER_SIGN:
-        raise ParameterError(f"unknown correlation mode {mode!r}")
-    sign = IDLER_SIGN[mode]
-    spread = (s - sign * i) ** 2 if sign else s**2 + i**2
+    spread = (s - rho * i) ** 2 + (1.0 - rho**2) * i**2
     return src.base_variance_ps2 + spread * src.effective_sigma_omega**2
 
 
@@ -139,8 +133,9 @@ def fwhm_from_sigma(sigma_ps: float) -> float:
 
 
 def farfield_eta(src: SourceParams) -> float:
-    """Slope factor eta = sqrt(2 ln2 / gamma) / (D*L), in 1/ps."""
-    return math.sqrt(2.0 * math.log(2.0) / src.gamma) / src.dl_ps
+    """Slope factor eta = FWHM_PER_SIGMA * sigma_omega, in 1/ps: the far-field
+    FWHM per unit of accumulated dispersion k''l (ps**2)."""
+    return FWHM_PER_SIGMA * src.effective_sigma_omega
 
 
 def wasak_w(inputs: WasakInputs) -> float:

@@ -65,7 +65,7 @@ def _dcf(length_km: float, k2: float = DCF_K2_S2_PER_M) -> DispersionLeg:
 def preset_config(
     smf: DispersionLeg,
     dcf: DispersionLeg,
-    mode: str = "anti",
+    mode: float = -1.0,
     duration_s: float = ACQUISITION_S,
 ) -> ExperimentConfig:
     """Build a configuration with both arms balanced to the target tag rate."""
@@ -95,7 +95,7 @@ def fig2a_config(duration_s: float = ACQUISITION_S) -> ExperimentConfig:
     return preset_config(_smf(0.0), _dcf(0.0), duration_s=duration_s)
 
 
-def fig2d_config(mode: str = "anti", duration_s: float = ACQUISITION_S) -> ExperimentConfig:
+def fig2d_config(mode: float = -1.0, duration_s: float = ACQUISITION_S) -> ExperimentConfig:
     """62 km SMF / 7.47 km DCF, the inequality-violating configuration."""
     return preset_config(_smf(FIG2D_SMF_KM), _dcf(FIG2D_DCF_KM), mode=mode, duration_s=duration_s)
 
@@ -122,7 +122,7 @@ def wasak_two_beta_l_ps2(cfg: ExperimentConfig | None = None) -> float:
 def predicted_pair_variance_ps2(cfg: ExperimentConfig) -> float:
     """Analytic observed time-difference variance for a configuration (ps**2).
 
-    Covers all three correlation modes and includes the detector jitter of
+    Holds at any detuning correlation and includes the detector jitter of
     both arms in quadrature.
     """
     var_source = model.source_variance_ps2(

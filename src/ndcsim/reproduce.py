@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 from . import model, presets
 from .analyze import WasakResult, dispersion_from_slope, evaluate_wasak, fit_linear
+from .config import CORRELATION_NAMES
 from .errors import ParameterError, check_range
 from .model import SourceParams
 from .pipeline import measure_config_peak
@@ -72,19 +73,19 @@ def reproduce_fig2d(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
                          f"analytic prediction = {predicted:.1f} ps")
 
 
-def _witness(modes, seed: int, scale: float) -> dict[str, WasakResult]:
-    """W for each fig2d correlation mode against one fig2a "before" peak.
+def _witness(names, seed: int, scale: float) -> dict[str, WasakResult]:
+    """W for each named fig2d correlation against one fig2a "before" peak.
 
-    The before peak is measured at ``seed``, the k-th mode's after peak
+    The before peak is measured at ``seed``, the k-th name's after peak
     (k = 1, 2, ...) at ``seed + k * _SEED_STRIDE``.
     """
     duration = _scaled_duration(scale)
     before = measure_config_peak(presets.fig2a_config(duration_s=duration), seed)
     results = {}
-    for k, mode in enumerate(modes, start=1):
-        cfg = presets.fig2d_config(mode=mode, duration_s=duration)
+    for k, name in enumerate(names, start=1):
+        cfg = presets.fig2d_config(mode=CORRELATION_NAMES[name], duration_s=duration)
         after = measure_config_peak(cfg, seed + k * _SEED_STRIDE)
-        results[mode] = evaluate_wasak(before.fit, after.fit, presets.wasak_two_beta_l_ps2(cfg))
+        results[name] = evaluate_wasak(before.fit, after.fit, presets.wasak_two_beta_l_ps2(cfg))
     return results
 
 

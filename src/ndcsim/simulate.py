@@ -41,13 +41,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, TimestampRangeError, check_range
-from .model import FWHM_PER_SIGMA, IDLER_SIGN, DispersionLeg, SourceParams
+from .model import FWHM_PER_SIGMA, DispersionLeg, SourceParams
 from .streams import FS_PER_PS, FS_PER_S
 
 INT64_MAX = np.iinfo(np.int64).max
 INT64_MIN = np.iinfo(np.int64).min
-
-CORRELATION_MODES = tuple(IDLER_SIGN)
 
 # Spawn keys for the per-stage RNG streams.
 _STAGE_PAIRS = 0
@@ -126,7 +124,7 @@ class ArmShift:
     both: tuple[float, float]
 
 
-def arm_shifts(src: SourceParams, mode: str, legs: tuple[DispersionLeg, DispersionLeg],
+def arm_shifts(src: SourceParams, rho: float, legs: tuple[DispersionLeg, DispersionLeg],
                dets: tuple[DetectorSpec, DetectorSpec]) -> tuple[ArmShift, ArmShift]:
     """The signal and idler arms' shifts, from the physical parameters alone.
 
@@ -135,18 +133,16 @@ def arm_shifts(src: SourceParams, mode: str, legs: tuple[DispersionLeg, Dispersi
     accumulated dispersion and its detuning Omega, of std sigma_omega; plus
     its detector's jitter.  These are independent Gaussians, so a photon's
     shift has variance sigma_t^2/4 + (k''l sigma_omega)^2 + sigma_J^2.  The
-    idler's detuning is the signal's times IDLER_SIGN[mode], or independent of
-    it in mode none (sign 0), so a pair's two shifts covary by
-    -sigma_t^2/4 + sign k''l_a k''l_b sigma_omega^2.  The Cholesky factor of
-    that 2x2 covariance is singular when the two shifts are fully correlated
-    (no jitter and no fiber, say): its second diagonal entry is then 0.
+    idler's detuning has correlation rho with the signal's, so a pair's two
+    shifts covary by -sigma_t^2/4 + rho k''l_a k''l_b sigma_omega^2.  The
+    Cholesky factor of that 2x2 covariance is singular when the two shifts
+    are fully correlated (no jitter and no fiber, say): its second diagonal
+    entry is then 0.
     """
-    if mode not in IDLER_SIGN:
-        raise ParameterError(f"unknown correlation mode {mode!r}")
     quarter = src.base_variance_ps2 * FS_PER_PS**2 / 4
     disp = [leg.k2l_ps2 * src.effective_sigma_omega * FS_PER_PS for leg in legs]
     var = [quarter + d * d + det.jitter_sigma_fs**2 for d, det in zip(disp, dets)]
-    cov = IDLER_SIGN[mode] * disp[0] * disp[1] - quarter
+    cov = rho * disp[0] * disp[1] - quarter
     l00 = math.sqrt(var[0])
     l10 = cov / l00
     rows = ((l00, 0.0), (l10, math.sqrt(max(var[1] - l10 * l10, 0.0))))

@@ -279,21 +279,30 @@ class TestFitLinear:
 class TestDispersionFromSlope:
     def test_smf(self):
         k2 = dispersion_from_slope(42.96, SRC)
-        assert k2 == pytest.approx(2.37e-26, rel=0.01)
+        assert k2 == pytest.approx(2.37e-26, rel=0.01, abs=0)
         # far-field slope at the nominal k2
-        assert dispersion_from_slope(40.94, SRC) == pytest.approx(2.26e-26, rel=5e-4)
+        assert dispersion_from_slope(40.94, SRC) == pytest.approx(2.26e-26, rel=5e-4, abs=0)
 
     def test_dcf(self):
         k2 = dispersion_from_slope(359.63, SRC)
-        assert k2 == pytest.approx(1.99e-25, rel=0.01)
+        assert k2 == pytest.approx(1.99e-25, rel=0.01, abs=0)
         # far-field slope at the nominal k2
-        assert dispersion_from_slope(353.2, SRC) == pytest.approx(1.95e-25, rel=5e-4)
+        assert dispersion_from_slope(353.2, SRC) == pytest.approx(1.95e-25, rel=5e-4, abs=0)
 
     def test_round_trip_with_farfield(self):
         for k2 in (2.26e-26, 1.95e-25, 5.0e-26):
             k2l_per_km = k2 * 1e3 * 1e24
             slope = model.farfield_eta(SRC) * k2l_per_km
-            assert dispersion_from_slope(slope, SRC) == pytest.approx(k2, rel=1e-9)
+            assert dispersion_from_slope(slope, SRC) == pytest.approx(k2, rel=1e-9, abs=0)
+
+    def test_wider_spectrum(self):
+        # the far-field slope of the exact width scales with sigma_omega, not
+        # with the transform-limited 1/(2 sqrt(gamma) D L)
+        src = SourceParams(sigma_omega=0.3)
+        length_km, k2l_per_km = 1000.0, 2.26e-26 * 1e3 * 1e24
+        var = model.source_variance_ps2(src, k2l_per_km * length_km, 0.0)
+        slope = model.FWHM_PER_SIGMA * math.sqrt(var) / length_km
+        assert dispersion_from_slope(slope, src) == pytest.approx(2.26e-26, rel=1e-6, abs=0)
 
     def test_invalid_slope(self):
         with pytest.raises(ParameterError):

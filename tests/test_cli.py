@@ -97,7 +97,7 @@ class TestSimulate:
         for i, line in enumerate(lines):
             if line.startswith("["):
                 section = line
-            elif " = " in line and not line.startswith("mode = "):
+            elif " = " in line:
                 key = line.partition(" = ")[0]
                 cfg = tmp_path / f"{section[1:-1]}_{key}.cfg"
                 cfg.write_text("\n".join(lines[:i] + [f"{key} = {value}"] + lines[i + 1:]))
@@ -110,7 +110,7 @@ class TestSimulate:
                 assert expected in err, err
                 assert not (tmp_path / f"{cfg.stem}_a.tags").exists()
                 edited.append(key)
-        assert len(edited) == 27
+        assert len(edited) == 28
 
     @pytest.mark.parametrize("line, bounds", [
         ("site_id = -1", "[0, 4294967295]"),
@@ -222,7 +222,7 @@ class TestCorrelateAnalyze:
     def test_positive_mode_exit_0(self, tmp_path, capsys):
         # A classical peak of about 5 ns: the histogram is sized from it.
         cfg_path = tmp_path / "positive.cfg"
-        cfg_path.write_text(dump_config(presets.fig2d_config(mode="positive", duration_s=2.0)))
+        cfg_path.write_text(dump_config(presets.fig2d_config(mode=1.0, duration_s=2.0)))
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "pos")]) == 0
         rc = main(["correlate", str(tmp_path / "pos_a.tags"), str(tmp_path / "pos_b.tags")])
         assert rc == 0

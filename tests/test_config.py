@@ -6,7 +6,7 @@ import io
 import pytest
 
 from ndcsim.config import dump_config, parse_config
-from ndcsim.errors import ConfigError, TimestampRangeError
+from ndcsim.errors import ConfigError, ParameterError, TimestampRangeError
 from ndcsim.model import SourceParams
 from ndcsim import presets
 
@@ -57,7 +57,15 @@ class TestParse:
         assert cfg.dcf.k2_s2_per_m == 1.95e-25
         assert cfg.detector_a.efficiency == 0.5
         assert cfg.timer_b.clock_offset_fs == 1_000_000
-        assert cfg.run.mode == "anti"
+        assert cfg.run.mode == -1.0
+
+    @pytest.mark.parametrize("name, rho", [("anti", -1.0), ("positive", 1.0), ("none", 0.0)])
+    def test_correlation_names(self, name, rho):
+        # a name and its number parse to the same configuration
+        named = parse_config(io.StringIO(SAMPLE.replace("mode = anti", f"mode = {name}")))
+        number = parse_config(io.StringIO(SAMPLE.replace("mode = anti", f"mode = {rho!r}")))
+        assert named.run.mode == rho
+        assert named == number
 
     def test_defaults_applied(self):
         cfg = parse_config(io.StringIO(SAMPLE))
@@ -110,9 +118,12 @@ class TestParse:
         assert "detectr_b" in str(err.value)
 
     def test_bad_mode(self):
-        broken = SAMPLE.replace("mode = anti", "mode = diagonal")
-        with pytest.raises(ConfigError):
-            parse_config(io.StringIO(broken))
+        # a correlation outside [-1, 1], nan or an unknown name
+        for value, error in (("diagonal", ConfigError), ("1.5", ParameterError),
+                             ("nan", ParameterError)):
+            broken = SAMPLE.replace("mode = anti", f"mode = {value}")
+            with pytest.raises(error, match="mode"):
+                parse_config(io.StringIO(broken))
 
     @pytest.mark.parametrize("duration", ["9223.373", "1e5"])
     def test_duration_beyond_int64_rejected(self, duration):
@@ -142,15 +153,16 @@ class TestRoundTrip:
         [
             presets.fig2a_config(),
             presets.fig2d_config(),
-            presets.fig2d_config(mode="positive"),
-            presets.fig2d_config(mode="none"),
+            presets.fig2d_config(mode=1.0),
+            presets.fig2d_config(mode=0.0),
+            presets.fig2d_config(mode=-0.5),
             presets.fig3_config("smf", 20.0),
             presets.fig3_config("dcf", 2.49, fitted_k2=True),
             dataclasses.replace(presets.fig2d_config(),
                                 source=SourceParams(pair_rate_hz=5e5, sigma_omega=0.3)),
         ],
-        ids=["fig2a", "fig2d", "fig2d-positive", "fig2d-none", "fig3-smf", "fig3-dcf",
-             "sigma-omega"],
+        ids=["fig2a", "fig2d", "fig2d-positive", "fig2d-none", "fig2d-rho", "fig3-smf",
+             "fig3-dcf", "sigma-omega"],
     )
     def test_presets_survive_dump_parse(self, cfg):
         again = parse_config(io.StringIO(dump_config(cfg)))

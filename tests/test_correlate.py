@@ -618,8 +618,8 @@ class TestLooks:
     @pytest.mark.parametrize("cfg", [
         presets.fig2a_config(),
         presets.fig2d_config(),
-        presets.fig2d_config("positive"),
-        presets.fig2d_config("none"),
+        presets.fig2d_config(1.0),
+        presets.fig2d_config(0.0),
     ], ids=["fig2a", "fig2d", "positive", "none"])
     def test_single_look_agrees(self, cfg, monkeypatch):
         # With a first look as dense as the test, the one look locates the

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndcsim import model
+from ndcsim import model, presets
 from ndcsim.analyze import dispersion_from_slope
 from ndcsim.config import RunSpec
 from ndcsim.correlate import Histogram, g2_normalize
@@ -39,7 +39,7 @@ finite_pos = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 
 
 def g2_sigma(s, i):
-    """Std (ps) of the anti-mode pair time difference at the default source."""
+    """Std (ps) of the anticorrelated pair time difference at the default source."""
     return math.sqrt(source_variance_ps2(SRC, s, i))
 
 
@@ -67,19 +67,20 @@ class TestG2Sigma:
         assert g2_sigma(s, 0.0) > g2_sigma(0.0, 0.0)
         assert g2_sigma(s, -s) == pytest.approx(SRC.base_sigma_ps)
 
-    @given(s=st.floats(-2e3, 2e3), i=st.floats(-2e3, 2e3))
-    def test_correlation_modes(self, s, i):
-        anti = source_variance_ps2(SRC, s, i, "anti")
-        positive = source_variance_ps2(SRC, s, i, "positive")
+    @given(s=st.floats(-2e3, 2e3), i=st.floats(-2e3, 2e3), rho=st.floats(-1.0, 1.0))
+    def test_correlation_modes(self, s, i, rho):
+        anti = source_variance_ps2(SRC, s, i, -1.0)
+        positive = source_variance_ps2(SRC, s, i, 1.0)
+        assert anti == source_variance_ps2(SRC, s, i)
         assert positive == source_variance_ps2(SRC, s, -i)
-        # Uncorrelated frequencies average the two correlated cases.
-        assert source_variance_ps2(SRC, s, i, "none") == pytest.approx(
+        # Uncorrelated frequencies average the two correlated cases, and the
+        # variance is linear in the correlation between them.
+        assert source_variance_ps2(SRC, s, i, 0.0) == pytest.approx(
             0.5 * (anti + positive), rel=1e-12
         )
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            source_variance_ps2(SRC, 0.0, 0.0, "sideways")
+        assert source_variance_ps2(SRC, s, i, rho) == pytest.approx(
+            0.5 * ((1 - rho) * anti + (1 + rho) * positive), rel=1e-9, abs=1e-6
+        )
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ParameterError):
@@ -122,6 +123,7 @@ def histogram(**fields):
     (TimerSpec, "clock_offset_fs"),
     (TimerSpec, "site_id"),
     (RunSpec, "duration_s"),
+    (RunSpec, "mode"),
     (wasak_inputs, "var_before_ps2"),
     (wasak_inputs, "var_before_err_ps2"),
     (wasak_inputs, "var_after_ps2"),
@@ -259,6 +261,20 @@ class TestClassicalBound:
         assert math.sqrt(bound) == pytest.approx(90.8, abs=0.1)
         assert wasak_w(WasakInputs(a, 0.0, bound, 0.0, c)) == pytest.approx(1.0, rel=1e-12)
         assert wasak_w(WasakInputs(a, 0.0, 2086.0, 0.0, c)) < 1.0
+
+    def test_witness_threshold(self):
+        # W at the fig2a/fig2d presets as the idler's detuning decorrelates:
+        # it crosses the classical bound 1 at rho* = -0.997443.
+        before = presets.predicted_pair_variance_ps2(presets.fig2a_config())
+
+        def w(rho):
+            after = presets.predicted_pair_variance_ps2(presets.fig2d_config(mode=rho))
+            return wasak_w(WasakInputs(before, 0.0, after, 0.0, presets.wasak_two_beta_l_ps2()))
+
+        for rho, expected in ((-1.0, 0.2515), (-0.999, 0.5442), (-0.998, 0.8370),
+                              (-0.997, 1.1298)):
+            assert w(rho) == pytest.approx(expected, abs=1e-4), rho
+        assert w(-0.997444) < 1.0 < w(-0.997443)
 
     def test_no_dispersion(self):
         # With c = 0 the bound is var_after = var_before.

@@ -1,12 +1,15 @@
 """measure_peak sizes its histograms from the coarse peak alone."""
 
+import io
+
 import numpy as np
 import pytest
 
-from ndcsim import presets
-from ndcsim.analyze import variance_from_fit
+from ndcsim import model, presets
+from ndcsim.analyze import evaluate_wasak, variance_from_fit
+from ndcsim.config import dump_config, parse_config
 from ndcsim.errors import FitError, ParameterError
-from ndcsim.pipeline import acquisition_span_fs, measure_peak, run_simulation
+from ndcsim.pipeline import acquisition_span_fs, measure_config_peak, measure_peak, run_simulation
 from ndcsim.reproduce import FIG2A_FWHM_RANGE
 from ndcsim.streams import TagStream
 
@@ -14,8 +17,8 @@ from ndcsim.streams import TagStream
 CONFIGS = {
     "fig2a": presets.fig2a_config(duration_s=2.0),
     "fig2d-anti": presets.fig2d_config(duration_s=2.0),
-    "fig2d-positive": presets.fig2d_config(mode="positive", duration_s=2.0),
-    "fig2d-none": presets.fig2d_config(mode="none", duration_s=2.0),
+    "fig2d-positive": presets.fig2d_config(mode=1.0, duration_s=2.0),
+    "fig2d-none": presets.fig2d_config(mode=0.0, duration_s=2.0),
     "fig3-smf-62km": presets.fig3_config("smf", 62.0, duration_s=2.0),
     "fig3-dcf-7.47km": presets.fig3_config("dcf", 7.47, duration_s=2.0),
 }
@@ -51,11 +54,30 @@ def test_default_arguments_match_prediction(name):
     assert meas.histogram.bin_width_ps * 1000 % a.resolution_fs == 0  # whole timer ticks
 
 
+@pytest.mark.parametrize("rho", ["-0.998", "-0.997"])
+def test_witness_at_interior_correlation(rho):
+    # A file may set any correlation in [-1, 1]; W measured at the fig2d
+    # preset against a fig2a "before" peak is the analytic W(rho) within 3
+    # errors, on either side of the classical bound at rho* = -0.997443.
+    text = dump_config(presets.fig2d_config()).replace("mode = -1.0", f"mode = {rho}")
+    cfg = parse_config(io.StringIO(text))
+    assert cfg.run.mode == float(rho)
+    before_cfg = presets.fig2a_config()
+    before = measure_config_peak(before_cfg, seed=0)
+    after = measure_config_peak(cfg, seed=1_000_003)
+    two_beta_l = presets.wasak_two_beta_l_ps2(cfg)
+    measured = evaluate_wasak(before.fit, after.fit, two_beta_l)
+    analytic = model.wasak_w(model.WasakInputs(
+        presets.predicted_pair_variance_ps2(before_cfg), 0.0,
+        presets.predicted_pair_variance_ps2(cfg), 0.0, two_beta_l))
+    assert abs(measured.w - analytic) < 3 * measured.w_err
+
+
 def test_histogram_counts_every_pair_within_its_edges():
     # Each bin, the last one too, holds every pair between its edges
     # origin + k*bin.  At this seed the one pair of the last 523 ps bin lies
     # beyond +floor(4 FWHM), where a window cut there would lose it.
-    a, b = run_simulation(presets.fig2d_config(mode="positive"), seed=1_000_003)
+    a, b = run_simulation(presets.fig2d_config(mode=1.0), seed=1_000_003)
     meas = measure_peak(a, b)
     h = meas.histogram
     origin_fs, bin_fs = round(h.origin_ps * 1000), round(h.bin_width_ps * 1000)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ndcsim import model, pipeline, presets, simulate, tagio
 from ndcsim.analyze import fit_gaussian
 from ndcsim.cli import main
-from ndcsim.config import dump_config
+from ndcsim.config import CORRELATION_NAMES, dump_config
 from ndcsim.correlate import fine_histogram, g2_normalize
 from ndcsim.errors import ParameterError, TimestampRangeError
 from ndcsim.model import DispersionLeg, SourceParams
@@ -43,23 +43,20 @@ SRC = SourceParams(pair_rate_hz=24000.0)
 NO_FIBER = DispersionLeg(length_km=0.0)
 NO_JITTER = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=0.0, dark_rate_hz=0.0, dead_time_ns=0.0)
 NO_WINDOW = Window(0, 0, 0)  # block 0 of no emission time: no dark counts
-# Each mode's idler detuning in units of the signal's, None for an independent one.
-IDLER_FACTOR = {"anti": -1.0, "positive": 1.0, "none": None}
 
 
-def shifts_of(src, mode="anti", legs=(NO_FIBER, NO_FIBER), dets=(NO_JITTER, NO_JITTER)):
-    return arm_shifts(src, mode, legs, dets)
+def shifts_of(src, rho=-1.0, legs=(NO_FIBER, NO_FIBER), dets=(NO_JITTER, NO_JITTER)):
+    return arm_shifts(src, rho, legs, dets)
 
 
-def arm_moments_fs2(src, mode, legs, dets):
+def arm_moments_fs2(src, rho, legs, dets):
     """Each arm's shift variance and the pair's covariance (fs**2), from the
     physics: +-dt/2 + k''l * Omega + jitter, all independent Gaussians."""
     sigma_t = src.base_sigma_ps * 1e3
     disp = [leg.k2l_ps2 * src.effective_sigma_omega * 1e3 for leg in legs]
     var = [sigma_t**2 / 4 + d**2 + (det.jitter_fwhm_ps / model.FWHM_PER_SIGMA * 1e3) ** 2
            for d, det in zip(disp, dets)]
-    factor = IDLER_FACTOR[mode]
-    cov = -sigma_t**2 / 4 + (factor * disp[0] * disp[1] if factor is not None else 0.0)
+    cov = -sigma_t**2 / 4 + rho * disp[0] * disp[1]
     return var, cov
 
 
@@ -88,8 +85,8 @@ def per_pair_oracle(cfg, seed):
     """Both tag streams of ``cfg`` from the per-photon thinning sampler.
 
     Every pair of the source is emitted with its own offset and detunings:
-    the idler's is the signal's, negated in mode anti, or drawn on its own in
-    mode none.  Each photon then survives its fiber and its detector's
+    the idler's is rho times the signal's plus sqrt(1 - rho^2) times an
+    independent one.  Each photon then survives its fiber and its detector's
     efficiency by independent Bernoulli draws and takes its own jitter, and
     its arrival is rounded half-up to whole fs.  Dark counts, dead time and
     digitization are the package's.
@@ -102,11 +99,8 @@ def per_pair_oracle(cfg, seed):
     emission = rng.integers(0, span, n)
     delta_t = rng.normal(0.0, src.base_sigma_ps * 1e3, n)
     omega_s = rng.normal(0.0, src.effective_sigma_omega, n)
-    factor = IDLER_FACTOR[cfg.run.mode]
-    if factor is None:
-        omega_i = rng.normal(0.0, src.effective_sigma_omega, n)
-    else:
-        omega_i = factor * omega_s
+    rho = cfg.run.mode
+    omega_i = rho * omega_s + math.sqrt(1 - rho**2) * rng.normal(0.0, src.effective_sigma_omega, n)
     legs = (
         (+0.5, omega_s, cfg.smf, cfg.detector_a, cfg.timer_a),
         (-0.5, omega_i, cfg.dcf, cfg.detector_b, cfg.timer_b),
@@ -169,10 +163,10 @@ class TestGeneratePairs:
         src = SourceParams(pair_rate_hz=4e5)
         cfg = presets.fig2d_config()
         legs, dets = (cfg.smf, cfg.dcf), (cfg.detector_a, cfg.detector_b)
-        for mode in IDLER_FACTOR:
+        for rho in (-1.0, 1.0, 0.0, -0.5):
             pairs = generate_pairs(src, Window(0, 10**15, 0), 5, p_signal=0.5, p_idler=0.5)
-            shifts = arm_shifts(src, mode, legs, dets)
-            var, cov = arm_moments_fs2(src, mode, legs, dets)
+            shifts = arm_shifts(src, rho, legs, dets)
+            var, cov = arm_moments_fs2(src, rho, legs, dets)
             n = pairs.both_fs.size
             both = []
             for shift, v, alone in zip(shifts, var, pairs.alone_fs):
@@ -180,13 +174,9 @@ class TestGeneratePairs:
                 both.append(s[:n] - pairs.both_fs)
                 alone_s = s[n:] - alone
                 for x in (both[-1], alone_s):
-                    assert np.var(x) == pytest.approx(v, rel=5 * math.sqrt(2 / x.size)), mode
+                    assert np.var(x) == pytest.approx(v, rel=5 * math.sqrt(2 / x.size)), rho
             sample_cov = np.cov(both[0], both[1])[0, 1]
-            assert abs(sample_cov - cov) < 5 * math.sqrt((var[0] * var[1] + cov**2) / n), mode
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            shifts_of(SRC, "sideways")
+            assert abs(sample_cov - cov) < 5 * math.sqrt((var[0] * var[1] + cov**2) / n), rho
 
     def test_overflowing_duration_rejected(self):
         # a window may end at the last int64 fs, not past it
@@ -215,7 +205,7 @@ class TestPropagate:
                            rtol=0, atol=1)
 
     def test_idler_sign(self):
-        # mode anti with neither fiber nor jitter: the idler lands as far before
+        # anticorrelated detunings with neither fiber nor jitter: the idler lands as far before
         # the emission as the signal lands after it
         pairs = generate_pairs(SRC, Window(0, 5 * 10**14, 0), seed=11)
         a, b = (propagate(pairs, shift) for shift in shifts_of(SRC))
@@ -224,11 +214,11 @@ class TestPropagate:
 
     @pytest.mark.parametrize("length_km", [0.0, 7.47, 62.0, 1000.0])
     def test_singular_factor(self, length_km):
-        # equal fibers in mode anti and no jitter: the two photons' shifts are
+        # equal fibers, anticorrelated detunings and no jitter: the two photons' shifts are
         # exactly opposite, so their covariance matrix is singular
         src = SourceParams(pair_rate_hz=2e5)
         leg = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=length_km)
-        signal, idler = shifts_of(src, "anti", (leg, leg))
+        signal, idler = shifts_of(src, -1.0, (leg, leg))
         assert idler.both[0] == pytest.approx(-signal.sigma_fs, rel=1e-12)
         assert 0.0 <= idler.both[1] < 1e-6 * signal.sigma_fs
         pairs = generate_pairs(src, Window(0, 2 * 10**14, 0), seed=31)
@@ -244,24 +234,24 @@ class TestPropagate:
         leg_i = DispersionLeg(
             k2_s2_per_m=2.26e-26 * 62.0 / 7.47, length_km=7.47, attenuation_db_per_km=0.0
         )
-        arr_s, arr_i = (propagate(pairs, shift) for shift in shifts_of(src, "anti", (leg_s, leg_i)))
+        arr_s, arr_i = (propagate(pairs, shift) for shift in shifts_of(src, -1.0, (leg_s, leg_i)))
         var_ps2 = np.var((arr_s - arr_i) / 1e3)
         base = src.base_variance_ps2
         n = len(pairs)
         assert var_ps2 == pytest.approx(base, rel=5 * math.sqrt(2.0 / n))
 
     def test_dispersed_variance_matches_model(self):
-        # the pair's time difference against the analytic model, in every mode
+        # the pair's time difference against the analytic model, at each correlation
         src = SourceParams(pair_rate_hz=2e5)
         leg_s = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.0)
         leg_i = DispersionLeg(k2_s2_per_m=1.95e-25, length_km=7.47, attenuation_db_per_km=0.0)
         pairs = generate_pairs(src, Window(0, 10**15, 0), seed=17)
-        for mode in IDLER_FACTOR:
+        for rho in (-1.0, 1.0, 0.0, -0.5):
             arr_s, arr_i = (propagate(pairs, shift)
-                            for shift in shifts_of(src, mode, (leg_s, leg_i)))
+                            for shift in shifts_of(src, rho, (leg_s, leg_i)))
             var_ps2 = np.var((arr_s - arr_i) / 1e3)
-            expected = model.source_variance_ps2(src, leg_s.k2l_ps2, leg_i.k2l_ps2, mode)
-            assert var_ps2 == pytest.approx(expected, rel=5 * math.sqrt(2.0 / len(pairs))), mode
+            expected = model.source_variance_ps2(src, leg_s.k2l_ps2, leg_i.k2l_ps2, rho)
+            assert var_ps2 == pytest.approx(expected, rel=5 * math.sqrt(2.0 / len(pairs))), rho
 
     def test_survival_probability(self):
         # fiber loss is drawn with the pair classes: with a lossless idler arm
@@ -269,7 +259,7 @@ class TestPropagate:
         src = SourceParams(pair_rate_hz=2e5)
         leg = DispersionLeg(k2_s2_per_m=-2.26e-26, length_km=62.0, attenuation_db_per_km=0.2)
         pairs = generate_pairs(src, Window(0, 10**15, 0), 19, leg.survival_probability, 1.0)
-        survivors = propagate(pairs, shifts_of(src, "anti", (leg, NO_FIBER))[0])
+        survivors = propagate(pairs, shifts_of(src, -1.0, (leg, NO_FIBER))[0])
         p = 10 ** (-1.24)
         n = len(pairs)
         assert survivors.size / n == pytest.approx(p, abs=5 * math.sqrt(p / n))
@@ -277,7 +267,7 @@ class TestPropagate:
     def test_group_delay(self):
         pairs = generate_pairs(SRC, Window(0, 10**14, 0), seed=23)
         leg = DispersionLeg(length_km=62.0, attenuation_db_per_km=0.0, group_index=1.468)
-        signal, _ = shifts_of(SRC, "anti", (leg, NO_FIBER))
+        signal, _ = shifts_of(SRC, -1.0, (leg, NO_FIBER))
         arrival = propagate(pairs, signal)
         delay_fs = 62e3 * 1.468 / model.SPEED_OF_LIGHT_M_PER_S * 1e15
         shift = arrival - (pairs.both_fs + 0.5 * SRC.base_sigma_ps * 1e3 * pairs.both_z[0])
@@ -290,7 +280,7 @@ class TestPropagate:
         assert len(pairs) > 0
         leg = DispersionLeg(length_km=1e6, attenuation_db_per_km=0.0)
         with pytest.raises(TimestampRangeError):
-            propagate(pairs, shifts_of(SRC, "anti", (leg, NO_FIBER))[0])
+            propagate(pairs, shifts_of(SRC, -1.0, (leg, NO_FIBER))[0])
 
 
 class TestDetect:
@@ -321,7 +311,7 @@ class TestDetect:
         det = DetectorSpec(efficiency=1.0, jitter_fwhm_ps=26.587, dark_rate_hz=0.0, dead_time_ns=0.0)
         pairs = generate_pairs(src, Window(0, 10**15, 0), 7, p_signal=1.0, p_idler=0.0)
         assert pairs.alone_fs[0].size == len(pairs) > 190_000
-        out = propagate(pairs, shifts_of(src, "anti", dets=(det, NO_JITTER))[0])
+        out = propagate(pairs, shifts_of(src, -1.0, dets=(det, NO_JITTER))[0])
         var_ps2 = np.var(out - pairs.alone_fs[0]) / 1e6
         sigma_ps = math.sqrt(var_ps2 - src.base_variance_ps2 / 4)
         assert sigma_ps == pytest.approx(26.587 / model.FWHM_PER_SIGMA, rel=0.01)
@@ -395,7 +385,7 @@ class TestMarking:
         assert p_a == pytest.approx(10 ** (-1.24) * 0.5, rel=1e-12)
         emitted = cfg.source.pair_rate_hz * cfg.run.duration_s * len(self.SEEDS)
         span = pipeline.acquisition_span_fs(cfg.run.duration_s, None)
-        shifts = arm_shifts(cfg.source, "anti", (cfg.smf, cfg.dcf), (cfg.detector_a, cfg.detector_b))
+        shifts = arm_shifts(cfg.source, -1.0, (cfg.smf, cfg.dcf), (cfg.detector_a, cfg.detector_b))
         drawn = []
         # the fig2d arms are balanced, so an unbalanced pair of arms as well
         for p_s, p_i in ((p_a, p_b), (0.5, 0.2)):
@@ -422,9 +412,10 @@ class TestMarking:
         # no pair lost in both arms is drawn: ~5.7 % of the fig2d pairs
         assert drawn[0] / emitted == pytest.approx(0.057, abs=0.001)
 
-    @pytest.mark.parametrize("mode", ["anti", "positive", "none"])
-    def test_matches_per_pair_oracle(self, mode):
-        cfg = presets.fig2d_config(mode=mode, duration_s=self.CFG.run.duration_s)
+    @pytest.mark.parametrize("rho", [-1.0, 1.0, 0.0, -0.5],
+                             ids=["anti", "positive", "none", "-0.5"])
+    def test_matches_per_pair_oracle(self, rho):
+        cfg = presets.fig2d_config(mode=rho, duration_s=self.CFG.run.duration_s)
         offset = int(round(cfg.dcf.group_delay_fs - cfg.smf.group_delay_fs))
         fwhm = model.FWHM_PER_SIGMA * math.sqrt(presets.predicted_pair_variance_ps2(cfg))
         bin_fs = max(round(fwhm * 100), 1000)
@@ -463,7 +454,7 @@ class TestInputsUnchanged:
 
     def test_propagate(self):
         cfg = self.CFG
-        signal, idler = arm_shifts(cfg.source, "anti", (cfg.smf, cfg.dcf),
+        signal, idler = arm_shifts(cfg.source, -1.0, (cfg.smf, cfg.dcf),
                                    (cfg.detector_a, cfg.detector_b))
         alone, first = self.pairs(), self.pairs()
         before = [a.copy() for a in pair_arrays(first)]
@@ -644,7 +635,7 @@ class TestEndToEnd:
     def test_accidental_baseline_unity(self):
         # uncorrelated detunings still pair in time; away from the peak and
         # the dead-time dip only accidental coincidences remain
-        a, b = run_simulation(presets.fig2d_config(mode="none"), seed=0)
+        a, b = run_simulation(presets.fig2d_config(mode=0.0), seed=0)
         cfg = presets.fig2d_config()
         offset = int(round(cfg.dcf.group_delay_fs - cfg.smf.group_delay_fs))
         h = fine_histogram(a, b, offset, -5 * 10**10, 10**7, 10**4)
@@ -702,12 +693,12 @@ class TestBlocks:
         assert list(streams) == self.oracle(cfg, seed, self.BLOCK_FS)
         return streams
 
-    @pytest.mark.parametrize("mode", ["anti", "none"])
-    def test_matches_one_shot_oracle(self, monkeypatch, mode):
-        a, b = self.check(monkeypatch, presets.fig2d_config(mode=mode, duration_s=0.5), 3)
+    @pytest.mark.parametrize("rho", [-1.0, 0.0], ids=["anti", "none"])
+    def test_matches_one_shot_oracle(self, monkeypatch, rho):
+        a, b = self.check(monkeypatch, presets.fig2d_config(mode=rho, duration_s=0.5), 3)
         # block 0 draws as the unblocked 50 ms run; no later block reaches
         # below its end
-        short, _ = run_simulation(presets.fig2d_config(mode=mode, duration_s=0.05), 3)
+        short, _ = run_simulation(presets.fig2d_config(mode=rho, duration_s=0.05), 3)
         assert np.array_equal(a.tags[a.tags < self.BLOCK_FS],
                               short.tags[short.tags < self.BLOCK_FS])
 
@@ -951,15 +942,17 @@ GOLDEN_TAG_DIGESTS = {
 
 
 def golden_config(name, mode):
+    """The configuration of a GOLDEN_TAG_DIGESTS key; ``mode`` is its file name."""
+    rho = CORRELATION_NAMES[mode]
     if name == "fig2a":
         return presets.fig2a_config(duration_s=0.5)
     if name == "fig2a_1.1s":
         return presets.fig2a_config(duration_s=1.1)
     if name == "fig2d_5.1s":
-        return presets.fig2d_config(mode=mode, duration_s=5.1)
+        return presets.fig2d_config(mode=rho, duration_s=5.1)
     if name == "fig2d_12s":
-        return presets.fig2d_config(mode=mode, duration_s=12.0)
-    cfg = presets.fig2d_config(mode=mode, duration_s=0.5)
+        return presets.fig2d_config(mode=rho, duration_s=12.0)
+    cfg = presets.fig2d_config(mode=rho, duration_s=0.5)
     if name == "fig2d_offset":
         cfg = dataclasses.replace(cfg, timer_b=TimerSpec(4000, -267_000_123_000, 1))
     return cfg
