@@ -12,8 +12,11 @@ femtoseconds.  The one coarse bin serves every peak: 27 times the
 37.6 ps jitter floor, about a fifth of a 5 ns classical one.  The search
 locates the fullest bin in sparse samples of a, counting only the bins their
 pairs hit, and confirms it on a narrow window of the densest sample; no array
-spans the search.  The cost is O(|a| log |b|) plus the pairs in the window,
-never O(|a|*|b|); all but the reported pass stride a, the seed pass to
+spans the search.  The test's mean comes from bounds on the span's pairs,
+summed over buckets half the span wide with a few binary searches per
+bucket; the pairs are counted exactly only when the bounds could change the
+test's result or its width.  The cost is O(|a| log |b|) plus the pairs in the
+window, never O(|a|*|b|); all but the reported pass stride a, the seed pass to
 _SEED_PAIRS expected pairs.  The confirm and seed passes keep their pairs
 (PairDiffs), and a later histogram at the same stride within a kept window
 is binned from them instead of taking a pass of its own: on the paper's 5 s
@@ -106,6 +109,24 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, lo_fs: int, hi_fs: int) -> int:
     """Number of pairs with lo_fs <= b_j - a_i < hi_fs, from two binary searches."""
     return int((np.searchsorted(b, a + hi_fs, side="left")
                 - np.searchsorted(b, a + lo_fs, side="left")).sum())
+
+
+def _span_bounds(a: np.ndarray, b: np.ndarray, half_fs: int) -> tuple[int, int]:
+    """Bounds lo <= n <= hi on the number n of pairs with -half_fs <= b_j - a_i
+    < half_fs.  In buckets [k*half_fs, (k+1)*half_fs), the window of a tag of a
+    in bucket m holds all of bucket m and lies within buckets m-1 to m+1, so
+    lo sums the tags of b in bucket m and hi those in m-1 to m+1, over a.  Each
+    distinct bucket of a searches b for its four edges; an edge beyond int64
+    has no tag of b past it."""
+    m = a // half_fs
+    firsts = np.flatnonzero(np.concatenate(([True], m[1:] != m[:-1])))
+    n_a = np.diff(firsts, append=m.size)
+    k = m[firsts, None] + np.arange(-1, 3)
+    k_min, k_max = -(2**63 // half_fs), (2**63 - 1) // half_fs
+    before = np.searchsorted(b, np.clip(k, k_min, k_max) * half_fs)  # tags of b below each edge
+    before[k < k_min] = 0
+    before[k > k_max] = b.size
+    return int(n_a @ (before[:, 2] - before[:, 1])), int(n_a @ (before[:, 3] - before[:, 0]))
 
 
 def _budget_stride(a: np.ndarray, b: np.ndarray, width_fs: int, budget: int) -> int:
@@ -339,6 +360,13 @@ def coarse_offset(a: TagStream, b: TagStream,
     no look passes a peak the last would reject.  The width is the run of bins
     around the peak holding at least (peak + mean) / 2, within the confirm
     window.
+
+    The span's pairs, and so the mean, are not counted up front: _span_bounds
+    gives a lower and an upper bound on them.  A larger count raises the mean,
+    and so p, and shrinks the width's run, the runs being nested; so when the
+    two bounds give the same verdict and the same run, so does the exact
+    count.  It is taken only when they differ, and before NoPeakError, which
+    reports the exact mean and p.
     """
     tags_a = _nonempty(a, "a")
     tags_b = _nonempty(b, "b")
@@ -351,15 +379,13 @@ def coarse_offset(a: TagStream, b: TagStream,
     expected = len(tags_a) * _pairs_per_tag(tags_b, nbins * COARSE_BIN_FS)
     while expected / (4 * look) >= _LOOK_PAIRS:
         look *= 4
-    total = _pairs_within(tags_a[::stride], tags_b, -half_fs, half_fs)
+    totals = _span_bounds(tags_a[::stride], tags_b, half_fs)
     side = min(_CONFIRM_BINS, span_bins)
     window = 2 * side + 1
     while True:
         # One buffer for the look's bin indices: a list of chunk-sized arrays
         # would leave that much of the heap resident after the search.  The
-        # kernel's window is closed, so bin nbins holds its right edge.  The
-        # narrowest type that holds nbins (uint32 at +/- 1 ms) is the fastest
-        # for np.unique to sort.
+        # kernel's window is closed, so bin nbins holds its right edge.
         looked = tags_a[::look]
         idx = np.empty(_pairs_within(looked, tags_b, -half_fs, half_fs + 1),
                        dtype=np.min_scalar_type(nbins))
@@ -367,34 +393,68 @@ def coarse_offset(a: TagStream, b: TagStream,
         for diffs in window_diffs(looked, tags_b, 0, half_fs):
             idx[pos : pos + diffs.size] = (diffs + half_fs) // COARSE_BIN_FS
             pos += diffs.size
-        located, hits = np.unique(idx, return_counts=True)
-        hits[located == nbins] = 0
-        top = int(located[np.argmax(hits)]) if located.size else span_bins
+        top = _fullest_bin(idx, nbins) if idx.size else span_bins
         centre = min(max(top, side), nbins - 1 - side) - span_bins
         kept = pair_diffs(tags_a, tags_b, stride, centre * COARSE_BIN_FS,
                           window * COARSE_BIN_FS // 2)
         counts = kept.histogram(centre * COARSE_BIN_FS, -(window * COARSE_BIN_FS // 2),
                                 COARSE_BIN_FS, window).counts
-        i = int(np.argmax(counts))
-        peak = int(counts[i])
-        mean = (total - peak) / (nbins - 1)
-        # At peak <= mean the tail is at least 0.5, so p is 1 for any nbins >= 3.
-        p = min(1.0, nbins * _poisson_sf(peak - 1, mean)) if peak > mean else 1.0
-        if p <= FALSE_PEAK_P:
+        p, mean, run = _peak_test(counts, totals[0], nbins)
+        if run != _peak_test(counts, totals[1], nbins)[2] or (
+                run is None and look == stride and totals[0] < totals[1]):
+            # The bounds disagree, or NoPeakError will print the exact mean and p.
+            totals = (_pairs_within(tags_a[::stride], tags_b, -half_fs, half_fs),) * 2
+            p, mean, run = _peak_test(counts, totals[0], nbins)
+        if run is not None:
             break
         if look == stride:
             raise NoPeakError(
                 f"no significant coincidence peak within +/- {search_span_ms:.3f} ms: "
-                f"fullest bin {peak} pairs against a mean of {mean:.3g} over "
+                f"fullest bin {int(counts.max())} pairs against a mean of {mean:.3g} over "
                 f"{nbins} bins (stride {stride}), trials-corrected p = {p:.3g}"
             )
         look //= 4
+    first, last = run
+    offset = centre - side + int(np.argmax(counts))
+    return offset * COARSE_BIN_FS, (last - first) * COARSE_BIN_FS, kept
+
+
+def _fullest_bin(idx: np.ndarray, nbins: int) -> int:
+    """The bin below nbins that the most of idx fall in, the smallest on a tie;
+    nbins if every one does.  Sorts idx in place."""
+    idx.sort()
+    inside = idx[: np.searchsorted(idx, nbins)]
+    if not inside.size:
+        return nbins
+    # A bin of n entries repeats at n - 1 consecutive j, inside[j + 1] ==
+    # inside[j]; the runs of two bins lie at least 2 apart.
+    repeats = np.flatnonzero(inside[1:] == inside[:-1])
+    if not repeats.size:
+        return int(inside[0])
+    starts = np.flatnonzero(np.diff(repeats, prepend=-2) != 1)
+    return int(inside[repeats[starts[np.argmax(np.diff(starts, append=repeats.size))]]])
+
+
+def _peak_test(counts: np.ndarray, total: int,
+               nbins: int) -> tuple[float, float, tuple[int, int] | None]:
+    """The coarse test of a confirm window's counts within a span of nbins bins
+    holding total pairs: the trials-corrected p of the fullest bin over the
+    mean of the others, that mean, and, if p passes, the run [first, last) of
+    bins around the fullest holding at least (peak + mean) / 2."""
+    i = int(np.argmax(counts))
+    peak = int(counts[i])
+    # A lower bound on total may fall below the peak; the exact count never does.
+    mean = max(total - peak, 0) / (nbins - 1)
+    # At peak <= mean the tail is at least 0.5, so p is 1 for any nbins >= 3.
+    p = min(1.0, nbins * _poisson_sf(peak - 1, mean)) if peak > mean else 1.0
+    if p > FALSE_PEAK_P:
+        return p, mean, None
     first, last, half = i, i + 1, (peak + mean) / 2
     while first > 0 and counts[first - 1] >= half:
         first -= 1
     while last < counts.size and counts[last] >= half:
         last += 1
-    return (centre - side + i) * COARSE_BIN_FS, (last - first) * COARSE_BIN_FS, kept
+    return p, mean, (first, last)
 
 
 def g2_normalize(

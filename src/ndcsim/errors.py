@@ -14,10 +14,13 @@ class ParameterError(NdcError, ValueError):
 def check_range(name: str, value, lo, hi=math.inf, *, above: bool = False) -> None:
     """Raise ParameterError, naming the field and its range, unless ``value`` is
     finite and lo <= value <= hi (lo < value when ``above``).  Every test is a
-    chained comparison, which nan fails; math.isfinite overflows on huge ints."""
-    inside = lo < value <= hi if above else lo <= value <= hi
-    if inside and -math.inf < value < math.inf:
-        return
+    chained comparison, which nan fails; math.isfinite overflows on huge ints.
+    A value that does not compare with numbers, such as a string, fails too."""
+    try:
+        if (lo < value <= hi if above else lo <= value <= hi) and -math.inf < value < math.inf:
+            return
+    except TypeError:
+        value = repr(value)
     low = f"{'>' if above else '>='} {lo} and finite" if lo > -math.inf else "finite"
     bounds = f"in {'(' if above else '['}{lo}, {hi}]" if hi < math.inf else low
     raise ParameterError(f"{name} must be {bounds}, got {value}")

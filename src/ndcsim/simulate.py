@@ -235,7 +235,8 @@ def propagate(events: PairEvents, shift: ArmShift) -> np.ndarray:
             and int(hi) < INT64_MAX - events.window.end_fs):
         raise TimestampRangeError("arrival outside the int64 femtosecond range")
     out = s.view(np.int64)
-    np.floor(s, out=out, casting="unsafe")  # in place, element by element
+    # numpy buffers a cast whose output overlaps its input: a temporary of s's size
+    np.floor(s, out=out, casting="unsafe")
     out[:n] += events.both_fs
     out[n:] += alone_fs
     return out

@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from ndcsim.config import dump_config, parse_config
+from ndcsim.config import RunSpec, dump_config, parse_config
 from ndcsim.errors import ConfigError, ParameterError, TimestampRangeError
 from ndcsim.model import SourceParams
 from ndcsim import presets
@@ -124,6 +124,14 @@ class TestParse:
             broken = SAMPLE.replace("mode = anti", f"mode = {value}")
             with pytest.raises(error, match="mode"):
                 parse_config(io.StringIO(broken))
+
+    def test_string_in_code_named(self):
+        # A string where a number belongs names its field and value rather
+        # than failing in a bare comparison.
+        with pytest.raises(ParameterError, match="mode must be in \\[-1, 1\\], got 'positive'"):
+            presets.fig2d_config(mode="positive")
+        with pytest.raises(ParameterError, match="duration_s must be .* got '5'"):
+            RunSpec(duration_s="5")
 
     @pytest.mark.parametrize("duration", ["9223.373", "1e5"])
     def test_duration_beyond_int64_rejected(self, duration):

@@ -1,13 +1,14 @@
 """Correlator tests against an all-pairs brute-force oracle."""
 
 import concurrent.futures
+import hashlib
 import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndcsim import correlate, pipeline, presets
@@ -643,6 +644,167 @@ class TestLooks:
         assert len(centres) > 1
         assert abs(centres[0] - offset_fs) > 65 * 10**6
         assert abs(centres[-1] - offset_fs) <= 65 * 10**6
+
+
+def _coarse_outcome(a, b):
+    """coarse_offset's offset, width and kept pairs, or its NoPeakError text."""
+    try:
+        offset, width, kept = coarse_offset(a, b)
+    except NoPeakError as exc:
+        return str(exc)
+    return offset, width, kept.stride, kept.centre_fs, kept.half_fs, kept.diffs.tobytes()
+
+
+def _record_exact_counts(monkeypatch) -> list[int]:
+    """The exact counts of the span's pairs coarse_offset takes from now on."""
+    counts = []
+    pairs_within = correlate._pairs_within
+
+    def recording(a, b, lo_fs, hi_fs):
+        n = pairs_within(a, b, lo_fs, hi_fs)
+        if lo_fs == -hi_fs:  # the span's [-half, half); a look sizes [-half, half]
+            counts.append(n)
+        return n
+
+    monkeypatch.setattr(correlate, "_pairs_within", recording)
+    return counts
+
+
+def _always_exact(monkeypatch):
+    """Make coarse_offset count the span's pairs exactly up front: the bounds
+    are both the exact count."""
+    exact = correlate._pairs_within
+    monkeypatch.setattr(correlate, "_span_bounds",
+                        lambda a, b, half_fs: (exact(a, b, -half_fs, half_fs),) * 2)
+
+
+def _weak_peak_streams(seed, rate_hz, peak, beside):
+    """0.2 s streams at rate_hz; b also holds copies of peak tags of a at a
+    whole-ns offset, spread over 400 ps, and of beside more one bin later."""
+    rng = np.random.default_rng(seed)
+    a = poisson_stream(rng, rate_hz, 0.2)
+    noise = poisson_stream(rng, rate_hz, 0.2).tags
+    offset_fs = int(rng.integers(-5 * 10**5, 5 * 10**5)) * 10**6
+    n = min(peak + beside, len(a))
+    copies = rng.choice(a.tags, n, replace=False) + rng.integers(-2 * 10**5, 2 * 10**5, n)
+    copies[peak:] += 10**6
+    return a, make_stream(np.concatenate([noise, copies + offset_fs]),
+                          span=a.acquisition_span_fs + 10**12)
+
+
+class TestSpanBounds:
+    """coarse_offset decides its test from bounds on the span's pairs and
+    counts them exactly only when the bounds could change the result."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rate_hz=st.integers(2000, 100_000),
+           peak=st.integers(0, 30), beside=st.integers(0, 20))
+    # The bounds' widths disagree; the exact count gives the lower bound's
+    # width in the first and the upper bound's in the second.
+    @example(seed=1835295431, rate_hz=61583, peak=25, beside=13)
+    @example(seed=377382283, rate_hz=98598, peak=21, beside=11)
+    def test_matches_the_exact_count(self, seed, rate_hz, peak, beside):
+        # 0.2 s streams hold 0.002 to 2 accidentals per 1 ns bin, so a
+        # 5 sigma bin holds about 4 to 17 pairs.  b holds copies of a few tags
+        # of a: peak of them in one bin and beside in the next, a weak peak on
+        # either side of the line, one or two bins wide, or none.
+        a, b = _weak_peak_streams(seed, rate_hz, peak, beside)
+        bounded = _coarse_outcome(a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            _always_exact(mp)
+            assert _coarse_outcome(a, b) == bounded
+
+    @settings(max_examples=60, deadline=None)
+    @given(where=st.sampled_from(["negative", "int64 min", "int64 max"]),
+           span_ms=st.sampled_from([1.0, 10.0]), seed=st.integers(0, 2**32 - 1))
+    def test_bounds_hold(self, where, span_ms, seed):
+        # Tags within 6 half-spans of a point, each tag of a with two
+        # neighbours 1 and 2 fs later, so that a's buckets hold several tags
+        # and the bounds are summed over buckets.  Near either end of int64,
+        # the outer bucket edges fall beyond it.
+        half = (2 * round(span_ms * 10**6) + 1) * 10**6 // 2
+        start = {"negative": -3 * half, "int64 min": -(2**63),
+                 "int64 max": 2**63 - 1 - 6 * half}[where]
+        rng = np.random.default_rng(seed)
+        a = np.sort((rng.integers(0, 6 * half - 2, 30)[:, None] + np.arange(3)).ravel() + start)
+        b = np.sort(np.concatenate([rng.integers(0, 6 * half + 1, 60) + start,
+                                    [start, start + 6 * half]]))
+        diffs = b[None, :] - a[:, None]  # within 6 half-spans: no overflow
+        exact = int(((diffs >= -half) & (diffs < half)).sum())
+        buckets = (b // half)[None, :] - (a // half)[:, None]
+        lo, hi = correlate._span_bounds(a, b, half)
+        assert (lo, hi) == ((buckets == 0).sum(), (abs(buckets) <= 1).sum())
+        assert lo <= exact <= hi
+        if where == "negative":
+            assert correlate._pairs_within(a, b, -half, half) == exact
+
+    def test_disagreeing_bounds_take_the_exact_count(self, monkeypatch):
+        a, b = run_simulation(presets.fig2a_config(), seed=0)
+        counted = _record_exact_counts(monkeypatch)
+        default = _coarse_outcome(a, b)
+        assert counted == []  # a strong peak: the bounds settle it
+        # A mean of 0 passes the peak; one above it fails it.
+        monkeypatch.setattr(correlate, "_span_bounds", lambda *args: (0, 2**62))
+        assert _coarse_outcome(a, b) == default
+        assert len(counted) == 1
+
+    def test_no_peak_reports_the_exact_count(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = poisson_stream(rng, 12000, 5.0, site_id=0)
+        b = poisson_stream(rng, 12000, 5.0, site_id=1)
+        counted = _record_exact_counts(monkeypatch)
+        message = _coarse_outcome(a, b)
+        assert len(counted) == 1
+        m = re.search(r"fullest bin (\d+) pairs against a mean of (\S+) over", message)
+        assert m.group(2) == f"{(counted[0] - int(m.group(1))) / 2000000:.3g}"
+        _always_exact(monkeypatch)
+        assert _coarse_outcome(a, b) == message
+
+    @pytest.mark.parametrize("cfg, expected", [
+        (presets.fig2a_config(), (0, 10**6, 30396, "4c1b012feeeadea5")),
+        (presets.fig2d_config(), (-266221000000, 10**6, 1900, "5f2ef9a9072ab87f")),
+        (presets.fig2d_config(1.0), (-266221000000, 5 * 10**6, 1900, "d8e9a55ce1c71235")),
+        (presets.fig2d_config(0.0), (-266221000000, 4 * 10**6, 1900, "8acf79280289b299")),
+    ], ids=["fig2a", "fig2d", "positive", "none"])
+    def test_seed_0_pinned(self, cfg, expected):
+        # Offsets, widths and kept pairs as the exact count up front gave them.
+        a, b = run_simulation(cfg, seed=0)
+        offset, width, kept = coarse_offset(a, b)
+        assert (kept.stride, kept.centre_fs, kept.half_fs) == (1, offset, 64_500_000)
+        digest = hashlib.sha256(kept.diffs.tobytes()).hexdigest()[:16]
+        assert (offset, width, kept.diffs.size, digest) == expected
+
+
+class TestFullestBin:
+    """A look locates the bin below nbins that most of its pairs fall in, the
+    smallest on a tie; bin nbins holds only the closed window's right edge."""
+
+    def test_tie_goes_to_the_smallest_bin(self):
+        idx = np.array([9, 3, 7, 9, 3, 11, 11, 11, 11], dtype=np.uint16)
+        assert correlate._fullest_bin(idx, 11) == 3
+
+    def test_edge_only(self):
+        assert correlate._fullest_bin(np.full(4, 11, dtype=np.uint16), 11) == 11
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=60))
+    def test_matches_unique_counts(self, values):
+        idx = np.array(values, dtype=np.uint32)
+        located, hits = np.unique(idx, return_counts=True)
+        hits[located == 12] = 0
+        assert correlate._fullest_bin(idx, 12) == located[np.argmax(hits)]
+
+    def test_edge_only_look_confirms_the_last_window(self, monkeypatch):
+        # Tags 3 ms apart, each with one partner exactly +half away: every
+        # look's pairs lie on the closed edge, so each confirms the last
+        # window inside the span, and none passes.
+        a = make_stream(np.arange(1000) * 3 * 10**12)
+        half_fs = (2 * 10**6 + 1) * 10**6 // 2
+        b = make_stream(a.tags + half_fs)
+        confirms = _record_confirms(monkeypatch)
+        with pytest.raises(NoPeakError):
+            coarse_offset(a, b)
+        assert confirms and {c for c, _ in confirms} == {(10**6 - 64) * 10**6}
 
 
 def _tail_points(means, z_max):
