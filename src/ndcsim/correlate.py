@@ -370,7 +370,9 @@ def coarse_offset(a: TagStream, b: TagStream,
     """
     tags_a = _nonempty(a, "a")
     tags_b = _nonempty(b, "b")
-    check_range("search_span_ms", search_span_ms, 0, above=True)
+    # At most 2^63 // COARSE_BIN_FS - 1 bins a side: the half-span fits int64.
+    check_range("search_span_ms", search_span_ms, 0,
+                (2**63 // COARSE_BIN_FS - 1) * COARSE_BIN_FS / FS_PER_MS, above=True)
     span_bins = max(1, math.ceil(search_span_ms * FS_PER_MS / COARSE_BIN_FS))
     nbins = 2 * span_bins + 1
     # COARSE_BIN_FS is even, so the span [-half, half) is whole bins.
@@ -383,17 +385,12 @@ def coarse_offset(a: TagStream, b: TagStream,
     side = min(_CONFIRM_BINS, span_bins)
     window = 2 * side + 1
     while True:
-        # One buffer for the look's bin indices: a list of chunk-sized arrays
-        # would leave that much of the heap resident after the search.  The
-        # kernel's window is closed, so bin nbins holds its right edge.
-        looked = tags_a[::look]
-        idx = np.empty(_pairs_within(looked, tags_b, -half_fs, half_fs + 1),
-                       dtype=np.min_scalar_type(nbins))
-        pos = 0
-        for diffs in window_diffs(looked, tags_b, 0, half_fs):
-            idx[pos : pos + diffs.size] = (diffs + half_fs) // COARSE_BIN_FS
-            pos += diffs.size
-        top = _fullest_bin(idx, nbins) if idx.size else span_bins
+        # The look's bin indices, each chunk's cast to the smallest type that
+        # holds nbins before they are joined.  The kernel's window is closed,
+        # so bin nbins holds its right edge.
+        parts = [((diffs + half_fs) // COARSE_BIN_FS).astype(np.min_scalar_type(nbins))
+                 for diffs in window_diffs(tags_a[::look], tags_b, 0, half_fs)]
+        top = _fullest_bin(np.concatenate(parts), nbins) if parts else span_bins
         centre = min(max(top, side), nbins - 1 - side) - span_bins
         kept = pair_diffs(tags_a, tags_b, stride, centre * COARSE_BIN_FS,
                           window * COARSE_BIN_FS // 2)

@@ -51,14 +51,13 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
 
     One loop detects and digitizes each block's arms in turn, in block order
     on the calling thread, as detection carries state from block to block.
-    ``draw(block, now)`` gives a block's window and hands over each arm's
-    arrivals once.  On two or more usable CPUs block k + 1 is drawn on one
-    worker thread while block k is detected and used, both arms propagated
-    ``now`` and the pairs freed: at most two blocks are in flight, and the
-    worker is joined when the generator ends, raises or is closed.  A run of
-    one block, or on one CPU, starts no thread: each block is drawn once the
-    one before is used, and each arm propagated as it is detected, as
-    propagating both first faults in more pages with glibc's default malloc.
+    ``draw(block)`` gives a block's window and both arms' arrivals, the pairs
+    freed on return; each arm's arrivals are handed over once.  On two or
+    more usable CPUs block k + 1 is drawn on one worker thread while block k
+    is detected and used: at most two blocks are in flight, and the worker is
+    joined when the generator ends, raises or is closed.  A run of one block,
+    or on one CPU, starts no thread: each block is drawn once the one before
+    is used.
     """
     span = acquisition_span_fs(cfg.run.duration_s, None)
     p_a = cfg.smf.survival_probability * cfg.detector_a.efficiency
@@ -68,15 +67,11 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
     arms = [ArmChain(shift, det, timer, seed, span)
             for shift, det, timer in zip(shifts, dets, (cfg.timer_a, cfg.timer_b))]
 
-    def draw(block: int, now: bool) -> tuple[Window, Iterator[np.ndarray]]:
+    def draw(block: int) -> tuple[Window, list[np.ndarray]]:
         start = block * _BLOCK_FS
         window = Window(start, min(start + _BLOCK_FS, span), block)
         pairs = generate_pairs(cfg.source, window, seed, p_a, p_b)
-        arrivals = (simulate.propagate(pairs, arm.shift) for arm in arms)
-        if now:  # the pairs are freed on return, each arm's arrivals once taken
-            arrivals = list(arrivals)
-            return window, (arrivals.pop(0) for _ in arms)
-        return window, arrivals
+        return window, [simulate.propagate(pairs, arm.shift) for arm in arms]
 
     with ExitStack() as stack:
         worker = None
@@ -84,17 +79,17 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
             # imported only for the worker: its modules add 0.5 MB to a run's peak RSS
             from concurrent.futures import ThreadPoolExecutor
             worker = stack.enter_context(ThreadPoolExecutor(max_workers=1))
-        window, arrivals = draw(0, worker is not None)
+        window, arrivals = draw(0)
         while True:
             last = window.end_fs >= span
-            following = worker.submit(draw, window.block + 1, True) if worker and not last else None
-            tags = tuple(arm.add(window, next(arrivals)) for arm in arms)
-            del arrivals  # with the block's pairs: freed before the tags are used
+            following = worker.submit(draw, window.block + 1) if worker and not last else None
+            # each arm's arrivals are freed once detected
+            tags = tuple(arm.add(window, arrivals.pop(0)) for arm in arms)
             yield tags
             del tags  # the caller is done with them: freed before the next block is detected
             if last:
                 return
-            window, arrivals = following.result() if worker else draw(window.block + 1, False)
+            window, arrivals = following.result() if worker else draw(window.block + 1)
 
 
 def acquisition_span_fs(duration_s: float, last_tag_fs: int | None) -> int:

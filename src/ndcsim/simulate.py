@@ -57,9 +57,6 @@ _STAGE_DETECT_B = 4
 # has probability below 1e-88.
 _SHIFT_SIGMAS = 20
 
-# Gaps the dead-time filter takes at once: a 64 KiB temporary.
-_PRUNE_CHUNK = 2**13
-
 
 def stage_rng(seed: int, stage: int, block: int = 0) -> np.random.Generator:
     """Independent deterministic RNG stream for one pipeline stage and time block.
@@ -308,15 +305,12 @@ def _prune_dead_time(times: np.ndarray, dead_fs: float, last: float = -math.inf)
     An event at least dead_fs after its predecessor (``last`` for the first)
     is always kept, since the last kept event is no later than the
     predecessor.  So only the runs of events joined by shorter gaps need the
-    sequential pass, and each run starts after a kept event.  The gaps are
-    taken _PRUNE_CHUNK at a time, and the kept events between two dropped
-    ones move down in one copy.
+    sequential pass, and each run starts after a kept event.  The kept
+    events between two dropped ones move down in one copy.
     """
-    close = [np.flatnonzero(np.diff(times[lo:lo + _PRUNE_CHUNK + 1]) < dead_fs) + (lo + 1)
-             for lo in range(0, times.size - 1, _PRUNE_CHUNK)]
+    close = np.flatnonzero(np.diff(times) < dead_fs) + 1
     if times.size and times[0] - last < dead_fs:
-        close.insert(0, np.zeros(1, np.intp))
-    close = np.concatenate(close) if close else np.empty(0, np.intp)
+        close = np.concatenate(([0], close))
     dropped = []
     prev = -2
     for i, t in zip(close.tolist(), times[close].tolist()):

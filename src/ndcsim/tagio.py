@@ -264,7 +264,10 @@ class Terminal:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._server = socket.create_server((host, port))
+        try:
+            self._server = socket.create_server((host, port))
+        except OSError as exc:
+            raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
         self._server.settimeout(TIMEOUT_S)
         self.streams: dict[int, TagStream] = {}
 

@@ -228,12 +228,13 @@ class TestCorrelateAnalyze:
         assert rc == 0
         assert "fwhm_ps" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("span", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("span", ["nan", "inf", "0", "1e7"])
     def test_search_span_not_finite_and_positive_exit_2(self, sim_dir, span, capsys):
+        # beyond 9223372.036853 ms half the span would leave int64 femtoseconds
         rc = main(["correlate", str(sim_dir / "run_a.tags"), str(sim_dir / "run_b.tags"),
                    "--search-span-ms", span])
         assert rc == 2
-        assert "search_span_ms must be > 0 and finite" in capsys.readouterr().err
+        assert "search_span_ms must be in (0, 9223372.036853], got" in capsys.readouterr().err
 
     def test_missing_tag_file_exit_2(self, sim_dir, tmp_path, capsys):
         rc = main(["correlate", str(sim_dir / "run_a.tags"), str(tmp_path / "absent.tags")])

@@ -661,10 +661,8 @@ def _record_exact_counts(monkeypatch) -> list[int]:
     pairs_within = correlate._pairs_within
 
     def recording(a, b, lo_fs, hi_fs):
-        n = pairs_within(a, b, lo_fs, hi_fs)
-        if lo_fs == -hi_fs:  # the span's [-half, half); a look sizes [-half, half]
-            counts.append(n)
-        return n
+        counts.append(pairs_within(a, b, lo_fs, hi_fs))
+        return counts[-1]
 
     monkeypatch.setattr(correlate, "_pairs_within", recording)
     return counts
@@ -742,7 +740,7 @@ class TestSpanBounds:
         a, b = run_simulation(presets.fig2a_config(), seed=0)
         counted = _record_exact_counts(monkeypatch)
         default = _coarse_outcome(a, b)
-        assert counted == []  # a strong peak: the bounds settle it
+        assert counted == []  # a strong peak: the bounds settle it, and no look counts
         # A mean of 0 passes the peak; one above it fails it.
         monkeypatch.setattr(correlate, "_span_bounds", lambda *args: (0, 2**62))
         assert _coarse_outcome(a, b) == default

@@ -8,7 +8,7 @@ import itertools
 import math
 import threading
 import warnings
-from unittest import mock
+import weakref
 
 import numpy as np
 import pytest
@@ -365,10 +365,7 @@ class TestDetect:
         times = start + np.cumsum(np.asarray(gaps, dtype=np.int64))
         dead_fs = math.ceil(fraction * (int(times[-1] - times[0]) if times.size else 0))
         expected = greedy_dead_time(times, dead_fs)
-        # the filter works in place, in chunks of gaps; 3 puts chunk joins in bursts
-        for chunk in (3, simulate._PRUNE_CHUNK):
-            with mock.patch.object(simulate, "_PRUNE_CHUNK", chunk):
-                assert np.array_equal(_prune_dead_time(times.copy(), dead_fs), expected)
+        assert np.array_equal(_prune_dead_time(times.copy(), dead_fs), expected)
 
 
 class TestMarking:
@@ -754,28 +751,29 @@ class TestBlocks:
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
         self.tiles(monkeypatch, self.BLOCK_FS, duration)
 
-    def test_each_arm_propagated_as_it_is_detected_on_one_cpu(self, monkeypatch):
-        # with no worker each block propagates and detects arm a, then arm b,
-        # so that one arm's arrivals are freed before the other's are made
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pairs_freed_before_detection(self, monkeypatch, cpus):
+        # a block's pairs are freed once drawn, before either arm is detected,
+        # with the worker and without it
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(pipeline, "_BLOCK_FS", self.BLOCK_FS)
-        calls = []
+        pairs, alive = {}, {}
 
-        def spy_propagate(events, shift):
-            calls.append((events.window.block, "propagate", shift.arm))
-            return propagate(events, shift)
+        def spy_generate_pairs(*args, **kwargs):
+            events = generate_pairs(*args, **kwargs)
+            pairs[events.window.block] = weakref.ref(events)
+            return events
 
         def spy_detect(*args, **kwargs):
-            call = inspect.signature(detect).bind(*args, **kwargs).arguments
-            calls.append((call["window"].block, "detect", call["stage"] - 3))
+            block = inspect.signature(detect).bind(*args, **kwargs).arguments["window"].block
+            alive.setdefault(block, pairs[block]() is not None)
             return detect(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "propagate", spy_propagate)
+        monkeypatch.setattr(pipeline, "generate_pairs", spy_generate_pairs)
         monkeypatch.setattr(simulate, "detect", spy_detect)
         for _ in pipeline.simulate_blocks(presets.fig2d_config(duration_s=0.15), 0):
             pass
-        order = [("propagate", 0), ("detect", 0), ("propagate", 1), ("detect", 1)]
-        assert calls == [(block, *step) for block in range(3) for step in order]
+        assert alive == {0: False, 1: False, 2: False}
 
     @staticmethod
     def tiles(monkeypatch, block_fs, duration):

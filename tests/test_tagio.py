@@ -515,6 +515,12 @@ class TestTerminal:
         assert not t.is_alive()
         assert "connection error" in str(result["error"])
 
+    def test_port_in_use(self):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = taken.getsockname()[1]
+            with pytest.raises(TransportError, match=f"cannot listen on 127.0.0.1:{port}"):
+                Terminal(port=port)
+
     def test_unreachable_terminal(self):
         s = stream_of([1000])
         with socket.socket() as probe:
