@@ -23,18 +23,14 @@ is binned from them instead of taking a pass of its own: on the paper's 5 s
 runs the confirm takes every tag of a, and the seed and reported histograms
 rebin it.  The kernel walks a in chunks sized to hold about _DIFF_CHUNK
 expected pairs each, so its temporaries stay small whatever the density of
-the streams.  A histogram pass large enough to give every usable CPU 16
-chunks cuts a into one contiguous piece per CPU, counts the pieces on
-threads and sums their counts; every pair belongs to exactly one tag of a,
-so the counts are those of the serial pass.  In practice that is the
-reported pass over dense streams; the coarse looks and the kept passes stay
-on the calling thread.
+the streams.  A walked chunk finds its tags' first candidates by merging
+them with the tags of b it reaches, in one stable sort.  Every pass runs on
+the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -55,15 +51,19 @@ FALSE_PEAK_P = 2.87e-7  # a one-sided 5 sigma excess, trials factor included
 # 64 KiB: in cache, and below a 128 KiB malloc mmap threshold
 # (MALLOC_MMAP_THRESHOLD_=131072, as the benchmark sets), which maps each
 # 128 KiB temporary of 2^14 afresh.  The reported pass over 1e7-tag streams
-# under that threshold, on a 2-core x86-64 VM: one thread 0.29, 0.31 and
-# 0.34 s at 2^12, 2^13 and 2^14; two threads 0.28, 0.23 and 0.21 s wall for
-# 0.43, 0.38 and 0.39 s of CPU, with about 9 k, 3.5 k and 2 k context switches.
+# under that threshold, on a 2-core x86-64 VM, medians of 12 passes: 0.266,
+# 0.273 and 0.278 s at 2^12, 2^13 and 2^14.
 _DIFF_CHUNK = 1 << 13
-# A histogram pass is split only into pieces of at least this many chunks.
-_PIECE_CHUNKS = 16
 # Below this many expected pairs per tag, window_diffs walks b partner by
 # partner instead of searching both window edges.
 _WALK_PAIRS = 2
+# A walked chunk finds each tag's first candidate by merging its keys with the
+# tags of b it reaches while they are at most this many times the keys, and by
+# binary search beyond.  8191 keys of 1e7-tag streams, against tags of b from
+# every stride-th tag of a on a 2-core x86-64 VM: the merge 97, 106-141 and
+# 165-175 us at strides 1, 2 and 3, the search 144-164, 167-175 and
+# 170-184 us; at 4 the merge took 215-223 us against 179-193 us.
+_MERGE_REACH = 2
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,8 @@ def window_diffs(
     integers, so |diff| <= window is |diff| <= floor(window).
 
     A window expecting fewer than _WALK_PAIRS pairs per tag is walked: one
-    search finds each tag's first candidate in b, then b steps forward, one
+    merge of the chunk's window starts with the tags of b they reach finds
+    each tag's first candidate (_first_candidates), then b steps forward, one
     partner at a time, over the tags whose last candidate was in the window.
     A wider one, and a chunk whose windows reach the end of b, searches both
     edges and expands the counts between them.
@@ -190,6 +191,11 @@ def window_diffs(
     per_tag = _pairs_per_tag(b, 2 * half + 1)
     chunk = max(1, int(_DIFF_CHUNK / per_tag))
     walk = per_tag < _WALK_PAIRS
+    # One set of arrays for every merge of the call, sized from the chunk: under
+    # a 128 KiB mmap threshold a fresh work array per chunk is mapped and
+    # faulted anew, and a fresh ramp costs a quarter of the merge.
+    size = min(chunk, a.size) if walk else 0
+    ramp, work = np.arange(size), np.empty((1 + _MERGE_REACH) * size, dtype=np.int64)
     for start in range(0, a.size, chunk):
         a_chunk = a[start : start + chunk]
         # Search only the slice of b the chunk can reach; it stays in cache.
@@ -200,18 +206,18 @@ def window_diffs(
             # b[last] lies beyond every window of the chunk, so each walk
             # stops there at the latest.
             reach = b[first : last + 1]
-            j = np.searchsorted(reach, base - half, side="left")
+            j = _first_candidates(base - half, b[first:last], ramp, work)
             steps = []
             while j.size:
                 diffs = reach[j]
                 diffs -= base
                 inside = diffs <= half
-                kept = diffs[inside]
-                if kept.size:
-                    steps.append(kept)
-                j = j[inside]
+                # A first step mostly lands inside: copy only when some did not.
+                if not inside.all():
+                    diffs, j, base = diffs[inside], j[inside], base[inside]
+                if diffs.size:
+                    steps.append(diffs)
                 j += 1
-                base = base[inside]
             if not steps:
                 continue
             diffs = steps[0] if len(steps) == 1 else np.concatenate(steps)
@@ -233,13 +239,45 @@ def window_diffs(
             yield diffs
 
 
+def _first_candidates(keys: np.ndarray, tags: np.ndarray, ramp: np.ndarray,
+                      work: np.ndarray) -> np.ndarray:
+    """np.searchsorted(tags, keys, side="left") for sorted keys and tags, by
+    one merge.
+
+    With v0 the least value, keys encode as 2(k - v0) + 1 and tags as
+    2(h - v0) + 2, so a tag sorts before a key exactly when h < k.  numpy's
+    stable sort merges the two sorted runs in linear time, and key i lands at
+    i plus the tags before it; tied keys give the same count, so which of
+    them lands first does not matter.  More than _MERGE_REACH tags per key,
+    or values 2^62 - 1 fs apart or more, where the encoding would leave
+    int64, take the binary search instead.  ramp is np.arange of at least
+    keys.size, and work holds at least (1 + _MERGE_REACH) * keys.size values.
+    """
+    n = keys.size
+    low, high = int(keys[0]), int(keys[-1])
+    if tags.size:
+        low, high = min(low, int(tags[0])), max(high, int(tags[-1]))
+    if tags.size > _MERGE_REACH * n or high - low >= 2**62 - 1:
+        return np.searchsorted(tags, keys, side="left")
+    merged = work[: n + tags.size]
+    for part, values, mark in ((merged[:n], keys, 1), (merged[n:], tags, 2)):
+        np.subtract(values, low, out=part)
+        part *= 2
+        part += mark
+    merged.sort(kind="stable")
+    # The low bit survives the cast to uint8, whose AND is the fastest.
+    is_key = np.bitwise_and(merged, 1, dtype=np.uint8, casting="unsafe").view(bool)
+    j = np.flatnonzero(is_key)
+    j -= ramp[:n]
+    return j
+
+
 def fine_histogram(
     a: TagStream, b: TagStream, offset_fs: int, origin_fs: int, bin_fs: int, nbins: int
 ) -> Histogram:
     """Histogram of pair differences d = t_b - t_a - offset in nbins whole,
-    half-open bins [origin + k*bin, origin + (k+1)*bin), all in fs.  A pass
-    expecting _PIECE_CHUNKS chunks per usable CPU counts one contiguous piece
-    of a per CPU, each on its own thread."""
+    half-open bins [origin + k*bin, origin + (k+1)*bin), all in fs, counted
+    on the calling thread."""
     tags_a = _nonempty(a, "a")
     tags_b = _nonempty(b, "b")
     check_range("bin_fs", bin_fs, 0, above=True)
@@ -247,41 +285,13 @@ def fine_histogram(
     # The kernel's closed window, centred on the grid, spans it; its right
     # edge may fall on origin + nbins*bin, the spare bin, which is dropped.
     half = nbins * bin_fs // 2
-    centre_fs = offset_fs + origin_fs + half
-    expected = tags_a.size * _pairs_per_tag(tags_b, 2 * half + 1)
-    workers = min(_usable_cpus(), int(expected // (_PIECE_CHUNKS * _DIFF_CHUNK)), tags_a.size)
-    if workers < 2:
-        counts = _piece_counts(tags_a, tags_b, centre_fs, half, bin_fs, nbins)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only dense passes need it
-
-        cuts = [tags_a.size * k // workers for k in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = [pool.submit(_piece_counts, tags_a[lo:hi], tags_b, centre_fs, half,
-                                  bin_fs, nbins) for lo, hi in zip(cuts, cuts[1:])]
-            counts = sum(piece.result() for piece in pieces)
-    return Histogram(bin_width_ps=bin_fs / FS_PER_PS, origin_ps=origin_fs / FS_PER_PS,
-                     counts=counts[:nbins])
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _piece_counts(a: np.ndarray, b: np.ndarray, centre_fs: int, half: int, bin_fs: int,
-                  nbins: int) -> np.ndarray:
-    """Counts in nbins + 1 bins of bin_fs of the differences b - a - centre
-    within +/- half, shifted by half."""
     counts = np.zeros(nbins + 1, dtype=np.int64)
-    for diffs in window_diffs(a, b, centre_fs, half):
+    for diffs in window_diffs(tags_a, tags_b, offset_fs + origin_fs + half, half):
         diffs += half
         diffs //= bin_fs
         counts += np.bincount(diffs, minlength=nbins + 1)
-    return counts
+    return Histogram(bin_width_ps=bin_fs / FS_PER_PS, origin_ps=origin_fs / FS_PER_PS,
+                     counts=counts[:nbins])
 
 
 @dataclass(frozen=True)
@@ -385,11 +395,17 @@ def coarse_offset(a: TagStream, b: TagStream,
     side = min(_CONFIRM_BINS, span_bins)
     window = 2 * side + 1
     while True:
-        # The look's bin indices, each chunk's cast to the smallest type that
-        # holds nbins before they are joined.  The kernel's window is closed,
-        # so bin nbins holds its right edge.
-        parts = [((diffs + half_fs) // COARSE_BIN_FS).astype(np.min_scalar_type(nbins))
-                 for diffs in window_diffs(tags_a[::look], tags_b, 0, half_fs)]
+        # The look's bin indices, each chunk's binned in place and cast to the
+        # smallest type that holds nbins before they are joined.  The kernel's
+        # window is closed, so bin nbins holds its right edge.  Shifting by
+        # span_bins after the division keeps an offset near int64's end from
+        # wrapping.
+        parts = []
+        for diffs in window_diffs(tags_a[::look], tags_b, 0, half_fs):
+            diffs += COARSE_BIN_FS // 2
+            diffs //= COARSE_BIN_FS
+            diffs += span_bins
+            parts.append(diffs.astype(np.min_scalar_type(nbins)))
         top = _fullest_bin(np.concatenate(parts), nbins) if parts else span_bins
         centre = min(max(top, side), nbins - 1 - side) - span_bins
         kept = pair_diffs(tags_a, tags_b, stride, centre * COARSE_BIN_FS,

@@ -9,6 +9,7 @@ two or more CPUs the next block is drawn on one worker thread meanwhile.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterator
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -18,8 +19,8 @@ import numpy as np
 from . import presets, simulate
 from .analyze import GaussianFit, fit_gaussian
 from .config import ExperimentConfig
-from .correlate import (COARSE_BIN_FS, Histogram, _usable_cpus, coarse_offset, fine_histogram,
-                        g2_normalize, seed_pairs)
+from .correlate import (COARSE_BIN_FS, Histogram, coarse_offset, fine_histogram, g2_normalize,
+                        seed_pairs)
 from .errors import ParameterError
 from .simulate import INT64_MAX, INT64_MIN, ArmChain, Window, arm_shifts, generate_pairs
 from .streams import FS_PER_PS, FS_PER_S, TagStream
@@ -28,6 +29,14 @@ _SEED_BINS = 250  # seed-pass bins either side of the coarse offset
 # Emission time simulated at once: the paper's acquisition, so a run of at
 # most 5 s is one block and draws exactly as an unblocked simulation.
 _BLOCK_FS = round(presets.ACQUISITION_S * FS_PER_S)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import concurrent.futures
 import hashlib
 import math
+import os
 import re
 import tracemalloc
 
@@ -111,22 +112,33 @@ class TestFineHistogram:
         # Odd and even nbins*bin: the closed edge of the kernel's window falls
         # on the grid's end, or one fs inside it.  Both ways of finding pairs,
         # whatever the density: at a threshold of 0 the kernel never walks,
-        # at infinity it always does.  On one thread, and split over 2 and 3
-        # with one-pair chunks and one-chunk pieces, so that any a of more
-        # than one tag splits.
+        # at infinity it always does.
         sa, sb = make_stream(a), make_stream(b)
         origin = -(nbins // 2) * bin_fs
         oracle = brute_force_histogram(sa.tags, sb.tags, offset, origin, bin_fs, nbins)
         for walk_below in (0, math.inf):
-            for workers in (1, 2, 3):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(correlate, "_WALK_PAIRS", walk_below)
-                    mp.setattr(correlate, "_usable_cpus", lambda: workers)
-                    if workers > 1:
-                        mp.setattr(correlate, "_DIFF_CHUNK", 1)
-                        mp.setattr(correlate, "_PIECE_CHUNKS", 1)
-                    h = fine_histogram(sa, sb, offset, origin, bin_fs, nbins)
-                assert np.array_equal(h.counts, oracle), (walk_below, workers)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(correlate, "_WALK_PAIRS", walk_below)
+                h = fine_histogram(sa, sb, offset, origin, bin_fs, nbins)
+            assert np.array_equal(h.counts, oracle), walk_below
+
+    def test_dense_streams_on_calling_thread(self, monkeypatch):
+        # A pass of 1e6 tags, allowed three CPUs, opens no thread pool and
+        # counts what the threaded pass counted, bin for bin.
+        opened = []
+
+        class Spy(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        h = fine_histogram(*dense_streams(), 10**9, -2_000_000, 8000, 500)
+        assert opened == []
+        assert h.total_pairs == 1_008_137
+        assert hashlib.sha256(h.counts.tobytes()).hexdigest() == (
+            "162556c6d95902ec4e59db921a130fbe45122bdb613b5853139cbcd2dffb43fe")
 
     def test_walk_through_crowded_tag(self, monkeypatch):
         # A sparse stream, about 0.1 pairs per tag, and one source tag with
@@ -211,6 +223,39 @@ class TestFineHistogram:
         empty = TagStream(np.empty(0, dtype=np.int64), 1000, 0, 0)
         with pytest.raises(ParameterError):
             fine_histogram(empty, a, 0, -2_000_000, 8000, 500)
+
+
+class TestFirstCandidates:
+    """The walk's merge finds the binary search's first candidates."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        keys=st.lists(st.integers(-20, 20), min_size=1, max_size=30),
+        tags=st.lists(st.integers(-20, 20), max_size=70),
+        origin=st.integers(-2**63 + 20, 2**63 - 21),
+        far=st.none() | st.sampled_from([2**62 - 2, 2**62 - 1, 2**62]) | st.integers(0, 2**64),
+        far_key=st.booleans(),
+    )
+    # Ties and duplicates of either; an empty reach; the widest values the
+    # merge takes, and one fs wider, where it searches instead.
+    @example(keys=[-1, 0, 0, 0, 3], tags=[-1, -1, 0, 2, 3, 3, 4], origin=0, far=None,
+             far_key=False)
+    @example(keys=[5, 5], tags=[], origin=-7, far=None, far_key=False)
+    @example(keys=[-20, 0], tags=[-20, 1], origin=0, far=2**62 - 2, far_key=False)
+    @example(keys=[-20, 0], tags=[-20, 1], origin=0, far=2**62 - 1, far_key=False)
+    def test_matches_binary_search(self, keys, tags, origin, far, far_key):
+        # Values from origin - 20 to origin + 20, and perhaps one more, far
+        # above the least of them (clipped to int64).  The merge takes values
+        # less than 2^62 - 1 fs apart; the binary search takes wider ones, and
+        # over twice the keys in tags.
+        keys, tags = sorted(origin + k for k in keys), sorted(origin + h for h in tags)
+        if far is not None:
+            top = min(min(keys + tags) + far, 2**63 - 1)
+            (keys if far_key else tags).append(max(top, keys[-1], *tags))
+        keys, tags = np.array(keys, dtype=np.int64), np.array(tags, dtype=np.int64)
+        work = np.empty((1 + correlate._MERGE_REACH) * keys.size, dtype=np.int64)
+        j = correlate._first_candidates(keys, tags, np.arange(keys.size), work)
+        assert np.array_equal(j, np.searchsorted(tags, keys, side="left"))
 
 
 class TestPairDiffs:
@@ -307,7 +352,7 @@ class TestChunkBound:
 
 def _record_pieces(monkeypatch) -> list[np.ndarray]:
     """The tags of a that each window_diffs call takes from now on."""
-    pieces = []  # in the order the threads start them
+    pieces = []
     window_diffs = correlate.window_diffs
 
     def recording(a, *rest):
@@ -316,80 +361,6 @@ def _record_pieces(monkeypatch) -> list[np.ndarray]:
 
     monkeypatch.setattr(correlate, "window_diffs", recording)
     return pieces
-
-
-class TestSplit:
-    """A pass split over 1, 2 or 3 threads counts what one thread counts;
-    TestFineHistogram's hypothesis test splits too."""
-
-    def test_dense_streams(self):
-        a, b = dense_streams()
-        serial = None
-        for workers in (1, 2, 3):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(correlate, "_usable_cpus", lambda: workers)
-                pieces = _record_pieces(mp)
-                h = fine_histogram(a, b, 10**9, -2_000_000, 8000, 500)
-            # One contiguous piece of a per thread, together all of a.
-            assert len(pieces) == workers
-            pieces.sort(key=lambda piece: piece[0])
-            assert np.array_equal(np.concatenate(pieces), a.tags)
-            serial = h.counts if serial is None else serial
-            assert np.array_equal(h.counts, serial)
-            assert h.total_pairs > len(a)
-
-    def test_piece_boundary_inside_crowd(self, monkeypatch):
-        # 100 tags of a within 2 ns of each other, amid 100 spread over 10 us,
-        # all reaching a crowd of 71 partners in b: the cuts at a third, half
-        # and two thirds of a fall among them.  Both ways of finding pairs.
-        rng = np.random.default_rng(5)
-        centre, offset = 5 * 10**9, 123_456
-        cluster = centre + 20_000 * np.arange(-50, 50)
-        a = make_stream(np.concatenate([rng.integers(0, 10**10, 100), cluster]))
-        crowd = centre + offset + 100_000 * np.arange(-35, 36)
-        b = make_stream(np.concatenate([rng.integers(0, 10**10, 200), crowd]))
-        oracle = brute_force_histogram(a.tags, b.tags, offset, -5_000_000, 50_000, 200)
-        assert oracle.sum() > 5000
-        monkeypatch.setattr(correlate, "_DIFF_CHUNK", 1)
-        for walk_below in (0, math.inf):
-            monkeypatch.setattr(correlate, "_WALK_PAIRS", walk_below)
-            for workers in (1, 2, 3):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(correlate, "_usable_cpus", lambda: workers)
-                    pieces = _record_pieces(mp)
-                    h = fine_histogram(a, b, offset, -5_000_000, 50_000, 200)
-                assert len(pieces) == workers
-                firsts = sorted(piece[0] for piece in pieces)
-                assert all(cluster[0] < first <= cluster[-1] for first in firsts[1:])
-                assert np.array_equal(h.counts, oracle), (walk_below, workers)
-
-
-def test_usable_cpus_without_affinity(monkeypatch):
-    monkeypatch.delattr(correlate.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(correlate.os, "cpu_count", lambda: 5)
-    assert correlate._usable_cpus() == 5
-    monkeypatch.setattr(correlate.os, "cpu_count", lambda: None)
-    assert correlate._usable_cpus() == 1
-
-
-def test_small_passes_start_no_thread(monkeypatch):
-    # The paper's 5 s runs, fig2a and fig2d: the offset search, the seed pass
-    # and the reported pass stay on the calling thread even with three CPUs;
-    # a dense pass opens one pool of three.
-    opened = []
-
-    class Spy(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
-    monkeypatch.setattr(correlate, "_usable_cpus", lambda: 3)
-    for cfg in (presets.fig2a_config(), presets.fig2d_config()):
-        measure_peak(*run_simulation(cfg, seed=0))
-    assert opened == []
-    fine_histogram(*dense_streams(), 10**9, -2_000_000, 8000, 500)
-    assert opened == [3]
 
 
 class TestHistogramPaths:
@@ -434,24 +405,14 @@ class TestHistogramPaths:
         assert [n for _, n in kept] == [len(a.tags[::2]), len(a)]
         assert reported == []
 
-    def test_dense_reported_pass_threaded(self, monkeypatch):
+    def test_dense_reported_pass_of_its_own(self, monkeypatch):
         # The seed pass strides a, so the reported histogram takes
-        # fine_histogram's pass over every tag, split over three threads.
-        opened = []
-
-        class Spy(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
-        monkeypatch.setattr(correlate, "_usable_cpus", lambda: 3)
+        # fine_histogram's pass over every tag.
         a, b = dense_streams()
         _, kept, reported = self._record(monkeypatch)
         meas = measure_peak(a, b)
         assert len(kept) == 2 and kept[-1][1] < len(a) // 2  # confirm, then seed
         assert reported == [meas.offset_fs]
-        assert opened == [3]
 
 
 class TestCoarseOffset:
@@ -477,6 +438,16 @@ class TestCoarseOffset:
         for offset_fs in rng.integers(-5 * 10**9, 5 * 10**9, 12).tolist():
             b = make_stream(a.tags + offset_fs, span=a.acquisition_span_fs + abs(offset_fs))
             assert abs(coarse_offset(a, b)[0] - offset_fs) <= 10**6
+
+    @pytest.mark.parametrize("search_span_ms", [5.5e6, 6e6, 9e6])
+    def test_offset_near_int64_end_recovered(self, search_span_ms):
+        # The offset plus the half-span passes 2^63 fs: binning the look as
+        # (diff + half-span) // bin wrapped, and the peak was lost.
+        rng = np.random.default_rng(7)
+        tags = np.sort(rng.integers(0, 5 * 10**15, 3000))
+        a = make_stream(tags, span=5 * 10**15)
+        b = make_stream(tags + 5 * 10**18, span=5 * 10**18 + 5 * 10**15)
+        assert coarse_offset(a, b, search_span_ms)[:2] == (5 * 10**18, 10**6)
 
     @settings(max_examples=25, deadline=None)
     @given(offset_fs=st.integers(-(10**12), 10**12))

@@ -1,11 +1,12 @@
 """measure_peak sizes its histograms from the coarse peak alone."""
 
 import io
+import os
 
 import numpy as np
 import pytest
 
-from ndcsim import model, presets
+from ndcsim import model, pipeline, presets
 from ndcsim.analyze import evaluate_wasak, variance_from_fit
 from ndcsim.config import dump_config, parse_config
 from ndcsim.errors import FitError, ParameterError
@@ -30,6 +31,14 @@ CONFIGS = {
 def test_acquisition_span_covers_duration_and_last_tag(last_tag_fs, span_fs):
     # 22.5 fs of acquisition span 23 whole fs, or to a later last tag
     assert acquisition_span_fs(2.25e-14, last_tag_fs) == span_fs
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert pipeline._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pipeline._usable_cpus() == 1
 
 
 @pytest.mark.parametrize("resolution_fs", [0, -1000, 2**60])
