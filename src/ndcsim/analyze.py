@@ -2,7 +2,7 @@
 
 Poisson maximum-likelihood Gaussian peak fits, variance conversion, weighted
 linear fits for the width-versus-length sweeps, and the Bell-like witness
-verdict assembled from two fitted peaks.
+(``model.Witness``) built from the variances of two fitted peaks.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from . import model
 from .correlate import FALSE_PEAK_P, Histogram
 from .errors import FitError, ParameterError, check_range
-from .model import SourceParams, WasakInputs
+from .model import SourceParams, Witness
 
 _MAX_STEPS = 100  # cap on the scoring steps, and on the halvings of each
 _TOL = 1e-6  # twice the NLL decrease, predicted by a step, that ends the fit
@@ -42,15 +42,6 @@ class GaussianFit:
     @property
     def fwhm_err_ps(self) -> float:
         return model.FWHM_PER_SIGMA * self.sigma_err_ps
-
-
-@dataclass(frozen=True)
-class WasakResult:
-    inputs: WasakInputs
-    w: float
-    w_err: float
-    violation_sigmas: float
-    violated: bool
 
 
 @dataclass(frozen=True)
@@ -191,26 +182,17 @@ def variance_from_fit(fit: GaussianFit) -> tuple[float, float]:
 
 def evaluate_wasak(
     fit_before: GaussianFit, fit_after: GaussianFit, two_beta_l_ps2: float
-) -> WasakResult:
-    """Witness verdict from the fitted before/after correlation peaks."""
+) -> Witness:
+    """Witness from the fitted before/after correlation peaks."""
     var_b, var_b_err = variance_from_fit(fit_before)
     var_a, var_a_err = variance_from_fit(fit_after)
-    inputs = WasakInputs(
+    return Witness(
         var_before_ps2=var_b,
         var_before_err_ps2=var_b_err,
         var_after_ps2=var_a,
         var_after_err_ps2=var_a_err,
         two_beta_l_ps2=two_beta_l_ps2,
     )
-    return wasak_from_inputs(inputs)
-
-
-def wasak_from_inputs(inputs: WasakInputs) -> WasakResult:
-    w = model.wasak_w(inputs)
-    w_err = model.wasak_w_uncertainty(inputs)
-    violated = w < 1.0
-    sigmas = (1.0 - w) / w_err if (violated and w_err > 0) else 0.0
-    return WasakResult(inputs=inputs, w=w, w_err=w_err, violation_sigmas=sigmas, violated=violated)
 
 
 def fit_linear(points: Sequence[tuple[float, float, float]]) -> LinearFit:
@@ -262,15 +244,14 @@ def fit_report_text(fit: GaussianFit) -> str:
     return "\n".join(lines)
 
 
-def wasak_report_text(result: WasakResult) -> str:
+def wasak_report_text(w: Witness) -> str:
     """Witness verdict with all five inputs for audit."""
-    i = result.inputs
     lines = [
-        f"var_before_ps2 = {i.var_before_ps2:.6g} +- {i.var_before_err_ps2:.3g}",
-        f"var_after_ps2 = {i.var_after_ps2:.6g} +- {i.var_after_err_ps2:.3g}",
-        f"two_beta_l_ps2 = {i.two_beta_l_ps2:.6g}",
-        f"W = {result.w:.4g} +- {result.w_err:.3g}",
-        f"violation_sigmas = {result.violation_sigmas:.3g}",
-        f"violated = {str(result.violated).lower()}",
+        f"var_before_ps2 = {w.var_before_ps2:.6g} +- {w.var_before_err_ps2:.3g}",
+        f"var_after_ps2 = {w.var_after_ps2:.6g} +- {w.var_after_err_ps2:.3g}",
+        f"two_beta_l_ps2 = {w.two_beta_l_ps2:.6g}",
+        f"W = {w.w:.4g} +- {w.w_err:.3g}",
+        f"violation_sigmas = {w.violation_sigmas:.3g}",
+        f"violated = {str(w.violated).lower()}",
     ]
     return "\n".join(lines)

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 a ``reproduce`` target outside its bounds or a closed
+Exit codes: 0 success, 1 a ``reproduce`` run outside its bounds or a closed
 stdout, 2 configuration or input error, 3 no coincidence peak, 4 fit failure,
 5 transport error.
 """
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from contextlib import ExitStack, closing
 
 from . import presets, tagio
@@ -87,16 +88,17 @@ def _write(writer, data, path, *rest):
         raise ParameterError(f"cannot write {path}: {exc}") from exc
 
 
-def _measure_files(args, path_a, path_b):
-    return measure_peak(_read(tagio.read_tags, path_a), _read(tagio.read_tags, path_b),
-                        args.search_span_ms)
+def _read_tags(path):
+    return _read(tagio.read_tags, path)
 
 
-def _report_peak(meas, csv_path) -> int:
-    """Write the histogram CSV when a path is given, then print the offset and
-    fit; a CSV that cannot be written leaves stdout without a fit."""
+def _report_peak(args, a, b, csv_path) -> int:
+    """Measure the peak of a and b, write its histogram CSV when a path is
+    given, then print the offset and fit; a CSV that cannot be written leaves
+    stdout without a fit."""
+    meas = measure_peak(a, b, args.search_span_ms)
     if csv_path:
-        _write(write_histogram_csv, meas.histogram, csv_path, meas.g2)
+        _write(write_histogram_csv, meas.histogram, csv_path, a, b)
     print(f"recovered_offset_fs = {meas.offset_fs}")
     print(fit_report_text(meas.fit))
     if csv_path:
@@ -105,7 +107,7 @@ def _report_peak(meas, csv_path) -> int:
 
 
 def cmd_correlate(args) -> int:
-    return _report_peak(_measure_files(args, args.stream_a, args.stream_b), args.out)
+    return _report_peak(args, _read_tags(args.stream_a), _read_tags(args.stream_b), args.out)
 
 
 def cmd_analyze(args) -> int:
@@ -114,17 +116,29 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_wasak(args) -> int:
-    before = _measure_files(args, args.before_a, args.before_b)
-    after = _measure_files(args, args.after_a, args.after_b)
-    result = evaluate_wasak(before.fit, after.fit, args.two_beta_l)
-    print(wasak_report_text(result))
+    before, after = (measure_peak(_read_tags(a), _read_tags(b), args.search_span_ms)
+                     for a, b in ((args.before_a, args.before_b), (args.after_a, args.after_b)))
+    print(wasak_report_text(evaluate_wasak(before.fit, after.fit, args.two_beta_l)))
     return 0
 
 
 def cmd_reproduce(args) -> int:
-    report = reproduce(args.target, seed=args.seed, scale=args.scale)
-    print(report.text())
-    return 0 if report.passed else 1
+    """Each target on each seed: ``seed N <report>`` on stdout, the wall time on
+    stderr, then the failures; the seeds and scale are checked before any run."""
+    check_range("scale", args.scale, 0, above=True)
+    for seed in args.seed:
+        check_range("seed", seed, 0)
+    failures = 0
+    for target in args.target:
+        for seed in args.seed:
+            t0 = time.perf_counter()
+            report = reproduce(target, seed=seed, scale=args.scale)
+            print(f"{target} seed {seed}: {time.perf_counter() - t0:.1f} s",
+                  file=sys.stderr, flush=True)
+            print(f"seed {seed} {report.text()}", flush=True)
+            failures += not report.passed
+    print(f"{failures} of {len(args.target) * len(args.seed)} reproductions failed")
+    return 1 if failures else 0
 
 
 def cmd_site(args) -> int:
@@ -132,7 +146,7 @@ def cmd_site(args) -> int:
     if not port.isdigit():
         raise ParameterError(f"--terminal must be host:port, got {args.terminal!r}")
     check_range("port", int(port), 0, 65535)
-    stream = _read(tagio.read_tags, args.tags)
+    stream = _read_tags(args.tags)
     tagio.send_to_terminal(stream, (host or "127.0.0.1", int(port)))
     print(f"sent {len(stream)} tags from site {stream.site_id}")
     return 0
@@ -147,7 +161,7 @@ def cmd_terminal(args) -> int:
     a, b = streams[ids[0]], streams[ids[1]]
     for suffix, stream in (("a", a), ("b", b)):
         _write(tagio.write_tags, stream, f"{args.out}_{suffix}.tags")
-    return _report_peak(measure_peak(a, b, args.search_span_ms), f"{args.out}_hist.csv")
+    return _report_peak(args, a, b, f"{args.out}_hist.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_search_span(p)
     p.set_defaults(func=cmd_wasak)
 
-    p = sub.add_parser("reproduce", help="run a headline-result preset end to end")
-    p.add_argument("target", choices=sorted(TARGETS))
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("reproduce", help="run headline-result presets end to end")
+    p.add_argument("target", nargs="+", choices=sorted(TARGETS))
+    p.add_argument("--seed", type=int, nargs="+", default=[0])
     p.add_argument("--scale", type=float, default=1.0, help="acquisition-time multiplier")
     p.set_defaults(func=cmd_reproduce)
 

@@ -481,8 +481,14 @@ def g2_normalize(
     return h.counts.astype(np.float64) / accidental
 
 
-def write_histogram_csv(h: Histogram, path, g2: np.ndarray) -> None:
-    """CSV with columns bin_center_ps, counts, g2_normalized."""
+def write_histogram_csv(h: Histogram, path, a: TagStream, b: TagStream) -> None:
+    """CSV with columns bin_center_ps, counts, g2_normalized: the counts over
+    the accidentals of a's and b's mean rates over the longer of their spans.
+    A stream whose acquisition span is 0 has no rate, and is refused."""
+    for name, stream in (("a", a), ("b", b)):
+        check_range(f"acquisition_span_fs of stream {name}", stream.acquisition_span_fs, 0,
+                    above=True)
+    g2 = g2_normalize(h, a.rate_hz(), b.rate_hz(), max(a.duration_s, b.duration_s))
     np.savetxt(path, np.column_stack([h.bin_centers_ps, h.counts, g2]),
                fmt=["%.6f", "%d", "%.8g"], delimiter=",",
                header="bin_center_ps,counts,g2_normalized", comments="")

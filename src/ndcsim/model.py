@@ -93,12 +93,13 @@ class DispersionLeg:
 
 
 @dataclass(frozen=True)
-class WasakInputs:
-    """Observed variances entering the Bell-like witness.
+class Witness:
+    """The Bell-like witness W = a*b / (a^2 + c^2) and the variances it is made of.
 
-    ``var_before`` / ``var_after`` are the time-difference variances before
-    and after dispersive propagation (ps**2), ``two_beta_l`` the average
-    magnitude of the applied dispersions (ps**2).
+    a = ``var_before``, b = ``var_after``: the time-difference variances before
+    and after dispersive propagation (ps**2); c = ``two_beta_l``, the average
+    magnitude of the applied dispersions (ps**2).  Classical sources satisfy
+    W >= 1; W < 1 certifies entanglement.
     """
 
     var_before_ps2: float
@@ -112,6 +113,30 @@ class WasakInputs:
             check_range(name, getattr(self, name), 0, above=True)
         for name in ("var_before_err_ps2", "var_after_err_ps2", "two_beta_l_ps2"):
             check_range(name, getattr(self, name), 0)
+
+    @property
+    def w(self) -> float:
+        a, b, c = self.var_before_ps2, self.var_after_ps2, self.two_beta_l_ps2
+        return a * b / (a * a + c * c)
+
+    @property
+    def w_err(self) -> float:
+        """First-order propagated 1-sigma uncertainty of W."""
+        a, b, c = self.var_before_ps2, self.var_after_ps2, self.two_beta_l_ps2
+        denom = a * a + c * c
+        dw_db = a / denom
+        dw_da = b * (c * c - a * a) / denom**2
+        return math.hypot(dw_da * self.var_before_err_ps2, dw_db * self.var_after_err_ps2)
+
+    @property
+    def violated(self) -> bool:
+        return self.w < 1.0
+
+    @property
+    def violation_sigmas(self) -> float:
+        """(1 - W) / W's error when W < 1 and the error is positive, else 0."""
+        w_err = self.w_err
+        return (1.0 - self.w) / w_err if (self.violated and w_err > 0) else 0.0
 
 
 def source_variance_ps2(src: SourceParams, s: float, i: float, rho: float = -1.0) -> float:
@@ -136,29 +161,6 @@ def farfield_eta(src: SourceParams) -> float:
     """Slope factor eta = FWHM_PER_SIGMA * sigma_omega, in 1/ps: the far-field
     FWHM per unit of accumulated dispersion k''l (ps**2)."""
     return FWHM_PER_SIGMA * src.effective_sigma_omega
-
-
-def wasak_w(inputs: WasakInputs) -> float:
-    """Normalized witness W = a*b / (a^2 + c^2).
-
-    a = variance before, b = variance after, c = dispersion magnitude 2*beta*l.
-    Classical sources satisfy W >= 1; W < 1 certifies entanglement.
-    """
-    a = inputs.var_before_ps2
-    b = inputs.var_after_ps2
-    c = inputs.two_beta_l_ps2
-    return a * b / (a * a + c * c)
-
-
-def wasak_w_uncertainty(inputs: WasakInputs) -> float:
-    """First-order propagated 1-sigma uncertainty of the witness."""
-    a = inputs.var_before_ps2
-    b = inputs.var_after_ps2
-    c = inputs.two_beta_l_ps2
-    denom = a * a + c * c
-    dw_db = a / denom
-    dw_da = b * (c * c - a * a) / denom**2
-    return math.hypot(dw_da * inputs.var_before_err_ps2, dw_db * inputs.var_after_err_ps2)
 
 
 def dispersion_magnitude_2bl(disp_s_ps2: float, disp_i_ps2: float) -> float:

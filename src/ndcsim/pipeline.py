@@ -19,8 +19,7 @@ import numpy as np
 from . import presets, simulate
 from .analyze import GaussianFit, fit_gaussian
 from .config import ExperimentConfig
-from .correlate import (COARSE_BIN_FS, Histogram, coarse_offset, fine_histogram, g2_normalize,
-                        seed_pairs)
+from .correlate import COARSE_BIN_FS, Histogram, coarse_offset, fine_histogram, seed_pairs
 from .errors import ParameterError
 from .simulate import INT64_MAX, INT64_MIN, ArmChain, Window, arm_shifts, generate_pairs
 from .streams import FS_PER_PS, FS_PER_S, TagStream
@@ -44,7 +43,6 @@ class PeakMeasurement:
     offset_fs: int
     histogram: Histogram
     fit: GaussianFit
-    g2: np.ndarray
 
 
 def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -157,10 +155,7 @@ def measure_peak(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> Pea
         hist = kept.histogram(offset, origin_fs, bin_fs, nbins)
     else:
         hist = fine_histogram(a, b, offset, origin_fs, bin_fs, nbins)
-    fit = fit_gaussian(hist)
-    duration = max(a.duration_s, b.duration_s)
-    g2 = g2_normalize(hist, max(a.rate_hz(), 1e-12), max(b.rate_hz(), 1e-12), duration)
-    return PeakMeasurement(offset_fs=offset, histogram=hist, fit=fit, g2=g2)
+    return PeakMeasurement(offset_fs=offset, histogram=hist, fit=fit_gaussian(hist))
 
 
 def measure_config_peak(cfg: ExperimentConfig, seed: int) -> PeakMeasurement:

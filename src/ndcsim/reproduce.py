@@ -6,10 +6,10 @@ import math
 from dataclasses import dataclass, field
 
 from . import model, presets
-from .analyze import WasakResult, dispersion_from_slope, evaluate_wasak, fit_linear
+from .analyze import dispersion_from_slope, evaluate_wasak, fit_linear
 from .config import CORRELATION_NAMES
 from .errors import ParameterError, check_range
-from .model import SourceParams
+from .model import SourceParams, Witness
 from .pipeline import measure_config_peak
 
 # Seed decorrelation between the before/after sub-runs of one reproduction.
@@ -73,7 +73,7 @@ def reproduce_fig2d(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
                          f"analytic prediction = {predicted:.1f} ps")
 
 
-def _witness(names, seed: int, scale: float) -> dict[str, WasakResult]:
+def _witness(names, seed: int, scale: float) -> dict[str, Witness]:
     """W for each named fig2d correlation against one fig2a "before" peak.
 
     The before peak is measured at ``seed``, the k-th name's after peak
@@ -93,12 +93,11 @@ def reproduce_wasak(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
     result = _witness(("anti",), seed, scale)["anti"]
     lo, hi = WASAK_W_RANGE
     ok = result.violated and lo <= result.w <= hi and result.violation_sigmas >= WASAK_MIN_SIGMAS
-    i = result.inputs
     report = ReproduceReport(target="wasak", passed=ok, result=result)
     report.lines = [
-        f"var_before = {i.var_before_ps2:.2f} +- {i.var_before_err_ps2:.2f} ps^2",
-        f"var_after = {i.var_after_ps2:.2f} +- {i.var_after_err_ps2:.2f} ps^2",
-        f"two_beta_l = {i.two_beta_l_ps2:.2f} ps^2",
+        f"var_before = {result.var_before_ps2:.2f} +- {result.var_before_err_ps2:.2f} ps^2",
+        f"var_after = {result.var_after_ps2:.2f} +- {result.var_after_err_ps2:.2f} ps^2",
+        f"two_beta_l = {result.two_beta_l_ps2:.2f} ps^2",
         f"W = {result.w:.4f} +- {result.w_err:.4f} (target {lo}..{hi})",
         f"violation_sigmas = {result.violation_sigmas:.1f} (require >= {WASAK_MIN_SIGMAS})",
         f"violated = {str(result.violated).lower()}",
@@ -111,7 +110,7 @@ def reproduce_classical(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
     results = _witness(("positive", "none"), seed, scale)
     lines = [
         f"mode={mode}: W = {r.w:.2f} +- {r.w_err:.2f}, "
-        f"var_after = {r.inputs.var_after_ps2:.0f} ps^2 (require W >= 1)"
+        f"var_after = {r.var_after_ps2:.0f} ps^2 (require W >= 1)"
         for mode, r in results.items()
     ]
     ok = all(r.w >= 1.0 for r in results.values())

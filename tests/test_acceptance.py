@@ -14,7 +14,7 @@ import pytest
 from ndcsim import model, presets, tagio
 from ndcsim.analyze import dispersion_from_slope, evaluate_wasak, variance_from_fit
 from ndcsim.correlate import coarse_offset, fine_histogram
-from ndcsim.model import DispersionLeg, SourceParams, WasakInputs
+from ndcsim.model import DispersionLeg, SourceParams, Witness
 from ndcsim.pipeline import measure_config_peak, measure_peak, run_simulation
 from ndcsim.reproduce import (
     FIG2A_FWHM_RANGE,
@@ -62,15 +62,14 @@ def classical_suite():
 
 
 def test_01_wasak_oracle():
-    inputs = WasakInputs(
+    witness = Witness(
         var_before_ps2=15.982**2,
         var_before_err_ps2=2 * 15.982 * 0.150,
         var_after_ps2=45.676**2,
         var_after_err_ps2=2 * 45.676 * 4.565,
         two_beta_l_ps2=1428.92,
     )
-    w = model.wasak_w(inputs)
-    w_err = model.wasak_w_uncertainty(inputs)
+    w, w_err = witness.w, witness.w_err
     sigmas = (1.0 - w) / w_err
     ok = (abs(w - 0.253) <= 0.001 and abs(w_err - 0.052) <= 0.003
           and 13.5 <= sigmas <= 15.5)

@@ -15,11 +15,10 @@ from ndcsim.analyze import (
     fit_gaussian,
     fit_linear,
     variance_from_fit,
-    wasak_from_inputs,
 )
 from ndcsim.correlate import Histogram
 from ndcsim.errors import FitError, ParameterError
-from ndcsim.model import SourceParams, WasakInputs
+from ndcsim.model import SourceParams, Witness
 
 SRC = SourceParams()
 
@@ -236,8 +235,7 @@ class TestEvaluateWasak:
         assert result.violation_sigmas == 0.0
 
     def test_classical_inputs_not_violated(self):
-        inputs = WasakInputs(255.4, 5.0, 5.0e6, 1e5, 1428.92)
-        result = wasak_from_inputs(inputs)
+        result = Witness(255.4, 5.0, 5.0e6, 1e5, 1428.92)
         assert result.w >= 1.0
         assert not result.violated
 

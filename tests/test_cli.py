@@ -17,7 +17,7 @@ from ndcsim.cli import main
 from ndcsim.config import dump_config
 from ndcsim.errors import (ConfigError, FitError, NdcError, NoPeakError, ParameterError,
                            TagFormatError, TimestampRangeError, TransportError)
-from ndcsim.reproduce import reproduce
+from ndcsim.reproduce import ReproduceReport, reproduce
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +295,46 @@ class TestCorrelateAnalyze:
         assert "no peak" in capsys.readouterr().err
 
 
+def _zero_span(src, dst):
+    """Copy tag file ``src`` to ``dst`` with the header's acquisition span, its
+    last 8 bytes, set to 0."""
+    raw = bytearray(Path(src).read_bytes())
+    raw[tagio.HEADER_SIZE - 8:tagio.HEADER_SIZE] = bytes(8)
+    dst.write_bytes(raw)
+    return str(dst)
+
+
+class TestZeroSpan:
+    """Tag files whose header spans are 0: the peak needs no span, g2 does."""
+
+    @pytest.fixture
+    def zero(self, sim_dir, tmp_path):
+        return [_zero_span(sim_dir / f"run_{arm}.tags", tmp_path / f"zero_{arm}.tags")
+                for arm in "ab"]
+
+    def test_fit_printed_without_out(self, sim_dir, zero, capsys):
+        assert main(["correlate", str(sim_dir / "run_a.tags"), str(sim_dir / "run_b.tags")]) == 0
+        expected = capsys.readouterr().out
+        assert main(["correlate", *zero]) == 0
+        captured = capsys.readouterr()
+        assert "fwhm_ps = " in captured.out
+        assert captured.out == expected
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("zeroed, named", [("ab", "a"), ("b", "b")], ids=["both", "one"])
+    def test_csv_refused(self, sim_dir, zero, tmp_path, capsys, zeroed, named):
+        paths = [zero[i] if arm in zeroed else str(sim_dir / f"run_{arm}.tags")
+                 for i, arm in enumerate("ab")]
+        rc = main(["correlate", *paths, "--out", str(tmp_path / "h.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert (f"invalid parameter: acquisition_span_fs of stream {named} must be > 0"
+                in captured.err)
+        assert "fwhm_ps" not in captured.out
+        assert "recovered_offset_fs" not in captured.out
+        assert not (tmp_path / "h.csv").exists()
+
+
 def _write_csv(path, *columns):
     rows = zip(*(c.tolist() for c in columns))
     path.write_text("bin_center_ps,counts,g2_normalized\n"
@@ -393,6 +433,41 @@ class TestReproduce:
     def test_unknown_target_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["reproduce", "fig9"])
+
+    RUNS = ["reproduce", "fig2a", "fig2d", "--seed", "0", "1", "--scale", "0.2"]
+
+    def test_targets_by_seeds(self, capsys):
+        # A 1 s fig2d run's FWHM carries about 4 ps of error against its
+        # 102..112 ps window: at seed 1 it reads 113.16 ps and fails.
+        runs = [(target, seed) for target in ("fig2a", "fig2d") for seed in (0, 1)]
+        reports = [reproduce(target, seed=seed, scale=0.2) for target, seed in runs]
+        failed = sum(not report.passed for report in reports)
+        assert failed == 1
+        assert main(self.RUNS) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ("".join(f"seed {seed} {report.text()}\n"
+                                        for (_, seed), report in zip(runs, reports))
+                                + "1 of 4 reproductions failed\n")
+        timings = captured.err.splitlines()
+        assert len(timings) == 4
+        for line, (target, seed) in zip(timings, runs):
+            assert line.startswith(f"{target} seed {seed}: ") and line.endswith(" s")
+
+    def test_failed_runs_counted(self, capsys, monkeypatch):
+        def failing(target, seed, scale):
+            return ReproduceReport(target=target, passed=False, lines=["injected"])
+
+        monkeypatch.setattr(cli, "reproduce", failing)
+        assert main(self.RUNS) == 1
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 4
+        assert out.endswith("\n4 of 4 reproductions failed\n")
+
+    def test_seeds_checked_before_any_run(self, capsys):
+        assert main(["reproduce", "fig2a", "--seed", "0", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid parameter: seed must be >= 0 and finite, got -1\n"
 
 
 # The documented exit code and stderr label of each family of package errors.

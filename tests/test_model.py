@@ -15,11 +15,9 @@ from ndcsim.errors import ParameterError
 from ndcsim.model import (
     DispersionLeg,
     SourceParams,
-    WasakInputs,
+    Witness,
     fwhm_from_sigma,
     source_variance_ps2,
-    wasak_w,
-    wasak_w_uncertainty,
 )
 from ndcsim.simulate import DetectorSpec, TimerSpec
 
@@ -27,7 +25,7 @@ SRC = SourceParams()
 
 # Measured variances of the violating configuration: (15.982 +- 0.150 ps)^2
 # before and (45.676 +- 4.565 ps)^2 after dispersion, 2*beta*l = 1428.92 ps^2.
-REFERENCE_INPUTS = WasakInputs(
+REFERENCE_INPUTS = Witness(
     var_before_ps2=15.982**2,
     var_before_err_ps2=2 * 15.982 * 0.150,
     var_after_ps2=45.676**2,
@@ -186,46 +184,46 @@ class TestFarField:
 
 class TestWasak:
     def test_reference_value(self):
-        assert wasak_w(REFERENCE_INPUTS) == pytest.approx(0.253, abs=1e-3)
+        assert REFERENCE_INPUTS.w == pytest.approx(0.253, abs=1e-3)
 
     def test_reference_uncertainty(self):
-        assert wasak_w_uncertainty(REFERENCE_INPUTS) == pytest.approx(0.051, rel=0.05)
+        assert REFERENCE_INPUTS.w_err == pytest.approx(0.051, rel=0.05)
 
     def test_violation_significance(self):
-        w = wasak_w(REFERENCE_INPUTS)
-        sig = (1 - w) / wasak_w_uncertainty(REFERENCE_INPUTS)
+        w = REFERENCE_INPUTS.w
+        sig = (1 - w) / REFERENCE_INPUTS.w_err
         assert sig == pytest.approx(14.4, abs=0.5)
 
     def test_no_dispersion_no_broadening(self):
-        inputs = WasakInputs(100.0, 0.0, 100.0, 0.0, 0.0)
-        assert wasak_w(inputs) == pytest.approx(1.0)
+        inputs = Witness(100.0, 0.0, 100.0, 0.0, 0.0)
+        assert inputs.w == pytest.approx(1.0)
 
     def test_algebraic_boundary(self):
         c = 17.3
-        inputs = WasakInputs(c, 0.0, 2 * c, 0.0, c)
-        assert wasak_w(inputs) == pytest.approx(1.0, rel=1e-12)
+        inputs = Witness(c, 0.0, 2 * c, 0.0, c)
+        assert inputs.w == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_errors_zero_uncertainty(self):
-        inputs = WasakInputs(100.0, 0.0, 300.0, 0.0, 50.0)
-        assert wasak_w_uncertainty(inputs) == 0.0
+        inputs = Witness(100.0, 0.0, 300.0, 0.0, 50.0)
+        assert inputs.w_err == 0.0
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ParameterError):
-            WasakInputs(-1.0, 0.0, 1.0, 0.0, 0.0)
+            Witness(-1.0, 0.0, 1.0, 0.0, 0.0)
         with pytest.raises(ParameterError):
-            WasakInputs(1.0, 0.0, 1.0, 0.0, -1.0)
+            Witness(1.0, 0.0, 1.0, 0.0, -1.0)
         with pytest.raises(ParameterError):
-            WasakInputs(1.0, -0.5, 1.0, 0.0, 1.0)
+            Witness(1.0, -0.5, 1.0, 0.0, 1.0)
 
     @given(a=finite_pos, b=finite_pos, c=st.floats(0.0, 1e6))
     def test_violation_iff_below_classical_bound(self, a, b, c):
-        inputs = WasakInputs(a, 0.0, b, 0.0, c)
-        assert (wasak_w(inputs) < 1.0) == (b < a + c * c / a)
+        inputs = Witness(a, 0.0, b, 0.0, c)
+        assert (inputs.w < 1.0) == (b < a + c * c / a)
 
     @given(a=finite_pos, b=finite_pos, c=st.floats(0.0, 1e6), lam=st.floats(1e-3, 1e3))
     def test_scaling_invariance(self, a, b, c, lam):
-        w1 = wasak_w(WasakInputs(a, 0.0, b, 0.0, c))
-        w2 = wasak_w(WasakInputs(lam * a, 0.0, lam * b, 0.0, lam * c))
+        w1 = Witness(a, 0.0, b, 0.0, c).w
+        w2 = Witness(lam * a, 0.0, lam * b, 0.0, lam * c).w
         assert w2 == pytest.approx(w1, rel=1e-9)
 
     @settings(max_examples=50)
@@ -237,11 +235,11 @@ class TestWasak:
         eb=st.floats(0.1, 10.0),
     )
     def test_uncertainty_matches_finite_differences(self, a, b, c, ea, eb):
-        inputs = WasakInputs(a, ea, b, eb, c)
-        analytic = wasak_w_uncertainty(inputs)
+        inputs = Witness(a, ea, b, eb, c)
+        analytic = inputs.w_err
 
         def w_of(aa, bb):
-            return wasak_w(WasakInputs(aa, 0.0, bb, 0.0, c))
+            return Witness(aa, 0.0, bb, 0.0, c).w
 
         ha = a * 1e-6
         hb = b * 1e-6
@@ -259,8 +257,8 @@ class TestClassicalBound:
         bound = a + c * c / a
         assert bound == pytest.approx(8250.0, abs=1.0)
         assert math.sqrt(bound) == pytest.approx(90.8, abs=0.1)
-        assert wasak_w(WasakInputs(a, 0.0, bound, 0.0, c)) == pytest.approx(1.0, rel=1e-12)
-        assert wasak_w(WasakInputs(a, 0.0, 2086.0, 0.0, c)) < 1.0
+        assert Witness(a, 0.0, bound, 0.0, c).w == pytest.approx(1.0, rel=1e-12)
+        assert Witness(a, 0.0, 2086.0, 0.0, c).w < 1.0
 
     def test_witness_threshold(self):
         # W at the fig2a/fig2d presets as the idler's detuning decorrelates:
@@ -269,7 +267,7 @@ class TestClassicalBound:
 
         def w(rho):
             after = presets.predicted_pair_variance_ps2(presets.fig2d_config(mode=rho))
-            return wasak_w(WasakInputs(before, 0.0, after, 0.0, presets.wasak_two_beta_l_ps2()))
+            return Witness(before, 0.0, after, 0.0, presets.wasak_two_beta_l_ps2()).w
 
         for rho, expected in ((-1.0, 0.2515), (-0.999, 0.5442), (-0.998, 0.8370),
                               (-0.997, 1.1298)):
@@ -278,17 +276,17 @@ class TestClassicalBound:
 
     def test_no_dispersion(self):
         # With c = 0 the bound is var_after = var_before.
-        assert wasak_w(WasakInputs(42.0, 0.0, 42.0, 0.0, 0.0)) == pytest.approx(1.0, rel=1e-12)
-        assert wasak_w(WasakInputs(42.0, 0.0, 41.9, 0.0, 0.0)) < 1.0
+        assert Witness(42.0, 0.0, 42.0, 0.0, 0.0).w == pytest.approx(1.0, rel=1e-12)
+        assert Witness(42.0, 0.0, 41.9, 0.0, 0.0).w < 1.0
 
     def test_equal_terms(self):
         # a = c = 7 gives the bound a + c^2/a = 14.
-        assert wasak_w(WasakInputs(7.0, 0.0, 14.0, 0.0, 7.0)) == pytest.approx(1.0, rel=1e-12)
-        assert wasak_w(WasakInputs(7.0, 0.0, 13.9, 0.0, 7.0)) < 1.0
+        assert Witness(7.0, 0.0, 14.0, 0.0, 7.0).w == pytest.approx(1.0, rel=1e-12)
+        assert Witness(7.0, 0.0, 13.9, 0.0, 7.0).w < 1.0
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ParameterError):
-            WasakInputs(0.0, 0.0, 1.0, 0.0, 1.0)
+            Witness(0.0, 0.0, 1.0, 0.0, 1.0)
 
 
 class TestDispersionLeg:

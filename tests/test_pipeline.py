@@ -76,9 +76,9 @@ def test_witness_at_interior_correlation(rho):
     after = measure_config_peak(cfg, seed=1_000_003)
     two_beta_l = presets.wasak_two_beta_l_ps2(cfg)
     measured = evaluate_wasak(before.fit, after.fit, two_beta_l)
-    analytic = model.wasak_w(model.WasakInputs(
+    analytic = model.Witness(
         presets.predicted_pair_variance_ps2(before_cfg), 0.0,
-        presets.predicted_pair_variance_ps2(cfg), 0.0, two_beta_l))
+        presets.predicted_pair_variance_ps2(cfg), 0.0, two_beta_l).w
     assert abs(measured.w - analytic) < 3 * measured.w_err
 
 
