@@ -15,7 +15,7 @@ import io
 import typing
 from dataclasses import dataclass
 
-from .errors import ConfigError, TimestampRangeError, check_range
+from .errors import ConfigError, ParameterError, check_range
 from .model import DispersionLeg, SourceParams
 from .simulate import INT64_MAX, DetectorSpec, TimerSpec
 from .streams import FS_PER_S
@@ -34,7 +34,7 @@ class RunSpec:
         check_range("duration_s", self.duration_s, 0)
         # Every run's duration passes here; its whole fs must fit int64.
         if self.duration_s * FS_PER_S > INT64_MAX:
-            raise TimestampRangeError("duration exceeds the int64 femtosecond range")
+            raise ParameterError("duration exceeds the int64 femtosecond range")
         check_range("mode", self.mode, -1, 1)
 
 

@@ -16,16 +16,15 @@ spans the search.  The test's mean comes from bounds on the span's pairs,
 summed over buckets half the span wide with a few binary searches per
 bucket; the pairs are counted exactly only when the bounds could change the
 test's result or its width.  The cost is O(|a| log |b|) plus the pairs in the
-window, never O(|a|*|b|); all but the reported pass stride a, the seed pass to
-_SEED_PAIRS expected pairs.  The confirm and seed passes keep their pairs
-(PairDiffs), and a later histogram at the same stride within a kept window
-is binned from them instead of taking a pass of its own: on the paper's 5 s
-runs the confirm takes every tag of a, and the seed and reported histograms
-rebin it.  The kernel walks a in chunks sized to hold about _DIFF_CHUNK
-expected pairs each, so its temporaries stay small whatever the density of
-the streams.  A walked chunk finds its tags' first candidates by merging
-them with the tags of b it reaches, in one stable sort.  Every pass runs on
-the calling thread.
+window, never O(|a|*|b|); a pass given a budget of expected pairs strides a
+to keep within it.  Only the confirm pass keeps its pairs (PairDiffs);
+fine_histogram bins a grid within that window at the same stride from them
+instead of taking a pass of its own: on the paper's 5 s runs the confirm
+takes every tag of a, and the seed and reported histograms rebin it.  The
+kernel walks a in chunks sized to hold about _DIFF_CHUNK expected pairs
+each, so its temporaries stay small whatever the density of the streams.  A
+walked chunk finds its tags' first candidates by merging them with the tags
+of b it reaches, in one stable sort.  Every pass runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .streams import FS_PER_MS, FS_PER_PS, TagStream
 
 COARSE_BIN_FS = 10**6  # the offset search bin, 1 ns
 _PAIR_BUDGET = 1 << 22  # expected pairs per test pass; denser streams are strided
-_SEED_PAIRS = 1 << 18  # expected pairs of the seed pass that sizes the reported one
 _LOOK_PAIRS = 1 << 16  # expected pairs of the first look, at least
 _CONFIRM_BINS = 64  # bins either side of a located bin counted at the test stride
 FALSE_PEAK_P = 2.87e-7  # a one-sided 5 sigma excess, trials factor included
@@ -273,20 +271,29 @@ def _first_candidates(keys: np.ndarray, tags: np.ndarray, ramp: np.ndarray,
 
 
 def fine_histogram(
-    a: TagStream, b: TagStream, offset_fs: int, origin_fs: int, bin_fs: int, nbins: int
+    a: TagStream, b: TagStream, offset_fs: int, origin_fs: int, bin_fs: int, nbins: int,
+    budget: int | None = None, kept: PairDiffs | None = None,
 ) -> Histogram:
     """Histogram of pair differences d = t_b - t_a - offset in nbins whole,
-    half-open bins [origin + k*bin, origin + (k+1)*bin), all in fs, counted
-    on the calling thread."""
+    half-open bins [origin + k*bin, origin + (k+1)*bin), all in fs.
+
+    It counts the pairs of every tag of a, or, given a budget, of every
+    _budget_stride-th: as many, evenly strided, as are expected to yield
+    budget pairs within the grid.  Kept pairs that cover the grid at that
+    stride are rebinned; otherwise the pass runs on the calling thread."""
     tags_a = _nonempty(a, "a")
     tags_b = _nonempty(b, "b")
     check_range("bin_fs", bin_fs, 0, above=True)
     check_range("nbins", nbins, 0, above=True)
+    stride = 1 if budget is None else _budget_stride(tags_a, tags_b, nbins * bin_fs, budget)
+    lo_fs = offset_fs + origin_fs
+    if kept is not None and kept.covers(stride, lo_fs, lo_fs + nbins * bin_fs):
+        return kept.histogram(offset_fs, origin_fs, bin_fs, nbins)
     # The kernel's closed window, centred on the grid, spans it; its right
     # edge may fall on origin + nbins*bin, the spare bin, which is dropped.
     half = nbins * bin_fs // 2
     counts = np.zeros(nbins + 1, dtype=np.int64)
-    for diffs in window_diffs(tags_a, tags_b, offset_fs + origin_fs + half, half):
+    for diffs in window_diffs(tags_a[::stride], tags_b, lo_fs + half, half):
         diffs += half
         diffs //= bin_fs
         counts += np.bincount(diffs, minlength=nbins + 1)
@@ -334,18 +341,6 @@ def pair_diffs(a: np.ndarray, b: np.ndarray, stride: int, centre_fs: int,
     parts = list(window_diffs(a[::stride], b, centre_fs, half_fs))
     diffs = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     return PairDiffs(stride, centre_fs, half_fs, diffs)
-
-
-def seed_pairs(a: TagStream, b: TagStream, centre_fs: int, width_fs: int,
-               kept: PairDiffs) -> PairDiffs:
-    """The pairs within a window width_fs wide and centred on centre_fs, from
-    as many tags of a, evenly strided, as are expected to yield _SEED_PAIRS
-    pairs: kept, if it holds them all, else a pass of their own."""
-    stride = _budget_stride(a.tags, b.tags, width_fs, _SEED_PAIRS)
-    lo_fs = centre_fs - width_fs // 2
-    if kept.covers(stride, lo_fs, lo_fs + width_fs):
-        return kept
-    return pair_diffs(a.tags, b.tags, stride, centre_fs, width_fs // 2)
 
 
 def coarse_offset(a: TagStream, b: TagStream,
@@ -501,7 +496,7 @@ def read_histogram_csv(path) -> Histogram:
     """Histogram of a write_histogram_csv file; broken bin geometry is rejected.
 
     The centres must be finite and evenly spaced to within ``_CSV_SPACING_PS``,
-    and the counts finite whole numbers.
+    and the counts finite whole numbers within int64.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(0, 1))
     centers, counts = data[:, 0], data[:, 1]
@@ -515,5 +510,7 @@ def read_histogram_csv(path) -> Histogram:
         raise ParameterError(f"bin centres not evenly spaced to within {_CSV_SPACING_PS:g} ps")
     if (counts != np.round(counts)).any():
         raise ParameterError("counts must be whole numbers")
+    if counts.max() >= 2.0**63:  # checked here: the cast to int64 would not hold it
+        raise ParameterError(f"counts must be in [0, 2^63), got {counts.max():g}")
     return Histogram(bin_width_ps=bw, origin_ps=float(centers[0] - 0.5 * bw),
                      counts=counts.astype(np.int64))

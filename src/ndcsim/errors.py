@@ -38,28 +38,8 @@ class FitError(NdcError):
     """Peak fit failed (no significant peak, or no convergence)."""
 
 
-class TimestampRangeError(ParameterError, OverflowError):
-    """A timestamp would fall outside the signed 64-bit femtosecond range."""
-
-
 class TagFormatError(NdcError):
     """Tag file or wire payload violates the format contract."""
-
-
-class BadMagicError(TagFormatError):
-    pass
-
-
-class VersionMismatchError(TagFormatError):
-    pass
-
-
-class TruncatedFileError(TagFormatError):
-    pass
-
-
-class UnsortedTagsError(TagFormatError):
-    pass
 
 
 class TransportError(NdcError):

@@ -19,12 +19,13 @@ import numpy as np
 from . import presets, simulate
 from .analyze import GaussianFit, fit_gaussian
 from .config import ExperimentConfig
-from .correlate import COARSE_BIN_FS, Histogram, coarse_offset, fine_histogram, seed_pairs
+from .correlate import COARSE_BIN_FS, Histogram, coarse_offset, fine_histogram
 from .errors import ParameterError
 from .simulate import INT64_MAX, INT64_MIN, ArmChain, Window, arm_shifts, generate_pairs
 from .streams import FS_PER_PS, FS_PER_S, TagStream
 
 _SEED_BINS = 250  # seed-pass bins either side of the coarse offset
+_SEED_PAIRS = 1 << 18  # expected pairs of the seed pass that sizes the reported one
 # Emission time simulated at once: the paper's acquisition, so a run of at
 # most 5 s is one block and draws exactly as an unblocked simulation.
 _BLOCK_FS = round(presets.ACQUISITION_S * FS_PER_S)
@@ -126,16 +127,15 @@ def measure_peak(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> Pea
     """Recover the stream offset, histogram the coincidences and fit the peak.
 
     A seed histogram over +/- (2 * coarse width + COARSE_BIN_FS), strided
-    to about 2^18 expected pairs (correlate._SEED_PAIRS), fits the peak; it
-    only sizes and centres the reported histogram, a tenth of that FWHM per
-    bin from -max(4 FWHM, 10 bins), which counts the pairs of every tag.
-    Each rebins kept pairs that cover it at its stride: the seed those of the
-    coarse confirm window, else it takes and keeps a pass of its own; the
-    reported histogram those kept at stride 1, else it takes fine_histogram's
-    pass.  At the paper's rates every window expects under 2 pairs per tag,
-    so the kernel walks them partner by partner.  Bins span whole timer
-    ticks, so each holds as many differences; a tick so long that the seed
-    window leaves int64 raises ParameterError.
+    to about _SEED_PAIRS expected pairs, fits the peak; it only sizes and
+    centres the reported histogram, a tenth of that FWHM per bin from
+    -max(4 FWHM, 10 bins), which counts the pairs of every tag.  Both are
+    fine_histogram calls, handed the coarse confirm's kept pairs to rebin
+    where they cover the grid at its stride.  At the paper's rates every
+    window expects under 2 pairs per tag, so the kernel walks them partner
+    by partner.  Bins span whole timer ticks, so each holds as many
+    differences; a tick so long that the seed window leaves int64 raises
+    ParameterError.
     """
     offset, width_fs, kept = coarse_offset(a, b, search_span_ms)
     tick = math.gcd(a.resolution_fs, b.resolution_fs)
@@ -145,16 +145,12 @@ def measure_peak(a: TagStream, b: TagStream, search_span_ms: float = 1.0) -> Pea
     if offset - half < INT64_MIN or offset + half > INT64_MAX:
         raise ParameterError(f"resolution_fs: a tick of {tick} fs puts the seed window "
                              "beyond the int64 femtosecond range")
-    kept = seed_pairs(a, b, offset, nbins * seed_bin_fs, kept)
-    fit = fit_gaussian(kept.histogram(offset, -half, seed_bin_fs, nbins))
+    fit = fit_gaussian(fine_histogram(a, b, offset, -half, seed_bin_fs, nbins, _SEED_PAIRS, kept))
     bin_fs = max(round(fit.fwhm_ps * FS_PER_PS / (10 * tick)), 1) * tick
     offset += int(round(fit.center_ps * FS_PER_PS))
     window_fs = max(4.0 * fit.fwhm_ps * FS_PER_PS, 10.0 * bin_fs)
     origin_fs, nbins = -math.floor(window_fs), math.ceil(2 * window_fs / bin_fs)
-    if kept.covers(1, offset + origin_fs, offset + origin_fs + nbins * bin_fs):
-        hist = kept.histogram(offset, origin_fs, bin_fs, nbins)
-    else:
-        hist = fine_histogram(a, b, offset, origin_fs, bin_fs, nbins)
+    hist = fine_histogram(a, b, offset, origin_fs, bin_fs, nbins, kept=kept)
     return PeakMeasurement(offset_fs=offset, histogram=hist, fit=fit_gaussian(hist))
 
 

@@ -118,7 +118,7 @@ def reproduce_classical(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
 
 
 def _sweep_slope(fiber: str, lengths, fitted_k2: bool, seed: int, duration_s: float):
-    """Fit FWHM against fiber length; returns the linear fit and the points.
+    """The linear fit of FWHM against fiber length.
 
     The peak at the k-th length is measured at ``seed + k * _SEED_STRIDE``.
     """
@@ -127,7 +127,7 @@ def _sweep_slope(fiber: str, lengths, fitted_k2: bool, seed: int, duration_s: fl
         cfg = presets.fig3_config(fiber, length, fitted_k2=fitted_k2, duration_s=duration_s)
         meas = measure_config_peak(cfg, seed + k * _SEED_STRIDE)
         points.append((length, meas.fit.fwhm_ps, meas.fit.fwhm_err_ps))
-    return fit_linear(points), points
+    return fit_linear(points)
 
 
 def reproduce_fig3(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
@@ -143,7 +143,7 @@ def reproduce_fig3(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
         ("dcf", presets.FIG3_DCF_KM, FIG3_DCF_SLOPE_RANGE, REFERENCE_DCF_SLOPE,
          presets.DCF_K2_FITTED_S2_PER_M, presets.DCF_K2_S2_PER_M),
     ):
-        fit_nom, _ = _sweep_slope(fiber, lengths, False, seed, duration)
+        fit_nom = _sweep_slope(fiber, lengths, False, seed, duration)
         in_range = nominal_range[0] <= fit_nom.slope <= nominal_range[1]
         ok = ok and in_range
         lines.append(
@@ -156,7 +156,7 @@ def reproduce_fig3(seed: int = 0, scale: float = 1.0) -> ReproduceReport:
         lines.append(f"{fiber} k2 from nominal-k2 slope = {k2_measured:.4g} +- "
                      f"{k2_measured_err:.2g} s^2/m (preset {abs(preset_k2):.3g})")
 
-        fit_fit, _ = _sweep_slope(fiber, lengths, True, seed + 7 * _SEED_STRIDE, duration)
+        fit_fit = _sweep_slope(fiber, lengths, True, seed + 7 * _SEED_STRIDE, duration)
         rel = abs(fit_fit.slope - ref_slope) / ref_slope
         ok = ok and rel <= 0.03
         lines.append(

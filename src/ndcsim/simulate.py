@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, TimestampRangeError, check_range
+from .errors import ParameterError, check_range
 from .model import FWHM_PER_SIGMA, DispersionLeg, SourceParams
 from .streams import FS_PER_PS, FS_PER_S
 
@@ -186,12 +186,12 @@ def generate_pairs(src: SourceParams, window: Window, seed: int, p_signal: float
     both arms, the signal arm only and the idler arm only are Poisson at
     ``src.pair_rate_hz`` times p_s*p_i, p_s(1-p_i) and (1-p_s)p_i, with
     emissions uniform over the window, whose block picks the RNG stream
-    (``stage_rng``).  A window ending past int64 raises TimestampRangeError.
+    (``stage_rng``).  A window ending past int64 raises ParameterError.
     """
     start_fs, end_fs, block = window
     check_range("start_fs", start_fs, 0, end_fs)
     if end_fs > INT64_MAX:
-        raise TimestampRangeError("window ends beyond the int64 femtosecond range")
+        raise ParameterError("window ends beyond the int64 femtosecond range")
     for name, p in (("p_signal", p_signal), ("p_idler", p_idler)):
         check_range(name, p, 0, 1)
 
@@ -230,7 +230,7 @@ def propagate(events: PairEvents, shift: ArmShift) -> np.ndarray:
     hi = s.max() if s.size else 0.0
     if not (-2.0**63 <= s.min(initial=0.0) and hi < 2.0**63
             and int(hi) < INT64_MAX - events.window.end_fs):
-        raise TimestampRangeError("arrival outside the int64 femtosecond range")
+        raise ParameterError("arrival outside the int64 femtosecond range")
     out = s.view(np.int64)
     # numpy buffers a cast whose output overlaps its input: a temporary of s's size
     np.floor(s, out=out, casting="unsafe")
@@ -352,7 +352,7 @@ def digitize(times_fs: np.ndarray, timer: TimerSpec) -> np.ndarray:
         q, r = divmod(x, res)
         tag = (q + (r >= res - r)) * res
         if not INT64_MIN <= min(x, tag) <= max(x, tag) <= INT64_MAX:
-            raise TimestampRangeError("timestamp outside the int64 femtosecond range")
+            raise ParameterError("timestamp outside the int64 femtosecond range")
     tags = t + timer.clock_offset_fs
     k = int(np.searchsorted(tags, 0))  # sorted: the negative ones first
     tags[:k] += res // 2

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsortedTagsError, check_range
+from .errors import TagFormatError, check_range
 
 # Tags are integer femtoseconds; these convert other units to that one.
 FS_PER_PS = 1e3
@@ -36,9 +36,7 @@ class TagStream:
         # Compared, not subtracted: no int64 temporary and no overflow.
         bad = np.flatnonzero(tags[1:] < tags[:-1])
         if bad.size:
-            raise UnsortedTagsError(
-                f"tags not sorted: first offending index {int(bad[0]) + 1}"
-            )
+            raise TagFormatError(f"tags not sorted: first offending index {int(bad[0]) + 1}")
 
     def __len__(self) -> int:
         return int(self.tags.size)

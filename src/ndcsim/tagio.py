@@ -27,14 +27,7 @@ from contextlib import nullcontext, suppress
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    TagFormatError,
-    TransportError,
-    TruncatedFileError,
-    UnsortedTagsError,
-    VersionMismatchError,
-)
+from .errors import TagFormatError, TransportError
 from .streams import TagStream
 
 MAGIC = b"NDCTAG01"
@@ -65,20 +58,18 @@ def pack_header(site_id: int, resolution_fs: int, tag_count: int,
 def _unpack_header(raw) -> tuple[int, dict]:
     """``(tag_count, fields)`` of a header, ``fields`` being TagStream keywords."""
     if len(raw) < HEADER_SIZE:
-        raise TruncatedFileError(
-            f"header truncated: expected {HEADER_SIZE} bytes, got {len(raw)}"
-        )
+        raise TagFormatError(f"header truncated: expected {HEADER_SIZE} bytes, got {len(raw)}")
     magic, version, site_id, resolution_fs, tag_count, span = _HEADER.unpack(raw)
     if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        raise TagFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
-        raise VersionMismatchError(f"unsupported version {version}, expected {VERSION}")
+        raise TagFormatError(f"unsupported version {version}, expected {VERSION}")
     if resolution_fs == 0:
         raise TagFormatError("timer resolution must be >= 1 fs, got 0")
     if resolution_fs >= 2**63:
         raise TagFormatError(f"timer resolution must be <= 2**63 - 1 fs, got {resolution_fs}")
     if tag_count == _UNFINISHED:
-        raise TruncatedFileError("header never finalized: the file's writer did not close it")
+        raise TagFormatError("header never finalized: the file's writer did not close it")
     return tag_count, dict(site_id=site_id, resolution_fs=resolution_fs,
                            acquisition_span_fs=span)
 
@@ -123,7 +114,7 @@ class TagWriter:
         if not tags.size:
             return
         if self.last is not None and tags[0] < self.last:
-            raise UnsortedTagsError(f"block starts at {tags[0]} fs, before the previous "
+            raise TagFormatError(f"block starts at {tags[0]} fs, before the previous "
                                     f"block's last tag at {self.last} fs")
         self._file.write(np.ascontiguousarray(tags, "<i8").data)
         self.count += tags.size
@@ -184,7 +175,7 @@ def read_tags(source) -> TagStream:
     if len(payload) > expected:
         raise TagFormatError(f"data past the header's {tag_count} tags")
     if len(payload) < expected:
-        raise TruncatedFileError(
+        raise TagFormatError(
             f"payload truncated: expected {tag_count} tags "
             f"({expected} bytes), got {len(payload) // 8} ({len(payload)} bytes)"
         )

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from ndcsim import cli, errors, presets, simulate, tagio
 from ndcsim.cli import main
 from ndcsim.config import dump_config
 from ndcsim.errors import (ConfigError, FitError, NdcError, NoPeakError, ParameterError,
-                           TagFormatError, TimestampRangeError, TransportError)
+                           TagFormatError, TransportError)
 from ndcsim.reproduce import ReproduceReport, reproduce
 
 
@@ -153,7 +154,7 @@ class TestSimulate:
         def failing(*args):
             calls.append(args)
             if len(calls) == 3:
-                raise TimestampRangeError("injected")
+                raise ParameterError("injected")
             return digitize(*args)
 
         monkeypatch.setattr(simulate, "digitize", failing)
@@ -254,7 +255,7 @@ class TestCorrelateAnalyze:
         assert "cannot read" in capsys.readouterr().err
 
     @pytest.mark.parametrize("defect", [None, "rounded", "jump", "nan_center",
-                                        "fractional_count", "one_column"])
+                                        "fractional_count", "huge_count", "one_column"])
     def test_analyze_csv_geometry(self, tmp_path, capsys, defect):
         # A 4 ps-bin Gaussian peak, as built, rebinned and rounded as
         # write_histogram_csv rounds, or with one defect that is bad input.
@@ -269,15 +270,21 @@ class TestCorrelateAnalyze:
             centers[10] = np.nan
         elif defect == "fractional_count":
             counts[30] = 3.7
+        elif defect == "huge_count":  # beyond int64: an unchecked cast warned and wrapped
+            counts[30] = 1e20
         elif defect == "one_column":
             del columns[1:]
-        rc = main(["analyze", str(_write_csv(tmp_path / "h.csv", *columns))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["analyze", str(_write_csv(tmp_path / "h.csv", *columns))])
         err = capsys.readouterr().err
         if defect in (None, "rounded"):
             assert rc == 0
         else:
             assert rc == 2
             assert err.startswith(f"invalid parameter: cannot read {tmp_path / 'h.csv'}")
+        if defect == "huge_count":
+            assert err.endswith("counts must be in [0, 2^63), got 1e+20\n")
 
     def test_analyze_flat_csv_exit_4(self, tmp_path, capsys):
         csv = _write_csv(tmp_path / "flat.csv", 4.0 * np.arange(20), np.full(20, 5), np.ones(20))

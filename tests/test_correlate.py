@@ -302,6 +302,25 @@ class TestPairDiffs:
             with pytest.raises(ParameterError):
                 kept.histogram(offset + shift, origin, bin_fs, nbins)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("shift", [0, -20_000, 20_001, -20_001, 20_002])
+    def test_fine_histogram_rebins_or_passes(self, monkeypatch, stride, shift):
+        # Handed kept pairs, fine_histogram counts bin for bin what its own
+        # pass counts: it rebins them where they cover its grid at its stride,
+        # 1 here, and takes a pass where not.  The outer shifts put the grid
+        # one fs beyond either edge of the kept window.
+        rng = np.random.default_rng(6)
+        a = make_stream(rng.integers(0, 10**9, 3000))
+        b = make_stream(np.concatenate([a.tags + rng.integers(-10**5, 10**5, 3000),
+                                        rng.integers(0, 10**9, 3000)]))
+        kept = correlate.pair_diffs(a.tags, b.tags, stride, 0, 10**5)
+        plain = fine_histogram(a, b, shift, -80_000, 8000, 20)
+        passes = _record_pieces(monkeypatch)
+        h = fine_histogram(a, b, shift, -80_000, 8000, 20, kept=kept)
+        assert np.array_equal(h.counts, plain.counts) and h.counts.sum() > 0
+        assert (h.bin_width_ps, h.origin_ps) == (plain.bin_width_ps, plain.origin_ps)
+        assert (passes == []) == (stride == 1 and -20_000 <= shift <= 20_001)
+
     def test_no_pairs(self):
         kept = correlate.pair_diffs(np.array([0]), np.array([10**9]), 1, 0, 1000)
         assert kept.diffs.size == 0
@@ -364,55 +383,61 @@ def _record_pieces(monkeypatch) -> list[np.ndarray]:
 
 
 class TestHistogramPaths:
-    """measure_peak bins its seed and reported histograms from kept pairs
-    wherever they cover them at the stride each needs; otherwise each takes
-    a pass of its own."""
+    """measure_peak builds its seed and reported histograms through two
+    fine_histogram calls, handing each the coarse confirm's kept pairs: each
+    rebins them wherever they cover it at the stride it needs, and otherwise
+    takes a pass of its own."""
 
     @staticmethod
     def _record(mp):
-        passes, kept, reported = _record_pieces(mp), _record_confirms(mp), []
+        """The tags of a of every pass, those of every kept pass, and per
+        fine_histogram call the tags of a of each pass it took."""
+        passes, kept, calls = _record_pieces(mp), _record_confirms(mp), []
         histogram = pipeline.fine_histogram
 
-        def recording(*args):
-            reported.append(args[2])
-            return histogram(*args)
+        def recording(*args, **kwargs):
+            before = len(passes)
+            h = histogram(*args, **kwargs)
+            calls.append([len(piece) for piece in passes[before:]])
+            return h
 
         mp.setattr(pipeline, "fine_histogram", recording)
-        return passes, kept, reported
+        return passes, kept, calls
 
     @pytest.mark.parametrize("cfg", [presets.fig2a_config(), presets.fig2d_config()],
                              ids=["fig2a", "fig2d"])
     def test_paper_peaks_rebin_the_confirm(self, cfg):
-        # One pass over every tag of a, the confirm at test stride 1; the
-        # seed and reported histograms are its pairs, rebinned.
+        # One pass over every tag of a, the confirm at test stride 1; both
+        # fine_histogram calls rebin its pairs.
         a, b = run_simulation(cfg, seed=0)
         with pytest.MonkeyPatch.context() as mp:
-            passes, kept, reported = self._record(mp)
+            passes, kept, calls = self._record(mp)
             measure_peak(a, b)
         assert [len(piece) for piece in passes].count(len(a)) == 1
         assert [n for _, n in kept] == [len(a)]
-        assert reported == []
+        assert calls == [[], []]
 
-    def test_longer_run_rebins_the_seed_pass(self):
+    def test_longer_run_seed_and_report_pass_every_tag(self):
         # At four times the acquisition the confirm strides a by 2 and the seed
-        # by 1: the seed takes its own pass over every tag of a, and the
-        # reported histogram rebins it.
+        # by 1, so the kept pairs cover neither: the seed and the reported
+        # histogram each take a pass over every tag of a.
         a, b = run_simulation(presets.fig2d_config(duration_s=4 * presets.ACQUISITION_S), 0)
         with pytest.MonkeyPatch.context() as mp:
-            passes, kept, reported = self._record(mp)
+            passes, kept, calls = self._record(mp)
             measure_peak(a, b)
-        assert [len(piece) for piece in passes].count(len(a)) == 1
-        assert [n for _, n in kept] == [len(a.tags[::2]), len(a)]
-        assert reported == []
+        assert [len(piece) for piece in passes].count(len(a)) == 2
+        assert [n for _, n in kept] == [len(a.tags[::2])]
+        assert calls == [[len(a)], [len(a)]]
 
     def test_dense_reported_pass_of_its_own(self, monkeypatch):
-        # The seed pass strides a, so the reported histogram takes
-        # fine_histogram's pass over every tag.
+        # The seed pass strides a and the reported pass takes every tag, both
+        # through fine_histogram; only the confirm keeps its pairs.
         a, b = dense_streams()
-        _, kept, reported = self._record(monkeypatch)
-        meas = measure_peak(a, b)
-        assert len(kept) == 2 and kept[-1][1] < len(a) // 2  # confirm, then seed
-        assert reported == [meas.offset_fs]
+        _, kept, calls = self._record(monkeypatch)
+        measure_peak(a, b)
+        assert len(kept) == 1
+        assert len(calls) == 2 and len(calls[0]) == 1 and calls[0][0] < len(a) // 2
+        assert calls[1] == [len(a)]
 
 
 class TestCoarseOffset:
@@ -466,18 +491,16 @@ class TestCoarseOffset:
         assert confirms[0][1] < len(a) // 30
         assert abs(full - offset_fs) <= 5 * 10**5
 
-    def test_stride_counts_true_partners(self, monkeypatch):
+    def test_stride_counts_true_partners(self):
         # A 21 ps window holds almost no accidentals, but every tag of a has
         # its true partner in it: 12000 expected pairs against a budget of 1000.
         rng = np.random.default_rng(12)
         a = poisson_stream(rng, 12000, 1.0)
-        monkeypatch.setattr(correlate, "_SEED_PAIRS", 1000)
         stride = -(-len(a) // 1000)  # without the partner term: 1
         assert correlate._budget_stride(a.tags, a.tags, 21 * 1000, 1000) == stride
-        confirmed = coarse_offset(a, a)[2]  # at stride 1, so the seed takes its own pass
-        kept = correlate.seed_pairs(a, a, 0, 21 * 1000, confirmed)
-        assert confirmed.stride == 1 and kept.stride == stride
-        h = kept.histogram(0, -10_500, 1000, 21)
+        confirmed = coarse_offset(a, a)[2]  # at stride 1, so the histogram takes its own pass
+        assert confirmed.stride == 1
+        h = fine_histogram(a, a, 0, -10_500, 1000, 21, budget=1000, kept=confirmed)
         assert h.counts[10] == h.counts.sum() == len(a.tags[::stride])
 
     def test_independent_streams_no_peak(self):
