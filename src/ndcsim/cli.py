@@ -17,7 +17,7 @@ from contextlib import ExitStack, closing
 from . import presets, tagio
 from .analyze import evaluate_wasak, fit_gaussian, fit_report_text, wasak_report_text
 from .config import parse_config
-from .correlate import read_histogram_csv, write_histogram_csv
+from .correlate import check_search_span, read_histogram_csv, write_histogram_csv
 from .errors import (ConfigError, FitError, NdcError, NoPeakError, ParameterError,
                      TagFormatError, TransportError, check_range)
 from .pipeline import acquisition_span_fs, measure_peak, simulate_blocks
@@ -107,6 +107,7 @@ def _report_peak(args, a, b, csv_path) -> int:
 
 
 def cmd_correlate(args) -> int:
+    check_search_span(args.search_span_ms)
     return _report_peak(args, _read_tags(args.stream_a), _read_tags(args.stream_b), args.out)
 
 
@@ -116,6 +117,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_wasak(args) -> int:
+    check_search_span(args.search_span_ms)
+    check_range("two_beta_l_ps2", args.two_beta_l, 0)
     before, after = (measure_peak(_read_tags(a), _read_tags(b), args.search_span_ms)
                      for a, b in ((args.before_a, args.before_b), (args.after_a, args.after_b)))
     print(wasak_report_text(evaluate_wasak(before.fit, after.fit, args.two_beta_l)))
@@ -154,6 +157,7 @@ def cmd_site(args) -> int:
 
 def cmd_terminal(args) -> int:
     check_range("port", args.port, 0, 65535)
+    check_search_span(args.search_span_ms)
     terminal = tagio.Terminal(port=args.port)
     print(f"listening on port {terminal.port}", flush=True)
     streams = terminal.collect(n_sites=2)

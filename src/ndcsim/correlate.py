@@ -343,6 +343,13 @@ def pair_diffs(a: np.ndarray, b: np.ndarray, stride: int, centre_fs: int,
     return PairDiffs(stride, centre_fs, half_fs, diffs)
 
 
+def check_search_span(search_span_ms: float) -> None:
+    """Refuse a coarse search span that is not positive and finite, or whose
+    half-span, at most 2^63 // COARSE_BIN_FS - 1 bins a side, leaves int64 fs."""
+    check_range("search_span_ms", search_span_ms, 0,
+                (2**63 // COARSE_BIN_FS - 1) * COARSE_BIN_FS / FS_PER_MS, above=True)
+
+
 def coarse_offset(a: TagStream, b: TagStream,
                   search_span_ms: float = 1.0) -> tuple[int, int, PairDiffs]:
     """Recover the offset t_b - t_a of the coincidence peak and its width (fs),
@@ -375,9 +382,7 @@ def coarse_offset(a: TagStream, b: TagStream,
     """
     tags_a = _nonempty(a, "a")
     tags_b = _nonempty(b, "b")
-    # At most 2^63 // COARSE_BIN_FS - 1 bins a side: the half-span fits int64.
-    check_range("search_span_ms", search_span_ms, 0,
-                (2**63 // COARSE_BIN_FS - 1) * COARSE_BIN_FS / FS_PER_MS, above=True)
+    check_search_span(search_span_ms)
     span_bins = max(1, math.ceil(search_span_ms * FS_PER_MS / COARSE_BIN_FS))
     nbins = 2 * span_bins + 1
     # COARSE_BIN_FS is even, so the span [-half, half) is whole bins.

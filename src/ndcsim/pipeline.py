@@ -2,14 +2,14 @@
 
 A simulation's blocks of emission time are cut here, once, as the whole-fs
 ``Window``s of the acquisition span (``simulate_blocks``); the simulate
-stages take each window as given.  One loop detects the blocks in order; on
-two or more CPUs the next block is drawn on one worker thread meanwhile.
+stages take each window as given.  One loop detects the blocks in order and
+alone decides the last; a run of more than one block draws the next on one
+worker thread meanwhile.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterator
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -31,14 +31,6 @@ _SEED_PAIRS = 1 << 18  # expected pairs of the seed pass that sizes the reported
 _BLOCK_FS = round(presets.ACQUISITION_S * FS_PER_S)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class PeakMeasurement:
     offset_fs: int
@@ -58,21 +50,22 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
     concatenated, are its tag stream.
 
     One loop detects and digitizes each block's arms in turn, in block order
-    on the calling thread, as detection carries state from block to block.
-    ``draw(block)`` gives a block's window and both arms' arrivals, the pairs
-    freed on return; each arm's arrivals are handed over once.  On two or
-    more usable CPUs block k + 1 is drawn on one worker thread while block k
-    is detected and used: at most two blocks are in flight, and the worker is
-    joined when the generator ends, raises or is closed.  A run of one block,
-    or on one CPU, starts no thread: each block is drawn once the one before
-    is used.
+    on the calling thread, as detection carries state from block to block;
+    the block whose window reaches the span is the last, decided here alone
+    and handed to ``ArmChain.add``.  ``draw(block)`` gives a block's window
+    and both arms' arrivals, the pairs freed on return; each arm's arrivals
+    are handed over once.  Block 0 is drawn on the calling thread; in a run
+    of more than one block, block k + 1 is drawn on one worker thread while
+    block k is detected and used: at most two blocks are in flight, and the
+    worker is joined when the generator ends, raises or is closed.  A run of
+    one block starts no thread.
     """
     span = acquisition_span_fs(cfg.run.duration_s, None)
     p_a = cfg.smf.survival_probability * cfg.detector_a.efficiency
     p_b = cfg.dcf.survival_probability * cfg.detector_b.efficiency
     dets = (cfg.detector_a, cfg.detector_b)
     shifts = arm_shifts(cfg.source, cfg.run.mode, (cfg.smf, cfg.dcf), dets)
-    arms = [ArmChain(shift, det, timer, seed, span)
+    arms = [ArmChain(shift, det, timer, seed)
             for shift, det, timer in zip(shifts, dets, (cfg.timer_a, cfg.timer_b))]
 
     def draw(block: int) -> tuple[Window, list[np.ndarray]]:
@@ -82,22 +75,21 @@ def simulate_blocks(cfg: ExperimentConfig, seed: int) -> Iterator[tuple[np.ndarr
         return window, [simulate.propagate(pairs, arm.shift) for arm in arms]
 
     with ExitStack() as stack:
-        worker = None
-        if span > _BLOCK_FS and _usable_cpus() >= 2:
+        if span > _BLOCK_FS:
             # imported only for the worker: its modules add 0.5 MB to a run's peak RSS
             from concurrent.futures import ThreadPoolExecutor
             worker = stack.enter_context(ThreadPoolExecutor(max_workers=1))
         window, arrivals = draw(0)
         while True:
             last = window.end_fs >= span
-            following = worker.submit(draw, window.block + 1) if worker and not last else None
+            following = None if last else worker.submit(draw, window.block + 1)
             # each arm's arrivals are freed once detected
-            tags = tuple(arm.add(window, arrivals.pop(0)) for arm in arms)
+            tags = tuple(arm.add(window, arrivals.pop(0), last) for arm in arms)
             yield tags
             del tags  # the caller is done with them: freed before the next block is detected
             if last:
                 return
-            window, arrivals = following.result() if worker else draw(window.block + 1)
+            window, arrivals = following.result()
 
 
 def acquisition_span_fs(duration_s: float, last_tag_fs: int | None) -> int:

@@ -364,9 +364,9 @@ def digitize(times_fs: np.ndarray, timer: TimerSpec) -> np.ndarray:
 
 
 class ArmChain:
-    """One arm's detect -> digitize, over an acquisition of ``span_fs``, fed
-    one block's arrivals (``propagate``) at a time, in order, with the block's
-    ``Window``; the block whose window reaches the span ends the run.
+    """One arm's detect -> digitize, fed one block's arrivals (``propagate``)
+    at a time, in order, with the block's ``Window`` and whether it is the
+    last, as the caller's block loop decides; the last block ends the run.
 
     The next block's dark counts start at its first emission, and its photons
     arrive no earlier than that plus the group delay less _SHIFT_SIGMAS
@@ -376,18 +376,15 @@ class ArmChain:
     all the blocks' detections.  The chain keeps no tags: ``add`` returns them.
     """
 
-    def __init__(self, shift: ArmShift, det: DetectorSpec, timer: TimerSpec, seed: int,
-                 span_fs: int):
+    def __init__(self, shift: ArmShift, det: DetectorSpec, timer: TimerSpec, seed: int):
         self.shift, self.det, self.timer, self.seed = shift, det, timer, seed
-        self.span_fs = span_fs
         self.stage = (_STAGE_DETECT_A, _STAGE_DETECT_B)[shift.arm]
         self.lead_fs = min(0, math.floor(shift.delay_fs - _SHIFT_SIGMAS * shift.sigma_fs))
         self.carry = Carry()
 
-    def add(self, window: Window, arrivals: np.ndarray) -> np.ndarray:
-        """The tags of one block's arrivals; the last block, which reaches
-        the span, finalizes every detection."""
-        last = window.end_fs >= self.span_fs
+    def add(self, window: Window, arrivals: np.ndarray, last: bool) -> np.ndarray:
+        """The tags of one block's arrivals; the last block finalizes every
+        detection."""
         self.carry.boundary_fs = None if last else window.end_fs + self.lead_fs
         detected = detect(arrivals, self.det, self.seed, self.stage, window, self.carry)
         return digitize(detected, self.timer)

@@ -237,6 +237,33 @@ class TestCorrelateAnalyze:
         assert rc == 2
         assert "search_span_ms must be in (0, 9223372.036853], got" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, files, flag, value, message", [
+        ("correlate", 2, "--search-span-ms", "0",
+         "search_span_ms must be in (0, 9223372.036853], got 0.0"),
+        ("wasak", 4, "--search-span-ms", "0",
+         "search_span_ms must be in (0, 9223372.036853], got 0.0"),
+        ("wasak", 4, "--two-beta-l", "-1", "two_beta_l_ps2 must be >= 0 and finite, got -1.0")],
+        ids=["correlate-span", "wasak-span", "wasak-two-beta-l"])
+    def test_flag_checked_before_any_read(self, tmp_path, capsys, command, files, flag, value,
+                                          message):
+        # the tag paths are absent: a read would be refused as "cannot read"
+        paths = [str(tmp_path / f"absent_{i}.tags") for i in range(files)]
+        assert main([command, *paths, flag, value]) == 2
+        assert capsys.readouterr().err == f"invalid parameter: {message}\n"
+
+    def test_terminal_search_span_checked_before_listening(self, tmp_path, capsys, monkeypatch):
+        def listen(**kwargs):
+            raise AssertionError("the terminal listened before checking --search-span-ms")
+
+        monkeypatch.setattr(tagio, "Terminal", listen)
+        rc = main(["terminal", "--port", "0", "--out", str(tmp_path / "term"),
+                   "--search-span-ms", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("invalid parameter: search_span_ms must be in "
+                                "(0, 9223372.036853], got 0.0\n")
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     def test_missing_tag_file_exit_2(self, sim_dir, tmp_path, capsys):
         rc = main(["correlate", str(sim_dir / "run_a.tags"), str(tmp_path / "absent.tags")])
         assert rc == 2

@@ -6,6 +6,7 @@ import inspect
 import io
 import itertools
 import math
+import os
 import threading
 import warnings
 import weakref
@@ -642,14 +643,6 @@ class TestEndToEnd:
         assert g2[wings].mean() == pytest.approx(1.0, abs=5 / math.sqrt(n))
 
 
-@pytest.fixture
-def draw_ahead(monkeypatch):
-    """simulate_blocks draws the next block on its worker whatever the usable
-    CPUs, so that on one CPU the worker shares it with the calling thread."""
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-
-
-@pytest.mark.usefixtures("draw_ahead")
 class TestBlocks:
     """A run of many blocks equals one sort, prune and digitization of the same
     per-block draws."""
@@ -699,11 +692,6 @@ class TestBlocks:
         assert np.array_equal(a.tags[a.tags < self.BLOCK_FS],
                               short.tags[short.tags < self.BLOCK_FS])
 
-    def test_matches_one_shot_oracle_on_one_cpu(self, monkeypatch):
-        # each block drawn in turn on the calling thread, with no worker
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
-        self.check(monkeypatch, presets.fig2d_config(duration_s=0.5), 3)
-
     def test_group_delay_longer_than_a_block(self, monkeypatch):
         cfg = presets.fig2d_config(duration_s=0.5)
         # 20,000 km: about 98 ms of delay and 350 ns of dispersive spread
@@ -745,17 +733,9 @@ class TestBlocks:
     def test_windows_tile_the_span(self, monkeypatch, block_fs, duration):
         self.tiles(monkeypatch, block_fs, duration)
 
-    @pytest.mark.parametrize("duration", [0.0, 0.05, 0.12, 1.1])
-    def test_windows_tile_the_span_on_one_cpu(self, monkeypatch, duration):
-        # each block drawn in turn on the calling thread, with no worker
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
-        self.tiles(monkeypatch, self.BLOCK_FS, duration)
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_pairs_freed_before_detection(self, monkeypatch, cpus):
+    def test_pairs_freed_before_detection(self, monkeypatch):
         # a block's pairs are freed once drawn, before either arm is detected,
-        # with the worker and without it
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        # on the calling thread (block 0) and on the worker (blocks 1 and 2)
         monkeypatch.setattr(pipeline, "_BLOCK_FS", self.BLOCK_FS)
         pairs, alive = {}, {}
 
@@ -810,7 +790,6 @@ class TestBlocks:
             detect(np.array([5 * 10**11]), det, 0, 3, Window(0, 0, 1), carry)
 
 
-@pytest.mark.usefixtures("draw_ahead")
 class TestBlocksAhead:
     """simulate_blocks draws block k + 1 on one worker thread while block k is
     detected and used; the worker lives no longer than the generator."""
@@ -833,19 +812,21 @@ class TestBlocksAhead:
         monkeypatch.setattr(pipeline, "generate_pairs", spy)
         return error
 
-    @pytest.mark.parametrize("duration_s, cpus, workers",
-                             [(5.0, 2, 0), (12.0, 2, 1), (12.0, 1, 0)])
-    def test_threads_that_draw(self, monkeypatch, duration_s, cpus, workers):
+    @pytest.mark.parametrize("duration_s, one_cpu, workers",
+                             [(5.0, False, 0), (12.0, False, 1), (12.0, True, 1)],
+                             ids=["5s", "12s", "12s-one-cpu"])
+    def test_threads_that_draw(self, monkeypatch, duration_s, one_cpu, workers):
         # a 5 s run is one block and starts no thread; a 12 s run is three:
-        # block 0 is drawn on the calling thread and, on two CPUs, blocks 1
-        # and 2 on one worker; on one CPU no thread is started
+        # block 0 is drawn on the calling thread and blocks 1 and 2 on one
+        # worker, whatever CPUs the process may use
         drawn_on, running = [], []
 
         def spy(*args, **kwargs):
             drawn_on.append(threading.current_thread())
             return generate_pairs(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        if one_cpu:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(pipeline, "generate_pairs", spy)
         before = threading.active_count()
         for _ in pipeline.simulate_blocks(self.sparse(duration_s), 0):
@@ -965,7 +946,6 @@ def tag_digests(name, mode, seed):
     return tuple(digests)
 
 
-@pytest.mark.usefixtures("draw_ahead")
 @pytest.mark.parametrize("name, mode, seed", list(GOLDEN_TAG_DIGESTS))
 def test_golden_tag_bytes(name, mode, seed):
     """The seed -> tag-file bytes mapping is pinned.
@@ -981,13 +961,6 @@ def test_golden_tag_bytes(name, mode, seed):
     integer emissions, dark counts and times and exact half-up rounding.
     """
     assert tag_digests(name, mode, seed) == GOLDEN_TAG_DIGESTS[name, mode, seed]
-
-
-@pytest.mark.parametrize("name, seed", [("fig2d_12s", 0), ("fig2d_12s", 1), ("fig2d_5.1s", 0)])
-def test_golden_tag_bytes_on_one_cpu(monkeypatch, name, seed):
-    """On one CPU no block is drawn ahead, and the bytes are the same."""
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
-    assert tag_digests(name, "anti", seed) == GOLDEN_TAG_DIGESTS[name, "anti", seed]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
